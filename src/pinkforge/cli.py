@@ -11,12 +11,14 @@ Subcommands:
 
 All reports are JSON with sorted keys; identical configuration (including
 the seed) produces identical bytes.  Exit codes: 0 pass, 1 assertion
-failure, 2 usage error.  PINKFORGE_THREADS bounds check-level parallelism.
+failure, 2 usage error, 3 cap reached, undecided.  PINKFORGE_THREADS bounds
+check-level parallelism.
 """
 
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -24,10 +26,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from .errors import TooLarge
 from .fp import FpSubspace
 from .gma import m2_structure, m2_quotient_map, reduced_residue_gma
-from .localring import make_truncated_poly_ring
+from .localring import is_prime, make_truncated_poly_ring
 from .modforms import (
+    P_LIMIT,
     DegreeExhausted,
     FpSeries,
     cyclotomic_test,
@@ -97,17 +101,31 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-# -- named forms ----------------------------------------------------------------
+# -- argument types --------------------------------------------------------------
+
+def prime(text):
+    """--p: a prime below 2^31, where series coefficients stay exact."""
+    p = int(text)
+    if p >= P_LIMIT or not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime below 2^31")
+    return p
+
+
+_FORM = re.compile(r"delta(\^(\d+))?")
+
+
+def form(text):
+    """--form: 'delta' or 'delta^N'; the text itself is kept for the report."""
+    if not _FORM.fullmatch(text.strip().lower()):
+        raise argparse.ArgumentTypeError(f"unknown form {text!r}; expected delta or delta^N")
+    return text
+
 
 def parse_form(name, p, deg):
     """'delta^N' or 'delta' -> the corresponding series mod p."""
-    name = name.strip().lower()
-    if name in ("delta", "delta^1"):
-        return delta_expansion(p, deg)
-    if name.startswith("delta^"):
-        n = int(name.split("^", 1)[1])
-        return series_pow(delta_expansion(p, deg), n)
-    raise argparse.ArgumentTypeError(f"unknown form {name!r}")
+    n = _FORM.fullmatch(name.strip().lower()).group(2)
+    d = delta_expansion(p, deg)
+    return d if n is None else series_pow(d, int(n))
 
 
 # -- verify battery ---------------------------------------------------------------
@@ -583,23 +601,23 @@ def build_parser():
     e.set_defaults(fn=cmd_example8)
 
     d = sub.add_parser("density", help="prime-coefficient density sweep")
-    d.add_argument("--p", type=int, required=True)
-    d.add_argument("--form", required=True, help="delta^N")
+    d.add_argument("--p", type=prime, required=True)
+    d.add_argument("--form", type=form, required=True, help="delta^N")
     d.add_argument("--X", type=int, required=True)
     d.add_argument("--np", type=int, default=None, help="level-characteristic product")
     d.add_argument("--out", default=None)
     d.set_defaults(fn=cmd_density)
 
     dp = sub.add_parser("delta-power", help="write Delta^n mod p to a file")
-    dp.add_argument("--p", type=int, required=True)
+    dp.add_argument("--p", type=prime, required=True)
     dp.add_argument("--n", type=int, required=True)
     dp.add_argument("--deg", type=int, required=True)
     dp.add_argument("--out", required=True)
     dp.set_defaults(fn=cmd_delta_power)
 
     c = sub.add_parser("cyclotomic", help="a_ell constancy mod M")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--form", required=True)
+    c.add_argument("--p", type=prime, required=True)
+    c.add_argument("--form", type=form, required=True)
     c.add_argument("--M", type=int, required=True)
     c.add_argument("--X", type=int, required=True)
     c.add_argument("--np", type=int, default=None)
@@ -607,8 +625,8 @@ def build_parser():
     c.set_defaults(fn=cmd_cyclotomic)
 
     s = sub.add_parser("span", help="Hecke-stable span with matrices")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--form", required=True)
+    s.add_argument("--p", type=prime, required=True)
+    s.add_argument("--form", type=form, required=True)
     s.add_argument("--primes", required=True, help="comma-separated")
     s.add_argument("--deg", type=int, required=True)
     s.add_argument("--max-dim", type=int, default=64)
@@ -632,11 +650,16 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.cmd == "analyze" and not (args.gens or args.gens_preset):
         ap.error("analyze needs --gens or --gens-preset")
+    if args.cmd == "analyze" and args.gens_preset == "example8" and not is_prime(args.q):
+        ap.error("--gens-preset example8 is built over F_p and needs a prime --q")
     try:
         return args.fn(args)
     except (DegreeExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except TooLarge as exc:
+        print(f"error: {exc} (cap reached, undecided)", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ class OutOfDomain(ArithmeticError):
     pass
 
 
-def _is_prime(n):
+def is_prime(n):
     if n < 2:
         return False
     d = 2
@@ -40,7 +40,7 @@ def _is_prime(n):
 def factor_prime_power(q):
     """(p, f) with q = p^f, or raise."""
     for p in range(2, q + 1):
-        if _is_prime(p):
+        if is_prime(p):
             f = 0
             m = q
             while m % p == 0:

@@ -3,33 +3,29 @@ Hecke operators, prime-coefficient densities, cyclotomicity sweeps, and
 finite Hecke-stable spans.
 
 Series are dense and truncated: a degree-N series knows its coefficients
-a_0..a_N exactly.  Multiplication truncates to the smaller degree.  In
-characteristic 2 coefficients are kept bit-packed in a python integer
-(bit n = a_n), which makes products by sparse factors a run of shifted
-XORs; odd characteristic uses numpy arrays with exact FFT convolution.
+a_0..a_N exactly.  Multiplication truncates to the smaller degree.  For
+p = 2 the coefficients are the bits of a python integer (bit n = a_n), and
+products by sparse factors are shifted XORs.  Every other product is one
+numpy FFT of base-2^s digits, sized by a rounding-error bound and checked.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    def mpz(x):
-        return x
+from .errors import TooLarge
 
 
 class DegreeExhausted(RuntimeError):
     pass
 
 
-class TooLarge(RuntimeError):
-    pass
-
-
-SPARSE_CUTOFF = 6000       # popcount below which GF(2) products use shifts
-_FFT_GUARD = 2 ** 52       # exactness bound for float64 convolution
+P_LIMIT = 2 ** 31          # primes below this keep int64 coefficient arithmetic exact
+# Popcount below which GF(2) products use shifts.  Shifts against FFT on a 2-vCPU
+# Xeon: 2,000 terms 0.089 / 0.074 s at degree 2e5 and 0.78 / 0.75 s at 2e6;
+# Delta's 707 terms 0.27 / 0.80 s at 2e6; 6,000 terms 2.6-3.2x slower.
+SPARSE_CUTOFF = 2000
 
 
 class FpSeries:
@@ -42,6 +38,8 @@ class FpSeries:
     __slots__ = ("p", "deg", "bits", "coef")
 
     def __init__(self, p, deg, bits=None, coef=None):
+        if p >= P_LIMIT:
+            raise ValueError(f"p = {p} is not below 2^31: int64 coefficients would overflow")
         self.p = p
         self.deg = int(deg)
         if p == 2:
@@ -203,42 +201,49 @@ def series_mul(f, g):
             for e in f.support():
                 acc ^= gb << e
             return FpSeries(2, deg, bits=acc & mask)
-        return FpSeries(2, deg, bits=_gf2_dense_mul(f.bits, g.bits, deg))
-    a = f.coef[: deg + 1]
-    b = g.coef[: deg + 1]
-    if (deg + 1) * (p - 1) * (p - 1) < _FFT_GUARD and deg > 512:
-        from scipy.signal import fftconvolve
-        conv = fftconvolve(a.astype(np.float64), b.astype(np.float64))[: deg + 1]
-        coef = np.rint(conv).astype(np.int64) % p
-    else:
-        coef = np.convolve(a, b)[: deg + 1] % p
+    a = f.coeffs_array()[: deg + 1]
+    coef = _dense_mul(a, a if g is f else g.coeffs_array()[: deg + 1], p)
+    if p == 2:
+        packed = np.packbits(coef.astype(np.uint8), bitorder="little")
+        return FpSeries(2, deg, bits=int.from_bytes(packed.tobytes(), "little"))
     return FpSeries(p, deg, coef=coef)
 
 
-def _gf2_dense_mul(a_bits, b_bits, deg):
-    """Carry-less product via 32-bit coefficient slots in a wide integer.
+def _dense_mul(a, b, p):
+    """(a·b mod p)[:n] for int64 arrays of length n with entries in [0, p),
+    by float FFTs of base-2^s digits; `b is a` is transformed once.
 
-    Spreading each bit into its own 32-bit slot makes the plain integer
-    product hold the convolution counts (bounded by deg+1 < 2^32) without
-    carry interference; the parities live in the slot LSBs.
+    With d digits, up to d digit products share each of the 2d-1 spectra.
+    For an FFT of length N = 2^k >= 2n-1 and digits at most M, Percival's
+    bound (Math. Comp. 72, 2003) on the error of one convolution is
+    N·M²·((1+ε)^{3k} (1+ε√5)^{3k+1} (1+β)^{3k} - 1), with ε = β = 2^-53;
+    d is the fewest digits for which d times it stays below 1/4.  A
+    residual of 1/4 or more raises ArithmeticError instead of rounding.
     """
-    n = deg + 1
-    A = _spread_bits(a_bits, n)
-    B = _spread_bits(b_bits, n)
-    prod = A * B
-    nbytes = 8 * n  # read the low 2n slots of the product
-    raw = int(prod).to_bytes(nbytes + 8, "little")[:nbytes]
-    slots = np.frombuffer(raw, dtype=np.uint32)[:n]
-    parity = (slots & 1).astype(np.uint8)
-    return int.from_bytes(np.packbits(parity, bitorder="little").tobytes(), "little")
-
-
-def _spread_bits(x, nbits):
-    """Place bit i of x at bit 32·i of a wide integer."""
-    x = int(x) & ((1 << nbits) - 1)
-    raw = np.frombuffer(x.to_bytes(nbits // 8 + 1, "little"), dtype=np.uint8)
-    arr = np.unpackbits(raw, bitorder="little")[:nbits].astype(np.uint32)
-    return mpz(int.from_bytes(arr.tobytes(), "little"))
+    n = a.shape[0]
+    size = 1 << (2 * n - 2).bit_length()
+    k, eps = size.bit_length() - 1, 2.0 ** -53
+    err = math.expm1(6 * k * math.log1p(eps) + (3 * k + 1) * math.log1p(eps * math.sqrt(5)))
+    bits = (p - 1).bit_length()
+    for d in range(1, bits + 1):
+        s = -(-bits // d)
+        if d * size * min((1 << s) - 1, p - 1) ** 2 * err < 0.25:
+            break
+    else:
+        raise TooLarge(f"no digit width keeps a degree-{n - 1} product exact")
+    mask = (1 << s) - 1
+    fa = [np.fft.rfft((a >> s * i & mask).astype(np.float64), size) for i in range(d)]
+    fb = fa if b is a else [np.fft.rfft((b >> s * i & mask).astype(np.float64), size)
+                            for i in range(d)]
+    out = np.zeros(n, dtype=np.int64)
+    for j in range(2 * d - 1):
+        spec = sum(fa[i] * fb[j - i] for i in range(max(0, j - d + 1), min(j, d - 1) + 1))
+        conv = np.fft.irfft(spec, size)[:n]
+        exact = np.rint(conv)
+        if np.abs(conv - exact).max() >= 0.25:
+            raise ArithmeticError("FFT rounding residual reached 1/4")
+        out = (out + (exact.astype(np.int64) % p) * pow(2, s * j, p)) % p
+    return out
 
 
 def series_pow(f, n):
@@ -303,12 +308,6 @@ def delta_expansion(p, N):
     P = eta_product_term(p, N - 1)
     P24 = series_pow(P, 24)
     return P24.shift(1)
-
-
-def delta_power(p, n, N):
-    """Delta^n mod p to degree N, via the sparse power ladder on Delta."""
-    d = delta_expansion(p, N)
-    return series_pow(d, n)
 
 
 # -- Hecke operators -------------------------------------------------------------

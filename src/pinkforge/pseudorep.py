@@ -9,16 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import TooLarge
 from .fp import FpSubspace, nullspace, row_key
 from .gma import GmaElem, GmaStructure, NotAdapted, batch_in_SR1
 from .localring import LocalRing, RingElem, SemiLocalRing
 
 
 class NotMultFree(ValueError):
-    pass
-
-
-class TooLarge(RuntimeError):
     pass
 
 

@@ -19,6 +19,30 @@ def test_usage_error_exit_2():
     assert r2.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["density", "--p", "4", "--form", "delta", "--X", "100"],
+    ["density", "--p", "1", "--form", "delta", "--X", "100"],
+    ["delta-power", "--p", "2147483648", "--n", "1", "--deg", "10", "--out", "{tmp}/d.bin"],
+    ["cyclotomic", "--p", "4294967311", "--form", "delta", "--M", "4", "--X", "100"],
+    ["span", "--p", "0", "--form", "delta", "--primes", "3", "--deg", "100"],
+    ["density", "--p", "3", "--form", "eta", "--X", "100"],
+    ["analyze", "--q", "9", "--k", "3", "--gens-preset", "example8"],
+])
+def test_bad_input_is_a_usage_error(args, tmp_path):
+    r = run_cli([a.format(tmp=tmp_path) for a in args])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert [line for line in r.stderr.splitlines() if "error:" in line] \
+        == r.stderr.splitlines()[-1:]
+
+
+def test_cap_reached_exit_3():
+    r = run_cli(["example8", "--p", "3", "--k", "8", "--cap", "1000"])
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == ["error: group exceeds cap 1000 (cap reached, undecided)"]
+
+
 def test_example8_report(tmp_path):
     out = tmp_path / "ex.json"
     rc = main(["example8", "--p", "3", "--k", "3", "--out", str(out)])

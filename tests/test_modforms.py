@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinkforge.modforms import (
+    SPARSE_CUTOFF,
     DegreeExhausted,
     FpSeries,
     cyclotomic_test,
@@ -16,7 +17,6 @@ from pinkforge.modforms import (
     prime_sieve,
     series_mul,
     series_pow,
-    _gf2_dense_mul,
 )
 
 
@@ -105,16 +105,59 @@ def test_delta_cube_naive_convolution_oracle():
 
 def test_dense_gf2_mul_matches_shifts():
     rng = np.random.default_rng(1)
-    deg = 5000
+    deg = 20000
     mask = (1 << (deg + 1)) - 1
     for _ in range(3):
-        a = int.from_bytes(rng.integers(0, 256, 640, dtype=np.uint8).tobytes(), "little") & mask
-        b = int.from_bytes(rng.integers(0, 256, 640, dtype=np.uint8).tobytes(), "little") & mask
+        a = int.from_bytes(rng.integers(0, 256, deg // 8 + 1, dtype=np.uint8).tobytes(), "little") & mask
+        b = int.from_bytes(rng.integers(0, 256, deg // 8 + 1, dtype=np.uint8).tobytes(), "little") & mask
+        fa, fb = FpSeries(2, deg, bits=a), FpSeries(2, deg, bits=b)
+        assert min(fa.popcount(), fb.popcount()) > SPARSE_CUTOFF   # the dense path runs
         acc = 0
-        fa = FpSeries(2, deg, bits=a)
         for e in fa.support():
             acc ^= b << e
-        assert _gf2_dense_mul(a, b, deg) == acc & mask
+        assert series_mul(fa, fb).bits == acc & mask
+        assert series_mul(fa, fa) == fa.dilate(2)
+
+
+def hecke_violations(a, p, X):
+    """Number of (ell, n), ell <= 13 prime and n <= X/ell, at which
+    a_{ell·n} + ell^11·a_{n/ell} == a_ell·a_n (mod p) fails."""
+    bad = 0
+    for ell in (2, 3, 5, 7, 11, 13):
+        n = np.arange(1, X // ell + 1)
+        lhs = a[ell * n].copy()
+        div = n % ell == 0
+        lhs[div] += pow(ell, 11, p) * a[n[div] // ell]
+        bad += int(((lhs - a[ell] * a[n]) % p != 0).sum())
+    return bad
+
+
+def test_delta_mod_65521_hecke_relations_1e6():
+    # a float FFT product without a rounding-error bound broke 2,376 of these
+    p, X = 65521, 10 ** 6
+    a = delta_expansion(p, X).coeffs_array()
+    assert a[1] == 1 and hecke_violations(a, p, X) == 0
+
+
+def test_dense_product_mod_65521_degree_1e6():
+    # a float FFT product without a rounding-error bound was wrong at 110 of these
+    p, deg = 65521, 10 ** 6
+    rng = np.random.default_rng(65521)
+    a = rng.integers(0, p, deg + 1)
+    b = rng.integers(0, p, deg + 1)
+    got = series_mul(FpSeries(p, deg, coef=a), FpSeries(p, deg, coef=b)).coeffs_array()
+    for n in rng.integers(0, deg + 1, 1500).tolist():
+        assert got[n] == a[: n + 1] @ b[n::-1] % p
+
+
+def test_prime_limit():
+    # int64 convolution overflowed here: wrong at 53 of 60 coefficients
+    p = 2 ** 31 - 1
+    tau = tau_oracle(60)
+    d = delta_expansion(p, 60)
+    assert [d.coeff(n) for n in range(61)] == [t % p for t in tau]
+    with pytest.raises(ValueError):
+        delta_expansion(4294967311, 60)
 
 
 @settings(max_examples=30, deadline=None)
