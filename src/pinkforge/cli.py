@@ -26,34 +26,30 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import TooLarge
+from .errors import InvalidInput, TooLarge
 from .fp import FpSubspace
 from .gma import m2_structure, m2_quotient_map, reduced_residue_gma
 from .localring import is_prime, make_truncated_poly_ring
 from .modforms import (
     P_LIMIT,
     DegreeExhausted,
-    FpSeries,
     cyclotomic_test,
     delta_expansion,
     density_sweep,
     hecke_T,
     hecke_span,
     nilpotency_check,
-    prime_sieve,
     series_pow,
 )
 from .pinklie import (
     LieSubspace,
     batch_theta,
     batch_theta_inv,
-    compute_A0,
     decompose,
     descending_series,
     essential_data,
     essential_not_ideal_witness,
     example8,
-    expected_example_lie,
     generate_group,
     group_series,
     is_congruence_subgroup,
@@ -81,10 +77,18 @@ def _threads():
 def emit(report, out=None):
     text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        write_out(out, (text + "\n").encode())
     else:
         print(text)
+
+
+def write_out(path, data):
+    """Write the bytes of an --out file; an unwritable path is a usage error."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def _json_default(obj):
@@ -109,6 +113,15 @@ def prime(text):
     if p >= P_LIMIT or not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime below 2^31")
     return p
+
+
+def at_least(lo):
+    """An integer argument type that rejects values below lo."""
+    def count(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"{text} is below {lo}")
+        return int(text)
+    return count
 
 
 _FORM = re.compile(r"delta(\^(\d+))?")
@@ -481,10 +494,9 @@ def cmd_delta_power(args):
     if args.p == 2:
         payload = f.bits.to_bytes(args.deg // 8 + 1, "little")
     else:
-        payload = bytes(int(c) for c in f.coeffs_array())
-    with open(args.out, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+        width = 1 if args.p < 2 ** 8 else 2 if args.p < 2 ** 16 else 4
+        payload = f.coeffs_array().astype(f"<u{width}").tobytes()
+    write_out(args.out, header + payload)
     print(json.dumps({"command": "delta-power", "version": __version__,
                       "config": {"p": args.p, "n": args.n, "deg": args.deg},
                       "bytes": len(header) + len(payload), "out": args.out},
@@ -594,8 +606,8 @@ def build_parser():
     v.set_defaults(fn=cmd_verify)
 
     e = sub.add_parser("example8", help="two-generator example report")
-    e.add_argument("--p", type=int, default=3)
-    e.add_argument("--k", type=int, required=True)
+    e.add_argument("--p", type=prime, default=3)
+    e.add_argument("--k", type=at_least(2), required=True)
     e.add_argument("--cap", type=int, default=2 * 10 ** 6)
     e.add_argument("--out", default=None)
     e.set_defaults(fn=cmd_example8)
@@ -603,7 +615,7 @@ def build_parser():
     d = sub.add_parser("density", help="prime-coefficient density sweep")
     d.add_argument("--p", type=prime, required=True)
     d.add_argument("--form", type=form, required=True, help="delta^N")
-    d.add_argument("--X", type=int, required=True)
+    d.add_argument("--X", type=at_least(1), required=True)
     d.add_argument("--np", type=int, default=None, help="level-characteristic product")
     d.add_argument("--out", default=None)
     d.set_defaults(fn=cmd_density)
@@ -611,15 +623,15 @@ def build_parser():
     dp = sub.add_parser("delta-power", help="write Delta^n mod p to a file")
     dp.add_argument("--p", type=prime, required=True)
     dp.add_argument("--n", type=int, required=True)
-    dp.add_argument("--deg", type=int, required=True)
+    dp.add_argument("--deg", type=at_least(1), required=True)
     dp.add_argument("--out", required=True)
     dp.set_defaults(fn=cmd_delta_power)
 
     c = sub.add_parser("cyclotomic", help="a_ell constancy mod M")
     c.add_argument("--p", type=prime, required=True)
     c.add_argument("--form", type=form, required=True)
-    c.add_argument("--M", type=int, required=True)
-    c.add_argument("--X", type=int, required=True)
+    c.add_argument("--M", type=at_least(1), required=True)
+    c.add_argument("--X", type=at_least(1), required=True)
     c.add_argument("--np", type=int, default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(fn=cmd_cyclotomic)
@@ -628,7 +640,7 @@ def build_parser():
     s.add_argument("--p", type=prime, required=True)
     s.add_argument("--form", type=form, required=True)
     s.add_argument("--primes", required=True, help="comma-separated")
-    s.add_argument("--deg", type=int, required=True)
+    s.add_argument("--deg", type=at_least(1), required=True)
     s.add_argument("--max-dim", type=int, default=64)
     s.add_argument("--k-eff", type=int, default=0)
     s.add_argument("--out", default=None)
@@ -652,6 +664,8 @@ def main(argv=None):
         ap.error("analyze needs --gens or --gens-preset")
     if args.cmd == "analyze" and args.gens_preset == "example8" and not is_prime(args.q):
         ap.error("--gens-preset example8 is built over F_p and needs a prime --q")
+    if args.cmd == "example8" and args.p == 2:
+        ap.error("example8 needs an odd prime --p: theta divides by 2")
     try:
         return args.fn(args)
     except (DegreeExhausted, ValueError) as exc:
@@ -660,6 +674,9 @@ def main(argv=None):
     except TooLarge as exc:
         print(f"error: {exc} (cap reached, undecided)", file=sys.stderr)
         return 3
+    except InvalidInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

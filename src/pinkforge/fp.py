@@ -96,18 +96,18 @@ class FpSubspace:
         return self.p ** self.dim
 
     def reduce(self, v):
-        """Residual of v after elimination against the basis."""
+        """Residual of v after elimination against the basis, for one vector
+        or for every row of an (m, n) array at once.  Entries stay below p^2,
+        so int64 is exact for p < 2^31."""
         v = np.array(v, dtype=np.int64) % self.p
         for row, c in zip(self.basis, self.pivots):
-            if v[c]:
-                v = (v - v[c] * row) % self.p
+            v = (v - v[..., c, None] * row) % self.p
         return v
 
     def contains(self, v):
-        return not self.reduce(v).any()
-
-    def contains_all(self, vectors):
-        return all(self.contains(v) for v in np.atleast_2d(np.asarray(vectors)))
+        """Membership of one vector (a bool) or of each row of an (m, n) array."""
+        nonzero = self.reduce(v).any(axis=-1)
+        return not nonzero if nonzero.ndim == 0 else ~nonzero
 
     def sum(self, other):
         if (self.p, self.n) != (other.p, other.n):
@@ -159,12 +159,6 @@ class FpSubspace:
 
     def __repr__(self):
         return f"FpSubspace(p={self.p}, dim {self.dim} in F_p^{self.n})"
-
-
-def span_product(space_a, space_b, mul, p, n_out):
-    """F_p-span of {mul(a, b)} over basis pairs of two subspaces."""
-    rows = [mul(a, b) for a in space_a.basis for b in space_b.basis]
-    return FpSubspace(p, n_out, rows)
 
 
 def row_key(arr):

@@ -507,12 +507,8 @@ def in_SR1(R, x):
 
 def batch_in_SR1(R, X):
     X = np.atleast_2d(X)
-    det_ok = (R.batch_det(X) == R.A.one).all(axis=1)
-    rad = R.radical()
-    out = det_ok.copy()
-    idx = np.nonzero(det_ok)[0]
-    for i in idx:
-        out[i] = rad.contains((X[i] - R.one) % R.p)
+    out = (R.batch_det(X) == R.A.one).all(axis=1)
+    out[out] = R.radical().contains((X[out] - R.one) % R.p)
     return out
 
 

@@ -12,19 +12,17 @@ of Gamma from the second onward coincide with theta^{-1} of the derived
 series of L, which is what most of the checks in this module exercise.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .fp import FpSubspace, row_key
-from .gma import GmaElem, GmaStructure, batch_in_SR1, in_SR1, m2_structure
+from .gma import GmaElem, GmaStructure, batch_in_SR1, m2_structure
 from .localring import (
     CharacteristicTwo,
     LocalRing,
     OutOfDomain,
-    RingElem,
-    batch_invert,
     batch_sqrt_one_plus_m,
     hensel_sqrt,
     make_truncated_poly_ring,
@@ -486,11 +484,6 @@ def subfield_constants(A, d):
     return np.array(out, dtype=np.int64)
 
 
-def sub_span(A, sub, consts):
-    rows = [A.mul_vec(lam, v) for lam in consts for v in sub.basis]
-    return FpSubspace(A.p, A.dim, rows) if rows else FpSubspace(A.p, A.dim)
-
-
 def check_structure_theorem(cls_kind, G, L=None, subfield_degree=None):
     """Forward shape check: the Lie algebra of a well-adapted instance has
     the closure and span properties its class dictates.  Returns a report
@@ -788,7 +781,16 @@ def key_measure_check(G, A_ess):
     """For every F-linear form l on A nonzero somewhere on A_ess, the exact
     counting measure of {g : l(tr g) != 0} is at least (p-1)/(p·|Gbar|).
 
-    The quantifier runs over the full finite dual space, not a sample.
+    The quantifier runs over the full finite dual space F_q^k of the block
+    layout, not a sample.  Orthogonality of the additive characters
+    psi(t) = exp(2 pi i t / p) counts the zeros of every form at once:
+
+        #{g : l(tr g) = 0} = (1/q) · sum_{c in F_q} hhat(u_{c·l}),
+
+    where h is the histogram of tr(G) on F_p^dim, hhat = fftn(h) and u_l in
+    F_p^dim is the dual vector of x -> Tr_{F_q/F_p}(l(x)).  The sum is real,
+    since u_{-c·l} = -u_{c·l} and h is real.  At f = 1 the forms are the
+    plain dual vectors and u_l = l.
     """
     R = G.R
     A = R.A
@@ -799,60 +801,42 @@ def key_measure_check(G, A_ess):
     if A_ess.dim == 0:
         return MeasureReport(bound=bound, min_measure=Fraction(1), n_forms=0,
                              passed=True, vacuous=True)
-    TR = R.batch_trace(G.elements)          # (n, dimA)
-    if isinstance(A, LocalRing) and A.fq.f == 1:
-        # F = F_p: forms are plain dual vectors
-        forms = A.elements(cap=10 ** 6)      # all w in F_p^dim
-        forms = forms[1:]                    # drop zero form
-        on_ess = (A_ess.basis @ forms.T) % p  # (dim_ess, n_forms)
-        keep = on_ess.any(axis=0)
-        forms = forms[keep]
-        vals = TR @ forms.T % p              # (n, n_forms)
-        counts = (vals != 0).sum(axis=0)
-        mm = Fraction(int(counts.min()), G.n)
-        return MeasureReport(bound=bound, min_measure=mm,
-                             n_forms=int(forms.shape[0]), passed=mm >= bound)
-    # general residue field: F_q-linear forms via the block coordinates
-    if A.fq_block is None:
-        raise ValueError("F_q-linear forms need a block layout")
-    f, k = A.fq_block
     fq = A.fq
-    tr_coords = np.array([A.fq_coords(t) for t in TR], dtype=np.int64)  # (n, k)
-    ess_coords = np.array([A.fq_coords(v) for v in A_ess.basis], dtype=np.int64)
+    q, f = fq.q, fq.f
+    if f > 1 and A.fq_block is None:
+        raise ValueError("F_q-linear forms need a block layout")
+    k = A.dim // f
+    if q ** k > 10 ** 6:
+        raise TooLarge(f"{q}^{k} forms exceed the measure cap 10^6")
+    grid = (p,) * A.dim
+    TR = R.batch_trace(G.elements)
+    h = np.bincount(np.ravel_multi_index(TR.T, grid), minlength=q ** k)
+    hhat = np.fft.fftn(h.reshape(grid)).ravel()
+    # tr_mul[a, i] = Tr(a·alpha^i); Tr(b) is the trace of y -> b·y on the alpha^i
     mt = fq.mul_table
-    min_count = None
-    n_forms = 0
-    for w in _tuples(fq.q, k):
-        if not any(w):
-            continue
-        ess_vals = _fq_form_apply(mt, fq, ess_coords, w)
-        if not ess_vals.any():
-            continue
-        n_forms += 1
-        vals = _fq_form_apply(mt, fq, tr_coords, w)
-        cnt = int((vals != 0).sum())
-        if min_count is None or cnt < min_count:
-            min_count = cnt
-    mm = Fraction(min_count, G.n)
-    return MeasureReport(bound=bound, min_measure=mm, n_forms=n_forms, passed=mm >= bound)
-
-
-def _tuples(q, k):
-    idx = np.indices((q,) * k).reshape(k, -1).T
-    return [tuple(int(v) for v in row) for row in idx]
-
-
-def _fq_form_apply(mul_table, fq, coords, w):
-    """sum_j w_j·x_j in F_q for rows of F_q-coordinates, via digit sums."""
-    n = coords.shape[0]
-    acc = np.zeros((n, fq.f), dtype=np.int64)
-    for j, wj in enumerate(w):
-        if wj == 0:
-            continue
-        prods = mul_table[coords[:, j], wj]
-        digs = np.array([fq.digits(int(v)) for v in prods], dtype=np.int64)
-        acc = (acc + digs) % fq.p
-    return np.array([fq.encode(row) for row in acc], dtype=np.int64)
+    powers = p ** np.arange(f)
+    trace = (mt[:, powers] // powers % p).sum(axis=1) % p
+    tr_mul = trace[mt[:, powers]]
+    W = np.indices((q,) * k).reshape(k, -1).T            # every form, lex order
+    U = tr_mul[W].reshape(len(W), A.dim)                # u_w at index j·f + i
+    hU = hhat[np.ravel_multi_index(U.T, grid)]
+    # l is nonzero on A_ess exactly when some Tr(c·l) is: the trace form is nondegenerate
+    u_on_ess = (U @ A_ess.basis.T % p).any(axis=1)
+    qpow = q ** np.arange(k - 1, -1, -1)
+    zeros = np.zeros(len(W))
+    on_ess = np.zeros(len(W), dtype=bool)
+    for c in range(q):
+        cw = mt[c, W] @ qpow                            # index of c·w
+        zeros += hU[cw].real
+        on_ess |= u_on_ess[cw]
+    zeros /= q
+    counts = np.rint(zeros)
+    err = float(np.abs(zeros - counts).max())
+    if err >= 0.25:
+        raise ArithmeticError(f"measure transform residual {err} reaches 1/4")
+    mm = Fraction(G.n - int(counts[on_ess].max()), G.n)
+    return MeasureReport(bound=bound, min_measure=mm, n_forms=int(on_ess.sum()),
+                         passed=mm >= bound)
 
 
 def measure_change_psi(R, L, L2, gamma, cap=10 ** 5):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pinkforge.cli import main
@@ -27,6 +28,16 @@ def test_usage_error_exit_2():
     ["span", "--p", "0", "--form", "delta", "--primes", "3", "--deg", "100"],
     ["density", "--p", "3", "--form", "eta", "--X", "100"],
     ["analyze", "--q", "9", "--k", "3", "--gens-preset", "example8"],
+    ["density", "--p", "3", "--form", "delta", "--X", "0"],
+    ["cyclotomic", "--p", "3", "--form", "delta", "--M", "4", "--X", "0"],
+    ["cyclotomic", "--p", "3", "--form", "delta", "--M", "0", "--X", "100"],
+    ["delta-power", "--p", "3", "--n", "1", "--deg", "0", "--out", "{tmp}/d.bin"],
+    ["span", "--p", "2", "--form", "delta", "--primes", "3", "--deg", "0"],
+    ["example8", "--p", "3", "--k", "1"],
+    ["example8", "--p", "2", "--k", "3"],
+    ["density", "--p", "3", "--form", "delta", "--X", "100", "--out", "{tmp}/no/d.json"],
+    ["example8", "--p", "3", "--k", "3", "--out", "{tmp}/no/e.json"],
+    ["delta-power", "--p", "3", "--n", "1", "--deg", "10", "--out", "{tmp}/no/d.bin"],
 ])
 def test_bad_input_is_a_usage_error(args, tmp_path):
     r = run_cli([a.format(tmp=tmp_path) for a in args])
@@ -91,6 +102,13 @@ def test_delta_power_file_layout(tmp_path):
     main(["delta-power", "--p", "3", "--n", "1", "--deg", "50", "--out", str(out3)])
     h3, pay3 = out3.read_bytes().split(b"\n", 1)
     assert h3 == b"3 50" and len(pay3) == 51 and pay3[1] == 1
+    # p > 256: one little-endian uint16 per coefficient
+    out257 = tmp_path / "d1p257.bin"
+    main(["delta-power", "--p", "257", "--n", "1", "--deg", "100", "--out", str(out257)])
+    h257, pay257 = out257.read_bytes().split(b"\n", 1)
+    assert h257 == b"257 100"
+    got = np.frombuffer(pay257, dtype="<u2")
+    assert np.array_equal(got, delta_expansion(257, 100).coeffs_array())
 
 
 def test_span_and_cyclotomic(tmp_path):

@@ -74,3 +74,26 @@ def test_reduce_lands_outside_span_or_zero(rows):
     assert not V.reduce(v).any()       # spanning vectors reduce to zero
     r = V.reduce([1, 2, 3, 4, 0])
     assert V.contains([1, 2, 3, 4, 0]) == (not r.any())
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65521, 2 ** 31 - 1])
+def test_reduce_and_contains_on_arrays_match_rows(p):
+    rng = np.random.default_rng(p % 1000)
+    n = 9
+    V = FpSubspace(p, n, rng.integers(0, p, size=(4, n)))
+    coef = rng.integers(0, p, size=(20, V.dim))
+    coef[::7, 0] = 0                              # members with a zero pivot entry
+    members = (coef.astype(object) @ V.basis.astype(object) % p).astype(np.int64)
+    X = np.vstack([members, rng.integers(0, p, size=(20, n))])
+    X[20::7, V.pivots[0]] = 0
+    red = V.reduce(X)
+    assert red.shape == X.shape
+    assert np.array_equal(red, np.array([V.reduce(v) for v in X]))
+    assert not red[:, V.pivots].any()
+    inside = V.contains(X)
+    assert inside.dtype == bool and inside.shape == (40,)
+    assert inside.tolist() == [V.contains(v) for v in X]
+    assert all(type(V.contains(v)) is bool for v in X)
+    # membership is rank: v lies in V exactly when adding it keeps dim V
+    assert inside.tolist() == [V.extend(v).dim == V.dim for v in X]
+    assert inside[:20].all() and not inside[20:].all()

@@ -1,3 +1,9 @@
+import json
+import resource
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +18,7 @@ from pinkforge.instances import (
 from pinkforge.localring import OutOfDomain, make_truncated_poly_ring
 from pinkforge.pinklie import (
     LieSubspace,
+    MeasureReport,
     NotPinkStable,
     batch_theta,
     batch_theta_inv,
@@ -518,3 +525,122 @@ def test_pseudo_ring_description(example_family):
     for u in P.basis:
         for v in P.basis:
             assert P.contains(A.mul_vec(u, v))
+
+
+# -- the measure bound against brute force -------------------------------------
+
+def _tuples(q, k):
+    idx = np.indices((q,) * k).reshape(k, -1).T
+    return [tuple(int(v) for v in row) for row in idx]
+
+
+def _fq_form_apply(mul_table, fq, coords, w):
+    """sum_j w_j·x_j in F_q for rows of F_q-coordinates, via digit sums."""
+    n = coords.shape[0]
+    acc = np.zeros((n, fq.f), dtype=np.int64)
+    for j, wj in enumerate(w):
+        if wj == 0:
+            continue
+        prods = mul_table[coords[:, j], wj]
+        digs = np.array([fq.digits(int(v)) for v in prods], dtype=np.int64)
+        acc = (acc + digs) % fq.p
+    return np.array([fq.encode(row) for row in acc], dtype=np.int64)
+
+
+def brute_force_measure(G, A_ess):
+    """key_measure_check by evaluating every form on every trace: a matrix
+    product over F_p (in blocks of forms), digit sums over F_q."""
+    R = G.R
+    A = R.A
+    p = A.p
+    bound = Fraction(p - 1, p * (G.n // len(G.subgroup_sr1())))
+    if A_ess.dim == 0:
+        return MeasureReport(bound=bound, min_measure=Fraction(1), n_forms=0,
+                             passed=True, vacuous=True)
+    TR = R.batch_trace(G.elements)
+    if A.fq.f == 1:
+        forms = A.elements()[1:]
+        forms = forms[(A_ess.basis @ forms.T % p).any(axis=0)]
+        n_forms = len(forms)
+        min_count = min(int(((TR @ block.T % p) != 0).sum(axis=0).min())
+                        for block in np.array_split(forms, -(-n_forms // 64)))
+    else:
+        fq = A.fq
+        tr_coords = np.array([A.fq_coords(t) for t in TR], dtype=np.int64)
+        ess_coords = np.array([A.fq_coords(v) for v in A_ess.basis], dtype=np.int64)
+        counts = [int((_fq_form_apply(fq.mul_table, fq, tr_coords, w) != 0).sum())
+                  for w in _tuples(fq.q, A.fq_block[1])
+                  if any(w) and _fq_form_apply(fq.mul_table, fq, ess_coords, w).any()]
+        n_forms, min_count = len(counts), min(counts)
+    mm = Fraction(min_count, G.n)
+    return MeasureReport(bound=bound, min_measure=mm, n_forms=n_forms, passed=mm >= bound)
+
+
+# h of the p = 3 example lifted to F_9[X]/(X^3), J, and diag(zeta, zeta^-1)
+F9_GENS = [[1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0],
+           [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0],
+           [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0]]
+
+
+def test_measure_check_matches_brute_force_fp(example_family):
+    exs = {(3, k): example_family[k] for k in (2, 3, 4, 5, 6)}
+    exs.update({(5, 4): example8(5, 4), (7, 3): example8(7, 3)})
+    got = {pk: key_measure_check(ex.G, ex.essential.A_ess) for pk, ex in exs.items()}
+    for pk, ex in exs.items():
+        assert got[pk] == brute_force_measure(ex.G, ex.essential.A_ess), pk
+    assert (got[3, 6].n_forms, got[3, 6].min_measure) == (648, Fraction(1, 3))
+    assert (got[5, 4].n_forms, got[5, 4].min_measure) == (500, Fraction(2, 5))
+
+
+@pytest.mark.parametrize("which, order", [((0, 1, 2), 432), ((0, 2), 216)])
+def test_measure_check_matches_brute_force_f9(which, order):
+    R = m2_structure(make_truncated_poly_ring(9, 3))
+    G = generate_group(R, [R.elem(np.array(F9_GENS[i])) for i in which])
+    ess = essential_data(G)
+    got = key_measure_check(G, ess.A_ess)
+    assert G.n == order
+    assert got == brute_force_measure(G, ess.A_ess)
+    assert (got.n_forms, got.min_measure, got.vacuous) == (648, Fraction(23, 36), False)
+
+
+def test_measure_check_on_subspaces_that_are_not_fq_stable():
+    # F_27: f = 3 exercises the field trace; random F_p-subspaces make
+    # "l nonzero on A_ess" depend on every multiple c·l, not on l alone
+    rng = np.random.default_rng(11)
+    A = make_truncated_poly_ring(27, 2)
+    R = m2_structure(A)
+    G = generate_group(R, [R.elem(g) for g in batch_theta_inv(R, random_rad0(R, rng, 1))]
+                       + [R.j_elem()])
+    for rows in (1, 2, 4):
+        V = FpSubspace(3, A.dim, rng.integers(0, 3, size=(rows, A.dim)))
+        assert key_measure_check(G, V) == brute_force_measure(G, V)
+
+
+def test_measure_check_caps_the_dual_space():
+    R = m2_structure(make_truncated_poly_ring(3, 13))        # 3^13 > 10^6 forms
+    G = generate_group(R, [R.j_elem()])
+    with pytest.raises(TooLarge):
+        key_measure_check(G, R.A.maxideal)
+
+
+def test_measure_check_residual_guard(example_family, monkeypatch):
+    ex = example_family[4]
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda a: fftn(a) + 0.3)
+    with pytest.raises(ArithmeticError):
+        key_measure_check(ex.G, ex.essential.A_ess)
+
+
+def _address_space_2gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_example8_p7_k5_within_2gib():
+    # the |G| x #forms matrix needed 25.3 GiB here
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli", "example8", "--p", "7",
+                        "--k", "5"], capture_output=True, text=True,
+                       preexec_fn=_address_space_2gib, timeout=600)
+    assert r.returncode == 0, r.stderr[-2000:]
+    m = json.loads(r.stdout)["measure"]
+    assert m["forms"] == 14406
+    assert Fraction(m["min"]["num"], m["min"]["den"]) == Fraction(3, 7)
