@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInput, TooLarge
-from .fp import FpSubspace
+from .fp import FpSubspace, row_key
 from .gma import m2_structure, m2_quotient_map, reduced_residue_gma
 from .localring import is_prime, make_truncated_poly_ring
 from .modforms import (
@@ -219,6 +220,10 @@ def _central_series_seeds(seed, count=20):
     return out
 
 
+def _key_set(rows, p):
+    return set(row_key(rows, p).tolist())
+
+
 def _check_central_series(seed, count=20, cap=30000):
     details = []
     ok = True
@@ -238,10 +243,8 @@ def _check_central_series(seed, count=20, cap=30000):
         ls = descending_series(L, 4)
         agree = True
         for n in range(1, 4):
-            want = {v.astype(np.int8).tobytes()
-                    for v in batch_theta_inv(R, ls[n].enumerate(cap=10 ** 6))}
-            got = {v.astype(np.int8).tobytes() for v in gs[n].elements}
-            agree = agree and (want == got)
+            want = _key_set(batch_theta_inv(R, ls[n].enumerate(cap=10 ** 6)), R.p)
+            agree = agree and want == _key_set(gs[n].elements, R.p)
         gamma_eq = G.n == R.p ** L.dim
         details.append({"ring": f"F{q}[X]/(X^{k})", "order": G.n,
                         "series_agree": agree, "gamma_is_full_preimage": gamma_eq})
@@ -323,15 +326,12 @@ def _check_complements(seed):
     gs = group_series(G, 3)
     g2, g3 = gs[1], gs[2]
     L2, L3 = series[1], series[2]
-    ok_coset = {batch_theta(R, g2.elements[i][None, :])[0].astype(np.int8).tobytes()
-                for i in range(g2.n)} == {v.astype(np.int8).tobytes()
-                                          for v in L2.enumerate(cap=10 ** 6)}
+    ok_coset = (_key_set(batch_theta(R, g2.elements), R.p)
+                == _key_set(L2.enumerate(cap=10 ** 6), R.p))
     for i in range(min(g2.n, 8)):
         base = batch_theta(R, R.batch_mul_elem_left(g2.elements[i], g3.elements))
-        want = {(v % R.p).astype(np.int8).tobytes()
-                for v in (batch_theta(R, g2.elements[i][None, :])[0] + L3.enumerate(cap=10 ** 6)) % R.p}
-        got = {v.astype(np.int8).tobytes() for v in base}
-        ok_coset = ok_coset and (want == got)
+        want = (batch_theta(R, g2.elements[i][None, :])[0] + L3.enumerate(cap=10 ** 6)) % R.p
+        ok_coset = ok_coset and _key_set(want, R.p) == _key_set(base, R.p)
     # functoriality through truncation F3[X]/(X^4) -> F3[X]/(X^2)
     A = ex.ring
     xs = np.zeros(A.dim, dtype=np.int64)
@@ -405,11 +405,12 @@ def cmd_verify(args):
 
     def run(item):
         name, fn = item
+        t0 = time.perf_counter()
         if name == "theta_identities":
             ok, details = fn(args.seed, n_tuples=args.tuples, fault=args.inject_fault)
         else:
             ok, details = fn(args.seed)
-        return name, ok, details
+        return name, ok, details, time.perf_counter() - t0
 
     workers = _threads()
     if workers > 1:
@@ -417,8 +418,10 @@ def cmd_verify(args):
             rows = list(pool.map(run, VERIFY_CHECKS))
     else:
         rows = [run(item) for item in VERIFY_CHECKS]
-    for name, ok, details in sorted(rows):
+    seconds = {}
+    for name, ok, details, dt in sorted(rows):
         results[name] = {"passed": ok, "details": details}
+        seconds[name] = dt
     passed = all(r["passed"] for r in results.values())
     report = {
         "command": "verify",
@@ -430,7 +433,8 @@ def cmd_verify(args):
     }
     emit(report, args.out)
     for name, r in results.items():
-        print(f"[{'PASS' if r['passed'] else 'FAIL'}] {name}", file=sys.stderr)
+        print(f"[{'PASS' if r['passed'] else 'FAIL'}] {name} ({seconds[name]:.2f} s)",
+              file=sys.stderr)
     return 0 if passed else 1
 
 

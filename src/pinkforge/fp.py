@@ -97,12 +97,13 @@ class FpSubspace:
 
     def reduce(self, v):
         """Residual of v after elimination against the basis, for one vector
-        or for every row of an (m, n) array at once.  Entries stay below p^2,
-        so int64 is exact for p < 2^31."""
+        or for every row of an (m, n) array at once.  The RREF basis has
+        identity pivot columns, so eliminating row by row subtracts exactly
+        v[pivots] @ basis."""
         v = np.array(v, dtype=np.int64) % self.p
-        for row, c in zip(self.basis, self.pivots):
-            v = (v - v[..., c, None] * row) % self.p
-        return v
+        if not self.pivots:
+            return v
+        return (v - matmul_mod(v[..., self.pivots], self.basis, self.p)) % self.p
 
     def contains(self, v):
         """Membership of one vector (a bool) or of each row of an (m, n) array."""
@@ -161,6 +162,63 @@ class FpSubspace:
         return f"FpSubspace(p={self.p}, dim {self.dim} in F_p^{self.n})"
 
 
-def row_key(arr):
-    """Hashable key for a coefficient vector."""
-    return np.ascontiguousarray(arr, dtype=np.int8).tobytes()
+_INT64_LIMIT = 2 ** 63
+_BLOCK_BYTES = 1 << 23  # intermediate size per row block in `bilinear`
+
+
+def matmul_mod(X, Y, p):
+    """(X @ Y) mod p for residues in [0, p), exact in int64 for every
+    p < 2^31: the inner sum runs in chunks of as many products as keep it
+    below 2^63, which is all of it unless m·(p-1)^2 >= 2^63 (for p = 2^31 - 1,
+    two products a chunk).  Broadcasts like `@`."""
+    m = X.shape[-1]
+    step = max(1, (_INT64_LIMIT - 1) // max(1, (p - 1) ** 2))
+    if m <= step:
+        return (X @ Y) % p
+    out = 0
+    for s in range(0, m, step):
+        out = (out + (X[..., s:s + step] @ Y[..., s:s + step, :]) % p) % p
+    return out
+
+
+def bilinear(X, Y, T, p):
+    """Rows sum_{i,j} X[n,i] Y[n,j] T[i,j,k] mod p for residues in [0, p),
+    as two contractions.  When I·J·(p-1)^3 < 2^63 the unreduced sums fit in
+    int64 and are reduced once at the end; otherwise each step is a
+    `matmul_mod`, which only ever multiplies two residues.  A single row of
+    X or Y pairs with every row of the other.  Rows go in blocks whose
+    (rows, j, k) intermediate stays near `_BLOCK_BYTES`."""
+    X = np.atleast_2d(X)
+    Y = np.atleast_2d(Y)
+    I, J, K = T.shape
+    n = len(Y) if len(X) == 1 else len(X)
+    if len(X) != len(Y):
+        X, Y = np.broadcast_to(X, (n, I)), np.broadcast_to(Y, (n, J))
+    if min(n, I, J, K) == 0:
+        return np.zeros((n, K), dtype=np.int64)
+    T2 = T.reshape(I, J * K)
+    once = I * J * (p - 1) ** 3 < _INT64_LIMIT
+    block = max(1, _BLOCK_BYTES // (8 * J * K))
+    out = np.empty((n, K), dtype=np.int64)
+    for s in range(0, n, block):
+        Xs, Ys = X[s:s + block], Y[s:s + block, None, :]
+        if once:
+            out[s:s + block] = (Ys @ (Xs @ T2).reshape(-1, J, K))[:, 0, :] % p
+        else:
+            out[s:s + block] = matmul_mod(Ys, matmul_mod(Xs, T2, p).reshape(-1, J, K), p)[:, 0, :]
+    return out
+
+
+def row_key(rows, p):
+    """The one row codec: a key per row of residues mod p (the last axis),
+    equal exactly when the rows are.  Keys are base-p int64 numbers when
+    p^n < 2^63 and a void view of the int64 row otherwise; both sort, so
+    `np.searchsorted` and `np.unique` work on them, and `.tolist()` gives
+    hashable Python ints or bytes."""
+    rows = np.asarray(rows)
+    n = rows.shape[-1]
+    if p ** n < _INT64_LIMIT:
+        weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        return rows.astype(np.int64, copy=False) @ weights
+    flat = np.ascontiguousarray(rows, dtype=np.int64)
+    return flat.view(np.dtype((np.void, 8 * n))).reshape(rows.shape[:-1])

@@ -15,7 +15,7 @@ gives closed-form inverses: x^{-1} = det(x)^{-1} (tr(x) - x).
 
 import numpy as np
 
-from .fp import FpSubspace
+from .fp import FpSubspace, bilinear, matmul_mod
 from .localring import LocalRing, NotAUnit, RingElem, SemiLocalRing
 
 
@@ -61,53 +61,46 @@ class GmaStructure:
 
     # -- construction helpers ----------------------------------------------
     def _validate(self):
-        A, p = self.A, self.p
-        for i in range(self.da):
-            a = np.eye(self.da, dtype=np.int64)[i]
-            for i2 in range(self.da):
-                a2 = np.eye(self.da, dtype=np.int64)[i2]
-                aa2 = A.mul_vec(a, a2)
-                Mb = self.module_act(aa2, np.eye(self.db, dtype=np.int64), "b")
-                Mb2 = self.module_act(a, self.module_act(a2, np.eye(self.db, dtype=np.int64), "b"), "b")
-                if not np.array_equal(Mb, Mb2):
-                    raise StructureMismatch("B is not an A-module")
-                Mc = self.module_act(aa2, np.eye(self.dc, dtype=np.int64), "c")
-                Mc2 = self.module_act(a, self.module_act(a2, np.eye(self.dc, dtype=np.int64), "c"), "c")
-                if not np.array_equal(Mc, Mc2):
-                    raise StructureMismatch("C is not an A-module")
-        eb = np.eye(self.db, dtype=np.int64)
-        ec = np.eye(self.dc, dtype=np.int64)
-        for k in range(self.db):
-            for l in range(self.dc):
-                m_kl = self.pair(eb[k], ec[l])
-                for k2 in range(self.db):
-                    lhs = self.module_act(m_kl, eb[k2][None, :], "b")[0]
-                    rhs = self.module_act(self.pair(eb[k2], ec[l]), eb[k][None, :], "b")[0]
-                    if not np.array_equal(lhs, rhs):
-                        raise StructureMismatch("pairing compatibility fails on B")
-                for l2 in range(self.dc):
-                    lhs = self.module_act(self.pair(eb[k], ec[l2]), ec[l][None, :], "c")[0]
-                    rhs = self.module_act(m_kl, ec[l2][None, :], "c")[0]
-                    if not np.array_equal(lhs, rhs):
-                        raise StructureMismatch("pairing compatibility fails on C")
-        # A-bilinearity of the pairing: m(ab, c) = a m(b, c)
-        for i in range(self.da):
-            a = np.eye(self.da, dtype=np.int64)[i]
-            for k in range(self.db):
-                for l in range(self.dc):
-                    lhs = self.pair(self.module_act(a, eb[k][None, :], "b")[0], ec[l])
-                    rhs = self.A.mul_vec(a, self.pair(eb[k], ec[l]))
-                    if not np.array_equal(lhs, rhs):
-                        raise StructureMismatch("pairing is not A-bilinear")
+        """The module, compatibility and bilinearity laws on basis elements,
+        all at once; the first failure in basis order is reported."""
+        p, da, db, dc = self.p, self.da, self.db, self.dc
+        mt = self.A.mul_tensor
+
+        def act_of(vals, act):
+            """Matrices sum_i v_i act[i] for ring vectors v (the last axis)."""
+            n = act.shape[1]
+            flat = matmul_mod(vals.reshape(-1, da), act.reshape(da, n * n), p)
+            return flat.reshape(vals.shape[:-1] + (n, n))
+
+        def first_failure(fail_x, fail_y, msg_x, msg_y):
+            bad = np.flatnonzero(fail_x | fail_y)
+            if bad.size:
+                raise StructureMismatch(msg_x if fail_x.flat[bad[0]] else msg_y)
+
+        # (a a2)·m = a·(a2·m), with module_act(a, M) = M @ act_of(a)
+        def module_fails(act):
+            composed = matmul_mod(act[None, :], act[:, None], p)  # [i, i2] = act[i2] @ act[i]
+            return (act_of(mt, act) != composed).any(axis=(2, 3))
+        first_failure(module_fails(self.act_b), module_fails(self.act_c),
+                      "B is not an A-module", "C is not an A-module")
+        # m(b_k, c_l)·b_k2 = m(b_k2, c_l)·b_k and m(b_k, c_l2)·c_l = m(b_k, c_l)·c_l2
+        on_b = act_of(self.pairing, self.act_b)                  # [k, l, k2, :]
+        on_c = act_of(self.pairing, self.act_c)                  # [k, l, l2, :]
+        first_failure((on_b != on_b.transpose(2, 1, 0, 3)).any(axis=(2, 3)),
+                      (on_c != on_c.transpose(0, 2, 1, 3)).any(axis=(2, 3)),
+                      "pairing compatibility fails on B", "pairing compatibility fails on C")
+        # A-bilinearity of the pairing: m(a b, c) = a m(b, c)
+        lhs = matmul_mod(self.act_b.reshape(da * db, db), self.pairing.reshape(db, dc * da), p)
+        rhs = matmul_mod(self.pairing.reshape(db * dc, da),
+                         mt.transpose(1, 0, 2).reshape(da, da * da), p)
+        if (lhs.reshape(da, db, dc, da) != rhs.reshape(db, dc, da, da).transpose(2, 0, 1, 3)).any():
+            raise StructureMismatch("pairing is not A-bilinear")
 
     def _build_mul_tensor(self):
+        """S[i, j] = e_i * e_j, from one batched pass of the product rule."""
         D = self.dim
-        S = np.zeros((D, D, D), dtype=np.int64)
         E = np.eye(D, dtype=np.int64)
-        for i in range(D):
-            for j in range(D):
-                S[i, j] = self.mul_vec(E[i], E[j])
-        return S
+        return self.batch_mul(np.repeat(E, D, axis=0), np.tile(E, (D, 1))).reshape(D, D, D)
 
     # -- component access ----------------------------------------------------
     def comps(self, x):
@@ -121,27 +114,27 @@ class GmaStructure:
     def module_act(self, a, M, which):
         """Action of ring vector a on rows of M in module B or C."""
         act = self.act_b if which == "b" else self.act_c
-        return np.einsum("i,nk,ikj->nj", a, np.atleast_2d(M), act) % self.p
+        return bilinear(a, M, act, self.p)
 
     def pair(self, b, c):
-        return np.einsum("k,l,kli->i", b, c, self.pairing) % self.p
+        return bilinear(b, c, self.pairing, self.p)[0]
 
     # -- algebra operations ---------------------------------------------------
     def mul_vec(self, x, y):
-        p = self.p
-        a, b, c, d = self.comps(x)
-        a2, b2, c2, d2 = self.comps(y)
-        A = self.A
-        na = (A.mul_vec(a, a2) + self.pair(b, c2)) % p
-        nb = (self.module_act(a, b2[None, :], "b")[0] + self.module_act(d2, b[None, :], "b")[0]) % p
-        nc = (self.module_act(a2, c[None, :], "c")[0] + self.module_act(d, c2[None, :], "c")[0]) % p
-        nd = (A.mul_vec(d, d2) + self.pair(b2, c)) % p
-        return self.assemble(na, nb, nc, nd)
+        return bilinear(np.asarray(x) % self.p, np.asarray(y) % self.p, self.mul_tensor, self.p)[0]
 
     def batch_mul(self, X, Y):
-        X = np.atleast_2d(X) % self.p
-        Y = np.atleast_2d(Y) % self.p
-        return np.einsum("ni,nj,ijk->nk", X, Y, self.mul_tensor) % self.p
+        """Row-wise products by the displayed rule, one component at a time.
+        For rows of M_2(A) this is about a tenth of the multiplications of
+        contracting with `mul_tensor`, which `mul_vec` uses for one row."""
+        p = self.p
+        a, b, c, d = self.comps(np.atleast_2d(X) % p)
+        a2, b2, c2, d2 = self.comps(np.atleast_2d(Y) % p)
+        na = bilinear(a, a2, self.A.mul_tensor, p) + bilinear(b, c2, self.pairing, p)
+        nb = bilinear(a, b2, self.act_b, p) + bilinear(d2, b, self.act_b, p)
+        nc = bilinear(a2, c, self.act_c, p) + bilinear(d, c2, self.act_c, p)
+        nd = bilinear(d, d2, self.A.mul_tensor, p) + bilinear(b2, c, self.pairing, p)
+        return self.assemble(na, nb, nc, nd)
 
     def batch_mul_elem(self, X, y):
         M = np.einsum("j,ijk->ik", np.asarray(y), self.mul_tensor) % self.p
@@ -156,17 +149,16 @@ class GmaStructure:
         return (a + d) % self.p
 
     def det_vec(self, x):
-        a, b, c, d = self.comps(x)
-        return (self.A.mul_vec(a, d) - self.pair(b, c)) % self.p
+        return self.batch_det(x)[0]
 
     def batch_trace(self, X):
         X = np.atleast_2d(X)
         return (X[:, self.sa] + X[:, self.sd]) % self.p
 
     def batch_det(self, X):
-        X = np.atleast_2d(X)
-        ad = np.einsum("ni,nj,ijk->nk", X[:, self.sa], X[:, self.sd], self.A.mul_tensor) % self.p
-        bc = np.einsum("nk,nl,kli->ni", X[:, self.sb], X[:, self.sc], self.pairing) % self.p
+        X = np.atleast_2d(X) % self.p
+        ad = bilinear(X[:, self.sa], X[:, self.sd], self.A.mul_tensor, self.p)
+        bc = bilinear(X[:, self.sb], X[:, self.sc], self.pairing, self.p)
         return (ad - bc) % self.p
 
     def scalar_mat(self, t):
@@ -376,9 +368,6 @@ class GmaElem:
 
     def is_identity(self):
         return np.array_equal(self.v, self.R.one)
-
-    def key(self):
-        return self.v.astype(np.int8).tobytes()
 
     def __eq__(self, other):
         return isinstance(other, GmaElem) and other.R is self.R and np.array_equal(self.v, other.v)

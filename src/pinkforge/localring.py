@@ -11,7 +11,7 @@ field embedding F_q -> A (the fixed points of x -> x^q).
 
 import numpy as np
 
-from .fp import FpSubspace, rref, solve
+from .fp import FpSubspace, bilinear, rref, solve
 
 
 class NotAUnit(ArithmeticError):
@@ -224,7 +224,7 @@ class FiniteAlgebra:
 
     # -- vector-level arithmetic ------------------------------------------
     def mul_vec(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.mul_tensor) % self.p
+        return bilinear(x, y, self.mul_tensor, self.p)[0]
 
     def mulmat(self, x):
         """Matrix of y -> x*y acting on coefficient columns."""
@@ -232,7 +232,7 @@ class FiniteAlgebra:
 
     def batch_mul(self, X, Y):
         """Row-wise products of two (n, dim) coefficient arrays."""
-        return np.einsum("ni,nj,ijk->nk", X, Y, self.mul_tensor) % self.p
+        return bilinear(X, Y, self.mul_tensor, self.p)
 
     def batch_mul_elem(self, X, y):
         M = np.einsum("j,ijk->ik", y, self.mul_tensor) % self.p

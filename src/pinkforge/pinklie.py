@@ -99,11 +99,8 @@ class LieSubspace:
     def __init__(self, R, vectors=(), check=True):
         self.R = R
         self.space = vectors if isinstance(vectors, FpSubspace) else FpSubspace(R.p, R.dim, vectors)
-        if check:
-            rad0 = R.rad0()
-            for row in self.space.basis:
-                if not rad0.contains(row):
-                    raise ValueError("vector outside the traceless radical")
+        if check and not R.rad0().contains(self.space.basis).all():
+            raise ValueError("vector outside the traceless radical")
 
     @property
     def dim(self):
@@ -120,25 +117,26 @@ class LieSubspace:
         return self.space.enumerate(cap=cap)
 
     def bracket_closed(self):
-        for i, u in enumerate(self.basis):
-            for v in self.basis[i + 1:]:
-                if not self.contains(bracket(self.R, u, v)):
-                    return False, (u, v)
+        I, J = np.triu_indices(self.dim, 1)
+        U, V = self.basis[I], self.basis[J]
+        outside = np.flatnonzero(~self.contains(batch_bracket(self.R, U, V)))
+        if outside.size:
+            return False, (U[outside[0]], V[outside[0]])
         return True, None
 
     def trace_pseudoring(self):
         """P = tr(L·L) as a subspace of A."""
         R = self.R
-        rows = [R.trace_vec(R.mul_vec(u, v)) for u in self.basis for v in self.basis]
-        return FpSubspace(R.p, R.A.dim, rows)
+        U, V = all_pairs(self.basis, self.basis)
+        return FpSubspace(R.p, R.A.dim, R.batch_trace(R.batch_mul(U, V)))
 
     def stable_under(self, P):
         """P·L <= L for a subspace P of A."""
         R = self.R
         for t in P.basis:
-            for v in self.basis:
-                if not self.contains(R.ring_scale(t, v[None, :])[0]):
-                    return False, (t, v)
+            outside = np.flatnonzero(~self.contains(R.ring_scale(t, self.basis)))
+            if outside.size:
+                return False, (t, self.basis[outside[0]])
         return True, None
 
     def __eq__(self, other):
@@ -155,6 +153,16 @@ def bracket(R, u, v):
     return (R.mul_vec(u, v) - R.mul_vec(v, u)) % R.p
 
 
+def batch_bracket(R, U, V):
+    """Row-wise brackets [u, v]."""
+    return (R.batch_mul(U, V) - R.batch_mul(V, U)) % R.p
+
+
+def all_pairs(U, V):
+    """Rows (u, v) for u in U and v in V, u-major."""
+    return np.repeat(U, len(V), axis=0), np.tile(V, (len(U), 1))
+
+
 def lie_of_subgroup(G):
     """Pink Lie algebra of a subgroup of SR^1: the span of theta(Gamma)."""
     R = G.R
@@ -169,9 +177,8 @@ def descending_series(L, n_max):
     out = [L]
     R = L.R
     for _ in range(n_max - 1):
-        prev = out[-1]
-        rows = [bracket(R, u, v) for u in prev.basis for v in L.basis]
-        out.append(LieSubspace(R, rows, check=False))
+        U, V = all_pairs(out[-1].basis, L.basis)
+        out.append(LieSubspace(R, batch_bracket(R, U, V), check=False))
     return out
 
 
@@ -227,10 +234,8 @@ def pink_converse(L, cap=10 ** 6, rng=None, closure_samples=3000):
     I = rng.integers(0, n, size=take)
     Jx = rng.integers(0, n, size=take)
     prods = R.batch_mul(H_rows[I], H_rows[Jx])
-    back = batch_theta(R, prods)
-    for row in back:
-        if not L.contains(row):
-            raise NotPinkStable("sampled product left theta^{-1}(L)")
+    if not L.contains(batch_theta(R, prods)).all():
+        raise NotPinkStable("sampled product left theta^{-1}(L)")
     H.closure_verified = True
     return H, P
 
@@ -602,16 +607,9 @@ def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants, cap=10 ** 6):
             conj = R.mul_vec(s, R.mul_vec(v, sinv))
             if not L.contains(conj):
                 raise NotPinkStable("constant subgroup does not normalize L")
-    rows = []
-    seen = set()
-    for s in consts:
-        prods = R.batch_mul_elem(Gamma.elements, s)
-        for v in prods:
-            k = row_key(v)
-            if k not in seen:
-                seen.add(k)
-                rows.append(v)
-    G = FiniteMatrixGroup(R, np.array(rows), closure_verified=False)
+    prods = np.concatenate([R.batch_mul_elem(Gamma.elements, s) for s in consts])
+    _, first = np.unique(row_key(prods, p), return_index=True)
+    G = FiniteMatrixGroup(R, prods[np.sort(first)], closure_verified=False)
     if not G.verify_closure():
         raise NotPinkStable("Gamma·s(Gbar) is not closed")
     G.closure_verified = True
@@ -735,8 +733,7 @@ def unit_squares(A, cap=10 ** 6):
         units = vecs[(vecs @ A.proj.T % A.p).any(axis=1)]
     else:
         units = np.array([v for v in vecs if A.is_unit_vec(v)])
-    sq = A.batch_mul(units, units)
-    return {row_key(v) for v in sq}
+    return set(row_key(A.batch_mul(units, units), A.p).tolist())
 
 
 def essential_data(G, L2=None, squares=None):
@@ -753,16 +750,13 @@ def essential_data(G, L2=None, squares=None):
     squares = squares if squares is not None else unit_squares(A)
     TR = R.batch_trace(G.elements)
     DET = R.batch_det(G.elements)
-    S = [i for i in range(G.n)
-         if not TR[i].any() and row_key((-DET[i]) % p) in squares]
-    rows = []
-    consts = A.constants()
-    for i in S:
-        for v in L2.basis:
-            t = R.trace_vec(R.mul_vec(G.elements[i], v))
-            rows.extend(A.batch_mul_elem(consts, t))
-    A_ess = FpSubspace(p, A.dim, np.array(rows).reshape(-1, A.dim)) if rows \
-        else FpSubspace(p, A.dim)
+    minus_det = row_key((-DET) % p, p).tolist()
+    mask = ~TR.any(axis=1) & np.array([k in squares for k in minus_det], dtype=bool)
+    S = np.nonzero(mask)[0].tolist()
+    g_rows, v_rows = all_pairs(G.elements[S], L2.basis)
+    traces = R.batch_trace(R.batch_mul(g_rows, v_rows))
+    rows = [A.batch_mul_elem(traces, lam) for lam in A.constants()]
+    A_ess = FpSubspace(p, A.dim, np.concatenate(rows))
     dec = decompose(L2) if L2.dim else None
     I2 = dec.I1 if dec and dec.decomposable else None
     return EssentialData(S_indices=S, A_ess=A_ess, weakly_odd=bool(S), I2=I2)
@@ -865,26 +859,24 @@ def measure_change_psi(R, L, L2, gamma, cap=10 ** 5):
     psi[:, R.sa] = (psi[:, R.sa] + sig_scal) % p
     psi[:, R.sd] = (psi[:, R.sd] - sig_scal) % p
     # sigma lands in L2, so Psi maps L2 to itself; bijectivity by key count
-    keys = {row_key(v) for v in psi}
-    member_keys = {row_key(v) for v in members}
-    bijective = keys == member_keys
+    psi_keys = row_key(psi, p).tolist()
+    member_keys = row_key(members, p).tolist()
+    bijective = set(psi_keys) == set(member_keys)
     # h values
     Jg = R.mul_vec(R.J, gv)
     th_inv = batch_theta_inv(R, members)
     h = R.batch_trace(R.batch_mul(np.tile(Jg, (len(members), 1)), th_inv))
     # h(Psi^{-1}(m)) = tr(J gamma) + tr(J gamma m): affine with linear part known
-    psi_index = {row_key(v): i for i, v in enumerate(psi)}
-    h_of_psi_inv = np.empty_like(h)
-    for i, v in enumerate(members):
-        h_of_psi_inv[i] = h[psi_index[row_key(v)]]
+    psi_index = dict(zip(psi_keys, range(len(psi_keys))))
+    h_of_psi_inv = h[[psi_index[k] for k in member_keys]]
     lin = R.batch_trace(R.batch_mul(np.tile(Jg, (len(members), 1)), members))
     affine_ok = np.array_equal(h_of_psi_inv, (trJg + lin) % p)
     # image of h = trJg + I2
     dec2 = decompose(LieSubspace(R, L2.basis, check=False))
     I2 = dec2.I1 if dec2.decomposable else None
-    image_keys = {row_key(v) for v in h}
+    image_keys = set(row_key(h, p).tolist())
     if I2 is not None:
-        expected = {row_key((trJg + v) % p) for v in I2.enumerate(cap=cap)}
+        expected = set(row_key((trJg + I2.enumerate(cap=cap)) % p, p).tolist())
         image_ok = image_keys == expected
     else:
         image_ok = None

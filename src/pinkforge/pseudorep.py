@@ -25,18 +25,21 @@ ALGEBRA_QUOTIENT_CAP = 10 ** 4  # |group| bound for A[G]/Ker constructions
 class FiniteMatrixGroup:
     """Explicit finite subgroup of R* for a GmaStructure R.
 
-    Elements are rows of an (n, dim) array; products, inverses and the full
-    multiplication table are computed through R and cached.
+    Elements are rows of an (n, dim) array, found by their sorted row keys
+    (`fp.row_key`); inverses and the full multiplication table are computed
+    through R and cached.
     """
 
     def __init__(self, R, elements, generators=None, closure_verified=True):
         self.R = R
         self.elements = np.atleast_2d(np.asarray(elements, dtype=np.int64)) % R.p
         self.n = self.elements.shape[0]
-        self.index = {row_key(self.elements[i]): i for i in range(self.n)}
-        if len(self.index) != self.n:
+        keys = row_key(self.elements, R.p)
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+        if (self._keys[1:] == self._keys[:-1]).any():
             raise ValueError("duplicate elements")
-        self.id_index = self.index.get(row_key(R.one))
+        self.id_index = self.lookup(R.one)
         if self.id_index is None:
             raise ValueError("identity missing")
         self.generators = list(generators) if generators is not None else []
@@ -46,30 +49,33 @@ class FiniteMatrixGroup:
 
     @classmethod
     def generate(cls, R, gens, cap=2 * 10 ** 6):
-        """BFS closure of the generators under multiplication."""
+        """BFS closure of the generators under multiplication.  A level
+        multiplies the frontier by each generator and inverse in turn and
+        keeps the first occurrence of every new element, in that order."""
         gvecs = [g.v if isinstance(g, GmaElem) else np.asarray(g, dtype=np.int64) % R.p
                  for g in gens]
         for g in gvecs:
             if not R.is_unit(g):
                 raise ValueError("generator is not invertible")
         gall = gvecs + [R.inv_vec(g) for g in gvecs]
-        seen = {row_key(R.one)}
-        rows = [R.one]
-        frontier = np.array([R.one])
-        while frontier.size:
+        seen = set(row_key(R.one[None, :], R.p).tolist())
+        levels = [R.one[None, :]]
+        frontier = levels[0]
+        while len(frontier):
             new = []
             for g in gall:
                 prods = R.batch_mul_elem(frontier, g)
-                for v in prods:
-                    k = row_key(v)
+                fresh = []
+                for i, k in enumerate(row_key(prods, R.p).tolist()):
                     if k not in seen:
                         seen.add(k)
-                        new.append(v)
-                        if len(seen) > cap:
-                            raise TooLarge(f"group exceeds cap {cap}")
-            rows.extend(new)
-            frontier = np.array(new) if new else np.empty((0, R.dim), dtype=np.int64)
-        return cls(R, np.array(rows), generators=gvecs)
+                        fresh.append(i)
+                new.append(prods[fresh])
+                if len(seen) > cap:
+                    raise TooLarge(f"group exceeds cap {cap}")
+            frontier = np.concatenate(new)
+            levels.append(frontier)
+        return cls(R, np.concatenate(levels), generators=gvecs)
 
     def elem(self, i):
         return GmaElem(self.R, self.elements[i])
@@ -80,16 +86,23 @@ class FiniteMatrixGroup:
     def __len__(self):
         return self.n
 
+    def find(self, rows):
+        """Index of each row (the last axis) in the group, -1 where absent."""
+        keys = row_key(np.asarray(rows, dtype=np.int64) % self.R.p, self.R.p)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.n - 1)
+        return np.where(self._keys[pos] == keys, self._order[pos], -1)
+
     def lookup(self, v):
-        if isinstance(v, GmaElem):
-            v = v.v
-        return self.index.get(row_key(np.asarray(v, dtype=np.int64) % self.R.p))
+        """Index of one element, or None."""
+        i = int(self.find(v.v if isinstance(v, GmaElem) else v))
+        return None if i < 0 else i
 
     def inverses(self):
         if self._inv is None:
-            self._inv = np.array([self.lookup(self.R.inv_vec(v)) for v in self.elements])
-            if any(i is None for i in self._inv):
+            inv = self.find(self.R.batch_inv(self.elements))
+            if (inv < 0).any():
                 raise ValueError("group not closed under inverse")
+            self._inv = inv
         return self._inv
 
     def mul_table(self):
@@ -97,27 +110,22 @@ class FiniteMatrixGroup:
         if self._table is None:
             T = np.empty((self.n, self.n), dtype=np.int32)
             for i in range(self.n):
-                prods = self.R.batch_mul_elem_left(self.elements[i], self.elements)
-                for j in range(self.n):
-                    k = self.index.get(row_key(prods[j]))
-                    if k is None:
-                        raise ValueError("group not closed under multiplication")
-                    T[i, j] = k
+                T[i] = self.find(self.R.batch_mul_elem_left(self.elements[i], self.elements))
+            if (T < 0).any():
+                raise ValueError("group not closed under multiplication")
             self._table = T
         return self._table
 
     def verify_closure(self, rng=None, samples=2000):
         """Spot-check closure on generator products plus a seeded sample."""
         rng = rng or np.random.default_rng(0)
-        pairs = [(i, j) for i in range(min(self.n, 30)) for j in range(min(self.n, 30))]
+        m = min(self.n, 30)
+        I, J = np.divmod(np.arange(m * m), m)
         if self.n > 30:
             extra = rng.integers(0, self.n, size=(samples, 2))
-            pairs += [tuple(t) for t in extra]
-        for i, j in pairs:
-            v = self.R.mul_vec(self.elements[i], self.elements[j])
-            if row_key(v) not in self.index:
-                return False
-        return True
+            I, J = np.concatenate([I, extra[:, 0]]), np.concatenate([J, extra[:, 1]])
+        prods = self.R.batch_mul(self.elements[I], self.elements[J])
+        return bool((self.find(prods) >= 0).all())
 
     def traces(self):
         return self.R.batch_trace(self.elements)
@@ -239,8 +247,8 @@ class PseudoRep:
         return self.A.residue_int(self.d[i])
 
     def has_constant_det(self):
-        consts = {row_key(r) for r in self.A.constants()}
-        return all(row_key(r) in consts for r in self.d)
+        consts = set(row_key(self.A.constants(), self.A.p).tolist())
+        return consts.issuperset(row_key(self.d, self.A.p).tolist())
 
     def to_dict(self):
         """JSON-ready value table: base descriptor plus t and d rows."""
@@ -753,16 +761,11 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
             raise ArithmeticError("element does not split along the idempotents")
         return R.assemble(a, b, c, d)
 
-    rows = [to_gma(Q.class_of_group_elem(g)) for g in range(gt.n)]
-    uniq, rho_idx = [], []
-    index = {}
-    for v in rows:
-        k = row_key(v)
-        if k not in index:
-            index[k] = len(uniq)
-            uniq.append(v)
-        rho_idx.append(index[k])
-    G = FiniteMatrixGroup(R, np.array(uniq))
+    rows = np.array([to_gma(Q.class_of_group_elem(g)) for g in range(gt.n)])
+    _, first, inverse = np.unique(row_key(rows, R.p), return_index=True, return_inverse=True)
+    order = np.argsort(first)            # distinct rows in order of first appearance
+    G = FiniteMatrixGroup(R, rows[first[order]])
+    rho_idx = np.argsort(order)[inverse].tolist()
     # contract checks of the construction
     for g in range(gt.n):
         v = G.elements[rho_idx[g]]
@@ -784,20 +787,11 @@ def is_admissible(tr):
         raise ValueError("admissibility criterion needs p odd")
     if not tr.has_constant_det():
         return False
-    consts = A.constants()
-    rows = []
-    for lam in consts:
-        rows.extend(A.batch_mul_elem(tr.t, lam))
-    sp = FpSubspace(A.p, A.dim, np.array(rows).reshape(-1, A.dim))
+    _, first = np.unique(row_key(tr.t, A.p), return_index=True)
+    traces = tr.t[first]
+    rows = [A.batch_mul_elem(traces, lam) for lam in A.constants()]
+    sp = FpSubspace(A.p, A.dim, np.concatenate(rows))
     return sp.dim == A.dim
-
-
-def trace_f_span(tr):
-    A = tr.A
-    rows = []
-    for lam in A.constants():
-        rows.extend(A.batch_mul_elem(tr.t, lam))
-    return FpSubspace(A.p, A.dim, np.array(rows).reshape(-1, A.dim))
 
 
 def gbar_of(G):
@@ -1046,18 +1040,14 @@ def residual_image_group(G):
     Fq = make_truncated_poly_ring(A.fq.q, 1)
     Rq = _m2_over(Fq)
     rows = []
-    seen = set()
     for v in G.elements:
-        a, b, c, d = R.comps(v)
         digits = []
-        for comp in (a, b, c, d):
+        for comp in R.comps(v):
             digits.extend(Fq.fq.digits(A.residue_int(comp)))
-        w = np.array(digits, dtype=np.int64)
-        k = row_key(w)
-        if k not in seen:
-            seen.add(k)
-            rows.append(w)
-    return FiniteMatrixGroup(Rq, np.array(rows))
+        rows.append(digits)
+    rows = np.array(rows, dtype=np.int64)
+    _, first = np.unique(row_key(rows, Rq.p), return_index=True)
+    return FiniteMatrixGroup(Rq, rows[np.sort(first)])
 
 
 def _m2_over(A):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -161,3 +162,15 @@ def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
     rc2 = main(["verify", "--seed", "3", "--tuples", "60", "--out", str(b)])
     assert rc2 == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_times_each_check_on_stderr_only(tmp_path):
+    out = tmp_path / "v.json"
+    r = run_cli(["verify", "--seed", "2", "--tuples", "60"])
+    assert r.returncode == 0
+    assert main(["verify", "--seed", "2", "--tuples", "60", "--out", str(out)]) == 0
+    assert r.stdout.encode() == out.read_bytes()       # the report has no timings
+    names = sorted(json.loads(r.stdout)["checks"])
+    lines = r.stderr.splitlines()
+    assert [re.fullmatch(r"\[PASS\] (\w+) \(\d+\.\d\d s\)", line).group(1)
+            for line in lines] == names

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinkforge.fp import FpSubspace, nullspace, rref, solve
+from pinkforge.fp import FpSubspace, bilinear, matmul_mod, nullspace, row_key, rref, solve
+from pinkforge.gma import m2_structure
+from pinkforge.localring import make_truncated_poly_ring
+from pinkforge.pseudorep import FiniteMatrixGroup
 
 
 def test_rref_idempotent():
@@ -97,3 +100,85 @@ def test_reduce_and_contains_on_arrays_match_rows(p):
     # membership is rank: v lies in V exactly when adding it keeps dim V
     assert inside.tolist() == [V.extend(v).dim == V.dim for v in X]
     assert inside[:20].all() and not inside[20:].all()
+
+
+def _distinct_rows(rng, p, n, m):
+    """m random rows, copies of some, rows one entry apart, and rows made of
+    the extreme residues 0, 1 and p - 1."""
+    X = rng.integers(0, p, size=(m, n), dtype=np.int64)
+    near = X.copy()
+    near[np.arange(m), rng.integers(0, n, size=m)] += 1
+    near %= p
+    ext = np.array([[0] * n, [p - 1] * n, [1] + [0] * (n - 1), [p - 1] + [0] * (n - 1)])
+    return np.vstack([X, X[::3], near, ext])
+
+
+@pytest.mark.parametrize("p, n, kind", [
+    (3, 39, "i"), (3, 40, "V"), (257, 4, "i"), (257, 8, "V"),
+    (65521, 3, "i"), (65521, 4, "V"), (2 ** 31 - 1, 2, "i"), (2 ** 31 - 1, 5, "V"),
+])
+def test_row_key_is_injective_on_both_sides_of_the_switch(p, n, kind):
+    # 3^39 < 2^63 < 3^40: base-p int64 keys below the switch, void keys above
+    rows = _distinct_rows(np.random.default_rng(n * p % 9973), p, n, 300)
+    keys = row_key(rows, p)
+    assert keys.dtype.kind == kind and keys.shape == (len(rows),)
+    distinct_rows = {tuple(r) for r in rows.tolist()}
+    assert len(set(keys.tolist())) == len(distinct_rows)
+    _, first = np.unique(keys, return_index=True)
+    assert {tuple(r) for r in rows[first].tolist()} == distinct_rows
+    # one row (a vector) gets the key of that row in a batch
+    assert row_key(rows[5], p).tolist() == keys[5].tolist()
+
+
+def test_find_returns_minus_one_for_non_members():
+    # p = 257: unipotent [[1, t], [0, 1]]; over F_257[X]/(X^2) keys are void
+    for k in (1, 2):
+        A = make_truncated_poly_ring(257, k)
+        R = m2_structure(A)
+        u = R.one.copy()
+        u[R.sb.start] = 1
+        G = FiniteMatrixGroup.generate(R, [u])
+        assert G.n == 257
+        assert (row_key(G.elements, 257).dtype.kind == "V") == (k == 2)
+        assert np.array_equal(G.find(G.elements), np.arange(G.n))
+        outside = G.elements.copy()
+        outside[:, R.sc.start] = 1          # lower-left entry 1: not upper unipotent
+        folded = G.elements.copy()
+        folded[:, R.sc.start] = 256         # 256 and 0 are one key after an int8 cast
+        assert (G.find(outside) == -1).all()
+        assert (G.find(folded) == -1).all()
+        assert G.lookup(outside[3]) is None
+        assert G.lookup(G.elements[7]) == 7
+
+
+def _reduce_by_rows(V, v):
+    """Sequential elimination, one basis row at a time."""
+    v = np.array(v, dtype=np.int64) % V.p
+    for row, c in zip(V.basis, V.pivots):
+        v = (v - v[..., c, None] * row) % V.p
+    return v
+
+
+@pytest.mark.parametrize("p", [3, 2 ** 31 - 1])
+def test_reduce_equals_sequential_elimination(p):
+    rng = np.random.default_rng(p % 101)
+    for n, d in ((12, 5), (40, 31), (7, 7), (9, 0)):
+        V = FpSubspace(p, n, rng.integers(0, p, size=(d, n)))
+        coef = rng.integers(0, p, size=(20, V.dim))
+        members = (coef.astype(object) @ V.basis.astype(object) % p).astype(np.int64)
+        X = np.vstack([members, rng.integers(0, p, size=(40, n))])
+        assert np.array_equal(V.reduce(X), _reduce_by_rows(V, X))
+        assert np.array_equal(V.reduce(X[0]), _reduce_by_rows(V, X[0]))
+
+
+@pytest.mark.parametrize("p", [3, 65521, 2 ** 31 - 1])
+def test_matmul_mod_and_bilinear_are_exact(p):
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, p, size=(30, 17))
+    Y = rng.integers(0, p, size=(30, 5))
+    T = rng.integers(0, p, size=(17, 5, 4))
+    M = rng.integers(0, p, size=(17, 6))
+    ref_mm = (X.astype(object) @ M.astype(object)) % p
+    assert np.array_equal(matmul_mod(X, M, p), ref_mm.astype(np.int64))
+    ref = np.einsum("ni,nj,ijk->nk", X.astype(object), Y.astype(object), T.astype(object)) % p
+    assert np.array_equal(bilinear(X, Y, T, p), ref.astype(np.int64))

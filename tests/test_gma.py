@@ -314,3 +314,41 @@ def test_semilocal_radical_profile():
     # elementwise arithmetic stays componentwise through the GMA
     x = R.identity()
     assert (x * x) == x
+
+
+def _component_rule(R, x, y):
+    """The displayed product rule on one pair of rows."""
+    ein = np.einsum
+    a, b, c, d = R.comps(x)
+    a2, b2, c2, d2 = R.comps(y)
+    mt = R.A.mul_tensor
+    na = ein("i,j,ijk->k", a, a2, mt) + ein("k,l,kli->i", b, c2, R.pairing)
+    nb = ein("i,k,ikj->j", a, b2, R.act_b) + ein("i,k,ikj->j", d2, b, R.act_b)
+    nc = ein("i,k,ikj->j", a2, c, R.act_c) + ein("i,k,ikj->j", d, c2, R.act_c)
+    nd = ein("i,j,ijk->k", d, d2, mt) + ein("k,l,kli->i", b2, c, R.pairing)
+    return np.concatenate([na, nb, nc, nd]) % R.p
+
+
+def _component_det(R, x):
+    a, b, c, d = R.comps(x)
+    return (np.einsum("i,j,ijk->k", a, d, R.A.mul_tensor)
+            - np.einsum("k,l,kli->i", b, c, R.pairing)) % R.p
+
+
+def test_products_and_det_match_the_component_rule():
+    from pinkforge.instances import structure_parameter_sets
+    structures = [build()["R"] for _, build in structure_parameter_sets()]
+    structures.append(m2_structure(make_truncated_poly_ring(9, 3)))
+    rng = np.random.default_rng(11)
+    for R in structures:
+        X = rng.integers(0, R.p, size=(40, R.dim))
+        Y = rng.integers(0, R.p, size=(40, R.dim))
+        want = np.array([_component_rule(R, x, y) for x, y in zip(X, Y)])
+        assert np.array_equal(R.batch_mul(X, Y), want), R.name
+        assert np.array_equal(np.array([R.mul_vec(x, y) for x, y in zip(X, Y)]), want)
+        assert np.array_equal(R.batch_mul_elem(X, Y[0]),
+                              [_component_rule(R, x, Y[0]) for x in X])
+        assert np.array_equal(R.batch_mul_elem_left(X[0], Y),
+                              [_component_rule(R, X[0], y) for y in Y])
+        assert np.array_equal(R.batch_det(X), [_component_det(R, x) for x in X])
+        assert np.array_equal(R.det_vec(X[3]), _component_det(R, X[3]))

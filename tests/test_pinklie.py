@@ -126,10 +126,11 @@ def test_generate_group_examples():
     g = theta_inv(R, m)
     G3 = generate_group(R, [g])
     assert G3.n == 3
-    keys = {row_key(v) for v in G3.elements}
-    expect = {row_key(R.one),
-              row_key((R.one + np.concatenate([[0, 1], z, z, [0, 2]])) % 3),
-              row_key((R.one + np.concatenate([[0, 2], z, z, [0, 1]])) % 3)}
+    keys = set(row_key(G3.elements, 3).tolist())
+    expect = set(row_key(np.array([
+        R.one,
+        (R.one + np.concatenate([[0, 1], z, z, [0, 2]])) % 3,
+        (R.one + np.concatenate([[0, 2], z, z, [0, 1]])) % 3]), 3).tolist())
     assert keys == expect
     with pytest.raises(TooLarge):
         generate_group(R, [g], cap=2)
@@ -212,8 +213,8 @@ def test_central_series_match_seeded():
         gs = group_series(G, 4)
         ls = descending_series(L, 4)
         for n in range(1, 4):
-            want = {row_key(v) for v in batch_theta_inv(R, ls[n].enumerate(cap=10 ** 6))}
-            got = {row_key(v) for v in gs[n].elements}
+            want = set(row_key(batch_theta_inv(R, ls[n].enumerate(cap=10 ** 6)), R.p).tolist())
+            got = set(row_key(gs[n].elements, R.p).tolist())
             assert want == got
 
 
@@ -411,8 +412,8 @@ def test_haar_coset_transport(example_family):
     R = ex.R
     gs = group_series(ex.Gamma, 3)
     series = descending_series(ex.L, 3)
-    th2 = {row_key(v) for v in batch_theta(R, gs[1].elements)}
-    l2 = {row_key(v) for v in series[1].enumerate(cap=10 ** 6)}
+    th2 = set(row_key(batch_theta(R, gs[1].elements), 3).tolist())
+    l2 = set(row_key(series[1].enumerate(cap=10 ** 6), 3).tolist())
     assert th2 == l2
     # coset transport at level 3
     L3 = series[2]
@@ -420,8 +421,8 @@ def test_haar_coset_transport(example_family):
         g = gs[1].elements[i]
         coset = batch_theta(R, R.batch_mul_elem_left(g, gs[2].elements))
         base = batch_theta(R, g[None, :])[0]
-        want = {row_key((base + v) % 3) for v in L3.enumerate(cap=10 ** 6)}
-        assert {row_key(v) for v in coset} == want
+        want = set(row_key((base + L3.enumerate(cap=10 ** 6)) % 3, 3).tolist())
+        assert set(row_key(coset, 3).tolist()) == want
 
 
 def test_gamma_equals_full_preimage_search(example_family):
@@ -644,3 +645,11 @@ def test_example8_p7_k5_within_2gib():
     m = json.loads(r.stdout)["measure"]
     assert m["forms"] == 14406
     assert Fraction(m["min"]["num"], m["min"]["den"]) == Fraction(3, 7)
+
+
+def test_example8_at_p_257_counts_every_element():
+    # with int8 row keys, residues 0 and 256 collided and |G| came out 131,585
+    ex = example8(257, 2)
+    assert ex.Gamma.n == 257 ** 2
+    assert ex.G.n == 2 * ex.Gamma.n == 132_098
+    assert np.unique(ex.G.elements, axis=0).shape[0] == ex.G.n

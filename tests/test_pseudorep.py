@@ -537,3 +537,52 @@ def test_residual_image_group_and_serialization(example_family):
     d = tr.to_dict()
     json.dumps(d)
     assert d["order"] == ex.G.n and len(d["t"]) == ex.G.n
+
+
+def _bfs_reference(R, gens):
+    """BFS closure one product at a time with bytes keys: a level multiplies
+    the frontier by each generator, then each inverse, keeping first hits."""
+    gall = list(gens) + [R.inv_vec(g) for g in gens]
+    seen = {R.one.tobytes()}
+    rows = [R.one]
+    frontier = [R.one]
+    while frontier:
+        new = []
+        for g in gall:
+            for v in frontier:
+                w = R.mul_vec(v, g)
+                if w.tobytes() not in seen:
+                    seen.add(w.tobytes())
+                    new.append(w)
+        rows.extend(new)
+        frontier = new
+    return np.array(rows)
+
+
+def test_generate_keeps_the_reference_bfs_order(example_family):
+    from pinkforge.pinklie import example8
+    for ex in (example_family[3], example_family[4], example8(5, 3)):
+        for G in (ex.Gamma, ex.G):
+            got = FiniteMatrixGroup.generate(ex.R, G.generators)
+            assert np.array_equal(got.elements, _bfs_reference(ex.R, G.generators))
+            assert np.array_equal(got.elements, G.elements)
+
+
+def test_mul_table_and_inverses_match_dict_lookups(example_family):
+    Gamma = example_family[4].Gamma
+    R = Gamma.R
+    index = {v.tobytes(): i for i, v in enumerate(Gamma.elements)}
+    want = np.array([[index[w.tobytes()] for w in R.batch_mul_elem_left(v, Gamma.elements)]
+                     for v in Gamma.elements])
+    assert np.array_equal(Gamma.mul_table(), want)
+    want_inv = [index[R.inv_vec(v).tobytes()] for v in Gamma.elements]
+    assert Gamma.inverses().tolist() == want_inv
+
+
+def test_verify_closure_sees_a_missing_element(example_family):
+    Gamma = example_family[4].Gamma
+    assert Gamma.verify_closure()
+    for drop in (1, Gamma.n // 2, Gamma.n - 1):
+        assert drop != Gamma.id_index
+        part = FiniteMatrixGroup(Gamma.R, np.delete(Gamma.elements, drop, axis=0))
+        assert not part.verify_closure()
