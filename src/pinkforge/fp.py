@@ -125,7 +125,7 @@ class FpSubspace:
             return FpSubspace(self.p, self.n)
         M = np.vstack([self.basis, other.basis]).T  # n x (d1+d2)
         ker = nullspace(M, self.p)
-        vecs = (ker[:, : self.dim] @ self.basis) % self.p
+        vecs = matmul_mod(ker[:, : self.dim], self.basis, self.p)
         return FpSubspace(self.p, self.n, vecs)
 
     def enumerate(self, cap=None):
@@ -136,13 +136,13 @@ class FpSubspace:
         if d == 0:
             return np.zeros((1, self.n), dtype=np.int64)
         digits = np.indices((self.p,) * d).reshape(d, -1).T
-        return (digits @ self.basis) % self.p
+        return matmul_mod(digits, self.basis, self.p)
 
     def coords(self, v):
         """Coefficients of v in the RREF basis (None if not a member)."""
         v = np.array(v, dtype=np.int64) % self.p
         c = v[self.pivots].copy()
-        if not ((c @ self.basis - v) % self.p == 0).all():
+        if not (matmul_mod(c, self.basis, self.p) == v).all():
             return None
         return c
 
@@ -168,26 +168,23 @@ _BLOCK_BYTES = 1 << 23  # intermediate size per row block in `bilinear`
 
 def matmul_mod(X, Y, p):
     """(X @ Y) mod p for residues in [0, p), exact in int64 for every
-    p < 2^31: the inner sum runs in chunks of as many products as keep it
-    below 2^63, which is all of it unless m·(p-1)^2 >= 2^63 (for p = 2^31 - 1,
-    two products a chunk).  Broadcasts like `@`."""
+    p < 2^31: the inner sum runs in chunks of as many products as keep the
+    running sum below 2^63, which is one chunk unless m·(p-1)^2 >= 2^63
+    (for p = 2^31 - 1, two products a chunk).  Broadcasts like `@`."""
     m = X.shape[-1]
-    step = max(1, (_INT64_LIMIT - 1) // max(1, (p - 1) ** 2))
-    if m <= step:
-        return (X @ Y) % p
-    out = 0
-    for s in range(0, m, step):
-        out = (out + (X[..., s:s + step] @ Y[..., s:s + step, :]) % p) % p
+    step = max(1, (_INT64_LIMIT - p) // max(1, (p - 1) ** 2))
+    out = (X[..., :step] @ Y[..., :step, :]) % p
+    for s in range(step, m, step):
+        out = (out + X[..., s:s + step] @ Y[..., s:s + step, :]) % p
     return out
 
 
 def bilinear(X, Y, T, p):
     """Rows sum_{i,j} X[n,i] Y[n,j] T[i,j,k] mod p for residues in [0, p),
-    as two contractions.  When I·J·(p-1)^3 < 2^63 the unreduced sums fit in
-    int64 and are reduced once at the end; otherwise each step is a
-    `matmul_mod`, which only ever multiplies two residues.  A single row of
-    X or Y pairs with every row of the other.  Rows go in blocks whose
-    (rows, j, k) intermediate stays near `_BLOCK_BYTES`."""
+    as two contractions, the second a `matmul_mod`; exact for every
+    p < 2^31.  A single row of X or Y pairs with every row of the other.
+    Rows go in blocks whose (rows, j, k) intermediate stays near
+    `_BLOCK_BYTES`."""
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
     I, J, K = T.shape
@@ -197,15 +194,15 @@ def bilinear(X, Y, T, p):
     if min(n, I, J, K) == 0:
         return np.zeros((n, K), dtype=np.int64)
     T2 = T.reshape(I, J * K)
-    once = I * J * (p - 1) ** 3 < _INT64_LIMIT
+    # The intermediate needs reducing only when I·J·(p-1)^3 may reach 2^63;
+    # below that the second `matmul_mod` sums its unreduced entries in one
+    # pass.  At small p that `%` would cost more than both products.
+    reduce_mid = I * J * (p - 1) ** 3 >= _INT64_LIMIT
     block = max(1, _BLOCK_BYTES // (8 * J * K))
     out = np.empty((n, K), dtype=np.int64)
     for s in range(0, n, block):
-        Xs, Ys = X[s:s + block], Y[s:s + block, None, :]
-        if once:
-            out[s:s + block] = (Ys @ (Xs @ T2).reshape(-1, J, K))[:, 0, :] % p
-        else:
-            out[s:s + block] = matmul_mod(Ys, matmul_mod(Xs, T2, p).reshape(-1, J, K), p)[:, 0, :]
+        XT = matmul_mod(X[s:s + block], T2, p) if reduce_mid else X[s:s + block] @ T2
+        out[s:s + block] = matmul_mod(Y[s:s + block, None, :], XT.reshape(-1, J, K), p)[:, 0, :]
     return out
 
 

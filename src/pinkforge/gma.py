@@ -137,12 +137,19 @@ class GmaStructure:
         return self.assemble(na, nb, nc, nd)
 
     def batch_mul_elem(self, X, y):
-        M = np.einsum("j,ijk->ik", np.asarray(y), self.mul_tensor) % self.p
-        return (np.atleast_2d(X) @ M) % self.p
+        """Rows X[n] * y, as one product with the matrix of right
+        multiplication by y."""
+        D = self.dim
+        S = self.mul_tensor.transpose(1, 0, 2).reshape(D, D * D)
+        M = matmul_mod(np.asarray(y) % self.p, S, self.p).reshape(D, D)
+        return matmul_mod(np.atleast_2d(X), M, self.p)
 
     def batch_mul_elem_left(self, x, Y):
-        M = np.einsum("i,ijk->jk", np.asarray(x), self.mul_tensor) % self.p
-        return (np.atleast_2d(Y) @ M) % self.p
+        """Rows x * Y[n], as one product with the matrix of left
+        multiplication by x."""
+        D = self.dim
+        M = matmul_mod(np.asarray(x) % self.p, self.mul_tensor.reshape(D, D * D), self.p)
+        return matmul_mod(np.atleast_2d(Y), M.reshape(D, D), self.p)
 
     def trace_vec(self, x):
         a, _, _, d = self.comps(x)

@@ -11,7 +11,7 @@ field embedding F_q -> A (the fixed points of x -> x^q).
 
 import numpy as np
 
-from .fp import FpSubspace, bilinear, rref, solve
+from .fp import FpSubspace, bilinear, matmul_mod, rref, solve
 
 
 class NotAUnit(ArithmeticError):
@@ -235,8 +235,9 @@ class FiniteAlgebra:
         return bilinear(X, Y, self.mul_tensor, self.p)
 
     def batch_mul_elem(self, X, y):
-        M = np.einsum("j,ijk->ik", y, self.mul_tensor) % self.p
-        return (X @ M) % self.p
+        D = self.dim
+        S = self.mul_tensor.transpose(1, 0, 2).reshape(D, D * D)
+        return matmul_mod(X, matmul_mod(y, S, self.p).reshape(D, D), self.p)
 
     def pow_vec(self, x, e):
         r, b = self.one.copy(), x % self.p

@@ -171,11 +171,13 @@ def test_reduce_equals_sequential_elimination(p):
         assert np.array_equal(V.reduce(X[0]), _reduce_by_rows(V, X[0]))
 
 
-@pytest.mark.parametrize("p", [3, 65521, 2 ** 31 - 1])
+# 1000003: I·J·(p-1)^2 < 2^63 <= I·J·(p-1)^3 for the 17 x 5 x 4 tensor below
+@pytest.mark.parametrize("p", [3, 65521, 1000003, 2 ** 31 - 1])
 def test_matmul_mod_and_bilinear_are_exact(p):
     rng = np.random.default_rng(7)
     X = rng.integers(0, p, size=(30, 17))
     Y = rng.integers(0, p, size=(30, 5))
+    X[0] = Y[0] = p - 1   # the largest sums
     T = rng.integers(0, p, size=(17, 5, 4))
     M = rng.integers(0, p, size=(17, 6))
     ref_mm = (X.astype(object) @ M.astype(object)) % p

@@ -352,3 +352,94 @@ def test_products_and_det_match_the_component_rule():
                               [_component_rule(R, X[0], y) for y in Y])
         assert np.array_equal(R.batch_det(X), [_component_det(R, x) for x in X])
         assert np.array_equal(R.det_vec(X[3]), _component_det(R, X[3]))
+
+
+def _loop_validate(A, act_b, act_c, pairing):
+    """Reference for `GmaStructure._validate`: the structure laws checked
+    one basis tuple at a time; returns the first failure message or None."""
+    p, da, db, dc = A.p, A.dim, act_b.shape[1], act_c.shape[1]
+
+    def act(a, m, tensor):
+        return np.einsum("i,k,ikj->j", a, m, tensor) % p
+
+    def pair(b, c):
+        return np.einsum("k,l,kli->i", b, c, pairing) % p
+
+    def mul(a, a2):
+        return np.einsum("i,j,ijk->k", a, a2, A.mul_tensor) % p
+
+    ea, eb, ec = (np.eye(n, dtype=np.int64) for n in (da, db, dc))
+    for i in range(da):
+        for i2 in range(da):
+            aa2 = mul(ea[i], ea[i2])
+            for tensor, e, msg in ((act_b, eb, "B is not an A-module"),
+                                   (act_c, ec, "C is not an A-module")):
+                for m in e:
+                    if not np.array_equal(act(aa2, m, tensor),
+                                          act(ea[i], act(ea[i2], m, tensor), tensor)):
+                        return msg
+    for k in range(db):
+        for l in range(dc):
+            m_kl = pair(eb[k], ec[l])
+            for k2 in range(db):
+                if not np.array_equal(act(m_kl, eb[k2], act_b),
+                                      act(pair(eb[k2], ec[l]), eb[k], act_b)):
+                    return "pairing compatibility fails on B"
+            for l2 in range(dc):
+                if not np.array_equal(act(pair(eb[k], ec[l2]), ec[l], act_c),
+                                      act(m_kl, ec[l2], act_c)):
+                    return "pairing compatibility fails on C"
+    for i in range(da):
+        for k in range(db):
+            for l in range(dc):
+                if not np.array_equal(pair(act(ea[i], eb[k], act_b), ec[l]),
+                                      mul(ea[i], pair(eb[k], ec[l]))):
+                    return "pairing is not A-bilinear"
+    return None
+
+
+def _ideal_pair(A, B, C):
+    """B x C -> A by multiplication, for ideals B and C of A (FpSubspaces)."""
+    E = np.eye(A.dim, dtype=np.int64)
+
+    def action(ideal):
+        return np.array([[ideal.coords(A.mul_vec(e, v)) for v in ideal.basis] for e in E])
+    pairing = np.array([[A.mul_vec(b, c) for c in C.basis] for b in B.basis])
+    return GmaStructure(A, action(B), action(C), pairing, name="ideal-pair")
+
+
+def test_validate_reports_the_first_failure_of_the_loop_reference():
+    from pinkforge.instances import structure_parameter_sets
+    structures = [build()["R"] for _, build in structure_parameter_sets()]
+    for q, k in ((3, 2), (9, 2), (5, 3)):
+        A = make_truncated_poly_ring(q, k)
+        structures += [m2_structure(A), reduced_residue_gma(A)]
+        # dim B != dim C
+        whole = FpSubspace(A.p, A.dim, np.eye(A.dim, dtype=np.int64))
+        structures += [_ideal_pair(A, A.maxideal, whole), _ideal_pair(A, whole, A.maxideal)]
+    # which arrays get one entry changed: the actions break the module laws,
+    # the pairing, alone or with an action, the pairing laws
+    perturbed = (("act_b",), ("act_c",), ("act_b", "act_c"), ("pairing",),
+                 ("pairing", "act_b"), ("pairing", "act_c"))
+    rng = np.random.default_rng(5)
+    seen = set()
+    for R in structures:
+        for t in range(20):
+            data = {"act_b": R.act_b.copy(), "act_c": R.act_c.copy(),
+                    "pairing": R.pairing.copy()}
+            for name in perturbed[t % len(perturbed)]:
+                arr = data[name]
+                if arr.size:
+                    idx = tuple(rng.integers(0, n) for n in arr.shape)
+                    arr[idx] = (arr[idx] + rng.integers(1, R.p)) % R.p
+            want = _loop_validate(R.A, **data)
+            try:
+                GmaStructure(R.A, **data)
+                got = None
+            except StructureMismatch as e:
+                got = str(e)
+            assert got == want, (R.name, t)
+            seen.add(want)
+    assert seen == {None, "B is not an A-module", "C is not an A-module",
+                    "pairing compatibility fails on B",
+                    "pairing compatibility fails on C", "pairing is not A-bilinear"}
