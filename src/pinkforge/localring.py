@@ -11,6 +11,7 @@ field embedding F_q -> A (the fixed points of x -> x^q).
 
 import numpy as np
 
+from .errors import TooLarge
 from .fp import FpSubspace, bilinear, matmul_mod, rref, solve
 
 
@@ -27,29 +28,36 @@ class OutOfDomain(ArithmeticError):
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin: the prime bases up to 37 decide every
+    n < 3.18·10^23 (Sorenson and Webster 2017), which covers n < 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def factor_prime_power(q):
-    """(p, f) with q = p^f, or raise."""
-    for p in range(2, q + 1):
-        if is_prime(p):
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m == 1 and f >= 1:
-                return p, f
-            if q % p == 0:
-                break
+    """(p, f) with q = p^f, or raise: for each f up to log2 q, tests whether
+    the integer f-th root of q is a prime whose f-th power is q."""
+    for f in range(1, max(q, 2).bit_length()):
+        r = 1 << -(-q.bit_length() // f)        # Newton's method from above
+        while (s := ((f - 1) * r + q // r ** (f - 1)) // f) < r:
+            r = s
+        if r ** f == q and is_prime(r):
+            return r, f
     raise ValueError(f"{q} is not a prime power")
 
 
@@ -100,7 +108,6 @@ def _irreducible_poly(p, f):
         poly = tuple(tail) + (1,)
         if poly[0] == 0:
             continue
-        n_roots_ok = True
         # irreducible over F_p iff no factor of degree <= f//2; test by gcd
         # with x^{p^d} - x via repeated powering
         x = (0, 1) + (0,) * (f - 2) if f >= 2 else (1,)
@@ -125,7 +132,7 @@ def _irreducible_poly(p, f):
             if _poly_gcd_nontrivial(poly, diff, p):
                 reducible = True
                 break
-        if not reducible and n_roots_ok:
+        if not reducible:
             return poly
     raise ValueError(f"no irreducible polynomial found for GF({p}^{f})")
 
@@ -155,6 +162,9 @@ def _poly_gcd_nontrivial(poly, g, p):
             a, b = b, a
 
 
+MAX_FIELD = 1 << 12             # q x q table entries stay at most 2^24 (128 MiB)
+
+
 class FqData:
     """The residue field F_q = GF(p^f) with int-encoded elements.
 
@@ -166,7 +176,15 @@ class FqData:
 
     def __init__(self, p, f, poly=None):
         self.p, self.f, self.q = p, f, p ** f
+        if self.q > MAX_FIELD:
+            raise TooLarge(f"a {self.q} x {self.q} multiplication table exceeds "
+                           f"the cap q <= {MAX_FIELD}")
         self.poly = tuple(poly) if poly is not None else _irreducible_poly(p, f)
+        if f == 1:
+            r = np.arange(p, dtype=np.int64)
+            self.mul_table = np.outer(r, r)
+            self.mul_table %= p
+            return
         tab = np.zeros((self.q, self.q), dtype=np.int64)
         for a in range(self.q):
             da = self.digits(a)

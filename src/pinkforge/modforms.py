@@ -7,6 +7,10 @@ a_0..a_N exactly.  Multiplication truncates to the smaller degree.  For
 p = 2 the coefficients are the bits of a python integer (bit n = a_n), and
 products by sparse factors are shifted XORs.  Every other product is one
 numpy FFT of base-2^s digits, sized by a rounding-error bound and checked.
+
+For p >= 5 the discriminant form is two FFT squarings of eta^6, an exact
+float64 sparse square of Jacobi's K-term series for eta^3 (exact while
+(K+1)(2K+1)^2 < 2^53, so for every degree below 2^31).
 """
 
 import math
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TooLarge
+from .localring import is_prime
 
 
 class DegreeExhausted(RuntimeError):
@@ -296,24 +301,56 @@ def eta_product_term(p, deg):
     return FpSeries.from_support(p, deg, support, values)
 
 
+def _eta_cubed(deg):
+    """Jacobi's prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2}: the
+    exponents up to deg and their integer coefficients."""
+    k = np.arange((math.isqrt(8 * deg + 1) + 1) // 2, dtype=np.int64)
+    return k * (k + 1) // 2, np.where(k % 2, -(2 * k + 1), 2 * k + 1)
+
+
+def _eta_sixth(p, deg):
+    """(prod (1-q^n)^3)^2 mod p: the pairs i <= j of Jacobi terms with
+    e_i + e_j <= deg, in blocks of rows, summed over Z by np.bincount."""
+    e, c = _eta_cubed(deg)
+    K = e.shape[0]
+    if (K + 1) * (2 * K + 1) ** 2 >= 1 << 53:
+        raise TooLarge(f"the sparse eta^6 product is not exact in float64 at degree {deg}")
+    c = c.astype(np.float64)
+    acc = np.zeros(deg + 1, dtype=np.float64)
+    rows = max(1, (1 << 20) // K)
+    for lo in range(0, K, rows):
+        hi = np.searchsorted(e, deg - e[lo], side="right")
+        i, j = np.nonzero(np.triu(e[lo:lo + rows, None] + e[lo:hi] <= deg))
+        i, j = i + lo, j + lo
+        acc += np.bincount(e[i] + e[j], weights=(2.0 - (i == j)) * c[i] * c[j],
+                           minlength=deg + 1)
+    return FpSeries(p, deg, coef=acc.astype(np.int64) % p)
+
+
 def delta_expansion(p, N):
     """The discriminant form q·prod (1-q^n)^24 mod p, to degree N.
 
-    The 24th power runs through the characteristic: 24 = 8·3, and p-power
-    exponents are index dilations, so only the p-coprime part of the
-    exponent costs multiplications.
+    p >= 5: eta^6 = (eta^3)^2 comes from the K ~ sqrt(2N) terms of
+    Jacobi's series for eta^3.  At most K pairs of terms, each at most
+    (2K+1)^2 in size, meet in one degree, so the float64 sums are exact
+    integers while (K+1)(2K+1)^2 < 2^53: for every N < 2^31.  Then eta^24
+    is two squarings, so Delta costs two dense products.  p = 2, 3: the
+    24th power of Euler's pentagonal series runs through the characteristic
+    (24 = 8·3, and p-power exponents are index dilations).
     """
     if N < 1:
         raise ValueError("degree must be at least 1")
-    P = eta_product_term(p, N - 1)
-    P24 = series_pow(P, 24)
-    return P24.shift(1)
+    if p < 5:
+        return series_pow(eta_product_term(p, N - 1), 24).shift(1)
+    eta6 = _eta_sixth(p, N - 1)
+    eta12 = series_mul(eta6, eta6)
+    return series_mul(eta12, eta12).shift(1)
 
 
 # -- Hecke operators -------------------------------------------------------------
 
 def _check_prime(ell):
-    if ell < 2 or any(ell % d == 0 for d in range(2, int(ell ** 0.5) + 1)):
+    if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
 
 

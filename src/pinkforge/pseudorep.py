@@ -234,12 +234,6 @@ class PseudoRep:
         gt = GroupTable.from_matrix_group(G) if build_table else None
         return cls(G.R.A, gt, G.traces(), G.dets(), matrix_group=G)
 
-    def t_elem(self, i):
-        return RingElem(self.A, self.t[i])
-
-    def d_elem(self, i):
-        return RingElem(self.A, self.d[i])
-
     def residual_t(self, i):
         return self.A.residue_int(self.t[i])
 
@@ -540,17 +534,6 @@ def _character_pairs(gt, fq, tbar, dbar):
     return chi1, chi2
 
 
-def _character_order(fq, values):
-    n = 1
-    cur = list(values)
-    while any(v != 1 for v in cur):
-        cur = [fq.mul(a, b) for a, b in zip(cur, values)]
-        n += 1
-        if n > fq.q:
-            raise ArithmeticError("values do not define a character")
-    return n
-
-
 def residual_multfree_data(tr):
     """('reducible', (chi1, chi2)) or ('irreducible', None) for a residually
     multiplicity-free pseudo-representation; NotMultFree otherwise.
@@ -651,14 +634,6 @@ class QuotientAlgebra:
         g1 = self.tr.gt.identity
         v[g1 * da:(g1 + 1) * da] = a_vec
         return self.proj @ v % self.p
-
-    def T_of(self, x):
-        Tv, _ = extend_to_algebra(self.tr, (self.lift.T @ x % self.p).reshape(self.tr.gt.n, self.A.dim))
-        return Tv
-
-    def D_of(self, x):
-        _, Dv = extend_to_algebra(self.tr, (self.lift.T @ x % self.p).reshape(self.tr.gt.n, self.A.dim))
-        return Dv
 
 
 def build_td_representation(tr, g0=None, lam0=None, mu0=None):
@@ -841,15 +816,6 @@ def _module_residue(R, x, which):
 
 def _act_row(R, a, m, which):
     return R.module_act(a, m[None, :], which)[0]
-
-
-def s_of_residual(R, label):
-    """Constant lift of a residual class label through the section s."""
-    A = R.A
-    if label[0] == "diag":
-        return R.assemble(A.constant(label[1]).v, np.zeros(R.db, dtype=np.int64),
-                          np.zeros(R.dc, dtype=np.int64), A.constant(label[2]).v)
-    raise NotImplementedError("matrix-case constant lifts are built entrywise")
 
 
 def is_well_adapted(G, g0_index, cls):

@@ -55,6 +55,14 @@ def test_cap_reached_exit_3():
     assert r.stderr.splitlines() == ["error: group exceeds cap 1000 (cap reached, undecided)"]
 
 
+def test_field_table_cap_exit_3():
+    # allocated a 32 GiB table and died with a MemoryError traceback
+    r = run_cli(["example8", "--p", "65521", "--k", "2"])
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: a 65521 x 65521 multiplication table exceeds")
+
+
 def test_example8_report(tmp_path):
     out = tmp_path / "ex.json"
     rc = main(["example8", "--p", "3", "--k", "3", "--out", str(out)])

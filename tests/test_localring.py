@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from pinkforge.errors import TooLarge
 from pinkforge.localring import (
     CharacteristicTwo,
     FqData,
@@ -9,8 +12,10 @@ from pinkforge.localring import (
     SemiLocalRing,
     batch_invert,
     batch_sqrt_one_plus_m,
+    factor_prime_power,
     hensel_sqrt,
     invert,
+    is_prime,
     make_truncated_poly_ring,
     quotient_ring,
     teichmuller,
@@ -70,6 +75,49 @@ def test_f9_x3_against_polynomial_oracle():
 def test_prime_power_validation():
     with pytest.raises(ValueError):
         make_truncated_poly_ring(6, 2)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    N = 10 ** 5
+    sieve = np.ones(N + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 317):
+        sieve[i * i:: i] = False
+    assert [is_prime(n) for n in range(N + 1)] == sieve.tolist()
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 11
+    assert not is_prime(3215031751) and not is_prime(3474749660383)
+    assert is_prime(2 ** 61 - 1) and not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+
+
+def test_factor_prime_power_is_immediate_at_2_31():
+    start = time.perf_counter()
+    assert factor_prime_power(2 ** 31 - 1) == (2 ** 31 - 1, 1)
+    assert factor_prime_power(3 ** 20) == (3, 20) and factor_prime_power(2) == (2, 1)
+    assert time.perf_counter() - start < 1.0
+    for q in (0, 1, 6, 12, 3 ** 20 * 5, (2 ** 31 - 1) * (2 ** 61 - 1)):
+        with pytest.raises(ValueError):
+            factor_prime_power(q)
+
+
+def test_field_table_is_capped_before_allocating():
+    # used to fill a q x q table in a Python loop: 32 GiB at q = 65521
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        make_truncated_poly_ring(2 ** 31 - 1, 2)
+    with pytest.raises(TooLarge):
+        FqData(65521, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", (2, 3, 257, 1021))
+def test_prime_field_table_is_the_product_mod_p(p):
+    fq = FqData(p, 1)
+    a, b = np.random.default_rng(p).integers(0, p, (2, 500))
+    assert fq.mul_table.shape == (p, p)
+    assert np.array_equal(fq.mul_table[a, b], a * b % p)
 
 
 def test_invert_examples():

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pinkforge import modforms
+from pinkforge.errors import TooLarge
 from pinkforge.modforms import (
     SPARSE_CUTOFF,
     DegreeExhausted,
     FpSeries,
+    _eta_cubed,
+    _eta_sixth,
     cyclotomic_test,
     delta_expansion,
     density_sweep,
@@ -158,6 +162,46 @@ def test_prime_limit():
     assert [d.coeff(n) for n in range(61)] == [t % p for t in tau]
     with pytest.raises(ValueError):
         delta_expansion(4294967311, 60)
+
+
+BIG_PRIMES = (65521, 2 ** 31 - 1)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11) + BIG_PRIMES)
+def test_jacobi_eta_cubed_is_the_cube_of_euler(p):
+    d = 5000
+    e, c = _eta_cubed(d)
+    assert e[-1] <= d < e[-1] + len(e)
+    got = FpSeries.from_support(p, d, e.tolist(), c.tolist())
+    assert got == series_pow(eta_product_term(p, d), 3)
+
+
+@pytest.mark.parametrize("p", (5, 7, 13) + BIG_PRIMES)
+def test_delta_jacobi_route_equals_pentagonal_power(p):
+    # the route used before Jacobi's identity: Euler's series to the 24th power
+    N = 20000
+    want = series_pow(eta_product_term(p, N - 1), 24).shift(1)
+    got = delta_expansion(p, N)
+    assert got.deg == N and np.array_equal(got.coeffs_array(), want.coeffs_array())
+
+
+@pytest.mark.parametrize("p", (5, 7, 65521))
+def test_delta_costs_two_dense_products(p, monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append((f.deg, g.deg))
+        return series_mul(f, g)
+
+    monkeypatch.setattr(modforms, "series_mul", counted)
+    delta_expansion(p, 60)
+    assert calls == [(59, 59), (59, 59)]
+
+
+def test_sparse_eta_sixth_exactness_bound():
+    # K = 185,364 Jacobi terms: raised before the degree-2^34 array is allocated
+    with pytest.raises(TooLarge):
+        _eta_sixth(5, 2 ** 34)
 
 
 @settings(max_examples=30, deadline=None)
