@@ -11,7 +11,6 @@ from .localring import (  # noqa: F401
     hensel_sqrt,
     invert,
     make_truncated_poly_ring,
-    teichmuller,
 )
 from .gma import GmaElem, GmaStructure, m2_structure, reduced_residue_gma  # noqa: F401
 from .pseudorep import FiniteMatrixGroup, PseudoRep  # noqa: F401
@@ -19,7 +18,6 @@ from .pinklie import (  # noqa: F401
     LieSubspace,
     descending_series,
     example8,
-    generate_group,
     lie_of_subgroup,
     pink_converse,
     theta,

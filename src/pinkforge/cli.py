@@ -11,26 +11,23 @@ Subcommands:
 
 All reports are JSON with sorted keys; identical configuration (including
 the seed) produces identical bytes.  Exit codes: 0 pass, 1 assertion
-failure, 2 usage error, 3 cap reached, undecided.  PINKFORGE_THREADS bounds
-check-level parallelism.
+failure, 2 usage error, 3 cap reached, undecided.
 """
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from .errors import InvalidInput, TooLarge
-from .fp import FpSubspace, row_key
+from .fp import FpSubspace, row_key, saturate
 from .gma import m2_structure, m2_quotient_map, reduced_residue_gma
-from .localring import is_prime, make_truncated_poly_ring
+from .localring import factor_prime_power, is_prime, make_truncated_poly_ring
 from .modforms import (
     P_LIMIT,
     DegreeExhausted,
@@ -51,7 +48,6 @@ from .pinklie import (
     essential_data,
     essential_not_ideal_witness,
     example8,
-    generate_group,
     group_series,
     is_congruence_subgroup,
     key_measure_check,
@@ -66,13 +62,6 @@ from .pinklie import (
 )
 from .pseudorep import FiniteMatrixGroup
 from .instances import structure_parameter_sets
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("PINKFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def emit(report, out=None):
@@ -114,6 +103,43 @@ def prime(text):
     if p >= P_LIMIT or not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime below 2^31")
     return p
+
+
+def odd_prime_power(text):
+    """--q: a power of an odd prime (theta divides by 2)."""
+    q = int(text)
+    try:
+        p, _ = factor_prime_power(q)
+    except ValueError:
+        p = 2
+    if p == 2:
+        raise argparse.ArgumentTypeError(f"{q} is not a power of an odd prime")
+    return q
+
+
+def prime_list(text):
+    """--primes: comma-separated primes."""
+    primes = [int(t) for t in text.split(",")]
+    bad = [ell for ell in primes if not is_prime(ell)]
+    if bad:
+        raise argparse.ArgumentTypeError(f"{bad[0]} is not prime")
+    return primes
+
+
+def parse_gens(text, R):
+    """--gens: a JSON list of flat coordinate rows of units of R."""
+    try:
+        rows = json.loads(text)
+    except ValueError:
+        rows = None
+    if not (isinstance(rows, list) and all(
+            isinstance(r, list) and len(r) == R.dim and all(type(x) is int for x in r)
+            for r in rows)):
+        raise InvalidInput(f"--gens must be a JSON list of rows of {R.dim} integers")
+    gens = [R.elem(np.array([x % R.p for x in r], dtype=np.int64)) for r in rows]
+    if not all(R.is_unit(g.v) for g in gens):
+        raise InvalidInput("--gens has a generator that is not invertible")
+    return gens
 
 
 def at_least(lo):
@@ -233,7 +259,7 @@ def _check_central_series(seed, count=20, cap=30000):
         R = m2_structure(A)
         rng = np.random.default_rng(s)
         gens = batch_theta_inv(R, random_rad0(R, rng, ngens))
-        G = generate_group(R, [R.elem(g) for g in gens], cap=cap)
+        G = FiniteMatrixGroup.generate(R, [R.elem(g) for g in gens], cap=cap)
         if G.n > 4000:
             details.append({"ring": f"F{q}[X]/(X^{k})", "skipped": G.n})
             continue
@@ -337,7 +363,7 @@ def _check_complements(seed):
     xs = np.zeros(A.dim, dtype=np.int64)
     xs[2] = 1   # X^2 generates the truncation ideal
     Rq, apply = m2_quotient_map(R, [xs])
-    Gq = generate_group(Rq, [Rq.elem(v) for v in apply(np.array([ex.g.v, ex.h.v]))])
+    Gq = FiniteMatrixGroup.generate(Rq, [Rq.elem(v) for v in apply(np.array([ex.g.v, ex.h.v]))])
     Lq = lie_of_subgroup(Gq)
     ok_functo = True
     for n in range(4):
@@ -349,14 +375,7 @@ def _check_complements(seed):
     P = L.trace_pseudoring()
     A_ = R.A
     rows = [(R.trace_vec(G.elements[i]) - 2 * A_.one) % R.p for i in range(G.n)]
-    Q = FpSubspace(R.p, A_.dim, rows)
-    while True:
-        ext = [A_.mul_vec(u, v) for u in Q.basis for v in Q.basis]
-        Q2 = FpSubspace(R.p, A_.dim, list(Q.basis) + ext)
-        if Q2.dim == Q.dim:
-            break
-        Q = Q2
-    ok_pseudo = Q == P
+    ok_pseudo = saturate(FpSubspace(R.p, A_.dim, rows), A_.mul_tensor) == P
     ok = ok_mult and ok_coset and ok_functo and ok_pseudo
     return ok, {"trace_multiplication": ok_mult, "coset_transport": ok_coset,
                 "functoriality": ok_functo, "pseudo_ring_description": ok_pseudo}
@@ -412,14 +431,8 @@ def cmd_verify(args):
             ok, details = fn(args.seed)
         return name, ok, details, time.perf_counter() - t0
 
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, VERIFY_CHECKS))
-    else:
-        rows = [run(item) for item in VERIFY_CHECKS]
     seconds = {}
-    for name, ok, details, dt in sorted(rows):
+    for name, ok, details, dt in sorted(map(run, VERIFY_CHECKS)):
         results[name] = {"passed": ok, "details": details}
         seconds[name] = dt
     passed = all(r["passed"] for r in results.values())
@@ -523,7 +536,7 @@ def cmd_cyclotomic(args):
 
 
 def cmd_span(args):
-    primes = [int(t) for t in args.primes.split(",")]
+    primes = args.primes
     f = parse_form(args.form, args.p, args.deg)
     span = hecke_span(f, primes, max_dim=args.max_dim, k_eff=args.k_eff)
     nil = {}
@@ -553,9 +566,8 @@ def cmd_analyze(args):
                       with_congruence=False)
         gens = [ex.g, ex.h, R.j_elem()]
     else:
-        data = json.loads(args.gens)
-        gens = [R.elem(np.array(v, dtype=np.int64)) for v in data]
-    G = generate_group(R, gens, cap=args.cap)
+        gens = parse_gens(args.gens, R)
+    G = FiniteMatrixGroup.generate(R, gens, cap=args.cap)
     gamma_idx = G.subgroup_sr1()
     Gamma = FiniteMatrixGroup(R, G.elements[gamma_idx])
     L = lie_of_subgroup(Gamma)
@@ -602,8 +614,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     v = sub.add_parser("verify", help="run the assertion battery")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tuples", type=int, default=1000)
+    v.add_argument("--seed", type=at_least(0), default=0)
+    v.add_argument("--tuples", type=at_least(1), default=1000)
     v.add_argument("--inject-fault", choices=["theta"], default=None,
                    help="test hook: corrupt a map and expect failure")
     v.add_argument("--out", default=None)
@@ -620,13 +632,13 @@ def build_parser():
     d.add_argument("--p", type=prime, required=True)
     d.add_argument("--form", type=form, required=True, help="delta^N")
     d.add_argument("--X", type=at_least(1), required=True)
-    d.add_argument("--np", type=int, default=None, help="level-characteristic product")
+    d.add_argument("--np", type=at_least(1), default=None, help="level-characteristic product")
     d.add_argument("--out", default=None)
     d.set_defaults(fn=cmd_density)
 
     dp = sub.add_parser("delta-power", help="write Delta^n mod p to a file")
     dp.add_argument("--p", type=prime, required=True)
-    dp.add_argument("--n", type=int, required=True)
+    dp.add_argument("--n", type=at_least(0), required=True)
     dp.add_argument("--deg", type=at_least(1), required=True)
     dp.add_argument("--out", required=True)
     dp.set_defaults(fn=cmd_delta_power)
@@ -636,23 +648,23 @@ def build_parser():
     c.add_argument("--form", type=form, required=True)
     c.add_argument("--M", type=at_least(1), required=True)
     c.add_argument("--X", type=at_least(1), required=True)
-    c.add_argument("--np", type=int, default=None)
+    c.add_argument("--np", type=at_least(1), default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(fn=cmd_cyclotomic)
 
     s = sub.add_parser("span", help="Hecke-stable span with matrices")
     s.add_argument("--p", type=prime, required=True)
     s.add_argument("--form", type=form, required=True)
-    s.add_argument("--primes", required=True, help="comma-separated")
+    s.add_argument("--primes", type=prime_list, required=True, help="comma-separated")
     s.add_argument("--deg", type=at_least(1), required=True)
-    s.add_argument("--max-dim", type=int, default=64)
+    s.add_argument("--max-dim", type=at_least(1), default=64)
     s.add_argument("--k-eff", type=int, default=0)
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_span)
 
     a = sub.add_parser("analyze", help="Lie report for a generated group")
-    a.add_argument("--q", type=int, required=True)
-    a.add_argument("--k", type=int, required=True)
+    a.add_argument("--q", type=odd_prime_power, required=True)
+    a.add_argument("--k", type=at_least(1), required=True)
     a.add_argument("--gens", default=None, help="JSON list of flat coordinate rows")
     a.add_argument("--gens-preset", choices=["example8"], default=None)
     a.add_argument("--cap", type=int, default=2 * 10 ** 6)
@@ -672,10 +684,10 @@ def main(argv=None):
         ap.error("example8 needs an odd prime --p: theta divides by 2")
     try:
         return args.fn(args)
-    except (DegreeExhausted, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TooLarge as exc:
+    except (DegreeExhausted, TooLarge) as exc:
         print(f"error: {exc} (cap reached, undecided)", file=sys.stderr)
         return 3
     except InvalidInput as exc:

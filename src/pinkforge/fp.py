@@ -163,7 +163,7 @@ class FpSubspace:
 
 
 _INT64_LIMIT = 2 ** 63
-_BLOCK_BYTES = 1 << 23  # intermediate size per row block in `bilinear`
+_BLOCK_BYTES = 1 << 23  # intermediate size per row block in `bilinear` and `pair_products`
 
 
 def matmul_mod(X, Y, p):
@@ -204,6 +204,49 @@ def bilinear(X, Y, T, p):
         XT = matmul_mod(X[s:s + block], T2, p) if reduce_mid else X[s:s + block] @ T2
         out[s:s + block] = matmul_mod(Y[s:s + block, None, :], XT.reshape(-1, J, K), p)[:, 0, :]
     return out
+
+
+def pair_products(U, V, T, p):
+    """Rows T(u, v) mod p for every row u of U and every row v of V,
+    u-major: row i·len(V) + j is T(U[i], V[j]).  Each u is contracted with
+    T once and the result with every v, both by `matmul_mod`: len(U)·I·J·K
+    + len(U)·len(V)·J·K products, where `bilinear` on repeated rows makes
+    len(U)·len(V)·I·J·K.  U goes in blocks that keep the (rows, J, K)
+    intermediate and the output block near `_BLOCK_BYTES`."""
+    U, V = np.atleast_2d(U), np.atleast_2d(V)
+    I, J, K = T.shape
+    out = np.empty((len(U), len(V), K), dtype=np.int64)
+    block = max(1, _BLOCK_BYTES // max(1, 8 * K * (J + len(V))))
+    for s in range(0, len(U), block):
+        Ub = U[s:s + block]
+        UT = matmul_mod(Ub, T.reshape(I, J * K), p).reshape(len(Ub), J, K)
+        out[s:s + block] = matmul_mod(V, UT, p)
+    return out.reshape(len(U) * len(V), K)
+
+
+def span_products(U, V, T, p):
+    """The span of `pair_products(U, V, T, p)`, in F_p^K for T of shape (I, J, K)."""
+    return FpSubspace(p, T.shape[2], pair_products(U, V, T, p))
+
+
+def saturate(S, T, by=None):
+    """The smallest subspace that contains the subspace S and holds T(w, s)
+    for every s in it, T of shape (I, n, n).
+
+    With `by` given, w runs over the rows of `by`: with a ring's structure
+    tensor and its basis this is the ideal S generates, with a module
+    action the submodule.  With by=None, w runs over the subspace itself:
+    the pseudo-ring S generates, or the Lie algebra when T is a bracket.
+    Each round makes one batched product and one row reduction.  A round
+    that adds nothing returns; every other round raises the dimension,
+    which is at most n, so there are at most n + 1 rounds."""
+    while True:
+        W = S.basis if by is None else by
+        new = S.reduce(pair_products(W, S.basis, T, S.p))
+        new = new[new.any(axis=1)]
+        if not len(new):
+            return S
+        S = S.extend(new)
 
 
 def row_key(rows, p):

@@ -15,7 +15,7 @@ gives closed-form inverses: x^{-1} = det(x)^{-1} (tr(x) - x).
 
 import numpy as np
 
-from .fp import FpSubspace, bilinear, matmul_mod
+from .fp import FpSubspace, bilinear, matmul_mod, span_products
 from .localring import LocalRing, NotAUnit, RingElem, SemiLocalRing
 
 
@@ -229,10 +229,8 @@ class GmaStructure:
     # -- radical ---------------------------------------------------------------
     def bc_ideal(self):
         """The ideal of A spanned by pairing values m(B, C)."""
-        rows = [self.pairing[k, l] for k in range(self.db) for l in range(self.dc)]
-        rows = [self.A.mul_vec(np.eye(self.da, dtype=np.int64)[i], r)
-                for r in rows for i in range(self.da)] + rows
-        return FpSubspace(self.p, self.da, rows)
+        return span_products(np.eye(self.da, dtype=np.int64), self.pairing.reshape(-1, self.da),
+                             self.A.mul_tensor, self.p)
 
     def radical_profile(self):
         """Case tag per local factor: 'matrix' (BC = A) or 'reduced' (BC in m)."""
@@ -294,7 +292,7 @@ class GmaStructure:
             return self._rad0
         rad = self.radical()
         # solve tr = 0 within the radical span
-        Tr = np.array([self.trace_vec(v) for v in rad.basis])  # (r, da)
+        Tr = self.batch_trace(rad.basis)  # (r, da)
         from .fp import nullspace
         ker = nullspace(Tr.T, self.p)
         rows = (ker @ rad.basis) % self.p
@@ -416,8 +414,7 @@ def reduced_residue_gma(A, name=None):
     # socle generator: a basis vector of m^(nil-1)
     power = FpSubspace(A.p, A.dim, [A.one])
     for _ in range(A.nilpotency - 1):
-        power = FpSubspace(A.p, A.dim,
-                           [A.mul_vec(u, v) for u in power.basis for v in A.maxideal.basis])
+        power = span_products(power.basis, A.maxideal.basis, A.mul_tensor, A.p)
     if power.dim == 0:
         z = A.one
     else:
@@ -435,21 +432,6 @@ def _unit(f, k):
     d = [0] * f
     d[k] = 1
     return tuple(d)
-
-
-def gma_mul(R, x, y):
-    """Product in R; the displayed multiplication rule, bit-exact."""
-    if x.R is not R or y.R is not R:
-        raise StructureMismatch("elements not over the given structure")
-    return x * y
-
-
-def gma_trace(x):
-    return x.trace()
-
-
-def gma_det(x):
-    return x.det()
 
 
 def is_faithful(R):
@@ -617,14 +599,8 @@ def m2_isomorphism(R):
     # find b0, c0 with m(b0, c0) = 1 by searching small combinations
     eb = np.eye(R.db, dtype=np.int64)
     ec = np.eye(R.dc, dtype=np.int64)
-    cands_b = list(eb)
-    cands_c = list(ec)
-    for extra in range(min(R.db, 6)):
-        cands_b.extend((eb[i] + eb[j]) % p for i in range(R.db) for j in range(i))
-        break
-    for extra in range(min(R.dc, 6)):
-        cands_c.extend((ec[i] + ec[j]) % p for i in range(R.dc) for j in range(i))
-        break
+    cands_b = list(eb) + [(eb[i] + eb[j]) % p for i in range(R.db) for j in range(i)]
+    cands_c = list(ec) + [(ec[i] + ec[j]) % p for i in range(R.dc) for j in range(i)]
     b0 = c0 = None
     for b in cands_b:
         for c in cands_c:

@@ -12,7 +12,16 @@ field embedding F_q -> A (the fixed points of x -> x^q).
 import numpy as np
 
 from .errors import TooLarge
-from .fp import FpSubspace, bilinear, matmul_mod, rref, solve
+from .fp import (
+    FpSubspace,
+    bilinear,
+    matmul_mod,
+    pair_products,
+    rref,
+    saturate,
+    solve,
+    span_products,
+)
 
 
 class NotAUnit(ArithmeticError):
@@ -172,7 +181,7 @@ class FqData:
     alpha a root of the fixed irreducible polynomial.
     """
 
-    __slots__ = ("p", "f", "q", "poly", "mul_table")
+    __slots__ = ("p", "f", "q", "poly", "mul_tensor", "mul_table")
 
     def __init__(self, p, f, poly=None):
         self.p, self.f, self.q = p, f, p ** f
@@ -180,18 +189,22 @@ class FqData:
             raise TooLarge(f"a {self.q} x {self.q} multiplication table exceeds "
                            f"the cap q <= {MAX_FIELD}")
         self.poly = tuple(poly) if poly is not None else _irreducible_poly(p, f)
-        if f == 1:
-            r = np.arange(p, dtype=np.int64)
-            self.mul_table = np.outer(r, r)
-            self.mul_table %= p
-            return
-        tab = np.zeros((self.q, self.q), dtype=np.int64)
-        for a in range(self.q):
-            da = self.digits(a)
-            for b in range(a, self.q):
-                c = self.encode(_poly_mul_mod(da, self.digits(b), self.poly, p))
-                tab[a, b] = tab[b, a] = c
-        self.mul_table = tab
+        # (f, f, f) F_p-structure tensor: [i, j] holds the digits of alpha^i·alpha^j
+        E = np.eye(f, dtype=np.int64).tolist()
+        self.mul_tensor = np.array([[_poly_mul_mod(a, b, self.poly, p) for b in E] for a in E],
+                                   dtype=np.int64).reshape(f, f, f)
+        # digits of alpha^i·b for every code b; the digits of a·b are then
+        # sum_i a_i (alpha^i·b), filled by row blocks.  That sum is a float64
+        # product (numpy's int64 one has no BLAS), exact as f·(p-1)^2 < 2^53.
+        D = np.indices((p,) * f).reshape(f, -1)[::-1].T    # D[k] = digits of code k
+        shifted = pair_products(np.eye(f, dtype=np.int64), D, self.mul_tensor, p)
+        shifted = shifted.reshape(f, self.q * f).astype(np.float64)
+        weights = p ** np.arange(f, dtype=np.int64)
+        self.mul_table = np.empty((self.q, self.q), dtype=np.int64)
+        block = max(1, (1 << 20) // (self.q * f))
+        for s in range(0, self.q, block):
+            prods = (D[s:s + block] @ shifted).astype(np.int64) % p
+            self.mul_table[s:s + block] = prods.reshape(-1, self.q, f) @ weights
 
     def digits(self, k):
         out = []
@@ -417,9 +430,7 @@ class LocalRing(FiniteAlgebra):
         cur = self.maxideal
         k = 1
         while cur.dim > 0:
-            nxt = FpSubspace(self.p, self.dim,
-                             [self.mul_vec(a, b) for a in cur.basis for b in self.maxideal.basis])
-            cur = nxt
+            cur = span_products(cur.basis, self.maxideal.basis, self.mul_tensor, self.p)
             k += 1
             if k > self.dim + 1:
                 raise ValueError("maximal ideal is not nilpotent")
@@ -531,15 +542,11 @@ def make_truncated_poly_ring(q, k):
         raise ValueError("k must be >= 1")
     fq = FqData(p, f)
     dim = f * k
-    S = np.zeros((dim, dim, dim), dtype=np.int64)
-    for j1 in range(k):
-        for j2 in range(k - j1):
-            for i1 in range(f):
-                for i2 in range(f):
-                    prod = _poly_mul_mod(_unit_digits(f, i1), _unit_digits(f, i2), fq.poly, p)
-                    for i3, c in enumerate(prod):
-                        if c:
-                            S[j1 * f + i1, j2 * f + i2, (j1 + j2) * f + i3] = c
+    # alpha^i1 X^j1 · alpha^i2 X^j2 = (alpha^i1 alpha^i2) X^(j1+j2), zero once j1+j2 >= k
+    S = np.zeros((k, f, k, f, k, f), dtype=np.int64)
+    J1, J2 = np.nonzero(np.add.outer(np.arange(k), np.arange(k)) < k)
+    S[J1, :, J2, :, J1 + J2, :] = fq.mul_tensor
+    S = S.reshape(dim, dim, dim)
     one = np.zeros(dim, dtype=np.int64)
     one[0] = 1
     maxid = np.eye(dim, dtype=np.int64)[f:]
@@ -553,12 +560,6 @@ def make_truncated_poly_ring(q, k):
     meta = {"kind": "truncated_poly", "q": q, "k": k, "q_poly": list(fq.poly)}
     return LocalRing(p, S, one, maxid, fq, embed, proj, names=names, meta=meta,
                      fq_block=(f, k))
-
-
-def _unit_digits(f, i):
-    d = [0] * f
-    d[i] = 1
-    return tuple(d)
 
 
 def _monomial_name(i, j):
@@ -616,12 +617,6 @@ def batch_invert(A, X):
     return A.batch_pow(X, A.units_order - 1)
 
 
-def teichmuller(A, lam):
-    """Multiplicative section s of A -> A/m at lam (an int code, digit
-    sequence, or RingElem); with pA = 0 this is the constants embedding."""
-    return A.constant(lam)
-
-
 def quotient_ring(A, ideal_vectors):
     """(A/I, projection matrix) for an ideal I given by spanning vectors.
 
@@ -629,33 +624,17 @@ def quotient_ring(A, ideal_vectors):
     structure (I must sit inside the maximal ideal).
     """
     p = A.p
-    I = FpSubspace(p, A.dim, ideal_vectors)
-    while True:
-        rows = list(I.basis)
-        ext = [A.mul_vec(b, v) for v in I.basis for b in np.eye(A.dim, dtype=np.int64)]
-        I2 = FpSubspace(p, A.dim, rows + ext)
-        if I2.dim == I.dim:
-            break
-        I = I2
-    for row in I.basis:
-        if not A.maxideal.contains(row):
-            raise ValueError("ideal not contained in the maximal ideal")
-    # complement basis: coordinates not among pivots of I
-    piv = set(I.pivots)
-    comp = [i for i in range(A.dim) if i not in piv]
+    E = np.eye(A.dim, dtype=np.int64)
+    I = saturate(FpSubspace(p, A.dim, ideal_vectors), A.mul_tensor, by=E)
+    if not A.maxideal.contains(I.basis).all():
+        raise ValueError("ideal not contained in the maximal ideal")
+    # complement basis: coordinates not among pivots of I; the projection
+    # sends e_i to e_i reduced mod I, in complement coordinates
+    comp = [i for i in range(A.dim) if i not in set(I.pivots)]
     dimq = len(comp)
-    # projection: e_i -> e_i reduced mod I, expressed in complement coords
-    P = np.zeros((dimq, A.dim), dtype=np.int64)
-    for i in range(A.dim):
-        v = I.reduce(np.eye(A.dim, dtype=np.int64)[i])
-        P[:, i] = v[comp]
-    S = np.zeros((dimq, dimq, dimq), dtype=np.int64)
-    lift = np.zeros((dimq, A.dim), dtype=np.int64)
-    for a, c in enumerate(comp):
-        lift[a, c] = 1
-    for a in range(dimq):
-        for b in range(dimq):
-            S[a, b] = P @ A.mul_vec(lift[a], lift[b]) % p
+    P = I.reduce(E)[:, comp].T
+    lift = E[comp]
+    S = matmul_mod(pair_products(lift, lift, A.mul_tensor, p), P.T, p).reshape(dimq, dimq, dimq)
     oneq = P @ A.one % p
     maxq = [P @ row % p for row in A.maxideal.basis]
     emb_rows = [P @ row % p for row in A.embed]

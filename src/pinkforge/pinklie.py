@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fp import FpSubspace, row_key
+from .fp import FpSubspace, pair_products, row_key, span_products
 from .gma import GmaElem, GmaStructure, batch_in_SR1, m2_structure
+from .instances import ideal_block_rows
 from .localring import (
     CharacteristicTwo,
     LocalRing,
@@ -27,7 +28,7 @@ from .localring import (
     hensel_sqrt,
     make_truncated_poly_ring,
 )
-from .pseudorep import FiniteMatrixGroup, PseudoRep, TooLarge, is_admissible
+from .pseudorep import FiniteMatrixGroup, PseudoRep, TooLarge, _index_closure, is_admissible
 
 
 class NotInSR1(ValueError):
@@ -86,11 +87,6 @@ def batch_theta_inv(R, M):
     return out
 
 
-def generate_group(R, gens, cap=2 * 10 ** 6):
-    """BFS closure of invertible generators inside R*."""
-    return FiniteMatrixGroup.generate(R, gens, cap=cap)
-
-
 # -- Lie data ---------------------------------------------------------------
 
 class LieSubspace:
@@ -126,9 +122,7 @@ class LieSubspace:
 
     def trace_pseudoring(self):
         """P = tr(L·L) as a subspace of A."""
-        R = self.R
-        U, V = all_pairs(self.basis, self.basis)
-        return FpSubspace(R.p, R.A.dim, R.batch_trace(R.batch_mul(U, V)))
+        return trace_square(self.R, self.space)
 
     def stable_under(self, P):
         """P·L <= L for a subspace P of A."""
@@ -158,9 +152,9 @@ def batch_bracket(R, U, V):
     return (R.batch_mul(U, V) - R.batch_mul(V, U)) % R.p
 
 
-def all_pairs(U, V):
-    """Rows (u, v) for u in U and v in V, u-major."""
-    return np.repeat(U, len(V), axis=0), np.tile(V, (len(U), 1))
+def bracket_tensor(R):
+    """The structure tensor of [x, y] = xy - yx on R."""
+    return (R.mul_tensor - R.mul_tensor.transpose(1, 0, 2)) % R.p
 
 
 def lie_of_subgroup(G):
@@ -176,9 +170,9 @@ def descending_series(L, n_max):
     """[L_1, ..., L_n] with L_{k+1} = [L_k, L]."""
     out = [L]
     R = L.R
+    Tb = bracket_tensor(R)
     for _ in range(n_max - 1):
-        U, V = all_pairs(out[-1].basis, L.basis)
-        out.append(LieSubspace(R, batch_bracket(R, U, V), check=False))
+        out.append(LieSubspace(R, pair_products(out[-1].basis, L.basis, Tb, R.p), check=False))
     return out
 
 
@@ -196,19 +190,6 @@ def group_series(G, n_max):
     for idxs in levels[1:]:
         groups.append(FiniteMatrixGroup(G.R, G.elements[idxs]))
     return groups
-
-
-def _index_closure(T, identity, gens):
-    seen = {int(identity)}
-    seen.update(int(g) for g in gens)
-    frontier = np.array(sorted(seen), dtype=np.int64)
-    gens = np.array(sorted(set(int(g) for g in gens)), dtype=np.int64)
-    while frontier.size:
-        prods = T[np.ix_(frontier, gens)].ravel()
-        new = [int(v) for v in np.unique(prods) if int(v) not in seen]
-        seen.update(new)
-        frontier = np.array(new, dtype=np.int64)
-    return np.array(sorted(seen), dtype=np.int64)
 
 
 def pink_converse(L, cap=10 ** 6, rng=None, closure_samples=3000):
@@ -382,14 +363,16 @@ def is_strongly_decomposable(L):
     return (d.decomposable and d.strongly), d.I1, d.B1, d.C1
 
 
-def a_subspace_product(A, U, V):
-    rows = [A.mul_vec(u, v) for u in U.basis for v in V.basis]
-    return FpSubspace(A.p, A.dim, rows)
+def trace_products(R, U, V):
+    """tr(u·v) for every pair of rows, u-major, through R's trace form."""
+    D = R.dim
+    form = R.batch_trace(R.mul_tensor.reshape(D * D, D)).reshape(D, D, R.A.dim)
+    return pair_products(U, V, form, R.p)
 
 
-def trace_nabla_squared(R, nabla):
-    rows = [R.trace_vec(R.mul_vec(u, v)) for u in nabla.basis for v in nabla.basis]
-    return FpSubspace(R.p, R.A.dim, rows)
+def trace_square(R, V):
+    """tr(V·V) as a subspace of A."""
+    return FpSubspace(R.p, R.A.dim, trace_products(R, V.basis, V.basis))
 
 
 def decomposable_condition_report(L, dec=None):
@@ -402,30 +385,27 @@ def decomposable_condition_report(L, dec=None):
         return {"decomposable": False}
     I1, nabla = dec.I1, dec.nabla
     rep = {"decomposable": True}
-    rep["bracket_nabla_nabla_in_I1J"] = all(
-        _in_I1J(R, I1, bracket(R, u, v))
-        for u in nabla.basis for v in nabla.basis
-    )
-    rep["I1_bracket_J_nabla_in_nabla"] = all(
-        nabla.contains(R.ring_scale(a, bracket(R, R.J, v)[None, :])[0])
-        for a in I1.basis for v in nabla.basis
-    )
-    trn2 = trace_nabla_squared(R, nabla)
-    rep["trace_nabla2_I1_in_I1"] = all(
-        I1.contains(A.mul_vec(t, a)) for t in trn2.basis for a in I1.basis
-    )
-    rep["trace_nabla2_nabla_in_nabla"] = all(
-        nabla.contains(R.ring_scale(t, v[None, :])[0])
-        for t in trn2.basis for v in nabla.basis
-    )
-    I1sq = a_subspace_product(A, I1, I1)
-    I1cube = a_subspace_product(A, I1sq, I1)
-    rep["I1_cubed_in_I1"] = all(I1.contains(v) for v in I1cube.basis)
+    p, T = R.p, R.mul_tensor
+    brackets = pair_products(nabla.basis, nabla.basis, bracket_tensor(R), p)
+    rep["bracket_nabla_nabla_in_I1J"] = bool(
+        not brackets[:, R.sb].any() and not brackets[:, R.sc].any()
+        and I1.contains(brackets[:, R.sa]).all())
+    J_nabla = batch_bracket(R, R.J, nabla.basis)
+    rep["I1_bracket_J_nabla_in_nabla"] = bool(
+        nabla.contains(pair_products(_scal(R, I1.basis), J_nabla, T, p)).all())
+    trn2 = trace_square(R, nabla)
+    rep["trace_nabla2_I1_in_I1"] = bool(
+        I1.contains(pair_products(trn2.basis, I1.basis, A.mul_tensor, p)).all())
+    rep["trace_nabla2_nabla_in_nabla"] = bool(
+        nabla.contains(pair_products(_scal(R, trn2.basis), nabla.basis, T, p)).all())
+    rep["I1_cubed_in_I1"] = _cube_closed(A, I1)
     return rep
 
 
-def _in_I1J(R, I1, v):
-    return (not v[R.sb].any()) and (not v[R.sc].any()) and I1.contains(v[R.sa])
+def _cube_closed(A, I1):
+    """I1^3 <= I1."""
+    I1sq = span_products(I1.basis, I1.basis, A.mul_tensor, A.p)
+    return bool(I1.contains(pair_products(I1sq.basis, I1.basis, A.mul_tensor, A.p)).all())
 
 
 def strong_condition_report(L, dec=None):
@@ -437,38 +417,12 @@ def strong_condition_report(L, dec=None):
         return {"strongly_decomposable": False}
     I1, B1, C1 = dec.I1, dec.B1, dec.C1
     rep = {"strongly_decomposable": True}
-    bc = FpSubspace(R.p, A.dim, [R.pair(b, c) for b in B1.basis for c in C1.basis])
-    rep["B1C1_in_I1"] = all(I1.contains(v) for v in bc.basis)
-    rep["I1B1_in_B1"] = all(
-        B1.contains(R.module_act(a, b[None, :], "b")[0]) for a in I1.basis for b in B1.basis
-    )
-    rep["I1C1_in_C1"] = all(
-        C1.contains(R.module_act(a, c[None, :], "c")[0]) for a in I1.basis for c in C1.basis
-    )
-    I1sq = a_subspace_product(A, I1, I1)
-    I1cube = a_subspace_product(A, I1sq, I1)
-    rep["I1_cubed_in_I1"] = all(I1.contains(v) for v in I1cube.basis)
+    p = R.p
+    rep["B1C1_in_I1"] = bool(I1.contains(pair_products(B1.basis, C1.basis, R.pairing, p)).all())
+    rep["I1B1_in_B1"] = bool(B1.contains(pair_products(I1.basis, B1.basis, R.act_b, p)).all())
+    rep["I1C1_in_C1"] = bool(C1.contains(pair_products(I1.basis, C1.basis, R.act_c, p)).all())
+    rep["I1_cubed_in_I1"] = _cube_closed(A, I1)
     return rep
-
-
-def f_span(A, sub):
-    """Span of a subspace of A over the embedded residue field."""
-    rows = []
-    consts = A.constants()
-    for lam in consts:
-        for v in sub.basis:
-            rows.append(A.mul_vec(lam, v))
-    return FpSubspace(A.p, A.dim, rows) if rows else FpSubspace(A.p, A.dim)
-
-
-def fq_module_span(R, sub, which, Aq_consts):
-    """Span of a module subspace over a set of constants of A."""
-    rows = []
-    for lam in Aq_consts:
-        for v in sub.basis:
-            rows.append(R.module_act(lam, v[None, :], which)[0])
-    n = R.db if which == "b" else R.dc
-    return FpSubspace(R.p, n, rows) if rows else FpSubspace(R.p, n)
 
 
 # -- structure theorems: forward checks and converse constructions -----------
@@ -501,51 +455,48 @@ def check_structure_theorem(cls_kind, G, L=None, subfield_degree=None):
         L = lie_of_subgroup(Gamma)
     dec = decompose(L)
     rep = {"class": cls_kind, "dim_L": L.dim}
-    full_module_B = FpSubspace(R.p, R.db, np.eye(R.db, dtype=np.int64))
-    full_module_C = FpSubspace(R.p, R.dc, np.eye(R.dc, dtype=np.int64))
+    p, mt, consts = A.p, A.mul_tensor, A.constants()
+    E = np.eye(A.dim, dtype=np.int64)
+    one_sp = FpSubspace(p, A.dim, [A.one])
+    full_module_B = FpSubspace(p, R.db, np.eye(R.db, dtype=np.int64))
+    full_module_C = FpSubspace(p, R.dc, np.eye(R.dc, dtype=np.int64))
     if cls_kind == "order2":
         rep.update(decomposable_condition_report(L, dec))
         if not dec.decomposable:
             return rep
-        trn2 = trace_nabla_squared(R, dec.nabla)
-        one_sp = FpSubspace(A.p, A.dim, [A.one])
-        I1sq = a_subspace_product(A, dec.I1, dec.I1)
-        span = f_span(A, one_sp.sum(dec.I1).sum(I1sq).sum(trn2))
-        rep["span_1_I1_I1sq_trn2_is_A"] = span.dim == A.dim
-        rep["A_B1_is_B"] = _a_module_span(R, dec.B1, "b") == full_module_B
-        rep["A_C1_is_C"] = _a_module_span(R, dec.C1, "c") == full_module_C
+        I1sq = span_products(dec.I1.basis, dec.I1.basis, mt, p)
+        span = one_sp.sum(dec.I1).sum(I1sq).sum(trace_square(R, dec.nabla))
+        rep["span_1_I1_I1sq_trn2_is_A"] = span_products(consts, span.basis, mt, p).dim == A.dim
+        rep["A_B1_is_B"] = span_products(E, dec.B1.basis, R.act_b, p) == full_module_B
+        rep["A_C1_is_C"] = span_products(E, dec.C1.basis, R.act_c, p) == full_module_C
         return rep
     if cls_kind in ("cyclic", "dihedral", "large"):
         d = subfield_degree or A.fq.f
-        consts = subfield_constants(A, d)
-        LQ = LieSubspace(R, [R.ring_scale(lam, v[None, :])[0]
-                             for lam in consts for v in L.basis], check=False)
+        scaled = pair_products(_scal(R, subfield_constants(A, d)), L.basis, R.mul_tensor, p)
+        LQ = LieSubspace(R, scaled, check=False)
         decq = decompose(LQ)
         rep["WFq_L_strongly_decomposable"] = bool(decq.decomposable and decq.strongly)
         if not rep["WFq_L_strongly_decomposable"]:
             return rep
         I1t, B1t, C1t = decq.I1, decq.B1, decq.C1
         rep.update({f"strong_{k}": v for k, v in strong_condition_report(LQ, decq).items()})
-        one_sp = FpSubspace(A.p, A.dim, [A.one])
-        I1bar = f_span(A, I1t)
-        I1sq = a_subspace_product(A, I1t, I1t)
+        I1sq = span_products(I1t.basis, I1t.basis, mt, p)
         if cls_kind == "cyclic":
-            rep["span_1_I1_I1sq_is_A"] = f_span(A, one_sp.sum(I1t).sum(I1sq)).dim == A.dim
-            rep["F_B1_is_B"] = fq_module_span(R, B1t, "b", A.constants()) == full_module_B
-            rep["F_C1_is_C"] = fq_module_span(R, C1t, "c", A.constants()) == full_module_C
+            span = one_sp.sum(I1t).sum(I1sq)
+            rep["span_1_I1_I1sq_is_A"] = span_products(consts, span.basis, mt, p).dim == A.dim
+            rep["F_B1_is_B"] = span_products(consts, B1t.basis, R.act_b, p) == full_module_B
+            rep["F_C1_is_C"] = span_products(consts, C1t.basis, R.act_c, p) == full_module_C
         elif cls_kind == "dihedral":
             rep["B1_equals_C1"] = B1t == C1t
             span = one_sp.sum(I1t).sum(I1sq)
-            bspan = FpSubspace(A.p, A.dim, B1t.basis) if R.db == A.dim else None
-            if bspan is not None:
-                span = span.sum(bspan)
-            rep["span_1_I1_I1sq_B1_is_A"] = f_span(A, span).dim == A.dim
+            if R.db == A.dim:
+                span = span.sum(FpSubspace(p, A.dim, B1t.basis))
+            rep["span_1_I1_I1sq_B1_is_A"] = span_products(consts, span.basis, mt, p).dim == A.dim
         else:  # large
             rep["B1_equals_I1"] = (R.db == A.dim and B1t == I1t)
             rep["C1_equals_I1"] = (R.dc == A.dim and C1t == I1t)
-            I1sq2 = a_subspace_product(A, I1t, I1t)
-            rep["I1_squared_in_I1"] = all(I1t.contains(v) for v in I1sq2.basis)
-            rep["F_I1_is_m"] = f_span(A, I1t) == FpSubspace(A.p, A.dim, A.maxideal.basis)
+            rep["I1_squared_in_I1"] = bool(I1t.contains(I1sq.basis).all())
+            rep["F_I1_is_m"] = span_products(consts, I1t.basis, mt, p) == A.maxideal
         return rep
     if cls_kind == "klein":
         rep.update(decomposable_condition_report(L, dec))
@@ -558,22 +509,13 @@ def check_structure_theorem(cls_kind, G, L=None, subfield_degree=None):
                 break
         rep["nabla_swap_invariant"] = lam_ok is not None
         rep["swap_lambda"] = lam_ok
-        trn2 = trace_nabla_squared(R, dec.nabla)
-        one_sp = FpSubspace(A.p, A.dim, [A.one])
-        I1sq = a_subspace_product(A, dec.I1, dec.I1)
-        span = one_sp.sum(dec.I1).sum(I1sq).sum(trn2)
+        I1sq = span_products(dec.I1.basis, dec.I1.basis, mt, p)
+        span = one_sp.sum(dec.I1).sum(I1sq).sum(trace_square(R, dec.nabla))
         if R.db == A.dim:
-            span = span.sum(FpSubspace(A.p, A.dim, dec.B1.basis))
-        rep["span_with_B1_is_A"] = f_span(A, span).dim == A.dim
+            span = span.sum(FpSubspace(p, A.dim, dec.B1.basis))
+        rep["span_with_B1_is_A"] = span_products(consts, span.basis, mt, p).dim == A.dim
         return rep
     raise ValueError(f"unknown structure class {cls_kind}")
-
-
-def _a_module_span(R, sub, which):
-    n = R.db if which == "b" else R.dc
-    rows = [R.module_act(e, v[None, :], which)[0]
-            for e in np.eye(R.A.dim, dtype=np.int64) for v in sub.basis]
-    return FpSubspace(R.p, n, rows) if rows else FpSubspace(R.p, n)
 
 
 def _nabla_swap_invariant(R, nabla, lam):
@@ -639,8 +581,7 @@ def structure_round_trip(cls_kind, R, lie_vectors, gbar_constants, cap=10 ** 6):
 # -- congruence subgroups ----------------------------------------------------
 
 def principal_ideal(A, x):
-    rows = [A.mul_vec(x, e) for e in np.eye(A.dim, dtype=np.int64)]
-    return FpSubspace(A.p, A.dim, rows)
+    return span_products(x[None, :], np.eye(A.dim, dtype=np.int64), A.mul_tensor, A.p)
 
 
 def candidate_ideals(A, cap=64):
@@ -673,31 +614,15 @@ def candidate_ideals(A, cap=64):
     return out, False
 
 
-def congruence_lie_block(R, I):
-    """theta of the principal congruence subgroup of I: traceless matrices
-    with diagonal in I, b in I·B, c in I·C."""
-    rows = []
-    zb = np.zeros(R.db, dtype=np.int64)
-    zc = np.zeros(R.dc, dtype=np.int64)
-    for a in I.basis:
-        rows.append(R.assemble(a, zb, zc, (-a) % R.p))
-    za = np.zeros(R.A.dim, dtype=np.int64)
-    for a in I.basis:
-        for e in np.eye(R.db, dtype=np.int64):
-            rows.append(R.assemble(za, R.module_act(a, e[None, :], "b")[0], zc, za))
-        for e in np.eye(R.dc, dtype=np.int64):
-            rows.append(R.assemble(za, zb, R.module_act(a, e[None, :], "c")[0], za))
-    return FpSubspace(R.p, R.dim, rows)
-
-
 def is_congruence_subgroup(L, R=None, ideal_cap=64):
     """(flag, witness): L contains the congruence block of some nonzero
     ideal.  Exhaustive over (X^j) for truncated bases."""
     R = R or L.R
     cands, exhaustive = candidate_ideals(R.A, cap=ideal_cap)
     for name, I in cands:
-        block = congruence_lie_block(R, I)
-        if all(L.contains(v) for v in block.basis):
+        # theta of the principal congruence subgroup of I: [[I, I·B],[I·C, I]]^0
+        block = FpSubspace(R.p, R.dim, ideal_block_rows(R, I.basis))
+        if L.contains(block.basis).all():
             return True, name
     return False, None if exhaustive else "search capped"
 
@@ -710,9 +635,8 @@ def compute_A0(L):
     if not dec.decomposable:
         raise ValueError("A_0 needs a decomposable L")
     one_sp = FpSubspace(A.p, A.dim, [A.one])
-    I1sq = a_subspace_product(A, dec.I1, dec.I1)
-    A0 = one_sp.sum(dec.I1).sum(I1sq)
-    closed = all(A0.contains(A.mul_vec(u, v)) for u in A0.basis for v in A0.basis)
+    A0 = one_sp.sum(dec.I1).sum(span_products(dec.I1.basis, dec.I1.basis, A.mul_tensor, A.p))
+    closed = bool(A0.contains(pair_products(A0.basis, A0.basis, A.mul_tensor, A.p)).all())
     return A0, closed
 
 
@@ -753,10 +677,8 @@ def essential_data(G, L2=None, squares=None):
     minus_det = row_key((-DET) % p, p).tolist()
     mask = ~TR.any(axis=1) & np.array([k in squares for k in minus_det], dtype=bool)
     S = np.nonzero(mask)[0].tolist()
-    g_rows, v_rows = all_pairs(G.elements[S], L2.basis)
-    traces = R.batch_trace(R.batch_mul(g_rows, v_rows))
-    rows = [A.batch_mul_elem(traces, lam) for lam in A.constants()]
-    A_ess = FpSubspace(p, A.dim, np.concatenate(rows))
+    traces = FpSubspace(p, A.dim, trace_products(R, G.elements[S], L2.basis))
+    A_ess = span_products(A.constants(), traces.basis, A.mul_tensor, p)
     dec = decompose(L2) if L2.dim else None
     I2 = dec.I1 if dec and dec.decomposable else None
     return EssentialData(S_indices=S, A_ess=A_ess, weakly_odd=bool(S), I2=I2)
@@ -946,8 +868,8 @@ def example8(p, k, cap=2 * 10 ** 6, with_essential=True, with_congruence=True):
     h = R.elem(s2, X, (-X) % p, s2)
     J = R.j_elem()
     rel_ok = (J * g * J == g) and (J * h * J == h.inverse())
-    Gamma = generate_group(R, [g, h], cap=cap)
-    G = generate_group(R, [g, h, J], cap=cap)
+    Gamma = FiniteMatrixGroup.generate(R, [g, h], cap=cap)
+    G = FiniteMatrixGroup.generate(R, [g, h, J], cap=cap)
     L = lie_of_subgroup(Gamma)
     L_exp = expected_example_lie(R, A)
     ex = TwoGeneratorExample(
@@ -963,21 +885,15 @@ def example8(p, k, cap=2 * 10 ** 6, with_essential=True, with_congruence=True):
 
 
 def essential_not_ideal_witness(A, A_ess):
-    """(x, a) with x in A_ess, a in A, a·x outside A_ess, or None."""
-    for x in A_ess.basis:
-        for i in range(A.dim):
-            a = np.eye(A.dim, dtype=np.int64)[i]
-            prod = A.mul_vec(a, x)
-            if not A_ess.contains(prod):
-                return x, a
-    # basis elements may not witness; sweep products of all members
-    for x in A_ess.enumerate(cap=10 ** 5):
-        if not x.any():
-            continue
-        for a in A.elements(cap=10 ** 5):
-            if not A_ess.contains(A.mul_vec(a, x)):
-                return x, a
-    return None
+    """(x, a) with x in A_ess, a in A, a·x outside A_ess, or None: the first
+    such pair of basis vectors, x-major.  By bilinearity, A_ess is an ideal
+    when no pair of basis vectors is a witness."""
+    E = np.eye(A.dim, dtype=np.int64)
+    outside = np.flatnonzero(~A_ess.contains(pair_products(A_ess.basis, E, A.mul_tensor, A.p)))
+    if not outside.size:
+        return None
+    i, j = divmod(int(outside[0]), A.dim)
+    return A_ess.basis[i], E[j]
 
 
 # -- identity battery ---------------------------------------------------------

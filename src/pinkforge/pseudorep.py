@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TooLarge
-from .fp import FpSubspace, nullspace, row_key
-from .gma import GmaElem, GmaStructure, NotAdapted, batch_in_SR1
+from .fp import FpSubspace, nullspace, row_key, saturate, span_products
+from .gma import GmaElem, GmaStructure, NotAdapted, batch_in_SR1, m2_structure
 from .localring import LocalRing, RingElem, SemiLocalRing
 
 
@@ -73,7 +73,7 @@ class FiniteMatrixGroup:
                 new.append(prods[fresh])
                 if len(seen) > cap:
                     raise TooLarge(f"group exceeds cap {cap}")
-            frontier = np.concatenate(new)
+            frontier = np.concatenate([frontier[:0]] + new)   # no generators: empty
             levels.append(frontier)
         return cls(R, np.concatenate(levels), generators=gvecs)
 
@@ -162,15 +162,13 @@ class GroupTable:
     def from_matrix_group(cls, G):
         return cls(table=np.asarray(G.mul_table(), dtype=np.int64), identity=G.id_index)
 
+    def commutators(self):
+        """Indices of the commutators x y x^-1 y^-1 over all pairs x, y."""
+        T = self.table
+        return np.unique(T[T, self.inv[T.T]])
+
     def commutator_subgroup(self):
-        T, inv = self.table, self.inv
-        comms = set()
-        for x in range(self.n):
-            xy = T[x]
-            yx = T[:, x]
-            c = T[xy, inv[yx]]
-            comms.update(int(v) for v in c)
-        return _closure_indices(self, comms)
+        return _index_closure(self.table, self.identity, self.commutators())
 
     def abelianization(self):
         """(class map, class count) for G / [G, G]."""
@@ -178,19 +176,19 @@ class GroupTable:
         return _coset_classes(self, H)
 
 
-def _closure_indices(gt, seed):
-    seed = set(seed) | {gt.identity}
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(seed):
-                for z in (int(gt.table[x, y]), int(gt.table[y, x])):
-                    if z not in seed:
-                        seed.add(z)
-                        nxt.append(z)
-        frontier = nxt
-    return sorted(seed)
+def _index_closure(T, identity, gens):
+    """Sorted indices of the subgroup generated by `gens` in the finite group
+    with table T: a BFS that multiplies each new level by every generator."""
+    gens = np.unique(np.asarray(list(gens), dtype=np.int64))
+    seen = np.zeros(len(T), dtype=bool)
+    seen[identity] = True
+    seen[gens] = True
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        prods = np.unique(T[np.ix_(frontier, gens)])
+        frontier = prods[~seen[prods]]
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
 def _coset_classes(gt, subgroup_indices):
@@ -762,11 +760,8 @@ def is_admissible(tr):
         raise ValueError("admissibility criterion needs p odd")
     if not tr.has_constant_det():
         return False
-    _, first = np.unique(row_key(tr.t, A.p), return_index=True)
-    traces = tr.t[first]
-    rows = [A.batch_mul_elem(traces, lam) for lam in A.constants()]
-    sp = FpSubspace(A.p, A.dim, np.concatenate(rows))
-    return sp.dim == A.dim
+    traces = FpSubspace(A.p, A.dim, tr.t)
+    return span_products(A.constants(), traces.basis, A.mul_tensor, A.p).dim == A.dim
 
 
 def gbar_of(G):
@@ -851,8 +846,7 @@ def is_well_adapted(G, g0_index, cls):
     # projective/residual table
     tab = np.array([[class_of[gt.table[reps[a], reps[b]]] for b in range(nbar)]
                     for a in range(nbar)], dtype=np.int64)
-    bar_gt = GroupTable(table=tab, identity=int(class_of[gt.identity]))
-    gen = _closure_indices(bar_gt, scal_classes | {int(class_of[g0_index])})
+    gen = _index_closure(tab, class_of[gt.identity], scal_classes | {int(class_of[g0_index])})
     idx = len(gen)
     if cls.kind == "cyclic":
         if idx != nbar:
@@ -923,76 +917,41 @@ def commutator_trace_ideal(tr):
     """Smallest ideal I with t mod I invariant under commutator twists:
     generated by t(x y x^{-1} y^{-1} s) - t(s) over all x, y, s."""
     A, gt = tr.A, tr.gt
-    p = A.p
-    T, inv = gt.table, gt.inv
-    rows = []
-    for x in range(gt.n):
-        for y in range(gt.n):
-            c = int(T[T[x, y], inv[T[y, x]]])
-            if c == gt.identity:
-                continue
-            # t(c s) - t(s) for all s at once
-            diff = (tr.t[T[c]] - tr.t) % p
-            rows.extend(diff)
-    if not rows:
-        return FpSubspace(p, A.dim)
-    sp = FpSubspace(p, A.dim, rows)
-    # saturate to an ideal
-    while True:
-        ext = [A.mul_vec(e, v) for v in sp.basis for e in np.eye(A.dim, dtype=np.int64)]
-        sp2 = FpSubspace(p, A.dim, list(sp.basis) + ext)
-        if sp2.dim == sp.dim:
-            return sp2
-        sp = sp2
+    comms = gt.commutators()
+    rows = (tr.t[gt.table[comms[comms != gt.identity]]] - tr.t) % A.p
+    return saturate(FpSubspace(A.p, A.dim, rows.reshape(-1, A.dim)), A.mul_tensor,
+                    by=np.eye(A.dim, dtype=np.int64))
+
+
+def kernel_ideal(tr):
+    """The two-sided ideal of A[G] generated by {g - 1 : g in ker(t, d)}, in
+    flat (|G|·dim A)-coordinates: the left ideal they generate, saturated
+    on the right (a right-saturated left ideal is two-sided)."""
+    A, gt = tr.A, tr.gt
+    p, n, da = A.p, gt.n, A.dim
+    N = n * da
+    if N ** 3 > 1 << 24:
+        raise TooLarge(f"the structure tensor of A[G] has {N}^3 entries, above 2^24")
+    # A[G]'s structure tensor: e_i g · e_j h = (e_i e_j) gh
+    TG = np.zeros((n, da, n, da, n, da), dtype=np.int64)
+    G1, H1 = np.indices((n, n))
+    TG[G1, :, H1, :, gt.table] = A.mul_tensor
+    TG = TG.reshape(N, N, N)
+    ker_grp = kernel(tr)
+    rows = np.zeros((len(ker_grp), n, da), dtype=np.int64)
+    rows[np.arange(len(ker_grp)), ker_grp] = A.one
+    rows[:, gt.identity] = (rows[:, gt.identity] - A.one) % p
+    E = np.eye(N, dtype=np.int64)
+    left = saturate(FpSubspace(p, N, rows.reshape(-1, N)), TG, by=E)
+    return saturate(left, TG.transpose(1, 0, 2), by=E)
 
 
 def kernel_ideal_gap(tr):
-    """Dimensions of Ker(T, D) versus the two-sided ideal generated by
-    {g - 1 : g in ker(t, d)}.  The kernel can in principle be strictly
-    larger; small instances are scanned for a witness rather than asserting
-    either way."""
-    A, gt = tr.A, tr.gt
-    p = A.p
-    ker_big = linear_kernel(tr)
-    ker_grp = kernel(tr)
-    N = gt.n * A.dim
-    da = A.dim
-    rows = []
-    for y in ker_grp:
-        base = np.zeros(N, dtype=np.int64)
-        base[y * da:(y + 1) * da] = A.one
-        base[gt.identity * da:(gt.identity + 1) * da] = (
-            base[gt.identity * da:(gt.identity + 1) * da] - A.one) % p
-        rows.append(base)
-    if not rows:
-        return ker_big.dim, 0
-    # saturate to a two-sided ideal of A[G]: multiply by A-scaled group
-    # elements on both sides
-    span = FpSubspace(p, N, rows)
-    while True:
-        ext = list(span.basis)
-        for v in span.basis:
-            tab = v.reshape(gt.n, da)
-            for g in range(gt.n):
-                for side in ("l", "r"):
-                    out = np.zeros((gt.n, da), dtype=np.int64)
-                    for h in range(gt.n):
-                        if not tab[h].any():
-                            continue
-                        k = int(gt.table[g, h]) if side == "l" else int(gt.table[h, g])
-                        out[k] = (out[k] + tab[h]) % p
-                    ext.append(out.reshape(N))
-        for v in span.basis:
-            tab = v.reshape(gt.n, da)
-            for i in range(da):
-                e = np.eye(da, dtype=np.int64)[i]
-                out = np.array([A.mul_vec(e, tab[h]) for h in range(gt.n)])
-                ext.append(out.reshape(N))
-        span2 = FpSubspace(p, N, ext)
-        if span2.dim == span.dim:
-            break
-        span = span2
-    return ker_big.dim, span.dim
+    """Dimensions of Ker(T, D) versus `kernel_ideal`.  The kernel can in
+    principle be strictly larger; small instances are scanned for a witness
+    rather than asserting either way."""
+    ideal = kernel_ideal(tr)            # raises TooLarge before any large allocation
+    return linear_kernel(tr).dim, ideal.dim
 
 
 def residual_image_group(G):
@@ -1004,7 +963,7 @@ def residual_image_group(G):
     if not isinstance(A, LocalRing) or R.db != A.dim or R.dc != A.dim:
         raise ValueError("residual image needs the matrix presentation over a local base")
     Fq = make_truncated_poly_ring(A.fq.q, 1)
-    Rq = _m2_over(Fq)
+    Rq = m2_structure(Fq)
     rows = []
     for v in G.elements:
         digits = []
@@ -1015,7 +974,3 @@ def residual_image_group(G):
     _, first = np.unique(row_key(rows, Rq.p), return_index=True)
     return FiniteMatrixGroup(Rq, rows[np.sort(first)])
 
-
-def _m2_over(A):
-    from .gma import m2_structure
-    return m2_structure(A)

@@ -29,7 +29,6 @@ from pinkforge.pinklie import (
     batch_theta_inv,
     descending_series,
     essential_not_ideal_witness,
-    generate_group,
     group_series,
     is_congruence_subgroup,
     key_measure_check,
@@ -39,6 +38,7 @@ from pinkforge.pinklie import (
     random_rad0,
     structure_round_trip,
 )
+from pinkforge.pseudorep import FiniteMatrixGroup
 
 
 def report(name, passed, detail):
@@ -113,7 +113,7 @@ def test_criterion_4_central_series_agreement():
         R = m2_structure(A)
         seed_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31)))
         gens = batch_theta_inv(R, random_rad0(R, seed_rng, ngens))
-        G = generate_group(R, [R.elem(v) for v in gens], cap=30000)
+        G = FiniteMatrixGroup.generate(R, [R.elem(v) for v in gens], cap=30000)
         if G.n > 4000:
             continue
         checked += 1

@@ -1,7 +1,9 @@
+import io
 import json
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -39,6 +41,16 @@ def test_usage_error_exit_2():
     ["density", "--p", "3", "--form", "delta", "--X", "100", "--out", "{tmp}/no/d.json"],
     ["example8", "--p", "3", "--k", "3", "--out", "{tmp}/no/e.json"],
     ["delta-power", "--p", "3", "--n", "1", "--deg", "10", "--out", "{tmp}/no/d.bin"],
+    ["delta-power", "--p", "3", "--n", "-1", "--deg", "10", "--out", "{tmp}/d.bin"],
+    ["analyze", "--q", "4", "--k", "2", "--gens", "[]"],
+    ["analyze", "--q", "3", "--k", "0", "--gens", "[]"],
+    ["analyze", "--q", "3", "--k", "1", "--gens", "[[1, 0]]"],
+    ["analyze", "--q", "3", "--k", "1", "--gens", "{{}}"],
+    ["analyze", "--q", "3", "--k", "1", "--gens", "[[0, 0, 0, 0]]"],
+    ["span", "--p", "2", "--form", "delta", "--primes", "3,x", "--deg", "100"],
+    ["span", "--p", "2", "--form", "delta", "--primes", "4", "--deg", "100"],
+    ["verify", "--seed", "-1"],
+    ["verify", "--tuples", "0"],
 ])
 def test_bad_input_is_a_usage_error(args, tmp_path):
     r = run_cli([a.format(tmp=tmp_path) for a in args])
@@ -61,6 +73,22 @@ def test_field_table_cap_exit_3():
     assert r.returncode == 3
     assert r.stdout == "" and "Traceback" not in r.stderr
     assert r.stderr.startswith("error: a 65521 x 65521 multiplication table exceeds")
+
+
+def test_span_out_of_degree_is_undecided():
+    # ran out of usable degree: exit 1 with no report before
+    r = run_cli(["span", "--p", "2", "--form", "delta", "--primes", "3", "--deg", "1"])
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+def test_analyze_over_a_field_with_no_generators():
+    # generate() concatenated an empty list, and rad0() failed on a zero radical
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["analyze", "--q", "3", "--k", "1", "--gens", "[]"]) == 0
+    d = json.loads(out.getvalue())
+    assert d["group_order"] == 1 and d["dim_L"] == [0, 0, 0, 0]
 
 
 def test_example8_report(tmp_path):
@@ -156,20 +184,6 @@ def test_verify_fault_injection(tmp_path):
     assert not d["checks"]["theta_identities"]["passed"]
     some = next(iter(d["checks"]["theta_identities"]["details"].values()))
     assert some["theta_bracket"] > 0
-
-
-def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
-    # PINKFORGE_THREADS bounds parallelism; aggregation is order-independent
-    # so the report bytes cannot change
-    a = tmp_path / "seq.json"
-    b = tmp_path / "par.json"
-    monkeypatch.setenv("PINKFORGE_THREADS", "1")
-    rc = main(["verify", "--seed", "3", "--tuples", "60", "--out", str(a)])
-    assert rc == 0
-    monkeypatch.setenv("PINKFORGE_THREADS", "3")
-    rc2 = main(["verify", "--seed", "3", "--tuples", "60", "--out", str(b)])
-    assert rc2 == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_verify_times_each_check_on_stderr_only(tmp_path):

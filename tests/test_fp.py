@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinkforge.fp import FpSubspace, bilinear, matmul_mod, nullspace, row_key, rref, solve
+from pinkforge.fp import (
+    FpSubspace,
+    bilinear,
+    matmul_mod,
+    nullspace,
+    pair_products,
+    row_key,
+    rref,
+    saturate,
+    solve,
+    span_products,
+)
 from pinkforge.gma import m2_structure
 from pinkforge.localring import make_truncated_poly_ring
 from pinkforge.pseudorep import FiniteMatrixGroup
@@ -184,3 +195,97 @@ def test_matmul_mod_and_bilinear_are_exact(p):
     assert np.array_equal(matmul_mod(X, M, p), ref_mm.astype(np.int64))
     ref = np.einsum("ni,nj,ijk->nk", X.astype(object), Y.astype(object), T.astype(object)) % p
     assert np.array_equal(bilinear(X, Y, T, p), ref.astype(np.int64))
+
+
+def _products_by_loop(U, V, T, p):
+    """T(u, v) for each pair of rows, u-major, summed in Python integers."""
+    I, J, K = T.shape
+    return np.array([[sum(int(u[i]) * int(v[j]) * int(T[i, j, k])
+                          for i in range(I) for j in range(J)) % p for k in range(K)]
+                     for u in U for v in V], dtype=np.int64).reshape(-1, K)
+
+
+def _saturate_by_loop(S, T, by):
+    """Add T(w, s) one vector at a time until no product leaves the span;
+    w runs over `by`, or over the growing span itself when by is None."""
+    p, n = S.p, S.n
+    basis = [np.array(b) for b in S.basis]
+    grew = True
+    while grew:
+        grew = False
+        for w in list(basis) if by is None else by:
+            for s in list(basis):
+                v = _products_by_loop([w], [s], T, p)[0]
+                if not FpSubspace(p, n, basis).contains(v):
+                    basis.append(v)
+                    grew = True
+    return FpSubspace(p, n, basis)
+
+
+def _truncated_poly_tensor(k):
+    """F_p[X]/(X^k) on the basis 1, X, ..., X^(k-1), for any p."""
+    T = np.zeros((k, k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k - i):
+            T[i, j, i + j] = 1
+    return T
+
+
+def _nilpotent_tensor(rng, p, n):
+    """A random bilinear map with T(e_i, e_j) in the span of e_k, k > max(i, j)."""
+    T = rng.integers(0, p, size=(n, n, n))
+    i, j, k = np.indices((n, n, n))
+    T[k <= np.maximum(i, j)] = 0
+    return T
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
+def test_pair_products_equal_the_loop(p):
+    rng = np.random.default_rng(p % 997)
+    T = rng.integers(0, p, size=(4, 3, 5))
+    U = rng.integers(0, p, size=(3, 4))
+    V = rng.integers(0, p, size=(6, 3))
+    U[0], V[0] = p - 1, p - 1
+    got = pair_products(U, V, T, p)
+    assert np.array_equal(got, _products_by_loop(U, V, T, p))
+    assert np.array_equal(pair_products(U[1], V, T, p), got[6:12])     # one row: a vector
+    assert pair_products(U[:0], V, T, p).shape == (0, 5)
+    assert pair_products(U, V[:0], T, p).shape == (0, 5)
+    assert not pair_products(U, V, np.zeros_like(T), p).any()
+    # zero-width factors, as for the modules of a diagonal GMA
+    assert pair_products(U, np.zeros((6, 0), dtype=np.int64), np.zeros((4, 0, 0), dtype=np.int64),
+                         p).shape == (18, 0)
+    assert not pair_products(np.zeros((2, 0), dtype=np.int64), V, np.zeros((0, 3, 5), dtype=np.int64),
+                             p).any()
+    assert span_products(U, V, T, p) == FpSubspace(p, 5, got)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
+def test_saturate_equals_the_loop(p):
+    rng = np.random.default_rng(p % 991)
+    k = 6
+    ring = _truncated_poly_tensor(k)
+    E = np.eye(k, dtype=np.int64)
+    cases = []
+    for _ in range(3):
+        gens = rng.integers(0, p, size=(2, k))
+        gens[:, :2] = 0                                 # inside (X^2)
+        S = FpSubspace(p, k, gens)
+        cases += [(S, ring, E), (S, ring, None)]
+    S1 = FpSubspace(p, k, [E[1]])                       # X: the ideal (X), the pseudo-ring m
+    cases += [(S1, ring, E), (S1, ring, None)]
+    nil = _nilpotent_tensor(rng, p, 7)
+    S2 = FpSubspace(p, 7, rng.integers(0, p, size=(1, 7)))
+    cases += [(S2, nil, None), (S2, nil, np.eye(7, dtype=np.int64)[:3])]
+    for S, T, by in cases:
+        got = saturate(S, T, by=by)
+        assert got == _saturate_by_loop(S, T, by)
+        W = got.basis if by is None else by
+        assert got.contains(S.basis).all() and got.contains(pair_products(W, got.basis, T, p)).all()
+    assert saturate(S1, ring, by=E) == FpSubspace(p, k, E[1:])
+    assert saturate(S1, ring) == FpSubspace(p, k, E[1:])
+    # an empty S stays empty; a zero tensor adds nothing
+    assert saturate(FpSubspace(p, k), ring, by=E).dim == 0
+    assert saturate(FpSubspace(p, k), ring).dim == 0
+    assert saturate(S2, np.zeros_like(nil)) == S2
+    assert saturate(S2, np.zeros_like(nil), by=np.eye(7, dtype=np.int64)) == S2

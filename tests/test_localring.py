@@ -7,9 +7,11 @@ from pinkforge.errors import TooLarge
 from pinkforge.localring import (
     CharacteristicTwo,
     FqData,
+    LocalRing,
     NotAUnit,
     OutOfDomain,
     SemiLocalRing,
+    _poly_mul_mod,
     batch_invert,
     batch_sqrt_one_plus_m,
     factor_prime_power,
@@ -18,8 +20,8 @@ from pinkforge.localring import (
     is_prime,
     make_truncated_poly_ring,
     quotient_ring,
-    teichmuller,
 )
+from pinkforge.fp import FpSubspace
 
 
 def poly_mul_trunc(a, b, p, k):
@@ -120,6 +122,55 @@ def test_prime_field_table_is_the_product_mod_p(p):
     assert np.array_equal(fq.mul_table[a, b], a * b % p)
 
 
+def _poly_table(fq):
+    """The q x q table by `_poly_mul_mod` on digit tuples, pair by pair."""
+    q = fq.q
+    return np.array([[fq.encode(_poly_mul_mod(fq.digits(a), fq.digits(b), fq.poly, fq.p))
+                      for b in range(q)] for a in range(q)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, f", [(2, 3), (3, 2), (5, 2)])
+def test_field_table_equals_polynomial_products(p, f):
+    fq = FqData(p, f)
+    assert np.array_equal(fq.mul_table, _poly_table(fq))
+
+
+@pytest.mark.parametrize("p, f", [(3, 6), (2, 12)])
+def test_large_field_table_on_sampled_pairs(p, f):
+    fq = FqData(p, f)
+    a, b = np.random.default_rng(p * f).integers(0, fq.q, (2, 10 ** 4))
+    want = [fq.encode(_poly_mul_mod(fq.digits(x), fq.digits(y), fq.poly, p))
+            for x, y in zip(a.tolist(), b.tolist())]
+    assert fq.mul_table[a, b].tolist() == want
+
+
+def test_field_table_is_fast():
+    # filled pair by pair in a Python double loop, FqData(3, 6) took 3.7 s
+    start = time.perf_counter()
+    FqData(3, 6)
+    assert time.perf_counter() - start < 1.0
+
+
+def _truncated_tensor_by_loop(A):
+    """F_q[X]/(X^k) structure constants from `_poly_mul_mod` on unit digits."""
+    (f, k), p, poly = A.fq_block, A.p, A.fq.poly
+    E = np.eye(f, dtype=np.int64).tolist()
+    S = np.zeros((A.dim,) * 3, dtype=np.int64)
+    for j1 in range(k):
+        for j2 in range(k - j1):
+            for i1 in range(f):
+                for i2 in range(f):
+                    prod = _poly_mul_mod(E[i1], E[i2], poly, p)
+                    S[j1 * f + i1, j2 * f + i2, (j1 + j2) * f:(j1 + j2 + 1) * f] = prod
+    return S
+
+
+@pytest.mark.parametrize("q, k", [(9, 3), (8, 2), (3, 4), (27, 2), (25, 1)])
+def test_truncated_ring_tensor_equals_the_loop(q, k):
+    A = make_truncated_poly_ring(q, k)
+    assert np.array_equal(A.mul_tensor, _truncated_tensor_by_loop(A))
+
+
 def test_invert_examples():
     A = make_truncated_poly_ring(3, 3)
     one = A.one_elem()
@@ -183,13 +234,13 @@ def test_batch_invert():
 
 def test_teichmuller_constants():
     A = make_truncated_poly_ring(9, 2)
-    assert teichmuller(A, 0).is_zero()
-    assert teichmuller(A, 1) == A.one_elem()
+    assert A.constant(0).is_zero()
+    assert A.constant(1) == A.one_elem()
     for lam in range(9):
         for mu in range(9):
-            assert teichmuller(A, A.fq.mul(lam, mu)) == teichmuller(A, lam) * teichmuller(A, mu)
+            assert A.constant(A.fq.mul(lam, mu)) == A.constant(lam) * A.constant(mu)
         # the section reduces back to lambda
-        assert A.residue_int(teichmuller(A, lam).v) == lam
+        assert A.residue_int(A.constant(lam).v) == lam
 
 
 def test_nilpotency_index():
@@ -244,6 +295,46 @@ def test_quotient_ring_truncation():
         assert np.array_equal(P @ A.mul_vec(a, b) % 3,
                               Aq.mul_vec(P @ a % 3, P @ b % 3))
     assert Aq.nilpotency == 2
+
+
+def _quotient_ring_by_loop(A, ideal_vectors):
+    """The ideal, projection and structure constants of A/I as
+    `quotient_ring` computed them before `fp.saturate`: a saturation loop of
+    per-vector products, then the constants entry by entry."""
+    p, E = A.p, np.eye(A.dim, dtype=np.int64)
+    I = FpSubspace(p, A.dim, ideal_vectors)
+    while True:
+        ext = [A.mul_vec(b, v) for v in I.basis for b in E]
+        I2 = FpSubspace(p, A.dim, list(I.basis) + ext)
+        if I2.dim == I.dim:
+            break
+        I = I2
+    comp = [i for i in range(A.dim) if i not in set(I.pivots)]
+    P = np.zeros((len(comp), A.dim), dtype=np.int64)
+    for i in range(A.dim):
+        P[:, i] = I.reduce(E[i])[comp]
+    S = np.zeros((len(comp),) * 3, dtype=np.int64)
+    for a in range(len(comp)):
+        for b in range(len(comp)):
+            S[a, b] = P @ A.mul_vec(E[comp[a]], E[comp[b]]) % p
+    return I, P, S
+
+
+@pytest.mark.parametrize("q, k, gens", [
+    (3, 4, [[0, 0, 1, 0]]),
+    (9, 3, [[0, 0, 0, 1, 0, 0]]),                  # alpha·X: the F_9-ideal (X)
+    (5, 4, [[0, 0, 2, 1]]),
+    (3, 5, [[0, 0, 0, 1, 0], [0, 0, 1, 0, 1]]),
+    (7, 3, []),
+])
+def test_quotient_ring_equals_the_loop(q, k, gens):
+    A = make_truncated_poly_ring(q, k)
+    I, P_ref, S_ref = _quotient_ring_by_loop(A, gens)
+    Aq, P = quotient_ring(A, gens)
+    assert isinstance(Aq, LocalRing)
+    assert Aq.meta["ideal_dim"] == I.dim and Aq.dim == A.dim - I.dim
+    assert np.array_equal(P, P_ref) and np.array_equal(Aq.mul_tensor, S_ref)
+    assert not (P @ I.basis.T % A.p).any()         # I is the kernel of the projection
 
 
 def test_ring_descriptor_serializable():

@@ -30,7 +30,6 @@ from pinkforge.pinklie import (
     essential_data,
     essential_not_ideal_witness,
     example8,
-    generate_group,
     group_series,
     is_congruence_subgroup,
     is_strongly_decomposable,
@@ -48,7 +47,7 @@ from pinkforge.pinklie import (
     theta_inv,
     theta_star_morphism_check,
 )
-from pinkforge.pseudorep import TooLarge
+from pinkforge.pseudorep import FiniteMatrixGroup, TooLarge
 
 
 @pytest.fixture(scope="module")
@@ -118,13 +117,13 @@ def test_formula_battery_across_structures(rng):
 def test_generate_group_examples():
     A = make_truncated_poly_ring(3, 2)
     R = m2_structure(A)
-    G1 = generate_group(R, [R.identity()])
+    G1 = FiniteMatrixGroup.generate(R, [R.identity()])
     assert G1.n == 1
     # theta^{-1}(X·J) has order 3: {Id, Id ± XJ}
     z = np.zeros(2, dtype=np.int64)
     m = R.elem(A.elem([0, 1]).v, z, z, A.elem([0, 2]).v)
     g = theta_inv(R, m)
-    G3 = generate_group(R, [g])
+    G3 = FiniteMatrixGroup.generate(R, [g])
     assert G3.n == 3
     keys = set(row_key(G3.elements, 3).tolist())
     expect = set(row_key(np.array([
@@ -133,7 +132,7 @@ def test_generate_group_examples():
         (R.one + np.concatenate([[0, 2], z, z, [0, 1]])) % 3]), 3).tolist())
     assert keys == expect
     with pytest.raises(TooLarge):
-        generate_group(R, [g], cap=2)
+        FiniteMatrixGroup.generate(R, [g], cap=2)
 
 
 def test_example_group_k2_abelian(example_family):
@@ -148,10 +147,10 @@ def test_lie_of_subgroup_examples(example_family):
     A = make_truncated_poly_ring(3, 2)
     R = m2_structure(A)
     z = np.zeros(2, dtype=np.int64)
-    G1 = generate_group(R, [R.identity()])
+    G1 = FiniteMatrixGroup.generate(R, [R.identity()])
     assert lie_of_subgroup(G1).dim == 0
     m = R.elem(A.elem([0, 1]).v, z, z, A.elem([0, 2]).v)
-    G3 = generate_group(R, [theta_inv(R, m)])
+    G3 = FiniteMatrixGroup.generate(R, [theta_inv(R, m)])
     L3 = lie_of_subgroup(G3)
     assert L3.dim == 1 and L3.contains(m.v)
     # the k = 2 example: span{XJ, X·antidiag(1, -1)}... b(X) = c(-X) pattern
@@ -208,7 +207,7 @@ def test_central_series_match_seeded():
         A = make_truncated_poly_ring(q, k)
         R = m2_structure(A)
         gens = batch_theta_inv(R, random_rad0(R, rng, 2))
-        G = generate_group(R, [R.elem(v) for v in gens], cap=30000)
+        G = FiniteMatrixGroup.generate(R, [R.elem(v) for v in gens], cap=30000)
         L = lie_of_subgroup(G)
         gs = group_series(G, 4)
         ls = descending_series(L, 4)
@@ -497,7 +496,7 @@ def test_functoriality_through_truncation(example_family):
     x2 = np.zeros(A.dim, dtype=np.int64)
     x2[2] = 1
     Rq, apply = m2_quotient_map(R, [x2])
-    Gq = generate_group(Rq, [Rq.elem(v) for v in apply(np.array([ex.g.v, ex.h.v]))])
+    Gq = FiniteMatrixGroup.generate(Rq, [Rq.elem(v) for v in apply(np.array([ex.g.v, ex.h.v]))])
     Lq = lie_of_subgroup(Gq)
     series_up = descending_series(ex.L, 4)
     series_dn = descending_series(Lq, 4)
@@ -596,7 +595,7 @@ def test_measure_check_matches_brute_force_fp(example_family):
 @pytest.mark.parametrize("which, order", [((0, 1, 2), 432), ((0, 2), 216)])
 def test_measure_check_matches_brute_force_f9(which, order):
     R = m2_structure(make_truncated_poly_ring(9, 3))
-    G = generate_group(R, [R.elem(np.array(F9_GENS[i])) for i in which])
+    G = FiniteMatrixGroup.generate(R, [R.elem(np.array(F9_GENS[i])) for i in which])
     ess = essential_data(G)
     got = key_measure_check(G, ess.A_ess)
     assert G.n == order
@@ -610,7 +609,7 @@ def test_measure_check_on_subspaces_that_are_not_fq_stable():
     rng = np.random.default_rng(11)
     A = make_truncated_poly_ring(27, 2)
     R = m2_structure(A)
-    G = generate_group(R, [R.elem(g) for g in batch_theta_inv(R, random_rad0(R, rng, 1))]
+    G = FiniteMatrixGroup.generate(R, [R.elem(g) for g in batch_theta_inv(R, random_rad0(R, rng, 1))]
                        + [R.j_elem()])
     for rows in (1, 2, 4):
         V = FpSubspace(3, A.dim, rng.integers(0, 3, size=(rows, A.dim)))
@@ -619,7 +618,7 @@ def test_measure_check_on_subspaces_that_are_not_fq_stable():
 
 def test_measure_check_caps_the_dual_space():
     R = m2_structure(make_truncated_poly_ring(3, 13))        # 3^13 > 10^6 forms
-    G = generate_group(R, [R.j_elem()])
+    G = FiniteMatrixGroup.generate(R, [R.j_elem()])
     with pytest.raises(TooLarge):
         key_measure_check(G, R.A.maxideal)
 

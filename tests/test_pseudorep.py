@@ -11,7 +11,9 @@ from pinkforge.instances import (
     klein_constants,
     sl2_fp_constants,
 )
+from pinkforge.errors import TooLarge
 from pinkforge.localring import make_truncated_poly_ring
+from pinkforge.pinklie import example8
 from pinkforge.pseudorep import (
     FiniteMatrixGroup,
     GroupTable,
@@ -25,7 +27,9 @@ from pinkforge.pseudorep import (
     is_admissible,
     is_normal,
     is_well_adapted,
+    _index_closure,
     kernel,
+    kernel_ideal,
     kernel_ideal_gap,
     linear_kernel,
     residual_multfree_data,
@@ -586,3 +590,148 @@ def test_verify_closure_sees_a_missing_element(example_family):
         assert drop != Gamma.id_index
         part = FiniteMatrixGroup(Gamma.R, np.delete(Gamma.elements, drop, axis=0))
         assert not part.verify_closure()
+
+
+def _commutator_trace_ideal_by_loop(tr):
+    """The ideal as computed before `fp.saturate`: a double loop over x, y,
+    then a saturation loop of per-vector products."""
+    A, gt = tr.A, tr.gt
+    T, inv = gt.table, gt.inv
+    rows = []
+    for x in range(gt.n):
+        for y in range(gt.n):
+            c = int(T[T[x, y], inv[T[y, x]]])
+            if c != gt.identity:
+                rows.extend((tr.t[T[c]] - tr.t) % A.p)
+    sp = FpSubspace(A.p, A.dim, rows)
+    while True:
+        ext = [A.mul_vec(e, v) for v in sp.basis for e in np.eye(A.dim, dtype=np.int64)]
+        sp2 = FpSubspace(A.p, A.dim, list(sp.basis) + ext)
+        if sp2.dim == sp.dim:
+            return sp2
+        sp = sp2
+
+
+def _kernel_ideal_by_loop(tr):
+    """The two-sided ideal of A[G] generated by g - 1, g in ker(t, d), as
+    computed before `fp.saturate`: left and right translates by group
+    elements and products with basis scalars, per element, until stable."""
+    A, gt = tr.A, tr.gt
+    p, da = A.p, A.dim
+    N = gt.n * da
+    rows = []
+    for y in kernel(tr):
+        base = np.zeros(N, dtype=np.int64)
+        base[y * da:(y + 1) * da] = A.one
+        i = gt.identity
+        base[i * da:(i + 1) * da] = (base[i * da:(i + 1) * da] - A.one) % p
+        rows.append(base)
+    span = FpSubspace(p, N, rows)
+    while True:
+        ext = list(span.basis)
+        for v in span.basis:
+            tab = v.reshape(gt.n, da)
+            for g in range(gt.n):
+                for side in ("l", "r"):
+                    out = np.zeros((gt.n, da), dtype=np.int64)
+                    for h in range(gt.n):
+                        k = int(gt.table[g, h]) if side == "l" else int(gt.table[h, g])
+                        out[k] = (out[k] + tab[h]) % p
+                    ext.append(out.reshape(N))
+            for e in np.eye(da, dtype=np.int64):
+                ext.append(np.array([A.mul_vec(e, tab[h]) for h in range(gt.n)]).reshape(N))
+        span2 = FpSubspace(p, N, ext)
+        if span2.dim == span.dim:
+            return span
+        span = span2
+
+
+def _character_pseudorep(A, n, chi, p):
+    """t = chi + chi^-1 (constant), d = 1 on the cyclic group of order n."""
+    t = np.zeros((n, A.dim), dtype=np.int64)
+    t[:, 0] = [(chi[g] + pow(chi[g], -1, p)) % p for g in range(n)]
+    d = np.zeros((n, A.dim), dtype=np.int64)
+    d[:, 0] = 1
+    return PseudoRep(A, cyclic_group_table(n), t, d)
+
+
+def _ideal_instances(gl2_f3, example_family):
+    chi6 = [pow(2, g, 7) for g in range(6)]            # order 3: kernel {0, 3}
+    chi4 = [pow(4, g, 5) for g in range(4)]            # order 2: kernel {0, 2}
+    return [
+        _character_pseudorep(make_truncated_poly_ring(7, 1), 6, chi6, 7),
+        _character_pseudorep(make_truncated_poly_ring(7, 2), 6, chi6, 7),
+        _character_pseudorep(make_truncated_poly_ring(5, 3), 4, chi4, 5),
+        PseudoRep.from_matrix_group(gl2_f3),
+        PseudoRep.from_matrix_group(example_family[2].G),
+        PseudoRep.from_matrix_group(example_family[3].G),
+        _twisted_pseudorep(gl2_f3),
+    ]
+
+
+def _twisted_pseudorep(G):
+    """Values c_g·(X + X^2) on G's table, c_g not a class function: their
+    differences span a line that is not an ideal of F_3[X]/(X^3)."""
+    A = make_truncated_poly_ring(3, 3)
+    c = np.random.default_rng(5).integers(0, 3, size=G.n)
+    t = np.outer(c, [0, 1, 1]) % 3
+    return PseudoRep(A, GroupTable.from_matrix_group(G), t, np.tile(A.one, (G.n, 1)))
+
+
+def test_commutator_trace_ideal_equals_the_loop(gl2_f3, example_family):
+    dims = []
+    for tr in _ideal_instances(gl2_f3, example_family):
+        got = commutator_trace_ideal(tr)
+        assert got == _commutator_trace_ideal_by_loop(tr)
+        dims.append(got.dim)
+    assert dims == [0, 0, 0, 1, 0, 1, 2]      # GL2(F3): all of F_3; twisted: (X) from X + X^2
+
+
+def test_kernel_ideal_equals_the_loop(gl2_f3, example_family):
+    dims = []
+    for tr in _ideal_instances(gl2_f3, example_family)[:5]:
+        got = kernel_ideal(tr)
+        assert got == _kernel_ideal_by_loop(tr)
+        assert kernel_ideal_gap(tr) == (linear_kernel(tr).dim, got.dim)
+        dims.append(got.dim)
+    assert dims == [3, 6, 6, 0, 24]
+
+
+def test_kernel_ideal_is_capped_before_allocating():
+    # N = |G|·dim A = 257: a 257^3 tensor is above the 2^24 cap
+    A = make_truncated_poly_ring(3, 1)
+    tr = PseudoRep(A, cyclic_group_table(257), np.full((257, 1), 2), np.ones((257, 1)))
+    with pytest.raises(TooLarge):
+        kernel_ideal_gap(tr)
+
+
+def _closure_by_loop(table, identity, seed):
+    """The subgroup generated by `seed`: close under products of every pair
+    of members, one pair at a time."""
+    seen = set(int(s) for s in seed) | {int(identity)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(seen):
+                for z in (int(table[x, y]), int(table[y, x])):
+                    if z not in seen:
+                        seen.add(z)
+                        nxt.append(z)
+        frontier = nxt
+    return sorted(seen)
+
+
+def test_commutator_subgroup_equals_brute_force(gl2_f3):
+    for G in (gl2_f3, example8(3, 3).G):
+        gt = GroupTable.from_matrix_group(G)
+        comms = {int(gt.table[gt.table[x, y], gt.inv[gt.table[y, x]]])
+                 for x in range(gt.n) for y in range(gt.n)}
+        assert gt.commutators().tolist() == sorted(comms)
+        assert gt.commutator_subgroup().tolist() == _closure_by_loop(gt.table, gt.identity, comms)
+        rng = np.random.default_rng(gt.n)
+        for size in (0, 1, 2, 3):
+            seed = rng.integers(0, gt.n, size=size).tolist()
+            assert _index_closure(gt.table, gt.identity, seed).tolist() \
+                == _closure_by_loop(gt.table, gt.identity, seed)
+    assert len(GroupTable.from_matrix_group(gl2_f3).commutator_subgroup()) == 24   # SL2(F3)
