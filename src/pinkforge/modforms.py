@@ -4,9 +4,11 @@ finite Hecke-stable spans.
 
 Series are dense and truncated: a degree-N series knows its coefficients
 a_0..a_N exactly.  Multiplication truncates to the smaller degree.  For
-p = 2 the coefficients are the bits of a python integer (bit n = a_n), and
-products by sparse factors are shifted XORs.  Every other product is one
-numpy FFT of base-2^s digits, sized by a rounding-error bound and checked.
+p = 2 the coefficients are the bits of a python integer (bit n = a_n); one
+codec turns them into a uint8 0/1 array and back, and a product by a sparse
+factor XORs shifted copies of the other in place on uint64 words (one copy
+per exponent mod 64).  Every other product is one numpy FFT of base-2^s
+digits, sized by a rounding-error bound and checked.
 
 For p >= 5 the discriminant form is two FFT squarings of eta^6, an exact
 float64 sparse square of Jacobi's K-term series for eta^3 (exact while
@@ -27,9 +29,11 @@ class DegreeExhausted(RuntimeError):
 
 
 P_LIMIT = 2 ** 31          # primes below this keep int64 coefficient arithmetic exact
-# Popcount below which GF(2) products use shifts.  Shifts against FFT on a 2-vCPU
-# Xeon: 2,000 terms 0.089 / 0.074 s at degree 2e5 and 0.78 / 0.75 s at 2e6;
-# Delta's 707 terms 0.27 / 0.80 s at 2e6; 6,000 terms 2.6-3.2x slower.
+# Popcount up to which GF(2) products use the word-packed shift-XOR kernel.
+# Kernel against FFT, random 2,000-term factor times a dense one, on a 2-vCPU
+# Xeon: 0.008 / 0.082 s at degree 2e5 and 0.022 / 0.85 s at 2e6; Delta's 707
+# terms at 2e6 0.012 / 0.82 s; 6,000 terms 0.019 / 0.085 s at 2e5 and
+# 0.048 / 0.79 s at 2e6, so the kernel still wins well above this cutoff.
 SPARSE_CUTOFF = 2000
 
 
@@ -38,6 +42,7 @@ class FpSeries:
 
     p = 2: `bits` holds the coefficients as an integer bitset.
     p > 2: `coef` is an int64 array of length deg+1 with entries in [0, p).
+    `coef` may also be given at p = 2; it is reduced mod 2 and packed.
     """
 
     __slots__ = ("p", "deg", "bits", "coef")
@@ -48,6 +53,8 @@ class FpSeries:
         self.p = p
         self.deg = int(deg)
         if p == 2:
+            if coef is not None:
+                bits = _pack_bits(np.asarray(coef)[: self.deg + 1] & 1)
             mask = (1 << (self.deg + 1)) - 1
             self.bits = int(bits if bits is not None else 0) & mask
             self.coef = None
@@ -64,26 +71,20 @@ class FpSeries:
     def from_coeffs(cls, p, coeffs, deg=None):
         coeffs = list(coeffs)
         deg = deg if deg is not None else len(coeffs) - 1
-        if p == 2:
-            bits = 0
-            for n, c in enumerate(coeffs[: deg + 1]):
-                if c % 2:
-                    bits |= 1 << n
-            return cls(2, deg, bits=bits)
         return cls(p, deg, coef=np.array(coeffs[: deg + 1], dtype=np.int64))
 
     @classmethod
     def from_support(cls, p, deg, support, values=None):
-        if p == 2:
-            bits = 0
-            for e in support:
-                if e <= deg:
-                    bits ^= 1 << e
-            return cls(2, deg, bits=bits)
-        coef = np.zeros(deg + 1, dtype=np.int64)
-        for i, e in enumerate(support):
-            if e <= deg:
-                coef[e] = (coef[e] + (1 if values is None else values[i])) % p
+        """Sum of values[i]·q^support[i] (each value 1 if none are given);
+        exponents above deg are dropped, negative ones raise ValueError."""
+        e = np.asarray(support, dtype=np.int64).reshape(-1)
+        if e.size and e.min() < 0:
+            raise ValueError(f"negative exponent {int(e.min())} in a support")
+        v = np.ones_like(e) if values is None else np.asarray(values, dtype=np.int64) % p
+        keep = e <= deg
+        # uint8 at p = 2: 1 byte a term, and sums that wrap mod 256 keep their parity
+        coef = np.zeros(deg + 1, dtype=np.uint8 if p == 2 else np.int64)
+        np.add.at(coef, e[keep], v[keep].astype(coef.dtype))
         return cls(p, deg, coef=coef)
 
     # -- accessors -----------------------------------------------------------
@@ -94,24 +95,16 @@ class FpSeries:
             return (self.bits >> n) & 1
         return int(self.coef[n])
 
+    def _coefs(self):
+        """a_0..a_deg as an array: decoded to uint8 0/1 at p = 2, else `coef`
+        itself (not a copy)."""
+        return _unpack_bits(self.bits, self.deg) if self.p == 2 else self.coef
+
     def coeffs_array(self):
-        if self.p == 2:
-            nbytes = self.deg // 8 + 1
-            raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-            arr = np.unpackbits(raw, bitorder="little")[: self.deg + 1]
-            return arr.astype(np.int64)
-        return self.coef.copy()
+        return self._coefs().astype(np.int64)
 
     def support(self):
-        if self.p == 2:
-            out = []
-            x = self.bits
-            while x:
-                n = (x & -x).bit_length() - 1
-                out.append(n)
-                x &= x - 1
-            return out
-        return np.nonzero(self.coef)[0].tolist()
+        return np.flatnonzero(self._coefs()).tolist()
 
     def popcount(self):
         if self.p == 2:
@@ -178,16 +171,39 @@ class FpSeries:
         max_deg = (self.deg + 1) * a - 1
         out_deg = self.deg if out_deg is None else min(out_deg, max_deg)
         top = min(self.deg, out_deg // a)
-        if self.p == 2:
-            arr = self.coeffs_array()
-            idx = np.nonzero(arr[: top + 1])[0]
-            out = np.zeros(out_deg + 1, dtype=np.uint8)
-            out[idx * a] = 1
-            bits = int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
-            return FpSeries(2, out_deg, bits=bits)
-        coef = np.zeros(out_deg + 1, dtype=np.int64)
-        coef[:: a][: top + 1] = self.coef[: top + 1]
-        return FpSeries(self.p, out_deg, coef=coef)
+        src = self._coefs()
+        out = np.zeros(out_deg + 1, dtype=src.dtype)
+        out[:: a][: top + 1] = src[: top + 1]
+        return FpSeries(self.p, out_deg, coef=out)
+
+
+def _unpack_bits(bits, deg):
+    """The GF(2) codec, one way: bits 0..deg of a bitset below 2^(deg+1)
+    as a uint8 0/1 array of length deg + 1."""
+    raw = np.frombuffer(bits.to_bytes(deg // 8 + 1, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=deg + 1, bitorder="little")
+
+
+def _pack_bits(arr):
+    """The GF(2) codec, the other way: a 0/1 array as a bitset (bit n = arr[n])."""
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def _xor_shifts(exps, g_bits, deg):
+    """XOR of g << e over the exponents e <= deg, truncated to degree deg, on
+    uint64 words: one shifted copy of g per residue e mod 64, XORed in place
+    at word offset e // 64.  Bits above deg in the top word are left set."""
+    n = deg // 64 + 1
+    g = np.frombuffer((g_bits & ((1 << 64 * n) - 1)).to_bytes(8 * n, "little"), dtype="<u8")
+    acc = np.zeros(n, dtype=np.uint64)
+    exps = exps[exps <= deg]
+    for r in set((exps & 63).tolist()):
+        shifted = g << np.uint64(r)
+        if r:
+            shifted[1:] |= g[:-1] >> np.uint64(64 - r)
+        for q in (exps[(exps & 63) == r] >> 6).tolist():
+            acc[q:] ^= shifted[: n - q]
+    return int.from_bytes(acc.tobytes(), "little")
 
 
 def series_mul(f, g):
@@ -200,17 +216,9 @@ def series_mul(f, g):
         if f.popcount() > g.popcount():
             f, g = g, f
         if f.popcount() <= SPARSE_CUTOFF:
-            mask = (1 << (deg + 1)) - 1
-            acc = 0
-            gb = g.bits
-            for e in f.support():
-                acc ^= gb << e
-            return FpSeries(2, deg, bits=acc & mask)
+            return FpSeries(2, deg, bits=_xor_shifts(np.flatnonzero(f._coefs()), g.bits, deg))
     a = f.coeffs_array()[: deg + 1]
     coef = _dense_mul(a, a if g is f else g.coeffs_array()[: deg + 1], p)
-    if p == 2:
-        packed = np.packbits(coef.astype(np.uint8), bitorder="little")
-        return FpSeries(2, deg, bits=int.from_bytes(packed.tobytes(), "little"))
     return FpSeries(p, deg, coef=coef)
 
 
@@ -358,31 +366,7 @@ def hecke_U(ell, f):
     """U_ell: a_n -> a_{n·ell}; output degree deg//ell."""
     _check_prime(ell)
     out_deg = f.deg // ell
-    if f.p == 2:
-        arr = f.coeffs_array()
-        sub = arr[:: ell][: out_deg + 1]
-        bits = int.from_bytes(np.packbits(sub.astype(np.uint8), bitorder="little").tobytes(), "little")
-        return FpSeries(2, out_deg, bits=bits)
-    return FpSeries(f.p, out_deg, coef=f.coef[:: ell][: out_deg + 1])
-
-
-def hecke_V(ell, f, out_deg=None):
-    """V_ell: a_n -> a at index n·ell (f(q^ell))."""
-    out_deg = f.deg if out_deg is None else out_deg
-    if f.p == 2:
-        out = 0
-        x = f.bits
-        while x:
-            n = (x & -x).bit_length() - 1
-            if n * ell > out_deg:
-                break
-            out |= 1 << (n * ell)
-            x &= x - 1
-        return FpSeries(2, out_deg, bits=out)
-    coef = np.zeros(out_deg + 1, dtype=np.int64)
-    top = out_deg // ell
-    coef[:: ell][: top + 1] = f.coef[: top + 1]
-    return FpSeries(f.p, out_deg, coef=coef)
+    return FpSeries(f.p, out_deg, coef=f._coefs()[:: ell][: out_deg + 1])
 
 
 def hecke_T(ell, k_eff, f):
@@ -396,8 +380,7 @@ def hecke_T(ell, k_eff, f):
     u = hecke_U(ell, f)
     exp = (k_eff - 1) % (p - 1) if p > 2 else 0
     factor = pow(ell % p, exp, p)
-    v = hecke_V(ell, f, out_deg=out_deg)
-    return u + v.scale(factor)
+    return u + f.dilate(ell, out_deg).scale(factor)
 
 
 # -- density sweeps ---------------------------------------------------------------
@@ -445,8 +428,7 @@ def density_sweep(f, X, Np=None):
         Np *= f.p
     primes = prime_sieve(X)
     primes = primes[np.gcd(primes, Np) == 1]
-    arr = f.coeffs_array()
-    hits = arr[primes] != 0
+    hits = f._coefs()[primes] != 0
     checkpoints = []
     for frac in (8, 4, 2, 1):
         bound = X // frac
@@ -468,7 +450,7 @@ def cyclotomic_test(f, M, X, Np=1):
     primes = prime_sieve(X)
     excl = M * Np * f.p
     primes = primes[np.gcd(primes, excl) == 1]
-    arr = f.coeffs_array()
+    arr = f._coefs()
     table = {}
     first = {}
     for ell in primes.tolist():

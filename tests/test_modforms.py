@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,8 @@ from pinkforge.modforms import (
     FpSeries,
     _eta_cubed,
     _eta_sixth,
+    _pack_bits,
+    _unpack_bits,
     cyclotomic_test,
     delta_expansion,
     density_sweep,
@@ -121,6 +126,91 @@ def test_dense_gf2_mul_matches_shifts():
             acc ^= b << e
         assert series_mul(fa, fb).bits == acc & mask
         assert series_mul(fa, fa) == fa.dilate(2)
+
+
+def shift_xor_reference(f, g):
+    """The big-int loop the word kernel replaced: g << e for each set bit e of
+    f, XORed together, masked to the product degree."""
+    acc, x = 0, f.bits
+    while x:
+        e = (x & -x).bit_length() - 1
+        acc ^= g.bits << e
+        x &= x - 1
+    return acc & ((1 << (min(f.deg, g.deg) + 1)) - 1)
+
+
+def _random_bits(rng, deg):
+    return _pack_bits(rng.integers(0, 2, deg + 1, dtype=np.uint8))
+
+
+EDGE_DEGREES = (0, 63, 64, 65, 1000)
+
+
+def _degree_pairs():
+    rng = np.random.default_rng(64)
+    pairs = [(a, b) for a in EDGE_DEGREES for b in EDGE_DEGREES]
+    return pairs + [tuple(rng.integers(0, 5000, 2).tolist()) for _ in range(8)]
+
+
+@pytest.mark.parametrize("fdeg,gdeg", _degree_pairs())
+def test_sparse_gf2_mul_matches_big_int_shifts(fdeg, gdeg):
+    rng = np.random.default_rng(fdeg * 7919 + gdeg)
+    # exponents ≡ 0 and ≡ 63 (mod 64), random ones, and (when fdeg > gdeg)
+    # some above the product degree
+    edges = [e for e in range(fdeg + 1) if e % 64 in (0, 63)]
+    support = edges + rng.integers(0, fdeg + 1, min(fdeg + 1, 300)).tolist()
+    f = FpSeries.from_support(2, fdeg, support)
+    g = FpSeries.from_support(2, gdeg, rng.integers(0, gdeg + 1, min(gdeg + 1, 1500)))
+    assert f.popcount() <= SPARSE_CUTOFF and g.popcount() <= SPARSE_CUTOFF
+    for a, b in ((f, g), (g, f), (f, f), (g, g)):
+        got = series_mul(a, b)
+        assert got.deg == min(a.deg, b.deg) and got.bits == shift_xor_reference(a, b)
+    zero = FpSeries(2, fdeg)
+    assert series_mul(zero, g).bits == 0 == series_mul(g, zero).bits
+
+
+@pytest.mark.parametrize("deg", EDGE_DEGREES + (2 ** 20 + 3,))
+def test_gf2_codec_round_trip(deg):
+    rng = np.random.default_rng(deg)
+    top = 1 << deg
+    for bits in (0, top, 2 * top - 1, _random_bits(rng, deg), _random_bits(rng, deg) | top):
+        arr = _unpack_bits(bits, deg)
+        assert arr.dtype == np.uint8 and arr.shape == (deg + 1,)
+        if deg < 2000:
+            assert arr.tolist() == [(bits >> n) & 1 for n in range(deg + 1)]
+        assert _pack_bits(arr) == bits
+        assert FpSeries(2, deg, coef=arr).bits == bits
+
+
+def test_delta_cube_mod2_support_2e6():
+    # one big-int step per set bit took 14 s here
+    X = 2_000_000
+    f = series_pow(delta_expansion(2, X), 3)
+    t0 = time.perf_counter()
+    got = f.support()
+    elapsed = time.perf_counter() - t0
+    # Delta^3 = Delta(q)·Delta(q^2) mod 2, and Delta = sum of q^(odd square)
+    sq = np.arange(1, math.isqrt(X) + 1, 2) ** 2
+    sums = (sq[:, None] + 2 * sq[None, :]).ravel()
+    want = np.flatnonzero(np.bincount(sums[sums <= X], minlength=X + 1) % 2)
+    assert len(got) == 49852 and got == want.tolist()
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 65521))
+def test_from_support_checks_and_reduces(p):
+    with pytest.raises(ValueError):
+        FpSeries.from_support(p, 5, [-1, 0])
+    # repeated exponents add, values are reduced mod p, exponents above deg drop
+    f = FpSeries.from_support(p, 5, [1, 1, 2, 3, 9], [1, 1, p, p + 1, 1])
+    assert [f.coeff(n) for n in range(6)] == [0, 2 % p, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_dilate_caps_the_exact_degree(p):
+    # f(q^2) for a degree-4 f is exact only to degree 9, whatever is asked for
+    d = FpSeries.from_support(p, 4, [1]).dilate(2, out_deg=20)
+    assert d.deg == 9 and d.support() == [2]
 
 
 def hecke_violations(a, p, X):
