@@ -10,9 +10,10 @@ factor XORs shifted copies of the other in place on uint64 words (one copy
 per exponent mod 64).  Every other product is one numpy FFT of base-2^s
 digits, sized by a rounding-error bound and checked.
 
-For p >= 5 the discriminant form is two FFT squarings of eta^6, an exact
-float64 sparse square of Jacobi's K-term series for eta^3 (exact while
-(K+1)(2K+1)^2 < 2^53, so for every degree below 2^31).
+Delta comes from Frobenius: eta(q)^{p^i} = eta(q^{p^i}) mod p splits eta^24
+into dilated Euler (eta) and Jacobi (eta^3) series, multiplied exactly over Z;
+then no dense product runs at p = 2, 7, 23, one at p = 3, 5, 11, 17, 19, and
+two squarings of eta^6 at p = 13 and p >= 29.
 """
 
 import math
@@ -29,12 +30,13 @@ class DegreeExhausted(RuntimeError):
 
 
 P_LIMIT = 2 ** 31          # primes below this keep int64 coefficient arithmetic exact
-# Popcount up to which GF(2) products use the word-packed shift-XOR kernel.
-# Kernel against FFT, random 2,000-term factor times a dense one, on a 2-vCPU
-# Xeon: 0.008 / 0.082 s at degree 2e5 and 0.022 / 0.85 s at 2e6; Delta's 707
-# terms at 2e6 0.012 / 0.82 s; 6,000 terms 0.019 / 0.085 s at 2e5 and
-# 0.048 / 0.79 s at 2e6, so the kernel still wins well above this cutoff.
-SPARSE_CUTOFF = 2000
+# Popcount up to which GF(2) products use the word-packed shift-XOR kernel:
+# its crossover with the FFT at degree 1e5, which grows with the degree (about
+# 3,000 terms at 2e4, 25,000 at 2e5, 100,000 at 2e6).  Kernel / FFT for a
+# random 20,000-term factor times a dense one (2-vCPU Xeon, median of 7):
+# 0.033 / 0.036 s at 1e5, 0.061 / 0.076 s at 2e5, 0.082 / 0.164 s at 5e5;
+# Delta^3·Delta^5 mod 2 at 2e5 (6,160 and 6,140 terms) 0.018 / 0.078 s.
+SPARSE_CUTOFF = 20_000
 
 
 class FpSeries:
@@ -218,8 +220,7 @@ def series_mul(f, g):
         if f.popcount() <= SPARSE_CUTOFF:
             return FpSeries(2, deg, bits=_xor_shifts(np.flatnonzero(f._coefs()), g.bits, deg))
     a = f.coeffs_array()[: deg + 1]
-    coef = _dense_mul(a, a if g is f else g.coeffs_array()[: deg + 1], p)
-    return FpSeries(p, deg, coef=coef)
+    return FpSeries(p, deg, coef=_dense_mul(a, a if g is f else g.coeffs_array()[: deg + 1], p))
 
 
 def _dense_mul(a, b, p):
@@ -287,26 +288,17 @@ def series_pow(f, n):
 
 
 def eta_product_term(p, deg):
-    """prod_{n>=1} (1 - q^n) truncated: the pentagonal-number series
-    sum_k (-1)^k q^{k(3k-1)/2}."""
-    support, values = [], []
-    k = 1
-    support.append(0)
-    values.append(1)
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 > deg and e2 > deg:
-            break
-        sign = 1 if k % 2 == 0 else -1
-        if e1 <= deg:
-            support.append(e1)
-            values.append(sign)
-        if e2 <= deg:
-            support.append(e2)
-            values.append(sign)
-        k += 1
-    return FpSeries.from_support(p, deg, support, values)
+    """prod_{n>=1} (1 - q^n) truncated: Euler's pentagonal series."""
+    return FpSeries.from_support(p, deg, *_eta_terms(deg))
+
+
+def _eta_terms(deg):
+    """Euler's prod (1-q^n) = sum over k in Z of (-1)^k q^{k(3k-1)/2}: the
+    exponents up to deg, ascending, and their signs."""
+    k = np.arange((math.isqrt(24 * deg + 1) + 1) // 6 + 1, dtype=np.int64)
+    e = np.stack([k * (3 * k - 1) // 2, k * (3 * k + 1) // 2], axis=1).ravel()[1:]
+    c = np.repeat(1 - 2 * (k % 2), 2)[1:]
+    return e[e <= deg], c[e <= deg]
 
 
 def _eta_cubed(deg):
@@ -316,43 +308,73 @@ def _eta_cubed(deg):
     return k * (k + 1) // 2, np.where(k % 2, -(2 * k + 1), 2 * k + 1)
 
 
-def _eta_sixth(p, deg):
-    """(prod (1-q^n)^3)^2 mod p: the pairs i <= j of Jacobi terms with
-    e_i + e_j <= deg, in blocks of rows, summed over Z by np.bincount."""
-    e, c = _eta_cubed(deg)
-    K = e.shape[0]
-    if (K + 1) * (2 * K + 1) ** 2 >= 1 << 53:
-        raise TooLarge(f"the sparse eta^6 product is not exact in float64 at degree {deg}")
-    c = c.astype(np.float64)
+def _sparse_mul(p, deg, x, y):
+    """The product mod p, to degree deg, of two sparse integer series given
+    as (ascending exponents, int64 coefficients): each block of rows of x
+    against the terms of y it meets, summed over Z by one float64
+    np.bincount, then one % p.  Exponents are distinct, so at most
+    min(K_x, K_y) products meet in one degree and the sums are exact
+    integers while min(K_x, K_y)·max|c_x|·max|c_y| < 2^53."""
+    (ex, cx), (ey, cy) = x, y
+    if min(ex.size, ey.size) * int(abs(cx).max()) * int(abs(cy).max()) >= 1 << 53:
+        raise TooLarge(f"a sparse product is not exact in float64 at degree {deg}")
     acc = np.zeros(deg + 1, dtype=np.float64)
-    rows = max(1, (1 << 20) // K)
-    for lo in range(0, K, rows):
-        hi = np.searchsorted(e, deg - e[lo], side="right")
-        i, j = np.nonzero(np.triu(e[lo:lo + rows, None] + e[lo:hi] <= deg))
-        i, j = i + lo, j + lo
-        acc += np.bincount(e[i] + e[j], weights=(2.0 - (i == j)) * c[i] * c[j],
-                           minlength=deg + 1)
-    return FpSeries(p, deg, coef=acc.astype(np.int64) % p)
+    rows = max(1, (1 << 20) // ey.size)
+    for lo in range(0, ex.size, rows):
+        hi = np.searchsorted(ey, deg - ex[lo], side="right")
+        i, j = np.nonzero(ex[lo:lo + rows, None] + ey[:hi] <= deg)
+        acc += np.bincount(ex[lo + i] + ey[j], weights=cx[lo + i] * cy[j], minlength=deg + 1)
+    return FpSeries(p, deg, coef=acc.astype(np.int64))
+
+
+def _frobenius_factors(p):
+    """eta^24 mod p as sorted (a, power) pairs, the factors eta(q^a)^power:
+    power 1 is Euler's series E, 3 is Jacobi's J.  As 24 = sum d_i p^i and
+    eta(q)^{p^i} = eta(q^{p^i}), eta^24 = prod_i J(q^{p^i})^{d_i//3}·E(q^{p^i})^{d_i%3}."""
+    if p == 2:
+        return [(8, 3)]         # E(q^8)·E(q^16) = E(q^8)^3 = J(q^8)
+    out, a, n = [], 1, 24
+    while n:
+        n, d = divmod(n, p)
+        out += [(a, 3)] * (d // 3) + [(a, 1)] * (d % 3)
+        a *= p
+    return sorted(out)
 
 
 def delta_expansion(p, N):
-    """The discriminant form q·prod (1-q^n)^24 mod p, to degree N.
+    """The discriminant form q·eta^24 mod p to degree N, eta = prod (1-q^n).
 
-    p >= 5: eta^6 = (eta^3)^2 comes from the K ~ sqrt(2N) terms of
-    Jacobi's series for eta^3.  At most K pairs of terms, each at most
-    (2K+1)^2 in size, meet in one degree, so the float64 sums are exact
-    integers while (K+1)(2K+1)^2 < 2^53: for every N < 2^31.  Then eta^24
-    is two squarings, so Delta costs two dense products.  p = 2, 3: the
-    24th power of Euler's pentagonal series runs through the characteristic
-    (24 = 8·3, and p-power exponents are index dilations).
+    eta^24 is a product of Frobenius-dilated Euler and Jacobi series, whose
+    common dilation a is factored out: the work runs at degree (N-1)//a.
+    Up to two factors (p = 2, 7, 23) make one exact sparse product over Z;
+    four make the sparse pairs (1st, 3rd) and (2nd, 4th) and one dense
+    product of them, a squaring when they agree (p = 3, 11).  Otherwise
+    (p = 13 and p >= 29) eta^6 = J·J is sparse and eta^24 two squarings.
     """
     if N < 1:
         raise ValueError("degree must be at least 1")
-    if p < 5:
-        return series_pow(eta_product_term(p, N - 1), 24).shift(1)
-    eta6 = _eta_sixth(p, N - 1)
-    eta12 = series_mul(eta6, eta6)
-    return series_mul(eta12, eta12).shift(1)
+    fs = _frobenius_factors(p)
+    a = fs[0][0]
+    n = (N - 1) // a
+
+    def exact(group):
+        terms = []
+        for b, power in group:
+            e, c = (_eta_cubed if power == 3 else _eta_terms)(n // (b // a))
+            terms.append((b // a * e, c))
+        if len(terms) == 1:
+            return FpSeries.from_support(p, n, *terms[0])
+        return _sparse_mul(p, n, *terms)
+
+    if len(fs) <= 2:
+        eta24 = exact(fs)
+    elif len(fs) <= 4:
+        x = exact(fs[0::2])
+        eta24 = series_mul(x, x if fs[0::2] == fs[1::2] else exact(fs[1::2]))
+    else:
+        eta12 = series_mul(*[exact([(1, 3), (1, 3)])] * 2)
+        eta24 = series_mul(eta12, eta12)
+    return (eta24.dilate(a, out_deg=N - 1) if a > 1 else eta24).shift(1)
 
 
 # -- Hecke operators -------------------------------------------------------------
@@ -448,20 +470,17 @@ def cyclotomic_test(f, M, X, Np=1):
     if f.deg < X:
         raise DegreeExhausted(f"series degree {f.deg} below sweep bound {X}")
     primes = prime_sieve(X)
-    excl = M * Np * f.p
-    primes = primes[np.gcd(primes, excl) == 1]
-    arr = f._coefs()
-    table = {}
-    first = {}
-    for ell in primes.tolist():
-        r = ell % M
-        v = int(arr[ell])
-        if r not in table:
-            table[r] = v
-            first[r] = ell
-        elif table[r] != v:
-            return False, (first[r], ell)
-    return True, table
+    primes = primes[np.gcd(primes, M * Np * f.p) == 1]
+    arr, res = f._coefs(), primes % M
+    # each residue's first prime, by a reversed scatter: the smallest writes last
+    first = np.zeros(min(M, X + 1), dtype=np.int64)
+    first[res[::-1]] = primes[::-1]
+    bad = np.flatnonzero(arr[primes] != arr[first[res]])
+    if bad.size:
+        ell = int(primes[bad[0]])
+        return False, (int(first[ell % M]), ell)
+    seen = np.flatnonzero(first)
+    return True, {int(r): int(arr[first[r]]) for r in seen[np.argsort(first[seen])]}
 
 
 # -- Hecke spans -------------------------------------------------------------------

@@ -12,8 +12,9 @@ from pinkforge.modforms import (
     DegreeExhausted,
     FpSeries,
     _eta_cubed,
-    _eta_sixth,
+    _eta_terms,
     _pack_bits,
+    _sparse_mul,
     _unpack_bits,
     cyclotomic_test,
     delta_expansion,
@@ -114,7 +115,7 @@ def test_delta_cube_naive_convolution_oracle():
 
 def test_dense_gf2_mul_matches_shifts():
     rng = np.random.default_rng(1)
-    deg = 20000
+    deg = 50000
     mask = (1 << (deg + 1)) - 1
     for _ in range(3):
         a = int.from_bytes(rng.integers(0, 256, deg // 8 + 1, dtype=np.uint8).tobytes(), "little") & mask
@@ -266,32 +267,91 @@ def test_jacobi_eta_cubed_is_the_cube_of_euler(p):
     assert got == series_pow(eta_product_term(p, d), 3)
 
 
-@pytest.mark.parametrize("p", (5, 7, 13) + BIG_PRIMES)
+def pentagonal_delta(p, N):
+    """Delta mod p as Euler's series to the 24th power: the route before the
+    Jacobi and Frobenius factors."""
+    return series_pow(eta_product_term(p, N - 1), 24).shift(1)
+
+
+PRIMES_BELOW_50 = tuple(prime_sieve(50).tolist())
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_50 + BIG_PRIMES)
 def test_delta_jacobi_route_equals_pentagonal_power(p):
-    # the route used before Jacobi's identity: Euler's series to the 24th power
-    N = 20000
-    want = series_pow(eta_product_term(p, N - 1), 24).shift(1)
-    got = delta_expansion(p, N)
-    assert got.deg == N and np.array_equal(got.coeffs_array(), want.coeffs_array())
+    Ns, q = [20000] + list(range(1, 41)), p
+    while q <= 70000:               # N = p^i and p^i + 1
+        Ns += [q, q + 1]
+        q *= p
+    for N in Ns:
+        got = delta_expansion(p, N)
+        assert got.deg == N and np.array_equal(got.coeffs_array(),
+                                               pentagonal_delta(p, N).coeffs_array()), N
 
 
-@pytest.mark.parametrize("p", (5, 7, 65521))
-def test_delta_costs_two_dense_products(p, monkeypatch):
+# series_mul calls per p: none when eta^24 has at most two Frobenius factors,
+# one for four (p = 3 works at degree (N-1)//3), two squarings of eta^6 else
+DENSE_PRODUCTS = {2: 0, 7: 0, 23: 0, 3: 1, 5: 1, 11: 1, 17: 1, 19: 1, 13: 2, 65521: 2}
+
+
+@pytest.mark.parametrize("p", sorted(DENSE_PRODUCTS))
+def test_delta_dense_products_per_prime(p, monkeypatch):
     calls = []
 
     def counted(f, g):
-        calls.append((f.deg, g.deg))
+        calls.append((f.deg, g.deg, f is g))
         return series_mul(f, g)
 
     monkeypatch.setattr(modforms, "series_mul", counted)
-    delta_expansion(p, 60)
-    assert calls == [(59, 59), (59, 59)]
+    N = 1000
+    delta_expansion(p, N)
+    deg = (N - 1) // 3 if p == 3 else N - 1
+    squaring = p in (3, 11, 13, 65521)
+    assert calls == [(deg, deg, squaring)] * DENSE_PRODUCTS[p]
 
 
 def test_sparse_eta_sixth_exactness_bound():
     # K = 185,364 Jacobi terms: raised before the degree-2^34 array is allocated
+    J = _eta_cubed(2 ** 34)
     with pytest.raises(TooLarge):
-        _eta_sixth(5, 2 ** 34)
+        _sparse_mul(5, 2 ** 34, J, J)
+
+
+def test_sparse_mul_matches_a_dense_convolution():
+    rng = np.random.default_rng(53)
+    for deg in (0, 1, 7, 300):
+        x, y = _eta_cubed(deg), _eta_terms(deg)
+        for a, b in ((x, y), (y, x), (x, x)):
+            da = np.zeros(deg + 1, dtype=np.int64)
+            db = np.zeros(deg + 1, dtype=np.int64)
+            da[a[0]], db[b[0]] = a[1], b[1]
+            for p in (3, 65521, 2 ** 31 - 1):
+                want = np.convolve(da, db)[: deg + 1] % p
+                assert np.array_equal(_sparse_mul(p, deg, a, b).coeffs_array(), want)
+    # random supports with large coefficients, rows in several blocks
+    e = np.sort(rng.choice(5000, 1500, replace=False))
+    c = rng.integers(-10 ** 5, 10 ** 5, e.size)
+    dense = np.zeros(5000, dtype=np.int64)
+    dense[e] = c
+    want = np.convolve(dense, dense)[:5000] % 65521       # below 2^44: exact in int64
+    assert np.array_equal(_sparse_mul(65521, 4999, (e, c), (e, c)).coeffs_array(), want)
+
+
+def euler_loop(deg):
+    """Euler's pentagonal exponents and signs, term by term."""
+    terms, k = {0: 1}, 1
+    while k * (3 * k - 1) // 2 <= deg:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e <= deg:
+                terms[e] = (-1) ** k
+        k += 1
+    return sorted(terms.items())
+
+
+@pytest.mark.parametrize("deg", list(range(41)) + [5000, 5001, 10 ** 6])
+def test_euler_terms_match_the_pentagonal_loop(deg):
+    e, c = _eta_terms(deg)
+    assert list(zip(e.tolist(), c.tolist())) == euler_loop(deg)
+    assert eta_product_term(7, deg).support() == e.tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -401,6 +461,36 @@ def test_cyclotomic_violations():
     # frozen first witness for M = 8 (deterministic sweep)
     verdict, pair = cyclotomic_test(f, 8, 100000)
     assert pair == (17, 41)
+
+
+def cyclotomic_loop(f, M, X, Np=1):
+    """cyclotomic_test before it gathered: one prime at a time."""
+    primes = prime_sieve(X)
+    primes = primes[np.gcd(primes, M * Np * f.p) == 1]
+    arr = f.coeffs_array()
+    table, first = {}, {}
+    for ell in primes.tolist():
+        r, v = ell % M, int(arr[ell])
+        if r not in table:
+            table[r], first[r] = v, ell
+        elif table[r] != v:
+            return False, (first[r], ell)
+    return True, table
+
+
+def test_cyclotomic_gather_matches_the_loop(delta2_2m, delta_powers_2m):
+    X = 2_000_000
+    d3 = delta_expansion(3, X)
+    cases = [(delta2_2m, 8), (delta2_2m, 1), (delta2_2m, 3 * 10 ** 6),
+             (delta_powers_2m[3], 4), (delta_powers_2m[9], 8), (d3, 3), (d3, 1)]
+    verdicts = set()
+    for f, M in cases:
+        got, want = cyclotomic_test(f, M, X), cyclotomic_loop(f, M, X)
+        assert got == want
+        if got[0]:
+            assert list(got[1].items()) == list(want[1].items())   # first-appearance order
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_cyclotomic_random_sparse_fuzz(rng):
