@@ -177,15 +177,19 @@ def descending_series(L, n_max):
 
 
 def group_series(G, n_max):
-    """[Gamma_1, ..., Gamma_n] with Gamma_{k+1} = (Gamma_k, Gamma)."""
+    """[Gamma_1, ..., Gamma_n] with Gamma_{k+1} = (Gamma_k, Gamma).
+
+    For N normal in G = <Y>, (N, G) is generated by the (x, y) = x y x^-1 y^-1
+    with x in N, y in Y: their group K is normal, as y k y^-1 = k·(k^-1, y),
+    and Y, hence G, centralises N mod K.  Y is G's recorded generators, else G."""
     T = G.mul_table()
     inv = G.inverses()
+    Y = G.find(np.array(G.generators)) if G.generators else np.arange(G.n)
     levels = [np.arange(G.n)]
     for _ in range(n_max - 1):
         prev = levels[-1]
-        comm = T[T[np.ix_(prev, np.arange(G.n))], inv[T[np.ix_(np.arange(G.n), prev)].T]]
-        gens = np.unique(comm)
-        levels.append(_index_closure(T, G.id_index, gens))
+        comm = T[T[np.ix_(prev, Y)], T[np.ix_(inv[prev], inv[Y])]]
+        levels.append(_index_closure(T, G.id_index, np.unique(comm)))
     groups = [G]
     for idxs in levels[1:]:
         groups.append(FiniteMatrixGroup(G.R, G.elements[idxs]))
@@ -869,7 +873,7 @@ def example8(p, k, cap=2 * 10 ** 6, with_essential=True, with_congruence=True):
     J = R.j_elem()
     rel_ok = (J * g * J == g) and (J * h * J == h.inverse())
     Gamma = FiniteMatrixGroup.generate(R, [g, h], cap=cap)
-    G = FiniteMatrixGroup.generate(R, [g, h, J], cap=cap)
+    G = adjoin_normalising(Gamma, J.v, rel_ok, cap)
     L = lie_of_subgroup(Gamma)
     L_exp = expected_example_lie(R, A)
     ex = TwoGeneratorExample(
@@ -882,6 +886,22 @@ def example8(p, k, cap=2 * 10 ** 6, with_essential=True, with_congruence=True):
     if with_congruence:
         ex.congruence = is_congruence_subgroup(L, R)
     return ex
+
+
+def adjoin_normalising(Gamma, j, normalises, cap):
+    """<Gamma, j>, given whether j·x·j^-1 lies in Gamma for every generator x.
+    If so and j^2 lies in Gamma, it is Gamma ∪ j·Gamma (Gamma when j does),
+    one batched product; otherwise a BFS.  The cap bounds its order."""
+    R = Gamma.R
+    if not normalises or Gamma.lookup(R.mul_vec(j, j)) is None:
+        return FiniteMatrixGroup.generate(R, Gamma.generators + [j], cap=cap)
+    if Gamma.lookup(j) is not None:
+        return Gamma
+    if 2 * Gamma.n > cap:
+        raise TooLarge(f"group exceeds cap {cap}")
+    coset = R.batch_mul_elem_left(j, Gamma.elements)
+    return FiniteMatrixGroup(R, np.concatenate([Gamma.elements, coset]),
+                             generators=Gamma.generators + [j])
 
 
 def essential_not_ideal_witness(A, A_ess):
@@ -913,17 +933,11 @@ def random_sr(R, rng, n):
     twisted by constant diagonal matrices of determinant one."""
     core = batch_theta_inv(R, random_rad0(R, rng, n))
     A = R.A
-    q = A.fq.q
-    lams = rng.integers(1, q, size=n)
-    out = np.empty_like(core)
-    for i in range(n):
-        lam = int(lams[i])
-        s = A.constant(lam).v
-        sinv = A.constant(A.fq.inv(lam)).v
-        const = R.assemble(s, np.zeros(R.db, dtype=np.int64),
-                           np.zeros(R.dc, dtype=np.int64), sinv)
-        out[i] = R.mul_vec(core[i], const)
-    return out
+    lams = rng.integers(1, A.fq.q, size=n)
+    C = A.constants()
+    inv = np.argmax(A.fq.mul_table == 1, axis=1)        # inv[lam]·lam = 1 for lam != 0
+    zb, zc = np.zeros((n, R.db), dtype=np.int64), np.zeros((n, R.dc), dtype=np.int64)
+    return R.batch_mul(core, R.assemble(C[lams], zb, zc, C[inv[lams]]))
 
 
 def pink_formula_battery(R, rng=None, n=1000, theta_fn=None):

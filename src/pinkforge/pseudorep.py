@@ -26,8 +26,8 @@ class FiniteMatrixGroup:
     """Explicit finite subgroup of R* for a GmaStructure R.
 
     Elements are rows of an (n, dim) array, found by their sorted row keys
-    (`fp.row_key`); inverses and the full multiplication table are computed
-    through R and cached.
+    (`fp.row_key`).  Inverses (one batched inversion through R) and the full
+    multiplication table (index gathers, see `mul_table`) are cached.
     """
 
     def __init__(self, R, elements, generators=None, closure_verified=True):
@@ -106,15 +106,45 @@ class FiniteMatrixGroup:
         return self._inv
 
     def mul_table(self):
-        """(n, n) index table; rows i: products x_i * x_j."""
+        """(n, n) index table; rows i: products x_i * x_j.
+
+        Row j is L_g[row parent] where x_j = g·x_parent on a BFS tree of the
+        Cayley graph, with L_g = find(g·elements) the only products.  The
+        first element the generators miss becomes one more.  L_g >= 0 for a
+        generating set proves closure; an L_g < 0 raises."""
         if self._table is None:
-            T = np.empty((self.n, self.n), dtype=np.int32)
-            for i in range(self.n):
-                T[i] = self.find(self.R.batch_mul_elem_left(self.elements[i], self.elements))
-            if (T < 0).any():
-                raise ValueError("group not closed under multiplication")
+            n = self.n
+            T = np.empty((n, n), dtype=np.int32)
+            T[self.id_index] = np.arange(n)
+            seen = np.zeros(n, dtype=bool)
+            seen[self.id_index] = True
+            perms = [self._left_perm(g) for g in self.generators]
+            frontier = np.array([self.id_index])
+            while True:
+                while frontier.size:
+                    new = []
+                    for perm in perms:
+                        kids = perm[frontier]
+                        fresh = ~seen[kids]
+                        kids = kids[fresh]
+                        T[kids] = perm[T[frontier[fresh]]]
+                        seen[kids] = True
+                        new.append(kids)
+                    frontier = np.concatenate([frontier[:0]] + new)
+                rest = np.flatnonzero(~seen)
+                if not rest.size:
+                    break
+                perms.append(self._left_perm(self.elements[rest[0]]))
+                frontier = np.flatnonzero(seen)
             self._table = T
         return self._table
+
+    def _left_perm(self, g):
+        """Index of g * x_i for every i; raises if one leaves the set."""
+        perm = self.find(self.R.batch_mul_elem_left(g, self.elements))
+        if (perm < 0).any():
+            raise ValueError("group not closed under multiplication")
+        return perm.astype(np.int32)
 
     def verify_closure(self, rng=None, samples=2000):
         """Spot-check closure on generator products plus a seeded sample."""
@@ -149,14 +179,12 @@ class GroupTable:
 
     def __post_init__(self):
         self.n = self.table.shape[0]
-        inv = np.full(self.n, -1, dtype=np.int64)
-        for i in range(self.n):
-            hits = np.nonzero(self.table[i] == self.identity)[0]
-            if hits.size != 1 and inv[i] < 0:
-                if hits.size == 0:
-                    raise ValueError("element without inverse")
-            inv[i] = hits[0]
-        self.inv = inv
+        hits = self.table == self.identity
+        counts = hits.sum(axis=1)
+        if (counts != 1).any():
+            i = int(np.flatnonzero(counts != 1)[0])
+            raise ValueError(f"row {i} of the table holds the identity {counts[i]} times, not once")
+        self.inv = np.argmax(hits, axis=1)
 
     @classmethod
     def from_matrix_group(cls, G):
@@ -192,17 +220,9 @@ def _index_closure(T, identity, gens):
 
 
 def _coset_classes(gt, subgroup_indices):
-    sub = set(subgroup_indices)
-    cls = np.full(gt.n, -1, dtype=np.int64)
-    reps = []
-    for i in range(gt.n):
-        if cls[i] >= 0:
-            continue
-        c = len(reps)
-        reps.append(i)
-        for h in sub:
-            cls[gt.table[i, h]] = c
-    return cls, len(reps)
+    """(class map, class count) of the cosets x·H, numbered by least index."""
+    first, cls = np.unique(gt.table[:, subgroup_indices].min(axis=1), return_inverse=True)
+    return cls, len(first)
 
 
 class PseudoRep:
@@ -399,17 +419,14 @@ def classify_projective_image(Gbar):
     if not isinstance(A, LocalRing) or A.maxideal.dim != 0:
         raise ValueError("classification expects a group over a field")
     p, q, f = A.p, A.fq.q, A.fq.f
-    # scalar subgroup
-    scal = [i for i in range(Gbar.n)
-            if not Gbar.elements[i][R.sb].any() and not Gbar.elements[i][R.sc].any()
-            and np.array_equal(Gbar.elements[i][R.sa], Gbar.elements[i][R.sd])]
+    E = Gbar.elements
+    scal = np.flatnonzero(~E[:, R.sb].any(axis=1) & ~E[:, R.sc].any(axis=1)
+                          & (E[:, R.sa] == E[:, R.sd]).all(axis=1))
     gt = GroupTable.from_matrix_group(Gbar)
     cls, ncls = _coset_classes(gt, scal)
     # projective multiplication table on coset classes
-    reps = [int(np.nonzero(cls == c)[0][0]) for c in range(ncls)]
-    ptab = np.array([[cls[gt.table[a, b]] for b in reps] for a in reps], dtype=np.int64)
-    pid = int(cls[gt.identity])
-    pgt = GroupTable(table=ptab, identity=pid)
+    reps = np.unique(cls, return_index=True)[1]
+    pgt = GroupTable(table=cls[gt.table[np.ix_(reps, reps)]], identity=int(cls[gt.identity]))
     n = ncls
     orders = _element_orders(pgt)
     if max(orders) == n:
@@ -767,50 +784,35 @@ def is_admissible(tr):
 def gbar_of(G):
     """Image of a matrix group in (R/rad R)*: pairs of residual data.
 
-    Returns (labels, class_of) where labels[i] is a canonical tuple for the
-    i-th residual class and class_of maps element index -> class index.
+    Returns (labels, class_of, reps) where labels[c] is a canonical tuple for
+    the c-th residual class (in order of first appearance), class_of maps
+    element index -> class index and reps[c] is the first element of class c.
     """
     R = G.R
-    rad = R.radical()
-    labels = {}
-    class_of = np.empty(G.n, dtype=np.int64)
-    reps = []
-    for i in range(G.n):
-        red = _residual_label(R, G.elements[i], rad)
-        if red not in labels:
-            labels[red] = len(reps)
-            reps.append(i)
-        class_of[i] = labels[red]
-    return list(labels.keys()), class_of, reps
-
-
-def _residual_label(R, v, rad):
-    profile = R.radical_profile()
     A = R.A
     if isinstance(A, SemiLocalRing):
         raise NotImplementedError("residual labels only for local base")
-    a, b, c, d = R.comps(v)
-    if profile[0] == "matrix":
-        # reduce entries mod m; b, c are A-modules isomorphic to A here
-        return ("m2", A.residue_int(a), _module_residue(R, b, "b"),
-                _module_residue(R, c, "c"), A.residue_int(d))
-    return ("diag", A.residue_int(a), A.residue_int(d))
+    a, b, c, d = R.comps(G.elements)
+    parts = [a @ A.proj.T % A.p, d @ A.proj.T % A.p]         # residue digits
+    matrix = R.radical_profile()[0] == "matrix"
+    if matrix:      # b, c modulo m·B and m·C; here B and C are A-modules like A
+        parts[1:1] = [_module_residues(R, b, "b"), _module_residues(R, c, "c")]
+    rows = np.concatenate(parts, axis=1)
+    _, first, inverse = np.unique(row_key(rows, R.p), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    f, labels = A.fq.f, []
+    for r in rows[first[order]].tolist():
+        ends = A.fq.encode(r[:f]), A.fq.encode(r[-f:])
+        labels.append(("m2", ends[0], tuple(r[f:f + R.db]), tuple(r[f + R.db:-f]), ends[1])
+                      if matrix else ("diag",) + ends)
+    return labels, np.argsort(order)[inverse], first[order].tolist()
 
 
-def _module_residue(R, x, which):
-    """Class of a module element modulo m·module, encoded as a tuple."""
-    A = R.A
-    dmod = R.db if which == "b" else R.dc
-    sub_rows = []
-    for mrow in A.maxideal.basis:
-        for e in np.eye(dmod, dtype=np.int64):
-            sub_rows.append(_act_row(R, mrow, e, which))
-    sub = FpSubspace(R.p, dmod, sub_rows)
-    return tuple(int(t) for t in sub.reduce(x))
-
-
-def _act_row(R, a, m, which):
-    return R.module_act(a, m[None, :], which)[0]
+def _module_residues(R, X, which):
+    """Rows of X, in module B or C, reduced modulo m·module."""
+    E = np.eye(R.db if which == "b" else R.dc, dtype=np.int64)
+    sub = FpSubspace(R.p, len(E), [R.module_act(m, E, which) for m in R.A.maxideal.basis])
+    return sub.reduce(X)
 
 
 def is_well_adapted(G, g0_index, cls):
@@ -840,12 +842,8 @@ def is_well_adapted(G, g0_index, cls):
         if const is None or G.lookup(const) is None:
             return False, f"constant lift of {lab} missing from G"
     # subgroup of Gbar generated by class(g0) and scalar classes
-    rad = R.radical()
-    scal_classes = {int(class_of[i]) for i in range(G.n)
-                    if _is_scalar_label(_residual_label(R, G.elements[i], rad))}
-    # projective/residual table
-    tab = np.array([[class_of[gt.table[reps[a], reps[b]]] for b in range(nbar)]
-                    for a in range(nbar)], dtype=np.int64)
+    scal_classes = {c for c, lab in enumerate(labels) if _is_scalar_label(lab)}
+    tab = class_of[gt.table[np.ix_(reps, reps)]]             # projective/residual table
     gen = _index_closure(tab, class_of[gt.identity], scal_classes | {int(class_of[g0_index])})
     idx = len(gen)
     if cls.kind == "cyclic":
@@ -857,20 +855,11 @@ def is_well_adapted(G, g0_index, cls):
     else:
         return False, "well-adaptedness applies to cyclic or dihedral classes"
     # (iii)
-    abelian = all(int(tab[a, b]) == int(tab[b, a]) for a in range(nbar) for b in range(nbar))
-    if not abelian:
-        ok = False
-        for i in range(G.n):
-            v = G.elements[i]
-            if v[R.sa].any() or v[R.sd].any():
-                continue
-            b, c = v[R.sb], v[R.sc]
-            if not b.any() or not c.any():
-                continue
-            if _constant_antidiag_prime_ratio(R, b, c):
-                ok = True
-                break
-        if not ok:
+    if not (tab == tab.T).all():                              # Gbar not abelian
+        X = G.elements
+        anti = ~X[:, R.sa].any(axis=1) & ~X[:, R.sd].any(axis=1) \
+            & X[:, R.sb].any(axis=1) & X[:, R.sc].any(axis=1)
+        if not any(_constant_antidiag_prime_ratio(R, v[R.sb], v[R.sc]) for v in X[anti]):
             return False, "no constant antidiagonal with prime-field ratio"
     return True, None
 
@@ -964,13 +953,7 @@ def residual_image_group(G):
         raise ValueError("residual image needs the matrix presentation over a local base")
     Fq = make_truncated_poly_ring(A.fq.q, 1)
     Rq = m2_structure(Fq)
-    rows = []
-    for v in G.elements:
-        digits = []
-        for comp in R.comps(v):
-            digits.extend(Fq.fq.digits(A.residue_int(comp)))
-        rows.append(digits)
-    rows = np.array(rows, dtype=np.int64)
+    # each entry's residue digits, which are its F_q coordinates
+    rows = np.concatenate([c @ A.proj.T % A.p for c in R.comps(G.elements)], axis=1)
     _, first = np.unique(row_key(rows, Rq.p), return_index=True)
     return FiniteMatrixGroup(Rq, rows[np.sort(first)])
-

@@ -51,6 +51,9 @@ def test_usage_error_exit_2():
     ["span", "--p", "2", "--form", "delta", "--primes", "4", "--deg", "100"],
     ["verify", "--seed", "-1"],
     ["verify", "--tuples", "0"],
+    # M·Np·p reached np.gcd as int64: an OverflowError traceback and exit 1
+    ["cyclotomic", "--p", "3", "--form", "delta", "--M", "10000000000000000000", "--X", "1000"],
+    ["density", "--p", "3", "--form", "delta", "--np", "10000000000000000000", "--X", "1000"],
 ])
 def test_bad_input_is_a_usage_error(args, tmp_path):
     r = run_cli([a.format(tmp=tmp_path) for a in args])

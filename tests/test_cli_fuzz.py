@@ -53,6 +53,7 @@ def test_example8(p, k, cap):
 
 
 @FUZZ
+@example(p="3", form="delta", X="1000", np_=["--np", "10000000000000000000"])
 @given(p=PRIMES,
        form=st.sampled_from(["delta", "delta^2", "Delta^3", "delta^0", "eta", "delta^-1", ""]),
        X=st.integers(-1, 3000).map(str), np_=opt("--np", SMALL))
@@ -72,6 +73,8 @@ def test_delta_power(p, n, deg):
 
 
 @FUZZ
+@example(p="3", form="delta", M="10000000000000000000", X="1000", np_=[])
+@example(p="3", form="delta", M="4", X="1000", np_=["--np", "10000000000000000000"])
 @given(p=PRIMES, form=st.sampled_from(["delta", "delta^3", "delta^9", "eta"]),
        M=SMALL, X=st.integers(-1, 2000).map(str), np_=opt("--np", SMALL))
 def test_cyclotomic(p, form, M, X, np_):

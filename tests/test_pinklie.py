@@ -18,6 +18,7 @@ from pinkforge.instances import (
 from pinkforge.localring import OutOfDomain, make_truncated_poly_ring
 from pinkforge.pinklie import (
     LieSubspace,
+    adjoin_normalising,
     MeasureReport,
     NotPinkStable,
     batch_theta,
@@ -39,6 +40,7 @@ from pinkforge.pinklie import (
     pink_converse,
     pink_formula_battery,
     random_rad0,
+    random_sr,
     star_law,
     star_quotient_checks,
     strong_condition_report,
@@ -47,7 +49,7 @@ from pinkforge.pinklie import (
     theta_inv,
     theta_star_morphism_check,
 )
-from pinkforge.pseudorep import FiniteMatrixGroup, TooLarge
+from pinkforge.pseudorep import FiniteMatrixGroup, TooLarge, _index_closure, residual_image_group
 
 
 @pytest.fixture(scope="module")
@@ -652,3 +654,100 @@ def test_example8_at_p_257_counts_every_element():
     assert ex.Gamma.n == 257 ** 2
     assert ex.G.n == 2 * ex.Gamma.n == 132_098
     assert np.unique(ex.G.elements, axis=0).shape[0] == ex.G.n
+
+
+def _sorted_keys(G):
+    return np.sort(row_key(G.elements, G.R.p))
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+                                  (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (257, 2)])
+def test_example8_G_by_cosets_equals_the_bfs(p, k):
+    ex = example8(p, k, with_essential=False, with_congruence=False)
+    bfs = FiniteMatrixGroup.generate(ex.R, [ex.g, ex.h, ex.R.j_elem()])
+    assert ex.relations_ok and ex.G.n == 2 * ex.Gamma.n == bfs.n
+    assert np.array_equal(_sorted_keys(ex.G), _sorted_keys(bfs))
+
+
+def test_adjoin_normalising_falls_back_to_the_bfs(example_family):
+    ex = example_family[3]
+    R, Gamma = ex.R, ex.Gamma
+    J = R.J
+    bfs = FiniteMatrixGroup.generate(R, Gamma.generators + [J])
+    # no normalising claim: the BFS itself, in its order
+    assert np.array_equal(adjoin_normalising(Gamma, J, False, 10 ** 6).elements, bfs.elements)
+    # over F_5 the scalar 2 is central, but its square -1 lies outside Gamma
+    ex5 = example8(5, 2, with_essential=False, with_congruence=False)
+    two = (2 * ex5.R.one) % 5
+    G = adjoin_normalising(ex5.Gamma, two, True, 10 ** 6)
+    assert G.n == 4 * ex5.Gamma.n
+    want = FiniteMatrixGroup.generate(ex5.R, ex5.Gamma.generators + [two])
+    assert np.array_equal(G.elements, want.elements)
+    # j in Gamma: G is Gamma
+    assert adjoin_normalising(Gamma, Gamma.elements[1], True, 10 ** 6) is Gamma
+
+
+def test_example8_cap_counts_the_J_coset():
+    # |Gamma| = 243 and |G| = 486 at (3, 4): a cap between them stops the coset build
+    for cap in (243, 300, 485):
+        with pytest.raises(TooLarge, match=f"group exceeds cap {cap}"):
+            example8(3, 4, cap=cap, with_essential=False, with_congruence=False)
+    assert example8(3, 4, cap=486, with_essential=False, with_congruence=False).G.n == 486
+
+
+def _group_series_all_pairs(G, n_max):
+    """The series as computed before: commutators of every pair (x, y) with
+    x in Gamma_k and y in all of G."""
+    T, inv = G.mul_table(), G.inverses()
+    levels = [np.arange(G.n)]
+    for _ in range(n_max - 1):
+        prev = levels[-1]
+        comm = T[T[np.ix_(prev, np.arange(G.n))], inv[T[np.ix_(np.arange(G.n), prev)].T]]
+        levels.append(_index_closure(T, G.id_index, np.unique(comm)))
+    return levels
+
+
+def test_group_series_from_generators_equals_all_pairs(example_family):
+    groups = [example_family[k].Gamma for k in (2, 3, 4, 5)] + [example_family[4].G]
+    R = m2_structure(make_truncated_poly_ring(5, 1))
+    for gens in ([[1, 1, 0, 1], [0, 1, 4, 0]], [[0, 1, 1, 0], [1, 1, 0, 1]],
+                 [[1, 1, 0, 1], [2, 0, 0, 1]]):          # SL2(F5), GL2(F5), a Borel subgroup
+        groups.append(FiniteMatrixGroup.generate(R, [np.array(g) for g in gens]))
+    groups.append(FiniteMatrixGroup(R, groups[-1].elements[::-1]))   # no generators
+    for G in groups:
+        got = group_series(G, 4)
+        want = _group_series_all_pairs(G, 4)
+        assert [H.n for H in got] == [len(w) for w in want]
+        for H, w in zip(got, want):
+            assert np.array_equal(H.elements, G.elements[w])
+
+
+def test_random_sr_equals_the_element_loop():
+    def by_loop(R, rng, n):
+        core = batch_theta_inv(R, random_rad0(R, rng, n))
+        A = R.A
+        lams = rng.integers(1, A.fq.q, size=n)
+        out = np.empty_like(core)
+        for i in range(n):
+            lam = int(lams[i])
+            const = R.assemble(A.constant(lam).v, np.zeros(R.db, dtype=np.int64),
+                               np.zeros(R.dc, dtype=np.int64), A.constant(A.fq.inv(lam)).v)
+            out[i] = R.mul_vec(core[i], const)
+        return out
+
+    for q, k in ((3, 3), (9, 2), (25, 1), (7, 2)):
+        R = m2_structure(make_truncated_poly_ring(q, k))
+        got = random_sr(R, np.random.default_rng(q), 200)
+        assert np.array_equal(got, by_loop(R, np.random.default_rng(q), 200))
+        assert (R.batch_det(got) == R.A.one).all()
+
+
+def test_residual_image_group_equals_the_element_loop():
+    R = m2_structure(make_truncated_poly_ring(9, 3))
+    G = FiniteMatrixGroup.generate(R, [R.elem(np.array(g)) for g in F9_GENS])
+    Fq = make_truncated_poly_ring(9, 1)
+    rows = np.array([[d for comp in R.comps(v) for d in Fq.fq.digits(R.A.residue_int(comp))]
+                     for v in G.elements])
+    _, first = np.unique(row_key(rows, 3), return_index=True)
+    got = residual_image_group(G)
+    assert G.n == 432 and np.array_equal(got.elements, rows[np.sort(first)])

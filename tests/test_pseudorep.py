@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pinkforge.fp import FpSubspace
+from pinkforge.fp import FpSubspace, row_key
 from pinkforge.gma import m2_structure
 from pinkforge.instances import (
     const_diag,
@@ -566,10 +566,13 @@ def _bfs_reference(R, gens):
 def test_generate_keeps_the_reference_bfs_order(example_family):
     from pinkforge.pinklie import example8
     for ex in (example_family[3], example_family[4], example8(5, 3)):
-        for G in (ex.Gamma, ex.G):
-            got = FiniteMatrixGroup.generate(ex.R, G.generators)
-            assert np.array_equal(got.elements, _bfs_reference(ex.R, G.generators))
-            assert np.array_equal(got.elements, G.elements)
+        gamma, G = (FiniteMatrixGroup.generate(ex.R, H.generators) for H in (ex.Gamma, ex.G))
+        for got, H in ((gamma, ex.Gamma), (G, ex.G)):
+            assert np.array_equal(got.elements, _bfs_reference(ex.R, H.generators))
+        assert np.array_equal(gamma.elements, ex.Gamma.elements)
+        # G = Gamma ∪ J·Gamma comes from cosets, so only its element set is the BFS one
+        assert np.array_equal(np.sort(row_key(G.elements, ex.R.p)),
+                              np.sort(row_key(ex.G.elements, ex.R.p)))
 
 
 def test_mul_table_and_inverses_match_dict_lookups(example_family):
@@ -581,6 +584,62 @@ def test_mul_table_and_inverses_match_dict_lookups(example_family):
     assert np.array_equal(Gamma.mul_table(), want)
     want_inv = [index[R.inv_vec(v).tobytes()] for v in Gamma.elements]
     assert Gamma.inverses().tolist() == want_inv
+
+
+def _mul_table_by_rows(G):
+    """The table as computed before the index gathers: row i is found from
+    the batched products x_i * x_j, one row at a time."""
+    T = np.empty((G.n, G.n), dtype=np.int32)
+    for i in range(G.n):
+        T[i] = G.find(G.R.batch_mul_elem_left(G.elements[i], G.elements))
+    if (T < 0).any():
+        raise ValueError("group not closed under multiplication")
+    return T
+
+
+def test_mul_table_by_gathers_equals_the_row_products(gl2_f3, example_family):
+    from pinkforge.pinklie import group_series
+    R3 = gl2_f3.R
+    generated = [FiniteMatrixGroup.generate(R3, [R3.elem(np.array(g)) for g in gens])
+                 for gens in ([[1, 1, 0, 1], [0, 1, 2, 0]], [[0, 1, 1, 0], [1, 1, 0, 1]])]
+    groups = [gl2_f3, *generated, example8(5, 3).Gamma]
+    for k in (2, 3, 4):
+        ex = example_family[k]
+        groups += [ex.Gamma, ex.G, FiniteMatrixGroup(ex.R, ex.G.elements[::-1])]
+        groups += group_series(ex.Gamma, 3)[1:]          # no recorded generators
+    for G in groups:
+        assert np.array_equal(G.mul_table(), _mul_table_by_rows(G)), G.n
+    assert [len(G.generators) for G in groups[:3]] == [0, 2, 2]
+
+
+def test_mul_table_raises_on_a_set_that_is_not_closed(example_family):
+    Gamma = example_family[3].Gamma
+    for rows, gens in ((np.delete(Gamma.elements, 5, axis=0), Gamma.generators),
+                       (np.delete(Gamma.elements, 5, axis=0), None),
+                       (Gamma.elements[:10], None)):
+        part = FiniteMatrixGroup(Gamma.R, rows, generators=gens)
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            part.mul_table()
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            _mul_table_by_rows(part)
+
+
+def _inverses_by_loop(table, identity):
+    return [int(np.nonzero(table[i] == identity)[0][0]) for i in range(len(table))]
+
+
+def test_group_table_inverses_and_rows_without_one_identity(gl2_f3, example_family):
+    for G in (gl2_f3, example_family[3].G):
+        gt = GroupTable.from_matrix_group(G)
+        assert gt.inv.tolist() == _inverses_by_loop(gt.table, gt.identity)
+        assert gt.inv.tolist() == G.inverses().tolist()
+    T = cyclic_group_table(5).table.copy()
+    T[2, 4] = 0                          # row 2 holds the identity twice
+    with pytest.raises(ValueError, match="row 2 .* 2 times"):
+        GroupTable(table=T, identity=0)
+    T[2, [3, 4]] = 1                     # and now not at all
+    with pytest.raises(ValueError, match="row 2 .* 0 times"):
+        GroupTable(table=T, identity=0)
 
 
 def test_verify_closure_sees_a_missing_element(example_family):
