@@ -119,15 +119,6 @@ class FpSubspace:
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
         return FpSubspace(self.p, self.n, np.vstack([self.basis, vectors]))
 
-    def intersect(self, other):
-        # null(x) basis of joint span decomposition: x = a·B1 = b·B2
-        if self.dim == 0 or other.dim == 0:
-            return FpSubspace(self.p, self.n)
-        M = np.vstack([self.basis, other.basis]).T  # n x (d1+d2)
-        ker = nullspace(M, self.p)
-        vecs = matmul_mod(ker[:, : self.dim], self.basis, self.p)
-        return FpSubspace(self.p, self.n, vecs)
-
     def enumerate(self, cap=None):
         """All p^dim member vectors, coefficient-lex order."""
         d = self.dim

@@ -116,9 +116,6 @@ class GmaStructure:
         act = self.act_b if which == "b" else self.act_c
         return bilinear(a, M, act, self.p)
 
-    def pair(self, b, c):
-        return bilinear(b, c, self.pairing, self.p)[0]
-
     # -- algebra operations ---------------------------------------------------
     def mul_vec(self, x, y):
         return bilinear(np.asarray(x) % self.p, np.asarray(y) % self.p, self.mul_tensor, self.p)[0]
@@ -371,9 +368,6 @@ class GmaElem:
     def det(self):
         return RingElem(self.R.A, self.R.det_vec(self.v))
 
-    def is_identity(self):
-        return np.array_equal(self.v, self.R.one)
-
     def __eq__(self, other):
         return isinstance(other, GmaElem) and other.R is self.R and np.array_equal(self.v, other.v)
 
@@ -448,121 +442,12 @@ def is_faithful(R):
     return left.shape[0] == 0 and right.shape[0] == 0
 
 
-def is_cayley_hamilton(R, rng=None, samples=200):
-    """x^2 - tr(x) x + det(x) = 0; exhaustive on small structures, else on
-    `samples` random elements."""
-    total = R.p ** R.dim
-    if total <= 4096:
-        X = np.indices((R.p,) * R.dim).reshape(R.dim, -1).T % R.p
-    else:
-        rng = rng or np.random.default_rng(0)
-        X = rng.integers(0, R.p, size=(samples, R.dim))
-    X2 = R.batch_mul(X, X)
-    TR = R.batch_trace(X)
-    DET = R.batch_det(X)
-    trx = R.batch_mul(_embed_scalar(R, TR), X)
-    lhs = (X2 - trx) % R.p
-    lhs[:, R.sa] = (lhs[:, R.sa] + DET) % R.p
-    lhs[:, R.sd] = (lhs[:, R.sd] + DET) % R.p
-    return not lhs.any()
-
-
-def _embed_scalar(R, T):
-    """Rows t -> t*Id in flat coordinates."""
-    out = np.zeros((len(T), R.dim), dtype=np.int64)
-    out[:, R.sa] = T
-    out[:, R.sd] = T
-    return out
-
-
-def in_SR1(R, x):
-    """det(x) = 1 and x = Id mod rad R."""
-    v = x.v if isinstance(x, GmaElem) else np.asarray(x)
-    if not np.array_equal(R.det_vec(v), R.A.one):
-        return False
-    return R.radical().contains((v - R.one) % R.p)
-
-
 def batch_in_SR1(R, X):
+    """Which rows lie in SR^1: det(x) = 1 and x = Id mod rad R."""
     X = np.atleast_2d(X)
     out = (R.batch_det(X) == R.A.one).all(axis=1)
     out[out] = R.radical().contains((X[out] - R.one) % R.p)
     return out
-
-
-def sub_gma_from_group(R, G):
-    """The A-span of a matrix group as a sub-GMA (A, B', C').
-
-    Needs a diagonal element of G with residually distinct diagonal
-    entries; with it, the idempotents e1, e2 lie in the span and slice it
-    into components.  Returns (structure, embed) where embed maps new flat
-    coordinates into R's.
-    """
-    A, p = R.A, R.p
-    elems = G.elements if hasattr(G, "elements") else np.array([g.v for g in G])
-    found = False
-    for v in elems:
-        a, b, c, d = R.comps(v)
-        if b.any() or c.any():
-            continue
-        if _residually_distinct(A, a, d):
-            found = True
-            break
-    if not found:
-        raise NotAdapted("no diagonal element with residually distinct entries")
-    ea = np.eye(A.dim, dtype=np.int64)
-    brows, crows = [], []
-    for v in elems:
-        _, b, c, _ = R.comps(v)
-        for i in range(A.dim):
-            brows.append(R.module_act(ea[i], b[None, :], "b")[0])
-            crows.append(R.module_act(ea[i], c[None, :], "c")[0])
-    Bsp = FpSubspace(p, R.db, brows)
-    Csp = FpSubspace(p, R.dc, crows)
-    # restrict action and pairing to the sub-bases
-    act_b = np.zeros((A.dim, Bsp.dim, Bsp.dim), dtype=np.int64)
-    act_c = np.zeros((A.dim, Csp.dim, Csp.dim), dtype=np.int64)
-    for i in range(A.dim):
-        imb = R.module_act(ea[i], Bsp.basis, "b")
-        act_b[i] = np.array([Bsp.coords(r) for r in imb])
-        imc = R.module_act(ea[i], Csp.basis, "c")
-        act_c[i] = np.array([Csp.coords(r) for r in imc])
-    pairing = np.zeros((Bsp.dim, Csp.dim, A.dim), dtype=np.int64)
-    for k, bb in enumerate(Bsp.basis):
-        for l, cc in enumerate(Csp.basis):
-            pairing[k, l] = R.pair(bb, cc)
-    sub = GmaStructure(A, act_b, act_c, pairing, name=R.name + "_span")
-    embed = np.zeros((sub.dim, R.dim), dtype=np.int64)
-    embed[sub.sa, R.sa] = np.eye(A.dim, dtype=np.int64)
-    embed[sub.sd, R.sd] = np.eye(A.dim, dtype=np.int64)
-    if Bsp.dim:
-        embed[sub.sb, R.sb] = Bsp.basis
-    if Csp.dim:
-        embed[sub.sc, R.sc] = Csp.basis
-    return sub, embed
-
-
-def _residually_distinct(A, a, d):
-    if isinstance(A, SemiLocalRing):
-        return all(
-            A.factors[i].residue_int(A.project(a, i)) != A.factors[i].residue_int(A.project(d, i))
-            for i in range(len(A.factors))
-        )
-    return A.residue_int(a) != A.residue_int(d)
-
-
-def linear_kernel_of_trace(R):
-    """Ker(tr, det) of the algebra R itself: for p odd this is the
-    radical of the trace pairing {y : tr(yx) = 0 for all x}."""
-    from .fp import nullspace
-    p = R.p
-    E = np.eye(R.dim, dtype=np.int64)
-    # y with tr(y e_j) = 0 for all j: rows indexed by (j, trace coord)
-    M = np.zeros((R.dim * R.A.dim, R.dim), dtype=np.int64)
-    for i in range(R.dim):
-        for j in range(R.dim):
-            M[j * R.A.dim:(j + 1) * R.A.dim, i] = R.trace_vec(R.mul_vec(E[i], E[j]))
-    return FpSubspace(p, R.dim, nullspace(M, p))
 
 
 def m2_quotient_map(R, ideal_vectors):
@@ -585,34 +470,3 @@ def m2_quotient_map(R, ideal_vectors):
 
     return Rq, apply
 
-
-def m2_isomorphism(R):
-    """For a GMA with BC = A: module trivializations onto A carrying the
-    pairing to ring multiplication, i.e. the isomorphism R -> M2(A).
-
-    Returns (phi_b, phi_c): (db, da) and (dc, da) matrices mapping module
-    coordinates to ring coordinates.  Raises if BC != A.
-    """
-    if not R.bc_ideal().contains(R.A.one):
-        raise ValueError("BC is a proper ideal; no matrix trivialization")
-    A, p = R.A, R.p
-    # find b0, c0 with m(b0, c0) = 1 by searching small combinations
-    eb = np.eye(R.db, dtype=np.int64)
-    ec = np.eye(R.dc, dtype=np.int64)
-    cands_b = list(eb) + [(eb[i] + eb[j]) % p for i in range(R.db) for j in range(i)]
-    cands_c = list(ec) + [(ec[i] + ec[j]) % p for i in range(R.dc) for j in range(i)]
-    b0 = c0 = None
-    for b in cands_b:
-        for c in cands_c:
-            if A.is_unit_vec(R.pair(b, c)):
-                b0, c0 = b, c
-                break
-        if b0 is not None:
-            break
-    if b0 is None:
-        raise ValueError("no unit pairing value among small combinations")
-    u = A.invert_vec(R.pair(b0, c0))
-    # phi_b(b) = m(b, c0)·u so that phi_b(b0) = 1; similarly phi_c
-    phi_b = np.array([A.mul_vec(R.pair(b, c0), u) for b in eb])
-    phi_c = np.array([R.pair(b0, c) for c in ec])
-    return phi_b, phi_c

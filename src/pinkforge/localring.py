@@ -251,7 +251,6 @@ class FiniteAlgebra:
         self.one = np.array(one, dtype=np.int64) % p
         self.names = list(names) if names else [f"e{i}" for i in range(self.dim)]
         self.meta = dict(meta or {})
-        self.zero = np.zeros(self.dim, dtype=np.int64)
 
     # -- vector-level arithmetic ------------------------------------------
     def mul_vec(self, x, y):
@@ -308,9 +307,6 @@ class FiniteAlgebra:
 
     def one_elem(self):
         return RingElem(self, self.one)
-
-    def zero_elem(self):
-        return RingElem(self, self.zero)
 
     def scalar(self, k):
         return RingElem(self, (self.one * (int(k) % self.p)) % self.p)
@@ -518,13 +514,6 @@ class SemiLocalRing(FiniteAlgebra):
     def project(self, x, i):
         o = self.offsets[i]
         return np.asarray(x)[o:o + self.factors[i].dim]
-
-    def inject(self, xs):
-        v = np.zeros(self.dim, dtype=np.int64)
-        for i, x in enumerate(xs):
-            o = self.offsets[i]
-            v[o:o + self.factors[i].dim] = np.asarray(x)
-        return RingElem(self, v)
 
     def is_unit_vec(self, x):
         return all(self.factors[i].is_unit_vec(self.project(x, i))

@@ -37,6 +37,10 @@ P_LIMIT = 2 ** 31          # primes below this keep int64 coefficient arithmetic
 # 0.033 / 0.036 s at 1e5, 0.061 / 0.076 s at 2e5, 0.082 / 0.164 s at 5e5;
 # Delta^3·Delta^5 mod 2 at 2e5 (6,160 and 6,140 terms) 0.018 / 0.078 s.
 SPARSE_CUTOFF = 20_000
+# Largest degree `delta_expansion` builds, ten times the largest the README and
+# the benchmark use (2e6).  An odd-p series at this degree is 160 MB of int64
+# before its FFT buffers; beyond it TooLarge is raised before any array exists.
+MAX_DEGREE = 2 * 10 ** 7
 
 
 class FpSeries:
@@ -353,6 +357,8 @@ def delta_expansion(p, N):
     """
     if N < 1:
         raise ValueError("degree must be at least 1")
+    if N > MAX_DEGREE:
+        raise TooLarge(f"series degree {N} exceeds the cap {MAX_DEGREE}")
     fs = _frobenius_factors(p)
     a = fs[0][0]
     n = (N - 1) // a

@@ -39,10 +39,6 @@ class NotPinkStable(ValueError):
     pass
 
 
-class NotWeaklyOdd(ValueError):
-    pass
-
-
 # -- the theta map ---------------------------------------------------------
 
 def theta(R, x):
@@ -362,11 +358,6 @@ def decompose(L):
     return Decomposition(True, strongly, delta, nabla, I1, B1, C1)
 
 
-def is_strongly_decomposable(L):
-    d = decompose(L)
-    return (d.decomposable and d.strongly), d.I1, d.B1, d.C1
-
-
 def trace_products(R, U, V):
     """tr(u·v) for every pair of rows, u-major, through R's trace form."""
     D = R.dim
@@ -629,19 +620,6 @@ def is_congruence_subgroup(L, R=None, ideal_cap=64):
         if L.contains(block.basis).all():
             return True, name
     return False, None if exhaustive else "search capped"
-
-
-def compute_A0(L):
-    """A_0 = F_p·1 + I_1 + I_1^2 for decomposable L; verified to be a ring."""
-    R = L.R
-    A = R.A
-    dec = decompose(L)
-    if not dec.decomposable:
-        raise ValueError("A_0 needs a decomposable L")
-    one_sp = FpSubspace(A.p, A.dim, [A.one])
-    A0 = one_sp.sum(dec.I1).sum(span_products(dec.I1.basis, dec.I1.basis, A.mul_tensor, A.p))
-    closed = bool(A0.contains(pair_products(A0.basis, A0.basis, A.mul_tensor, A.p)).all())
-    return A0, closed
 
 
 # -- the essential submodule and the measure bound ----------------------------

@@ -1,18 +1,18 @@
 """Two-dimensional pseudo-representations of finite groups over a finite
-local base: the trace/determinant axioms, kernels, the extension (T, D) to
-the group algebra, reconstruction of a matrix realization inside a
+local base: the trace/determinant axioms, the extension (T, D) to the group
+algebra and its kernel, reconstruction of a matrix realization inside a
 generalized matrix algebra, residual classification, and the admissibility
-and adaptedness predicates used by the Lie-theoretic layer.
+predicate used by the Lie-theoretic layer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TooLarge
-from .fp import FpSubspace, nullspace, row_key, saturate, span_products
+from .fp import FpSubspace, nullspace, row_key, span_products
 from .gma import GmaElem, GmaStructure, NotAdapted, batch_in_SR1, m2_structure
-from .localring import LocalRing, RingElem, SemiLocalRing
+from .localring import LocalRing, RingElem
 
 
 class NotMultFree(ValueError):
@@ -190,19 +190,6 @@ class GroupTable:
     def from_matrix_group(cls, G):
         return cls(table=np.asarray(G.mul_table(), dtype=np.int64), identity=G.id_index)
 
-    def commutators(self):
-        """Indices of the commutators x y x^-1 y^-1 over all pairs x, y."""
-        T = self.table
-        return np.unique(T[T, self.inv[T.T]])
-
-    def commutator_subgroup(self):
-        return _index_closure(self.table, self.identity, self.commutators())
-
-    def abelianization(self):
-        """(class map, class count) for G / [G, G]."""
-        H = self.commutator_subgroup()
-        return _coset_classes(self, H)
-
 
 def _index_closure(T, identity, gens):
     """Sorted indices of the subgroup generated by `gens` in the finite group
@@ -303,28 +290,6 @@ def check_axioms(tr):
             y = int(np.nonzero((lhs != rhs).any(axis=1))[0][0])
             return False, ("trace relation fails", (x, y))
     return True, None
-
-
-def kernel(tr):
-    """Indices of ker(t, d) = {y : t(xy) = t(x) for all x}; the condition
-    on d is implied when p is odd and checked explicitly when p = 2."""
-    A, gt = tr.A, tr.gt
-    T = gt.table
-    out = []
-    one = A.one
-    for y in range(gt.n):
-        if not np.array_equal(tr.t[T[:, y]], tr.t):
-            continue
-        if A.p == 2 and not np.array_equal(tr.d[y], one):
-            continue
-        out.append(y)
-    return out
-
-
-def is_normal(gt, indices):
-    s = set(indices)
-    return all(int(gt.table[gt.table[g, h], gt.inv[g]]) in s
-               for g in range(gt.n) for h in indices)
 
 
 def extend_to_algebra(tr, coeffs):
@@ -779,168 +744,6 @@ def is_admissible(tr):
         return False
     traces = FpSubspace(A.p, A.dim, tr.t)
     return span_products(A.constants(), traces.basis, A.mul_tensor, A.p).dim == A.dim
-
-
-def gbar_of(G):
-    """Image of a matrix group in (R/rad R)*: pairs of residual data.
-
-    Returns (labels, class_of, reps) where labels[c] is a canonical tuple for
-    the c-th residual class (in order of first appearance), class_of maps
-    element index -> class index and reps[c] is the first element of class c.
-    """
-    R = G.R
-    A = R.A
-    if isinstance(A, SemiLocalRing):
-        raise NotImplementedError("residual labels only for local base")
-    a, b, c, d = R.comps(G.elements)
-    parts = [a @ A.proj.T % A.p, d @ A.proj.T % A.p]         # residue digits
-    matrix = R.radical_profile()[0] == "matrix"
-    if matrix:      # b, c modulo m·B and m·C; here B and C are A-modules like A
-        parts[1:1] = [_module_residues(R, b, "b"), _module_residues(R, c, "c")]
-    rows = np.concatenate(parts, axis=1)
-    _, first, inverse = np.unique(row_key(rows, R.p), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    f, labels = A.fq.f, []
-    for r in rows[first[order]].tolist():
-        ends = A.fq.encode(r[:f]), A.fq.encode(r[-f:])
-        labels.append(("m2", ends[0], tuple(r[f:f + R.db]), tuple(r[f + R.db:-f]), ends[1])
-                      if matrix else ("diag",) + ends)
-    return labels, np.argsort(order)[inverse], first[order].tolist()
-
-
-def _module_residues(R, X, which):
-    """Rows of X, in module B or C, reduced modulo m·module."""
-    E = np.eye(R.db if which == "b" else R.dc, dtype=np.int64)
-    sub = FpSubspace(R.p, len(E), [R.module_act(m, E, which) for m in R.A.maxideal.basis])
-    return sub.reduce(X)
-
-
-def is_well_adapted(G, g0_index, cls):
-    """Definition check on a matrix group G realizing (t, d):
-
-    (i) rho(g0) is diagonal with residually distinct entries and generates,
-    together with the scalars of Gbar, the whole Gbar (cyclic residual
-    class) or an index-2 subgroup (dihedral);
-    (ii) the constant section of every residual class lies in G;
-    (iii) a non-abelian Gbar contains a constant antidiagonal matrix
-    [[0, b],[c, 0]] with b/c in the prime field.
-    """
-    R = G.R
-    A = R.A
-    v0 = G.elements[g0_index]
-    if v0[R.sb].any() or v0[R.sc].any():
-        return False, "rho(g0) not diagonal"
-    if A.residue_int(v0[R.sa]) == A.residue_int(v0[R.sd]):
-        return False, "rho(g0) residually scalar"
-    # residual image data
-    gt = GroupTable.from_matrix_group(G)
-    labels, class_of, reps = gbar_of(G)
-    nbar = len(labels)
-    # (ii): constant lifts in G
-    for lab in labels:
-        const = _constant_lift(R, lab)
-        if const is None or G.lookup(const) is None:
-            return False, f"constant lift of {lab} missing from G"
-    # subgroup of Gbar generated by class(g0) and scalar classes
-    scal_classes = {c for c, lab in enumerate(labels) if _is_scalar_label(lab)}
-    tab = class_of[gt.table[np.ix_(reps, reps)]]             # projective/residual table
-    gen = _index_closure(tab, class_of[gt.identity], scal_classes | {int(class_of[g0_index])})
-    idx = len(gen)
-    if cls.kind == "cyclic":
-        if idx != nbar:
-            return False, "g0 and scalars do not generate Gbar"
-    elif cls.kind == "dihedral":
-        if 2 * idx != nbar:
-            return False, "g0 and scalars do not generate an index-2 subgroup"
-    else:
-        return False, "well-adaptedness applies to cyclic or dihedral classes"
-    # (iii)
-    if not (tab == tab.T).all():                              # Gbar not abelian
-        X = G.elements
-        anti = ~X[:, R.sa].any(axis=1) & ~X[:, R.sd].any(axis=1) \
-            & X[:, R.sb].any(axis=1) & X[:, R.sc].any(axis=1)
-        if not any(_constant_antidiag_prime_ratio(R, v[R.sb], v[R.sc]) for v in X[anti]):
-            return False, "no constant antidiagonal with prime-field ratio"
-    return True, None
-
-
-def _is_scalar_label(label):
-    if label[0] == "diag":
-        return label[1] == label[2]
-    off_zero = not any(label[2]) and not any(label[3])
-    return label[1] == label[4] and off_zero
-
-
-def _constant_lift(R, label):
-    """Entrywise constant section of a residual label, for M2 and diagonal
-    reduced cases (b, c components must be constant-liftable)."""
-    A = R.A
-    zb = np.zeros(R.db, dtype=np.int64)
-    zc = np.zeros(R.dc, dtype=np.int64)
-    if label[0] == "diag":
-        return R.assemble(A.constant(label[1]).v, zb, zc, A.constant(label[2]).v)
-    # matrix case with B = C = A: lift each entry through the constants section
-    if R.db != A.dim or R.dc != A.dim:
-        return None
-    bres = A.residue_int(np.array(label[2], dtype=np.int64))
-    cres = A.residue_int(np.array(label[3], dtype=np.int64))
-    return R.assemble(A.constant(label[1]).v, A.constant(bres).v,
-                      A.constant(cres).v, A.constant(label[4]).v)
-
-
-def _constant_antidiag_prime_ratio(R, b, c):
-    """b, c constant with b·c^{-1} in F_p*, for B = C = A (matrix case)."""
-    A = R.A
-    if R.db != A.dim or R.dc != A.dim:
-        return False
-    rb, rc = A.residue_int(b), A.residue_int(c)
-    if rb == 0 or rc == 0:
-        return False
-    if not np.array_equal(b, A.constant(rb).v) or not np.array_equal(c, A.constant(rc).v):
-        return False
-    ratio = A.fq.mul(rb, A.fq.inv(rc))
-    return ratio in {A.fq.encode([k] + [0] * (A.fq.f - 1)) for k in range(1, A.p)}
-
-
-def commutator_trace_ideal(tr):
-    """Smallest ideal I with t mod I invariant under commutator twists:
-    generated by t(x y x^{-1} y^{-1} s) - t(s) over all x, y, s."""
-    A, gt = tr.A, tr.gt
-    comms = gt.commutators()
-    rows = (tr.t[gt.table[comms[comms != gt.identity]]] - tr.t) % A.p
-    return saturate(FpSubspace(A.p, A.dim, rows.reshape(-1, A.dim)), A.mul_tensor,
-                    by=np.eye(A.dim, dtype=np.int64))
-
-
-def kernel_ideal(tr):
-    """The two-sided ideal of A[G] generated by {g - 1 : g in ker(t, d)}, in
-    flat (|G|·dim A)-coordinates: the left ideal they generate, saturated
-    on the right (a right-saturated left ideal is two-sided)."""
-    A, gt = tr.A, tr.gt
-    p, n, da = A.p, gt.n, A.dim
-    N = n * da
-    if N ** 3 > 1 << 24:
-        raise TooLarge(f"the structure tensor of A[G] has {N}^3 entries, above 2^24")
-    # A[G]'s structure tensor: e_i g · e_j h = (e_i e_j) gh
-    TG = np.zeros((n, da, n, da, n, da), dtype=np.int64)
-    G1, H1 = np.indices((n, n))
-    TG[G1, :, H1, :, gt.table] = A.mul_tensor
-    TG = TG.reshape(N, N, N)
-    ker_grp = kernel(tr)
-    rows = np.zeros((len(ker_grp), n, da), dtype=np.int64)
-    rows[np.arange(len(ker_grp)), ker_grp] = A.one
-    rows[:, gt.identity] = (rows[:, gt.identity] - A.one) % p
-    E = np.eye(N, dtype=np.int64)
-    left = saturate(FpSubspace(p, N, rows.reshape(-1, N)), TG, by=E)
-    return saturate(left, TG.transpose(1, 0, 2), by=E)
-
-
-def kernel_ideal_gap(tr):
-    """Dimensions of Ker(T, D) versus `kernel_ideal`.  The kernel can in
-    principle be strictly larger; small instances are scanned for a witness
-    rather than asserting either way."""
-    ideal = kernel_ideal(tr)            # raises TooLarge before any large allocation
-    return linear_kernel(tr).dim, ideal.dim
 
 
 def residual_image_group(G):

@@ -9,13 +9,8 @@ the convergence trail in the test output.
 
 import time
 
-import numpy as np
-import pytest
-
-from pinkforge.fp import row_key
-from pinkforge.gma import m2_structure, reduced_residue_gma
-from pinkforge.instances import component_block_rows, structure_parameter_sets
-from pinkforge.localring import make_truncated_poly_ring
+from pinkforge.cli import VERIFY_CHECKS
+from pinkforge.instances import structure_parameter_sets
 from pinkforge.modforms import (
     delta_expansion,
     density_sweep,
@@ -24,21 +19,9 @@ from pinkforge.modforms import (
     nilpotency_check,
     series_pow,
 )
-from pinkforge.pinklie import (
-    LieSubspace,
-    batch_theta_inv,
-    descending_series,
-    essential_not_ideal_witness,
-    group_series,
-    is_congruence_subgroup,
-    key_measure_check,
-    lie_of_subgroup,
-    pink_converse,
-    pink_formula_battery,
-    random_rad0,
-    structure_round_trip,
-)
-from pinkforge.pseudorep import FiniteMatrixGroup
+from pinkforge.pinklie import essential_not_ideal_witness, key_measure_check, structure_round_trip
+
+CHECKS = dict(VERIFY_CHECKS)
 
 
 def report(name, passed, detail):
@@ -79,73 +62,44 @@ def test_criterion_2_delta_mod2_support():
 
 def test_criterion_3_formula_battery():
     """Six theta/trace identities, >= 1000 tuples each, three structures,
-    zero violations, under 10 s."""
+    zero violations, under 10 s: `pink verify`'s theta_identities check at
+    seed 2026."""
     t0 = time.time()
-    A1 = make_truncated_poly_ring(3, 3)
-    A2 = make_truncated_poly_ring(5, 2)
-    structures = [("M2(F3[X]/(X^3))", m2_structure(A1)),
-                  ("M2(F5[eps])", m2_structure(A2)),
-                  ("reduced BC<=m", reduced_residue_gma(A1))]
-    total_viol = 0
-    for name, R in structures:
-        res = pink_formula_battery(R, np.random.default_rng(2026), n=1000)
-        total_viol += sum(res.values())
+    ok, details = CHECKS["theta_identities"](2026)
+    total_viol = sum(sum(res.values()) for res in details.values())
+    identities = {len(res) for res in details.values()}
     dt = time.time() - t0
     report("criterion 3 (theta identity battery)",
-           total_viol == 0 and dt < 10.0,
-           f"3 structures x 6 identities x 1000 tuples, "
+           ok and total_viol == 0 and identities == {6} and dt < 10.0,
+           f"{len(details)} structures x 6 identities x 1000 tuples, "
            f"{total_viol} violations, {dt:.1f}s")
 
 
 def test_criterion_4_central_series_agreement():
     """20 seeded generator sets over rings of dim <= 5: the group central
     series equals theta^{-1} of the Lie derived series from n = 2,
-    element for element, under 1 min."""
+    element for element, under 1 min: `pink verify`'s central_series_match
+    check at seed 424242."""
     t0 = time.time()
-    rings = [(3, 2, 2), (3, 3, 2), (5, 2, 2), (9, 2, 2), (7, 2, 2),
-             (3, 4, 1), (5, 3, 1)]
-    rng = np.random.default_rng(424242)
-    checked = 0
-    ok = True
-    while checked < 20:
-        q, k, ngens = rings[checked % len(rings)]
-        A = make_truncated_poly_ring(q, k)
-        R = m2_structure(A)
-        seed_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31)))
-        gens = batch_theta_inv(R, random_rad0(R, seed_rng, ngens))
-        G = FiniteMatrixGroup.generate(R, [R.elem(v) for v in gens], cap=30000)
-        if G.n > 4000:
-            continue
-        checked += 1
-        L = lie_of_subgroup(G)
-        gs = group_series(G, 4)
-        ls = descending_series(L, 4)
-        for n in range(1, 4):
-            want = set(row_key(batch_theta_inv(R, ls[n].enumerate(cap=10 ** 6)), R.p).tolist())
-            got = set(row_key(gs[n].elements, R.p).tolist())
-            ok = ok and (want == got)
+    ok, details = CHECKS["central_series_match"](424242)
+    agreed = sum(d["series_agree"] for d in details)
     dt = time.time() - t0
     report("criterion 4 (central series = Lie series)",
-           ok and checked >= 20 and dt < 60.0,
-           f"{checked} seeded generator sets, exact agreement n = 2..4, {dt:.1f}s")
+           ok and agreed == 20 and dt < 60.0,
+           f"{agreed} seeded generator sets, exact agreement n = 2..4, {dt:.1f}s")
 
 
 def test_criterion_5_converse_theorem():
     """For the ideal block of (X) over F3[X]/(X^4): theta^{-1}(L) is a group
     of size exactly 3^9, recomputing its Lie algebra returns L, and the
-    series follows the ideal-power pattern."""
+    series follows the ideal-power pattern 3·(4-n): `pink verify`'s
+    converse_theorem check."""
     t0 = time.time()
-    A = make_truncated_poly_ring(3, 4)
-    R = m2_structure(A)
-    L = LieSubspace(R, component_block_rows(R, list(A.maxideal.basis)))
-    H, P = pink_converse(L)
-    LH = lie_of_subgroup(H)
-    dims = [s.dim for s in descending_series(LH, 4)]
-    # the (X^n) pattern: 3 matrix positions x dim of (X^n) = 3·(4-n)
-    ok = (H.n == 3 ** 9) and (LH == L) and dims == [9, 6, 3, 0]
+    ok, details = CHECKS["converse_theorem"](0)
     dt = time.time() - t0
     report("criterion 5 (converse theorem, ideal block)",
-           ok, f"|H| = {H.n} = 3^9, L recovered, series dims {dims}, {dt:.1f}s")
+           ok, f"|H| = {details['order']} = 3^9, L recovered, "
+               f"series dims {details['series_dims']}, {dt:.1f}s")
 
 
 def test_criterion_6_example_family(example_family):

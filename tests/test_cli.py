@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -76,6 +77,26 @@ def test_field_table_cap_exit_3():
     assert r.returncode == 3
     assert r.stdout == "" and "Traceback" not in r.stderr
     assert r.stderr.startswith("error: a 65521 x 65521 multiplication table exceeds")
+
+
+def _address_space_2gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--p", "3", "--form", "delta", "--X", "10000000000000000000"],
+    ["cyclotomic", "--p", "3", "--form", "delta", "--M", "4", "--X", "10000000000"],
+    ["span", "--p", "3", "--form", "delta", "--primes", "5", "--deg", "100000000000000"],
+])
+def test_series_degree_cap_exit_3(args):
+    # these asked numpy for 11.1 GiB, 24.8 GiB and 243 TiB and exited 1
+    # with an _ArrayMemoryError traceback
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli"] + args, capture_output=True,
+                       text=True, preexec_fn=_address_space_2gib, timeout=120)
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert re.fullmatch(r"error: series degree \d+ exceeds the cap \d+ \(cap reached, undecided\)",
+                        r.stderr.strip())
 
 
 def test_span_out_of_degree_is_undecided():

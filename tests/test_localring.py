@@ -273,11 +273,11 @@ def test_semilocal_product():
     S = SemiLocalRing([A1, A2])
     assert S.dim == 5
     assert S.radical.dim == A1.maxideal.dim + A2.maxideal.dim
-    x = S.inject([A1.elem([1, 1]).v, A2.elem([1, 0, 1]).v])
+    x = S.elem(np.concatenate([A1.elem([1, 1]).v, A2.elem([1, 0, 1]).v]))
     assert S.is_unit_vec(x.v)
     y = x.inverse()
     assert np.array_equal(S.project(y.v, 0), A1.elem([1, 1]).inverse().v)
-    bad = S.inject([A1.elem([0, 1]).v, A2.one])
+    bad = S.elem(np.concatenate([A1.elem([0, 1]).v, A2.one]))
     assert not bad.is_unit()
 
 

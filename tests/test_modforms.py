@@ -316,6 +316,14 @@ def test_sparse_eta_sixth_exactness_bound():
         _sparse_mul(5, 2 ** 34, J, J)
 
 
+def test_delta_degree_is_capped_before_allocating():
+    # degree 1e19 at p = 3 went on to allocate 11.1 GiB of Euler exponents
+    for p in (2, 3, 65521):
+        with pytest.raises(TooLarge):
+            delta_expansion(p, modforms.MAX_DEGREE + 1)
+    assert delta_expansion(2, modforms.MAX_DEGREE).deg == modforms.MAX_DEGREE
+
+
 def test_sparse_mul_matches_a_dense_convolution():
     rng = np.random.default_rng(53)
     for deg in (0, 1, 7, 300):

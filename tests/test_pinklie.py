@@ -24,7 +24,6 @@ from pinkforge.pinklie import (
     batch_theta,
     batch_theta_inv,
     bracket,
-    compute_A0,
     decompose,
     decomposable_condition_report,
     descending_series,
@@ -33,7 +32,6 @@ from pinkforge.pinklie import (
     example8,
     group_series,
     is_congruence_subgroup,
-    is_strongly_decomposable,
     key_measure_check,
     lie_of_subgroup,
     measure_change_psi,
@@ -303,15 +301,13 @@ def test_decompose_examples(r33):
     ex = example8(3, 3, with_essential=False, with_congruence=False)
     decx = decompose(ex.L)
     assert decx.decomposable and not decx.strongly
-    flag, I1, B1, C1 = is_strongly_decomposable(ex.L)
-    assert not flag
     # ideal block: strongly decomposable with I1 = B1 = C1 = (X)
     Lb = LieSubspace(R, component_block_rows(R, list(A.maxideal.basis)))
-    flag2, I1b, B1b, C1b = is_strongly_decomposable(Lb)
-    assert flag2
-    assert I1b == FpSubspace(3, A.dim, A.maxideal.basis)
-    assert B1b == FpSubspace(3, R.db, A.maxideal.basis)
-    assert C1b == FpSubspace(3, R.dc, A.maxideal.basis)
+    decb = decompose(Lb)
+    assert decb.decomposable and decb.strongly
+    assert decb.I1 == FpSubspace(3, A.dim, A.maxideal.basis)
+    assert decb.B1 == FpSubspace(3, R.db, A.maxideal.basis)
+    assert decb.C1 == FpSubspace(3, R.dc, A.maxideal.basis)
     # condition reports hold for honest Lie algebras of subgroups
     rep = decomposable_condition_report(ex.L)
     assert all(v for v in rep.values() if isinstance(v, bool)), rep
@@ -342,14 +338,6 @@ def test_congruence_small_k_status(example_family):
     # at k = 2 and 3 the search is still exhaustive; record exact outcomes
     assert example_family[2].congruence == (False, None)
     assert example_family[3].congruence == (False, None)
-
-
-def test_compute_A0(example_family):
-    ex = example_family[4]
-    A0, closed = compute_A0(ex.L)
-    assert closed
-    # F_3·1 + odd monomials + their squares: 1, X, X^3, X^2 -> all of A
-    assert A0.dim == 4
 
 
 def test_essential_data_cases(example_family):

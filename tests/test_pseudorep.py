@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pinkforge.fp import FpSubspace, row_key
+from pinkforge.fp import row_key
 from pinkforge.gma import m2_structure
 from pinkforge.instances import (
     const_diag,
@@ -11,7 +11,6 @@ from pinkforge.instances import (
     klein_constants,
     sl2_fp_constants,
 )
-from pinkforge.errors import TooLarge
 from pinkforge.localring import make_truncated_poly_ring
 from pinkforge.pinklie import example8
 from pinkforge.pseudorep import (
@@ -22,15 +21,9 @@ from pinkforge.pseudorep import (
     build_td_representation,
     check_axioms,
     classify_projective_image,
-    commutator_trace_ideal,
     extend_to_algebra,
     is_admissible,
-    is_normal,
-    is_well_adapted,
     _index_closure,
-    kernel,
-    kernel_ideal,
-    kernel_ideal_gap,
     linear_kernel,
     residual_multfree_data,
 )
@@ -50,6 +43,15 @@ def gl2_f3():
 def cyclic_group_table(n):
     T = np.fromfunction(lambda i, j: (i + j) % n, (n, n), dtype=np.int64)
     return GroupTable(table=T.astype(np.int64), identity=0)
+
+
+def group_kernel(tr):
+    """ker(t, d) read off Ker(T, D): the g with g - 1 in `linear_kernel`."""
+    n, da = tr.gt.n, tr.A.dim
+    V = np.zeros((n, n, da), dtype=np.int64)
+    V[np.arange(n), np.arange(n)] = tr.A.one
+    V[:, tr.gt.identity] -= tr.A.one
+    return np.flatnonzero(linear_kernel(tr).contains(V.reshape(n, n * da) % tr.A.p)).tolist()
 
 
 def test_axioms_hold_for_matrix_groups(gl2_f3, example_family):
@@ -87,7 +89,7 @@ def test_axioms_character_sum():
 
 def test_kernel_examples(gl2_f3, example_family):
     tr = PseudoRep.from_matrix_group(gl2_f3)
-    assert kernel(tr) == [gl2_f3.id_index]
+    assert group_kernel(tr) == [gl2_f3.id_index]
     # inflation from a quotient: pull back along Z/6 -> Z/3
     A = make_truncated_poly_ring(7, 1)
     gt6 = cyclic_group_table(6)
@@ -99,9 +101,9 @@ def test_kernel_examples(gl2_f3, example_family):
     tr6 = PseudoRep(A, gt6, t, d)
     ok, _ = check_axioms(tr6)
     assert ok
-    ker = kernel(tr6)
-    assert ker == [0, 3]                 # the inflation kernel
-    assert is_normal(gt6, ker)
+    assert group_kernel(tr6) == [0, 3]   # the inflation kernel
+    T = gt6.table                        # normal: g·k·g^-1 stays in it
+    assert set(T[T[:, [0, 3]], gt6.inv[:, None]].ravel().tolist()) == {0, 3}
 
 
 def test_kernel_of_example_group(example_family):
@@ -111,11 +113,12 @@ def test_kernel_of_example_group(example_family):
     # one-parameter subgroup {1, h, h^2}, not the trivial group
     ex = example_family[2]
     tr = PseudoRep.from_matrix_group(ex.G)
-    ker = kernel(tr)
+    ker = group_kernel(tr)
     h_idx = ex.G.lookup(ex.h)
     hinv_idx = ex.G.lookup(ex.h.inverse())
-    assert sorted(ker) == sorted([ex.G.id_index, h_idx, hinv_idx])
-    assert is_normal(tr.gt, ker)
+    assert ker == sorted([ex.G.id_index, h_idx, hinv_idx])
+    T = tr.gt.table
+    assert set(T[T[:, ker], tr.gt.inv[:, None]].ravel().tolist()) == set(ker)
     # the quotient pseudo-representation has trivial kernel
     gt = tr.gt
     cls_map, ncls = _cosets(gt, ker)
@@ -125,7 +128,7 @@ def test_kernel_of_example_group(example_family):
     qtr = PseudoRep(tr.A, qgt, tr.t[reps], tr.d[reps])
     ok, _ = check_axioms(qtr)
     assert ok
-    assert kernel(qtr) == [qgt.identity]
+    assert group_kernel(qtr) == [qgt.identity]
 
 
 def _cosets(gt, subgroup):
@@ -217,27 +220,13 @@ def test_keruker_both_directions():
     t = [[(chi[g] + pow(chi[g], 5, 7)) % 7] for g in range(6)]
     d = [[1] for _ in range(6)]
     tr = PseudoRep(A, gt, t, d)
-    ker_grp = set(kernel(tr))
+    ker_grp = {0, 3}                     # t(xg) = t(x) for all x exactly when chi(g) = 1
     K = linear_kernel(tr)
     for g in range(6):
         v = np.zeros(6, dtype=np.int64)
         v[g] += 1
         v[0] -= 1
         assert K.contains(v % 7) == (g in ker_grp)
-
-
-def test_kernel_ideal_gap_reported():
-    # the linear kernel can exceed the ideal generated by kernel-group
-    # elements; we record the comparison on a small instance without
-    # asserting strictness either way
-    A = make_truncated_poly_ring(7, 1)
-    gt = cyclic_group_table(6)
-    chi = [1, 4, 2, 1, 4, 2]
-    t = [[(chi[g] + pow(chi[g], 5, 7)) % 7] for g in range(6)]
-    d = [[1] for _ in range(6)]
-    tr = PseudoRep(A, gt, t, d)
-    big, small = kernel_ideal_gap(tr)
-    assert big >= small >= 0
 
 
 def test_build_td_irreducible_gives_matrix_algebra(gl2_f3):
@@ -398,58 +387,6 @@ def test_is_admissible_examples(example_family):
     assert is_admissible(PseudoRep.from_matrix_group(G))
 
 
-def test_well_adapted_on_example(example_family):
-    # the adapted element must have residually distinct diagonal entries:
-    # in the two-generator example that is J (residually diag(1, -1)), not
-    # the generator g, which reduces to the identity
-    ex = example_family[2]
-    from pinkforge.pseudorep import ResidualClass
-    j0 = ex.G.lookup(ex.R.j_elem())
-    ok, why = is_well_adapted(ex.G, j0, ResidualClass("cyclic", 2))
-    assert ok, why
-    g0 = ex.G.lookup(ex.g)
-    ok2, why2 = is_well_adapted(ex.G, g0, ResidualClass("cyclic", 2))
-    assert not ok2 and "scalar" in why2
-    h0 = ex.G.lookup(ex.h)
-    ok3, why3 = is_well_adapted(ex.G, h0, ResidualClass("cyclic", 2))
-    assert not ok3           # rho(h) is not even diagonal
-
-
-def test_commutator_trace_ideal():
-    # abelian group: zero ideal
-    A = make_truncated_poly_ring(3, 2)
-    R = m2_structure(A)
-    z = np.zeros(2, dtype=np.int64)
-    g = R.elem(A.elem([1, 1]).v, z, z, A.elem([1, 1]).inverse().v)
-    G = FiniteMatrixGroup.generate(R, [g])
-    tr = PseudoRep.from_matrix_group(G)
-    assert commutator_trace_ideal(tr).dim == 0
-    # GL2(F3) over F3: the whole ring
-    Af = make_truncated_poly_ring(3, 1)
-    Rf = m2_structure(Af)
-    Gf = FiniteMatrixGroup(Rf, np.array(gl2_fp_constants(Rf)))
-    trf = PseudoRep.from_matrix_group(Gf)
-    I = commutator_trace_ideal(trf)
-    assert I.dim == 1
-    # minimality: the quotient by I factors through an abelianization; any
-    # ideal with that property contains every generator, hence contains I
-    ex = None
-
-
-def test_commutator_trace_ideal_minimality(example_family):
-    G = example_family[2].G
-    tr = PseudoRep.from_matrix_group(G)
-    I = commutator_trace_ideal(tr)
-    gt, A = tr.gt, tr.A
-    # quotient values factor through commutator twists
-    for x in range(0, gt.n, 3):
-        for y in range(0, gt.n, 3):
-            c = gt.table[gt.table[x, y], gt.inv[gt.table[y, x]]]
-            for s in range(0, gt.n, 5):
-                diff = (tr.t[gt.table[c, s]] - tr.t[s]) % A.p
-                assert I.contains(diff)
-
-
 def test_build_td_unique_isomorphism_to_tautology(gl2_f3):
     # the tautological embedding of GL2(F3) is itself adapted to
     # g0 = diag(1, 2); the rebuilt realization must be matched to it by an
@@ -522,7 +459,7 @@ def test_build_td_kernel_both_ways():
     tr = PseudoRep(A, gt, tvals, dvals)
     ok, _ = check_axioms(tr)
     assert ok
-    ker_td = kernel(tr)
+    ker_td = group_kernel(tr)
     assert ker_td == [0, 4]
     R, G, rho_idx, _ = build_td_representation(tr)
     ker_rho = [g for g in range(8) if rho_idx[g] == rho_idx[0]]
@@ -651,119 +588,6 @@ def test_verify_closure_sees_a_missing_element(example_family):
         assert not part.verify_closure()
 
 
-def _commutator_trace_ideal_by_loop(tr):
-    """The ideal as computed before `fp.saturate`: a double loop over x, y,
-    then a saturation loop of per-vector products."""
-    A, gt = tr.A, tr.gt
-    T, inv = gt.table, gt.inv
-    rows = []
-    for x in range(gt.n):
-        for y in range(gt.n):
-            c = int(T[T[x, y], inv[T[y, x]]])
-            if c != gt.identity:
-                rows.extend((tr.t[T[c]] - tr.t) % A.p)
-    sp = FpSubspace(A.p, A.dim, rows)
-    while True:
-        ext = [A.mul_vec(e, v) for v in sp.basis for e in np.eye(A.dim, dtype=np.int64)]
-        sp2 = FpSubspace(A.p, A.dim, list(sp.basis) + ext)
-        if sp2.dim == sp.dim:
-            return sp2
-        sp = sp2
-
-
-def _kernel_ideal_by_loop(tr):
-    """The two-sided ideal of A[G] generated by g - 1, g in ker(t, d), as
-    computed before `fp.saturate`: left and right translates by group
-    elements and products with basis scalars, per element, until stable."""
-    A, gt = tr.A, tr.gt
-    p, da = A.p, A.dim
-    N = gt.n * da
-    rows = []
-    for y in kernel(tr):
-        base = np.zeros(N, dtype=np.int64)
-        base[y * da:(y + 1) * da] = A.one
-        i = gt.identity
-        base[i * da:(i + 1) * da] = (base[i * da:(i + 1) * da] - A.one) % p
-        rows.append(base)
-    span = FpSubspace(p, N, rows)
-    while True:
-        ext = list(span.basis)
-        for v in span.basis:
-            tab = v.reshape(gt.n, da)
-            for g in range(gt.n):
-                for side in ("l", "r"):
-                    out = np.zeros((gt.n, da), dtype=np.int64)
-                    for h in range(gt.n):
-                        k = int(gt.table[g, h]) if side == "l" else int(gt.table[h, g])
-                        out[k] = (out[k] + tab[h]) % p
-                    ext.append(out.reshape(N))
-            for e in np.eye(da, dtype=np.int64):
-                ext.append(np.array([A.mul_vec(e, tab[h]) for h in range(gt.n)]).reshape(N))
-        span2 = FpSubspace(p, N, ext)
-        if span2.dim == span.dim:
-            return span
-        span = span2
-
-
-def _character_pseudorep(A, n, chi, p):
-    """t = chi + chi^-1 (constant), d = 1 on the cyclic group of order n."""
-    t = np.zeros((n, A.dim), dtype=np.int64)
-    t[:, 0] = [(chi[g] + pow(chi[g], -1, p)) % p for g in range(n)]
-    d = np.zeros((n, A.dim), dtype=np.int64)
-    d[:, 0] = 1
-    return PseudoRep(A, cyclic_group_table(n), t, d)
-
-
-def _ideal_instances(gl2_f3, example_family):
-    chi6 = [pow(2, g, 7) for g in range(6)]            # order 3: kernel {0, 3}
-    chi4 = [pow(4, g, 5) for g in range(4)]            # order 2: kernel {0, 2}
-    return [
-        _character_pseudorep(make_truncated_poly_ring(7, 1), 6, chi6, 7),
-        _character_pseudorep(make_truncated_poly_ring(7, 2), 6, chi6, 7),
-        _character_pseudorep(make_truncated_poly_ring(5, 3), 4, chi4, 5),
-        PseudoRep.from_matrix_group(gl2_f3),
-        PseudoRep.from_matrix_group(example_family[2].G),
-        PseudoRep.from_matrix_group(example_family[3].G),
-        _twisted_pseudorep(gl2_f3),
-    ]
-
-
-def _twisted_pseudorep(G):
-    """Values c_g·(X + X^2) on G's table, c_g not a class function: their
-    differences span a line that is not an ideal of F_3[X]/(X^3)."""
-    A = make_truncated_poly_ring(3, 3)
-    c = np.random.default_rng(5).integers(0, 3, size=G.n)
-    t = np.outer(c, [0, 1, 1]) % 3
-    return PseudoRep(A, GroupTable.from_matrix_group(G), t, np.tile(A.one, (G.n, 1)))
-
-
-def test_commutator_trace_ideal_equals_the_loop(gl2_f3, example_family):
-    dims = []
-    for tr in _ideal_instances(gl2_f3, example_family):
-        got = commutator_trace_ideal(tr)
-        assert got == _commutator_trace_ideal_by_loop(tr)
-        dims.append(got.dim)
-    assert dims == [0, 0, 0, 1, 0, 1, 2]      # GL2(F3): all of F_3; twisted: (X) from X + X^2
-
-
-def test_kernel_ideal_equals_the_loop(gl2_f3, example_family):
-    dims = []
-    for tr in _ideal_instances(gl2_f3, example_family)[:5]:
-        got = kernel_ideal(tr)
-        assert got == _kernel_ideal_by_loop(tr)
-        assert kernel_ideal_gap(tr) == (linear_kernel(tr).dim, got.dim)
-        dims.append(got.dim)
-    assert dims == [3, 6, 6, 0, 24]
-
-
-def test_kernel_ideal_is_capped_before_allocating():
-    # N = |G|·dim A = 257: a 257^3 tensor is above the 2^24 cap
-    A = make_truncated_poly_ring(3, 1)
-    tr = PseudoRep(A, cyclic_group_table(257), np.full((257, 1), 2), np.ones((257, 1)))
-    with pytest.raises(TooLarge):
-        kernel_ideal_gap(tr)
-
-
 def _closure_by_loop(table, identity, seed):
     """The subgroup generated by `seed`: close under products of every pair
     of members, one pair at a time."""
@@ -786,11 +610,13 @@ def test_commutator_subgroup_equals_brute_force(gl2_f3):
         gt = GroupTable.from_matrix_group(G)
         comms = {int(gt.table[gt.table[x, y], gt.inv[gt.table[y, x]]])
                  for x in range(gt.n) for y in range(gt.n)}
-        assert gt.commutators().tolist() == sorted(comms)
-        assert gt.commutator_subgroup().tolist() == _closure_by_loop(gt.table, gt.identity, comms)
+        assert _index_closure(gt.table, gt.identity, comms).tolist() \
+            == _closure_by_loop(gt.table, gt.identity, comms)
         rng = np.random.default_rng(gt.n)
         for size in (0, 1, 2, 3):
             seed = rng.integers(0, gt.n, size=size).tolist()
             assert _index_closure(gt.table, gt.identity, seed).tolist() \
                 == _closure_by_loop(gt.table, gt.identity, seed)
-    assert len(GroupTable.from_matrix_group(gl2_f3).commutator_subgroup()) == 24   # SL2(F3)
+    gt = GroupTable.from_matrix_group(gl2_f3)
+    comms = gt.table[gt.table, gt.inv[gt.table.T]]
+    assert len(_index_closure(gt.table, gt.identity, comms.ravel())) == 24   # SL2(F3)
