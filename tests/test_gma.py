@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pinkforge.fp import FpSubspace
+from pinkforge.fp import FpSubspace, nullspace
 from pinkforge.gma import (
     GmaStructure,
     StructureMismatch,
@@ -145,6 +145,25 @@ def _ideal_pair_gma(A):
         for l in range(dimB):
             pairing[k, l] = A.mul_vec(basis[k], basis[l])
     return GmaStructure(A, act, act, pairing, name="ideal-pair")
+
+
+def _trace_radical(R):
+    """{y : tr(y x) = 0 for all x} of the algebra R, as an F_p-subspace."""
+    E = np.eye(R.dim, dtype=np.int64)
+    M = np.zeros((R.dim * R.A.dim, R.dim), dtype=np.int64)
+    for i in range(R.dim):
+        for j in range(R.dim):
+            M[j * R.A.dim:(j + 1) * R.A.dim, i] = R.trace_vec(R.mul_vec(E[i], E[j]))
+    return FpSubspace(R.p, R.dim, nullspace(M, R.p))
+
+
+def test_faithful_iff_trace_kernel_trivial():
+    # cross-check on small instances: non-degenerate pairing <=> the trace
+    # pairing of the algebra has no radical
+    A = make_truncated_poly_ring(3, 2)
+    for R, expect in ((m2_structure(A), True), (reduced_residue_gma(A), True),
+                      (zero_pairing_gma(make_truncated_poly_ring(3, 1)), False)):
+        assert is_faithful(R) == expect == (_trace_radical(R).dim == 0)
 
 
 def test_cayley_hamilton():
