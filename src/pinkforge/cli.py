@@ -10,8 +10,10 @@ Subcommands:
   analyze      Lie report for a generated matrix group over F_q[X]/(X^k)
 
 All reports are JSON with sorted keys; identical configuration (including
-the seed) produces identical bytes.  Exit codes: 0 pass, 1 assertion
-failure, 2 usage error, 3 cap reached, undecided.
+the seed) produces identical bytes.  Exit codes, one per class of
+`errors`: 0 pass, 1 a mathematical check failed (a false assertion in the
+report, or `CheckFailed`), 2 usage error (argparse, or `InvalidInput`),
+3 cap reached, undecided (`TooLarge`).
 """
 
 import argparse
@@ -24,13 +26,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import InvalidInput, TooLarge
+from .errors import CheckFailed, InvalidInput, TooLarge
 from .fp import FpSubspace, row_key, saturate
 from .gma import m2_structure, m2_quotient_map, reduced_residue_gma
 from .localring import factor_prime_power, is_prime, make_truncated_poly_ring
 from .modforms import (
     P_LIMIT,
-    DegreeExhausted,
     cyclotomic_test,
     delta_expansion,
     density_sweep,
@@ -108,11 +109,8 @@ def prime(text):
 def odd_prime_power(text):
     """--q: a power of an odd prime (theta divides by 2)."""
     q = int(text)
-    try:
-        p, _ = factor_prime_power(q)
-    except ValueError:
-        p = 2
-    if p == 2:
+    pf = factor_prime_power(q)
+    if pf is None or pf[0] == 2:
         raise argparse.ArgumentTypeError(f"{q} is not a power of an odd prime")
     return q
 
@@ -130,7 +128,7 @@ def parse_gens(text, R):
     """--gens: a JSON list of flat coordinate rows of units of R."""
     try:
         rows = json.loads(text)
-    except ValueError:
+    except json.JSONDecodeError:
         rows = None
     if not (isinstance(rows, list) and all(
             isinstance(r, list) and len(r) == R.dim and all(type(x) is int for x in r)
@@ -607,7 +605,7 @@ def cmd_analyze(args):
     from .pseudorep import classify_projective_image, residual_image_group
     try:
         residual_class = classify_projective_image(residual_image_group(G)).tag()
-    except ValueError:
+    except CheckFailed:
         residual_class = None
     report = {
         "command": "analyze",
@@ -641,7 +639,7 @@ def build_parser():
     e = sub.add_parser("example8", help="two-generator example report")
     e.add_argument("--p", type=prime, default=3)
     e.add_argument("--k", type=at_least(2), required=True)
-    e.add_argument("--cap", type=int, default=2 * 10 ** 6)
+    e.add_argument("--cap", type=at_least(1), default=2 * 10 ** 6)
     e.add_argument("--out", default=None)
     e.set_defaults(fn=cmd_example8)
 
@@ -684,7 +682,7 @@ def build_parser():
     a.add_argument("--k", type=at_least(1), required=True)
     a.add_argument("--gens", default=None, help="JSON list of flat coordinate rows")
     a.add_argument("--gens-preset", choices=["example8"], default=None)
-    a.add_argument("--cap", type=int, default=2 * 10 ** 6)
+    a.add_argument("--cap", type=at_least(1), default=2 * 10 ** 6)
     a.add_argument("--out", default=None)
     a.set_defaults(fn=cmd_analyze)
     return ap
@@ -704,15 +702,15 @@ def main(argv=None):
         ap.error("--np times --p (times --M) must be below 2^63: gcds are taken in int64")
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DegreeExhausted, TooLarge) as exc:
-        print(f"error: {exc} (cap reached, undecided)", file=sys.stderr)
-        return 3
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TooLarge as exc:
+        print(f"error: {exc} (cap reached, undecided)", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
-"""Errors shared across modules."""
+"""The three errors a `pink` command turns into an exit code."""
 
 
-class TooLarge(RuntimeError):
-    """A size or cap was reached before the question was decided."""
+class CheckFailed(Exception):
+    """A mathematical check failed (exit 1)."""
 
 
 class InvalidInput(Exception):
     """Input the command cannot use, found after parsing (exit 2)."""
+
+
+class TooLarge(Exception):
+    """A size or cap was reached before the question was decided (exit 3)."""

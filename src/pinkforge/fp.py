@@ -8,6 +8,8 @@ rows are vectors.
 
 import numpy as np
 
+from .errors import TooLarge
+
 
 def rref(M, p):
     """Reduced row echelon form of M mod p.
@@ -123,7 +125,7 @@ class FpSubspace:
         """All p^dim member vectors, coefficient-lex order."""
         d = self.dim
         if cap is not None and self.p ** d > cap:
-            raise ValueError(f"subspace too large to enumerate: p^{d}")
+            raise TooLarge(f"subspace too large to enumerate: p^{d}")
         if d == 0:
             return np.zeros((1, self.n), dtype=np.int64)
         digits = np.indices((self.p,) * d).reshape(d, -1).T

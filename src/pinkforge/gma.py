@@ -15,16 +15,9 @@ gives closed-form inverses: x^{-1} = det(x)^{-1} (tr(x) - x).
 
 import numpy as np
 
+from .errors import CheckFailed
 from .fp import FpSubspace, bilinear, matmul_mod, span_products
-from .localring import LocalRing, NotAUnit, RingElem, SemiLocalRing
-
-
-class StructureMismatch(ValueError):
-    pass
-
-
-class NotAdapted(ValueError):
-    pass
+from .localring import LocalRing, RingElem, SemiLocalRing
 
 
 class GmaStructure:
@@ -75,7 +68,7 @@ class GmaStructure:
         def first_failure(fail_x, fail_y, msg_x, msg_y):
             bad = np.flatnonzero(fail_x | fail_y)
             if bad.size:
-                raise StructureMismatch(msg_x if fail_x.flat[bad[0]] else msg_y)
+                raise CheckFailed(msg_x if fail_x.flat[bad[0]] else msg_y)
 
         # (a a2)·m = a·(a2·m), with module_act(a, M) = M @ act_of(a)
         def module_fails(act):
@@ -94,7 +87,7 @@ class GmaStructure:
         rhs = matmul_mod(self.pairing.reshape(db * dc, da),
                          mt.transpose(1, 0, 2).reshape(da, da * da), p)
         if (lhs.reshape(da, db, dc, da) != rhs.reshape(db, dc, da, da).transpose(2, 0, 1, 3)).any():
-            raise StructureMismatch("pairing is not A-bilinear")
+            raise CheckFailed("pairing is not A-bilinear")
 
     def _build_mul_tensor(self):
         """S[i, j] = e_i * e_j, from one batched pass of the product rule."""
@@ -177,7 +170,7 @@ class GmaStructure:
     def inv_vec(self, x):
         det = self.det_vec(x)
         if not self.A.is_unit_vec(det):
-            raise NotAUnit("matrix determinant is not a unit")
+            raise CheckFailed("matrix determinant is not a unit")
         dinv = self.A.invert_vec(det)
         adj = (self.scalar_mat(self.trace_vec(x)) - x) % self.p
         return self.ring_scale(dinv, adj[None, :])[0]
@@ -246,7 +239,7 @@ class GmaStructure:
             else:
                 for row in bci.basis:
                     if not fac.maxideal.contains(row):
-                        raise StructureMismatch("BC neither A nor inside m")
+                        raise CheckFailed("BC neither A nor inside m")
                 tags.append("reduced")
         return tags
 
@@ -335,7 +328,7 @@ class GmaElem:
 
     def __mul__(self, other):
         if not isinstance(other, GmaElem) or other.R is not self.R:
-            raise StructureMismatch("product of elements of different GMAs")
+            raise CheckFailed("product of elements of different GMAs")
         return GmaElem(self.R, self.R.mul_vec(self.v, other.v))
 
     def __add__(self, other):

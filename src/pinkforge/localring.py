@@ -11,7 +11,7 @@ field embedding F_q -> A (the fixed points of x -> x^q).
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import CheckFailed, TooLarge
 from .fp import (
     FpSubspace,
     bilinear,
@@ -22,18 +22,6 @@ from .fp import (
     solve,
     span_products,
 )
-
-
-class NotAUnit(ArithmeticError):
-    pass
-
-
-class CharacteristicTwo(ArithmeticError):
-    pass
-
-
-class OutOfDomain(ArithmeticError):
-    pass
 
 
 def is_prime(n):
@@ -59,7 +47,7 @@ def is_prime(n):
 
 
 def factor_prime_power(q):
-    """(p, f) with q = p^f, or raise: for each f up to log2 q, tests whether
+    """(p, f) with q = p^f, or None: for each f up to log2 q, tests whether
     the integer f-th root of q is a prime whose f-th power is q."""
     for f in range(1, max(q, 2).bit_length()):
         r = 1 << -(-q.bit_length() // f)        # Newton's method from above
@@ -67,7 +55,7 @@ def factor_prime_power(q):
             r = s
         if r ** f == q and is_prime(r):
             return r, f
-    raise ValueError(f"{q} is not a prime power")
+    return None
 
 
 # Fixed irreducible polynomials per (p, degree), ascending coefficients,
@@ -224,7 +212,7 @@ class FqData:
 
     def inv(self, a):
         if a == 0:
-            raise NotAUnit("0 in residue field")
+            raise CheckFailed("0 in residue field")
         return self.pow(a, self.q - 2)
 
     def pow(self, a, e):
@@ -295,7 +283,7 @@ class FiniteAlgebra:
     def invert_vec(self, x):
         z = solve(self.mulmat(x), self.one, self.p)
         if z is None or not np.array_equal(self.mul_vec(x, z), self.one):
-            raise NotAUnit(f"{self.elem(x)} is not invertible")
+            raise CheckFailed(f"{self.elem(x)} is not invertible")
         return z
 
     # -- elements ----------------------------------------------------------
@@ -314,7 +302,7 @@ class FiniteAlgebra:
     def elements(self, cap=None):
         """All p^dim elements as an array; guard with cap."""
         if cap is not None and self.p ** self.dim > cap:
-            raise ValueError("ring too large to enumerate")
+            raise TooLarge("ring too large to enumerate")
         digits = np.indices((self.p,) * self.dim).reshape(self.dim, -1).T
         return digits % self.p
 
@@ -526,7 +514,10 @@ class SemiLocalRing(FiniteAlgebra):
 
 def make_truncated_poly_ring(q, k):
     """F_q[X]/(X^k): basis alpha^i X^j at index j*f+i, maximal ideal (X)."""
-    p, f = factor_prime_power(q)
+    pf = factor_prime_power(q)
+    if pf is None:
+        raise ValueError(f"{q} is not a prime power")
+    p, f = pf
     if k < 1:
         raise ValueError("k must be >= 1")
     fq = FqData(p, f)
@@ -558,7 +549,7 @@ def _monomial_name(i, j):
 
 
 def invert(A, x):
-    """Inverse of a unit; NotAUnit for elements of the maximal ideal."""
+    """Inverse of a unit; CheckFailed for elements of the maximal ideal."""
     if isinstance(x, RingElem):
         return RingElem(A, A.invert_vec(x.v))
     return RingElem(A, A.invert_vec(np.asarray(x)))
@@ -571,17 +562,17 @@ def hensel_sqrt(A, x):
     in the m-adic filtration, so ceil(log2(nilpotency))+1 steps suffice.
     """
     if A.p == 2:
-        raise CharacteristicTwo("square roots in 1+m need p odd")
+        raise CheckFailed("square roots in 1+m need p odd")
     v = x.v if isinstance(x, RingElem) else np.asarray(x, dtype=np.int64) % A.p
     if not A.in_one_plus_m(v):
-        raise OutOfDomain("argument not in 1 + m")
+        raise CheckFailed("argument not in 1 + m")
     inv2 = pow(2, -1, A.p)
     y = A.one.copy()
     steps = max(1, int(np.ceil(np.log2(max(A.nilpotency, 2)))) + 1)
     for _ in range(steps):
         y = (y + A.mul_vec(v, A.invert_vec(y))) * inv2 % A.p
     if not np.array_equal(A.mul_vec(y, y), v):
-        raise ArithmeticError("Newton iteration failed to converge")
+        raise CheckFailed("Newton iteration failed to converge")
     return RingElem(A, y)
 
 
@@ -592,7 +583,7 @@ def batch_sqrt_one_plus_m(A, X):
     sqrt(x) = x^((p^E + 1)//2).
     """
     if A.p == 2:
-        raise CharacteristicTwo("square roots in 1+m need p odd")
+        raise CheckFailed("square roots in 1+m need p odd")
     if isinstance(A, SemiLocalRing):
         E = sum(f.dim - f.fq.f for f in A.factors)
     else:

@@ -21,12 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import CheckFailed, TooLarge
 from .localring import is_prime
-
-
-class DegreeExhausted(RuntimeError):
-    pass
 
 
 P_LIMIT = 2 ** 31          # primes below this keep int64 coefficient arithmetic exact
@@ -236,7 +232,7 @@ def _dense_mul(a, b, p):
     bound (Math. Comp. 72, 2003) on the error of one convolution is
     N·M²·((1+ε)^{3k} (1+ε√5)^{3k+1} (1+β)^{3k} - 1), with ε = β = 2^-53;
     d is the fewest digits for which d times it stays below 1/4.  A
-    residual of 1/4 or more raises ArithmeticError instead of rounding.
+    residual of 1/4 or more raises CheckFailed instead of rounding.
     """
     n = a.shape[0]
     size = 1 << (2 * n - 2).bit_length()
@@ -259,7 +255,7 @@ def _dense_mul(a, b, p):
         conv = np.fft.irfft(spec, size)[:n]
         exact = np.rint(conv)
         if np.abs(conv - exact).max() >= 0.25:
-            raise ArithmeticError("FFT rounding residual reached 1/4")
+            raise CheckFailed("FFT rounding residual reached 1/4")
         out = (out + (exact.astype(np.int64) % p) * pow(2, s * j, p)) % p
     return out
 
@@ -450,7 +446,7 @@ def density_sweep(f, X, Np=None):
     with checkpoints at X/8, X/4, X/2, X.  Np is the level-characteristic
     product and always absorbs p; it defaults to p itself (level one)."""
     if f.deg < X:
-        raise DegreeExhausted(f"series degree {f.deg} below sweep bound {X}")
+        raise TooLarge(f"series degree {f.deg} below sweep bound {X}")
     Np = f.p if Np is None else Np
     if Np % f.p:
         Np *= f.p
@@ -474,7 +470,7 @@ def cyclotomic_test(f, M, X, Np=1):
     (ell coprime to M·Np·p)?  Returns (verdict, table) or (False, (ell, ell'))
     for the first violating pair."""
     if f.deg < X:
-        raise DegreeExhausted(f"series degree {f.deg} below sweep bound {X}")
+        raise TooLarge(f"series degree {f.deg} below sweep bound {X}")
     primes = prime_sieve(X)
     primes = primes[np.gcd(primes, M * Np * f.p) == 1]
     arr, res = f._coefs(), primes % M
@@ -497,7 +493,6 @@ class HeckeSpan:
     basis: list                 # FpSeries, echelonized by leading index
     usable_deg: int
     matrices: dict              # ell -> np.ndarray, columns = images of basis
-    generator_primes: list
 
     @property
     def dim(self):
@@ -522,7 +517,7 @@ def _reduce_against(f, basis, deg, p):
     g = f
     for i, (b, lead) in enumerate(basis):
         if lead > g.deg or lead > deg:
-            raise DegreeExhausted("basis lead beyond the comparable degree")
+            raise TooLarge("basis lead beyond the comparable degree")
         c = g.coeff(lead)
         if c:
             factor = (c * pow(int(b.coeff(lead)), -1, p)) % p
@@ -536,7 +531,7 @@ def hecke_span(f, primes, deg_budget=None, max_dim=64, k_eff=0):
 
     Usable degree shrinks by a factor ell at each application; every basis
     vector tracks it, comparisons happen at the common usable degree, and
-    DegreeExhausted is raised instead of comparing silently-truncated tails.
+    TooLarge is raised instead of comparing silently-truncated tails.
     """
     p = f.p
     deg = deg_budget if deg_budget is not None else f.deg
@@ -548,7 +543,7 @@ def hecke_span(f, primes, deg_budget=None, max_dim=64, k_eff=0):
         nonlocal usable
         usable = min(usable, gdeg)
         if usable < MIN_USABLE_DEG:
-            raise DegreeExhausted("usable degree fell below the comparison floor")
+            raise TooLarge("usable degree fell below the comparison floor")
         res, _ = _reduce_against(g, basis, usable, p)
         if res.truncate(usable).is_zero():
             return False
@@ -579,11 +574,11 @@ def hecke_span(f, primes, deg_budget=None, max_dim=64, k_eff=0):
             img = hecke_T(ell, k_eff, b)
             res, coords = _reduce_against(img, basis, usable // ell, p)
             if not res.truncate(usable // ell).is_zero():
-                raise ArithmeticError("span not stable at matrix extraction")
+                raise CheckFailed("span not stable at matrix extraction")
             cols.append(coords)
         matrices[ell] = np.array(cols, dtype=np.int64).T % p
     return HeckeSpan(p=p, basis=[b for (b, _) in basis], usable_deg=usable,
-                     matrices=matrices, generator_primes=list(primes))
+                     matrices=matrices)
 
 
 def nilpotency_check(span, ell, lam):

@@ -17,26 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import CheckFailed, TooLarge
 from .fp import FpSubspace, pair_products, row_key, span_products
 from .gma import GmaElem, GmaStructure, batch_in_SR1, m2_structure
 from .instances import ideal_block_rows
-from .localring import (
-    CharacteristicTwo,
-    LocalRing,
-    OutOfDomain,
-    batch_sqrt_one_plus_m,
-    hensel_sqrt,
-    make_truncated_poly_ring,
-)
-from .pseudorep import FiniteMatrixGroup, PseudoRep, TooLarge, _index_closure, is_admissible
-
-
-class NotInSR1(ValueError):
-    pass
-
-
-class NotPinkStable(ValueError):
-    pass
+from .localring import LocalRing, batch_sqrt_one_plus_m, hensel_sqrt, make_truncated_poly_ring
+from .pseudorep import FiniteMatrixGroup, PseudoRep, _index_closure, is_admissible
 
 
 # -- the theta map ---------------------------------------------------------
@@ -44,7 +30,7 @@ class NotPinkStable(ValueError):
 def theta(R, x):
     """x - (tr x / 2)·Id; restricted to SR^1 a bijection onto (rad R)^0."""
     if R.p == 2:
-        raise CharacteristicTwo("theta needs p odd")
+        raise CheckFailed("theta needs p odd")
     v = x.v if isinstance(x, GmaElem) else np.asarray(x, dtype=np.int64) % R.p
     return GmaElem(R, batch_theta(R, v[None, :])[0])
 
@@ -64,19 +50,16 @@ def theta_inv(R, m):
     """Inverse of theta on traceless radical elements: lands in SR^1."""
     v = m.v if isinstance(m, GmaElem) else np.asarray(m, dtype=np.int64) % R.p
     if R.trace_vec(v).any():
-        raise OutOfDomain("theta_inv needs a traceless argument")
+        raise CheckFailed("theta_inv needs a traceless argument")
     if not R.in_radical(v):
-        raise OutOfDomain("theta_inv needs a radical argument")
+        raise CheckFailed("theta_inv needs a radical argument")
     return GmaElem(R, batch_theta_inv(R, v[None, :])[0])
 
 
 def batch_theta_inv(R, M):
     p = R.p
     M = np.atleast_2d(M) % p
-    inv2 = pow(2, -1, p)
-    M2 = R.batch_mul(M, M)
-    lam2 = (R.A.one + R.batch_trace(M2) * inv2) % p   # 1 + tr(m^2)/2 in 1+m
-    lam = batch_sqrt_one_plus_m(R.A, lam2)
+    lam = _sqrt_scalars(R, M)
     out = M.copy()
     out[:, R.sa] = (out[:, R.sa] + lam) % p
     out[:, R.sd] = (out[:, R.sd] + lam) % p
@@ -158,7 +141,7 @@ def lie_of_subgroup(G):
     R = G.R
     mask = batch_in_SR1(R, G.elements)
     if not mask.all():
-        raise NotInSR1("group has an element outside SR^1")
+        raise CheckFailed("group has an element outside SR^1")
     return LieSubspace(R, batch_theta(R, G.elements))
 
 
@@ -200,15 +183,15 @@ def pink_converse(L, cap=10 ** 6, rng=None, closure_samples=3000):
     on a seeded sample.  Returns (H, P)."""
     ok, wit = L.bracket_closed()
     if not ok:
-        raise NotPinkStable(f"bracket closure fails at {wit}")
+        raise CheckFailed(f"bracket closure fails at {wit}")
     P = L.trace_pseudoring()
     ok, wit = L.stable_under(P)
     if not ok:
-        raise NotPinkStable(f"tr(L·L)·L <= L fails at {wit}")
+        raise CheckFailed(f"tr(L·L)·L <= L fails at {wit}")
     R = L.R
     members = L.enumerate(cap=cap)
     H_rows = batch_theta_inv(R, members)
-    H = FiniteMatrixGroup(R, H_rows, closure_verified=False)
+    H = FiniteMatrixGroup(R, H_rows)
     rng = rng or np.random.default_rng(0)
     n = len(H_rows)
     take = min(closure_samples, n * n)
@@ -216,8 +199,7 @@ def pink_converse(L, cap=10 ** 6, rng=None, closure_samples=3000):
     Jx = rng.integers(0, n, size=take)
     prods = R.batch_mul(H_rows[I], H_rows[Jx])
     if not L.contains(batch_theta(R, prods)).all():
-        raise NotPinkStable("sampled product left theta^{-1}(L)")
-    H.closure_verified = True
+        raise CheckFailed("sampled product left theta^{-1}(L)")
     return H, P
 
 
@@ -232,18 +214,17 @@ def star_law(R, x, y):
     return (R.ring_scale(sy, xv[None, :])[0] + R.ring_scale(sx, yv[None, :])[0]) % p
 
 
-def _star_scalars(R, M):
-    """sqrt(1 + tr(m^2)/2) for each row, as ring vectors."""
-    p = R.p
-    inv2 = pow(2, -1, p)
-    M2 = R.batch_mul(M, M)
-    return batch_sqrt_one_plus_m(R.A, (R.A.one + R.batch_trace(M2) * inv2) % p)
+def _sqrt_scalars(R, M):
+    """sqrt(1 + tr(m^2)/2) in 1 + m for each row m of M, as ring vectors: the
+    scalar of theta^{-1}(m) = m + sqrt(1 + tr(m^2)/2)·Id and of the star law."""
+    half_trace = R.batch_trace(R.batch_mul(M, M)) * pow(2, -1, R.p)
+    return batch_sqrt_one_plus_m(R.A, (R.A.one + half_trace) % R.p)
 
 
 def _batch_star(R, X, Y):
     """Row-wise star products x_i * y_i via precomputed scalar factors."""
-    SX = _star_scalars(R, X)
-    SY = _star_scalars(R, Y)
+    SX = _sqrt_scalars(R, X)
+    SY = _sqrt_scalars(R, Y)
     return (R.batch_mul(_scal(R, SY), X) + R.batch_mul(_scal(R, SX), Y)) % R.p
 
 
@@ -253,20 +234,16 @@ def star_quotient_checks(L, L2, cap=3 ** 9):
     R = L.R
     reps = _coset_reps(L, L2, cap=cap)
     n = reps.shape[0]
-
-    def red_rows(M):
-        return np.array([_reduce_mod(L2, v) for v in M])
-
     zero = np.zeros((n, R.dim), dtype=np.int64)
-    if not np.array_equal(red_rows(_batch_star(R, reps, zero)), red_rows(reps)):
+    if not np.array_equal(L2.space.reduce(_batch_star(R, reps, zero)), L2.space.reduce(reps)):
         return False, ("identity", None)
     # commutativity and the first associativity leg on all pairs
     I, Jx = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
     XY = _batch_star(R, reps[I], reps[Jx])
     YX = _batch_star(R, reps[Jx], reps[I])
-    if not np.array_equal(red_rows(XY), red_rows(YX)):
+    if not np.array_equal(L2.space.reduce(XY), L2.space.reduce(YX)):
         return False, ("commutativity", None)
-    XY_red = red_rows(XY).reshape(n, n, R.dim)
+    XY_red = L2.space.reduce(XY).reshape(n, n, R.dim)
     # associativity on all triples: star(red(x*y), z) vs star(x, red(y*z))
     Ti = np.repeat(np.arange(n * n), n)
     Tk = np.tile(np.arange(n), n * n)
@@ -274,31 +251,22 @@ def star_quotient_checks(L, L2, cap=3 ** 9):
     Yi = np.repeat(np.arange(n), n * n)
     YZ_flat = XY_red.reshape(n * n, R.dim)       # reuse: red(y*z) over pairs
     right = _batch_star(R, reps[Yi], np.tile(YZ_flat, (n, 1))[: n * n * n])
-    if not np.array_equal(red_rows(left), red_rows(right)):
+    if not np.array_equal(L2.space.reduce(left), L2.space.reduce(right)):
         return False, ("associativity", None)
     return True, None
 
 
 def _coset_reps(L, L2, cap):
-    quot_dim = L.dim - L2.dim
-    if L.R.p ** quot_dim > cap:
-        raise TooLarge("quotient too large for exhaustive star checks")
-    # complement of L2 in L: basis members not reducible to L2
+    """One member of each coset of L_2 in L: the span of a complement of
+    L_2, the basis members of L kept in turn when they are independent of
+    L_2 and of those kept before."""
     comp = []
     cur = L2.space
     for v in L.basis:
         if not cur.contains(v):
             comp.append(v)
             cur = cur.extend([v])
-    comp = np.array(comp, dtype=np.int64).reshape(-1, L.R.dim)
-    if comp.shape[0] == 0:
-        return np.zeros((1, L.R.dim), dtype=np.int64)
-    digits = np.indices((L.R.p,) * comp.shape[0]).reshape(comp.shape[0], -1).T
-    return (digits @ comp) % L.R.p
-
-
-def _reduce_mod(L2, v):
-    return L2.space.reduce(v)
+    return FpSubspace(L.R.p, L.R.dim, comp).enumerate(cap=cap)
 
 
 def theta_star_morphism_check(G, L, L2, rng=None, samples=300):
@@ -309,9 +277,9 @@ def theta_star_morphism_check(G, L, L2, rng=None, samples=300):
     Jx = rng.integers(0, G.n, size=samples)
     lhs = batch_theta(R, R.batch_mul(G.elements[I], G.elements[Jx]))
     rhs = _batch_star(R, batch_theta(R, G.elements[I]), batch_theta(R, G.elements[Jx]))
-    for k in range(samples):
-        if not np.array_equal(_reduce_mod(L2, lhs[k]), _reduce_mod(L2, rhs[k])):
-            return False, (int(I[k]), int(Jx[k]))
+    bad = np.flatnonzero((L2.space.reduce(lhs) != L2.space.reduce(rhs)).any(axis=1))
+    if bad.size:
+        return False, (int(I[bad[0]]), int(Jx[bad[0]]))
     return True, None
 
 
@@ -321,12 +289,10 @@ def theta_star_morphism_check(G, L, L2, rng=None, samples=300):
 class Decomposition:
     decomposable: bool
     strongly: bool
-    delta: FpSubspace = None      # diagonal part of L
     nabla: FpSubspace = None      # antidiagonal part of L
-    I1: FpSubspace = None         # a-components of delta (delta = I1·J)
+    I1: FpSubspace = None         # a-components of the diagonal part I1·J of L
     B1: FpSubspace = None         # b-components of nabla
     C1: FpSubspace = None         # c-components of nabla
-    witness: object = None
 
 
 def decompose(L):
@@ -340,7 +306,7 @@ def decompose(L):
         dv[R.sb] = 0
         dv[R.sc] = 0
         if not L.contains(dv):
-            return Decomposition(False, False, witness=v)
+            return Decomposition(False, False)
         diag_rows.append(dv)
         anti_rows.append((v - dv) % p)
     delta = FpSubspace(p, R.dim, diag_rows)
@@ -355,7 +321,7 @@ def decompose(L):
         if not L.contains(bv):
             strongly = False
             break
-    return Decomposition(True, strongly, delta, nabla, I1, B1, C1)
+    return Decomposition(True, strongly, nabla, I1, B1, C1)
 
 
 def trace_products(R, U, V):
@@ -543,13 +509,12 @@ def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants, cap=10 ** 6):
         for v in L.basis:
             conj = R.mul_vec(s, R.mul_vec(v, sinv))
             if not L.contains(conj):
-                raise NotPinkStable("constant subgroup does not normalize L")
+                raise CheckFailed("constant subgroup does not normalize L")
     prods = np.concatenate([R.batch_mul_elem(Gamma.elements, s) for s in consts])
     _, first = np.unique(row_key(prods, p), return_index=True)
-    G = FiniteMatrixGroup(R, prods[np.sort(first)], closure_verified=False)
+    G = FiniteMatrixGroup(R, prods[np.sort(first)])
     if not G.verify_closure():
-        raise NotPinkStable("Gamma·s(Gbar) is not closed")
-    G.closure_verified = True
+        raise CheckFailed("Gamma·s(Gbar) is not closed")
     tr = PseudoRep.from_matrix_group(G)
     return G, Gamma, tr
 
@@ -629,7 +594,6 @@ class EssentialData:
     S_indices: list
     A_ess: FpSubspace
     weakly_odd: bool
-    I2: FpSubspace = None
 
 
 def unit_squares(A, cap=10 ** 6):
@@ -661,9 +625,7 @@ def essential_data(G, L2=None, squares=None):
     S = np.nonzero(mask)[0].tolist()
     traces = FpSubspace(p, A.dim, trace_products(R, G.elements[S], L2.basis))
     A_ess = span_products(A.constants(), traces.basis, A.mul_tensor, p)
-    dec = decompose(L2) if L2.dim else None
-    I2 = dec.I1 if dec and dec.decomposable else None
-    return EssentialData(S_indices=S, A_ess=A_ess, weakly_odd=bool(S), I2=I2)
+    return EssentialData(S_indices=S, A_ess=A_ess, weakly_odd=bool(S))
 
 
 @dataclass
@@ -731,7 +693,7 @@ def key_measure_check(G, A_ess):
     counts = np.rint(zeros)
     err = float(np.abs(zeros - counts).max())
     if err >= 0.25:
-        raise ArithmeticError(f"measure transform residual {err} reaches 1/4")
+        raise CheckFailed(f"measure transform residual {err} reaches 1/4")
     mm = Fraction(G.n - int(counts[on_ess].max()), G.n)
     return MeasureReport(bound=bound, min_measure=mm, n_forms=int(on_ess.sum()),
                          passed=mm >= bound)
@@ -750,14 +712,11 @@ def measure_change_psi(R, L, L2, gamma, cap=10 ** 5):
     gv = gamma.v if isinstance(gamma, GmaElem) else np.asarray(gamma) % p
     trg = R.trace_vec(gv)
     if not A.is_unit_vec(trg):
-        raise OutOfDomain("tr(gamma) must be a unit")
+        raise CheckFailed("tr(gamma) must be a unit")
     trJg = R.trace_vec(R.mul_vec(R.J, gv))
     coef = A.mul_vec(trJg, A.invert_vec(trg))
     members = L2.enumerate(cap=cap)
-    inv2 = pow(2, -1, p)
-    M2 = R.batch_mul(members, members)
-    lam2 = (A.one + R.batch_trace(M2) * inv2) % p
-    lam = batch_sqrt_one_plus_m(A, lam2)
+    lam = _sqrt_scalars(R, members)
     sig_scal = A.batch_mul_elem((lam - A.one) % p, coef)   # (n, dimA)
     psi = members.copy()
     psi[:, R.sa] = (psi[:, R.sa] + sig_scal) % p
@@ -798,7 +757,6 @@ class TwoGeneratorExample:
     Gamma: FiniteMatrixGroup
     G: FiniteMatrixGroup
     L: LieSubspace
-    L_expected: LieSubspace
     L_matches: bool
     relations_ok: bool
     essential: EssentialData = None
@@ -835,7 +793,7 @@ def example8(p, k, cap=2 * 10 ** 6, with_essential=True, with_congruence=True):
     together with G = Gamma ∪ J·Gamma, its Lie algebra, essential data and
     congruence status."""
     if p == 2:
-        raise CharacteristicTwo("the example needs p odd")
+        raise CheckFailed("the example needs p odd")
     A = make_truncated_poly_ring(p, k)
     R = m2_structure(A)
     X = np.zeros(A.dim, dtype=np.int64)
@@ -853,10 +811,9 @@ def example8(p, k, cap=2 * 10 ** 6, with_essential=True, with_congruence=True):
     Gamma = FiniteMatrixGroup.generate(R, [g, h], cap=cap)
     G = adjoin_normalising(Gamma, J.v, rel_ok, cap)
     L = lie_of_subgroup(Gamma)
-    L_exp = expected_example_lie(R, A)
     ex = TwoGeneratorExample(
-        ring=A, R=R, g=g, h=h, Gamma=Gamma, G=G, L=L, L_expected=L_exp,
-        L_matches=(L == L_exp), relations_ok=bool(rel_ok),
+        ring=A, R=R, g=g, h=h, Gamma=Gamma, G=G, L=L,
+        L_matches=(L == expected_example_lie(R, A)), relations_ok=bool(rel_ok),
     )
     if with_essential:
         series = descending_series(L, 2)
@@ -918,12 +875,20 @@ def random_sr(R, rng, n):
     return R.batch_mul(core, R.assemble(C[lams], zb, zc, C[inv[lams]]))
 
 
+# Most tuples `pink_formula_battery` draws.  Its arrays take about 2 KB a
+# tuple on M_2(F_3[X]/(X^3)), so the cap keeps a run near 250 MB; beyond it
+# TooLarge is raised before any array exists.
+MAX_TUPLES = 10 ** 5
+
+
 def pink_formula_battery(R, rng=None, n=1000, theta_fn=None):
     """The six theta/trace identities, each on n random tuples.
 
     Returns {name: violation_count}; every count must be zero.  `theta_fn`
     exists as a fault-injection hook for the verification driver.
     """
+    if n > MAX_TUPLES:
+        raise TooLarge(f"{n} tuples exceed the battery cap {MAX_TUPLES}")
     rng = rng or np.random.default_rng(0)
     th = theta_fn or (lambda X: batch_theta(R, X))
     p = R.p

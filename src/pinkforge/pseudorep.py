@@ -9,14 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import CheckFailed, TooLarge
 from .fp import FpSubspace, nullspace, row_key, span_products
-from .gma import GmaElem, GmaStructure, NotAdapted, batch_in_SR1, m2_structure
+from .gma import GmaElem, GmaStructure, batch_in_SR1, m2_structure
 from .localring import LocalRing, RingElem
-
-
-class NotMultFree(ValueError):
-    pass
 
 
 ALGEBRA_QUOTIENT_CAP = 10 ** 4  # |group| bound for A[G]/Ker constructions
@@ -30,7 +26,7 @@ class FiniteMatrixGroup:
     multiplication table (index gathers, see `mul_table`) are cached.
     """
 
-    def __init__(self, R, elements, generators=None, closure_verified=True):
+    def __init__(self, R, elements, generators=None):
         self.R = R
         self.elements = np.atleast_2d(np.asarray(elements, dtype=np.int64)) % R.p
         self.n = self.elements.shape[0]
@@ -43,7 +39,6 @@ class FiniteMatrixGroup:
         if self.id_index is None:
             raise ValueError("identity missing")
         self.generators = list(generators) if generators is not None else []
-        self.closure_verified = closure_verified
         self._inv = None
         self._table = None
 
@@ -175,7 +170,6 @@ class GroupTable:
 
     table: np.ndarray
     identity: int
-    labels: list = None
 
     def __post_init__(self):
         self.n = self.table.shape[0]
@@ -411,7 +405,7 @@ def classify_projective_image(Gbar):
     for name, size in (("A4", 12), ("S4", 24), ("A5", 60)):
         if n == size:
             return ResidualClass("exceptional", n, name)
-    raise NotMultFree(f"projective image of order {n} outside the classification")
+    raise CheckFailed(f"projective image of order {n} outside the classification")
 
 
 def _element_orders(gt):
@@ -516,7 +510,7 @@ def _character_pairs(gt, fq, tbar, dbar):
 
 def residual_multfree_data(tr):
     """('reducible', (chi1, chi2)) or ('irreducible', None) for a residually
-    multiplicity-free pseudo-representation; NotMultFree otherwise.
+    multiplicity-free pseudo-representation; CheckFailed otherwise.
 
     Reducibility is decided by exhaustive character search over the finite
     group; the irreducible case is confirmed by the residual faithful
@@ -530,7 +524,7 @@ def residual_multfree_data(tr):
     if chars is not None:
         chi1, chi2 = chars
         if chi1 == chi2:
-            raise NotMultFree("residual representation is twice one character")
+            raise CheckFailed("residual representation is twice one character")
         return "reducible", chars
     # residual quotient dimension over F
     from .localring import make_truncated_poly_ring
@@ -542,7 +536,7 @@ def residual_multfree_data(tr):
     dimF = (gt.n * fq.f - ker.dim) // fq.f
     if dimF == 4:
         return "irreducible", None
-    raise NotMultFree(f"residual faithful quotient has F-dimension {dimF}")
+    raise CheckFailed(f"residual faithful quotient has F-dimension {dimF}")
 
 
 def residual_eigendata(tr, g):
@@ -630,7 +624,7 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
     p = A.p
     if gt.n > ALGEBRA_QUOTIENT_CAP:
         raise TooLarge(f"group of order {gt.n} exceeds the algebra-quotient cap")
-    residual_multfree_data(tr)  # raises NotMultFree when violated
+    residual_multfree_data(tr)  # raises CheckFailed when violated
     if g0 is None:
         for g in range(gt.n):
             eig = residual_eigendata(tr, g)
@@ -638,15 +632,15 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
                 g0, (lam0, mu0) = g, eig
                 break
         else:
-            raise NotAdapted("no element with distinct residual eigenvalues")
+            raise CheckFailed("no element with distinct residual eigenvalues")
     else:
         eig = residual_eigendata(tr, g0)
         if eig is None:
-            raise NotAdapted("g0 has no distinct residual eigenvalues")
+            raise CheckFailed("g0 has no distinct residual eigenvalues")
         if lam0 is None:
             lam0, mu0 = eig
         elif {lam0, mu0} != set(eig):
-            raise NotAdapted("prescribed eigenvalues disagree with g0")
+            raise CheckFailed("prescribed eigenvalues disagree with g0")
 
     Q = QuotientAlgebra(tr)
     x0 = Q.class_of_group_elem(g0)
@@ -664,7 +658,7 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
             break
         e = (3 * e2 - 2 * Q.mul(e2, e)) % p
     else:
-        raise ArithmeticError("idempotent refinement did not stabilize")
+        raise CheckFailed("idempotent refinement did not stabilize")
     e1, e2c = e, (one_R - e) % p
 
     # split the quotient into e1·R·e1 (= A·e1), B' = e1·R·e2, C' = e2·R·e1
@@ -677,7 +671,7 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
     Asp = sandwich(e1, e1)
     Dsp = sandwich(e2c, e2c)
     if Asp.dim != A.dim or Dsp.dim != A.dim:
-        raise ArithmeticError("corner components are not free of rank one")
+        raise CheckFailed("corner components are not free of rank one")
 
     # coordinates: a = coefficient of x in A·e1, via a -> a·e1 linear solve
     a_to_corner = np.array([Q.mul(Q.scalar_embed(np.eye(A.dim, dtype=np.int64)[i]), e1)
@@ -689,7 +683,7 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
     def corner_coords(x, M):
         sol = fp_solve(M, x, p)
         if sol is None:
-            raise ArithmeticError("corner element outside A·e")
+            raise CheckFailed("corner element outside A·e")
         return sol
 
     # module data for the new GMA
@@ -713,7 +707,7 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
         b = Bsp.coords(Q.mul(e1, Q.mul(x, e2c)))
         c = Csp.coords(Q.mul(e2c, Q.mul(x, e1)))
         if b is None or c is None:
-            raise ArithmeticError("element does not split along the idempotents")
+            raise CheckFailed("element does not split along the idempotents")
         return R.assemble(a, b, c, d)
 
     rows = np.array([to_gma(Q.class_of_group_elem(g)) for g in range(gt.n)])
@@ -725,12 +719,12 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
     for g in range(gt.n):
         v = G.elements[rho_idx[g]]
         if not np.array_equal(R.trace_vec(v), tr.t[g]) or not np.array_equal(R.det_vec(v), tr.d[g]):
-            raise ArithmeticError("trace/determinant mismatch in the realization")
+            raise CheckFailed("trace/determinant mismatch in the realization")
     v0 = G.elements[rho_idx[g0]]
     if v0[R.sb].any() or v0[R.sc].any():
-        raise ArithmeticError("image of g0 is not diagonal")
+        raise CheckFailed("image of g0 is not diagonal")
     if A.residue_int(v0[R.sa]) != lam0 or A.residue_int(v0[R.sd]) != mu0:
-        raise ArithmeticError("residual eigenvalues out of order")
+        raise CheckFailed("residual eigenvalues out of order")
     return R, G, rho_idx, {"g0": g0, "lam0": lam0, "mu0": mu0}
 
 

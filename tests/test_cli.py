@@ -52,6 +52,8 @@ def test_usage_error_exit_2():
     ["span", "--p", "2", "--form", "delta", "--primes", "4", "--deg", "100"],
     ["verify", "--seed", "-1"],
     ["verify", "--tuples", "0"],
+    ["example8", "--p", "3", "--k", "3", "--cap", "0"],
+    ["analyze", "--q", "3", "--k", "2", "--gens", "[]", "--cap", "0"],
     # M·Np·p reached np.gcd as int64: an OverflowError traceback and exit 1
     ["cyclotomic", "--p", "3", "--form", "delta", "--M", "10000000000000000000", "--X", "1000"],
     ["density", "--p", "3", "--form", "delta", "--np", "10000000000000000000", "--X", "1000"],
@@ -97,6 +99,21 @@ def test_series_degree_cap_exit_3(args):
     assert r.stdout == "" and "Traceback" not in r.stderr
     assert re.fullmatch(r"error: series degree \d+ exceeds the cap \d+ \(cap reached, undecided\)",
                         r.stderr.strip())
+
+
+@pytest.mark.parametrize("args, message", [
+    # a ring of more than 10^6 elements: exit 1, reported as a failed check
+    (["analyze", "--q", "3", "--k", "13", "--gens", "[]"], "ring too large to enumerate"),
+    (["analyze", "--q", "9", "--k", "7", "--gens", "[]"], "ring too large to enumerate"),
+    # asked numpy for 8.94 GiB and exited 1 with an _ArrayMemoryError traceback
+    (["verify", "--tuples", "100000000"], "100000000 tuples exceed the battery cap 100000"),
+])
+def test_enumeration_caps_exit_3(args, message):
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli"] + args, capture_output=True,
+                       text=True, preexec_fn=_address_space_2gib, timeout=120)
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == [f"error: {message} (cap reached, undecided)"]
 
 
 def test_span_out_of_degree_is_undecided():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from pinkforge.errors import CheckFailed
 from pinkforge.fp import FpSubspace, nullspace
 from pinkforge.gma import (
     GmaStructure,
-    StructureMismatch,
     batch_in_SR1,
     is_faithful,
     m2_quotient_map,
@@ -111,7 +111,7 @@ def test_pairing_compatibility_fail_fast():
     # but associativity m(b,c)·b' = 0 needs m constant on the module
     act2 = act.copy()
     act2[1, 0, 0] = 1   # declare X to act as identity: breaks module axiom
-    with pytest.raises(StructureMismatch):
+    with pytest.raises(CheckFailed, match="B is not an A-module"):
         GmaStructure(A, act2, act, bad_pairing)
 
 
@@ -251,7 +251,7 @@ def test_elem_structure_mismatch():
     R2 = m2_structure(A)
     x = R1.identity()
     y = R2.identity()
-    with pytest.raises(StructureMismatch):
+    with pytest.raises(CheckFailed, match="product of elements of different GMAs"):
         x * y
 
 
@@ -389,7 +389,7 @@ def test_validate_reports_the_first_failure_of_the_loop_reference():
             try:
                 GmaStructure(R.A, **data)
                 got = None
-            except StructureMismatch as e:
+            except CheckFailed as e:
                 got = str(e)
             assert got == want, (R.name, t)
             seen.add(want)

@@ -3,13 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from pinkforge.errors import TooLarge
+from pinkforge.errors import CheckFailed, TooLarge
 from pinkforge.localring import (
-    CharacteristicTwo,
     FqData,
     LocalRing,
-    NotAUnit,
-    OutOfDomain,
     SemiLocalRing,
     _poly_mul_mod,
     batch_invert,
@@ -100,8 +97,7 @@ def test_factor_prime_power_is_immediate_at_2_31():
     assert factor_prime_power(3 ** 20) == (3, 20) and factor_prime_power(2) == (2, 1)
     assert time.perf_counter() - start < 1.0
     for q in (0, 1, 6, 12, 3 ** 20 * 5, (2 ** 31 - 1) * (2 ** 61 - 1)):
-        with pytest.raises(ValueError):
-            factor_prime_power(q)
+        assert factor_prime_power(q) is None
 
 
 def test_field_table_is_capped_before_allocating():
@@ -178,7 +174,7 @@ def test_invert_examples():
     x = A.elem([1, 1, 0])          # 1 + X
     assert invert(A, x) == A.elem([1, 2, 1])   # geometric series 1 - X + X^2
     assert (x * invert(A, x)) == one
-    with pytest.raises(NotAUnit):
+    with pytest.raises(CheckFailed, match="X is not invertible"):
         invert(A, A.elem([0, 1, 0]))
 
 
@@ -197,10 +193,10 @@ def test_hensel_sqrt_examples():
     assert y * y == A.elem([1, 1, 0])
     y2 = hensel_sqrt(A, A.elem([1, 0, 1]))       # sqrt(1+X^2) = 1 + 2X^2
     assert y2 == A.elem([1, 0, 2])
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(CheckFailed, match="argument not in 1 \\+ m"):
         hensel_sqrt(A, A.elem([2, 0, 0]))
     A2 = make_truncated_poly_ring(2, 3)
-    with pytest.raises(CharacteristicTwo):
+    with pytest.raises(CheckFailed, match="square roots in 1\\+m need p odd"):
         hensel_sqrt(A2, A2.one_elem())
 
 

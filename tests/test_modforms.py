@@ -9,7 +9,6 @@ from pinkforge import modforms
 from pinkforge.errors import TooLarge
 from pinkforge.modforms import (
     SPARSE_CUTOFF,
-    DegreeExhausted,
     FpSeries,
     _eta_cubed,
     _eta_terms,
@@ -433,7 +432,7 @@ def test_density_zero_cases():
     d = delta_expansion(2, 10 ** 5)
     rep2 = density_sweep(d, 10 ** 5)
     assert rep2.estimate == 0.0      # primes are never odd squares
-    with pytest.raises(DegreeExhausted):
+    with pytest.raises(TooLarge, match="series degree 100000 below sweep bound 1000000"):
         density_sweep(d, 10 ** 6)
 
 
@@ -539,7 +538,7 @@ def test_hecke_span_delta_cube():
 
 def test_hecke_span_degree_guard():
     d3 = series_pow(delta_expansion(2, 200), 3)
-    with pytest.raises(DegreeExhausted):
+    with pytest.raises(TooLarge, match="usable degree fell below the comparison floor"):
         hecke_span(d3, [3, 5, 7, 11])
 
 

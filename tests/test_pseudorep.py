@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pinkforge.errors import CheckFailed
 from pinkforge.fp import row_key
 from pinkforge.gma import m2_structure
 from pinkforge.instances import (
@@ -16,7 +17,6 @@ from pinkforge.pinklie import example8
 from pinkforge.pseudorep import (
     FiniteMatrixGroup,
     GroupTable,
-    NotMultFree,
     PseudoRep,
     build_td_representation,
     check_axioms,
@@ -274,7 +274,7 @@ def test_build_td_not_multfree_rejected():
     t = [[2 * chi[g] % 7] for g in range(3)]
     d = [[chi[g] * chi[g] % 7] for g in range(3)]
     tr = PseudoRep(A, gt, t, d)
-    with pytest.raises(NotMultFree):
+    with pytest.raises(CheckFailed, match="residual representation is twice one character"):
         build_td_representation(tr)
 
 
