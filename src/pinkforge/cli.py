@@ -41,6 +41,7 @@ from .modforms import (
     series_pow,
 )
 from .pinklie import (
+    MAX_RING_ELEMENTS,
     LieSubspace,
     batch_theta,
     batch_theta_inv,
@@ -49,6 +50,7 @@ from .pinklie import (
     essential_data,
     essential_not_ideal_witness,
     example8,
+    example8_generators,
     group_series,
     is_congruence_subgroup,
     key_measure_check,
@@ -124,20 +126,23 @@ def prime_list(text):
     return primes
 
 
-def parse_gens(text, R):
-    """--gens: a JSON list of flat coordinate rows of units of R."""
+def parse_gens(text, A):
+    """--gens: a JSON list of flat coordinate rows (a | b | c | d) of units
+    of M_2(A), as an array."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError:
         rows = None
+    dim = 4 * A.dim
     if not (isinstance(rows, list) and all(
-            isinstance(r, list) and len(r) == R.dim and all(type(x) is int for x in r)
+            isinstance(r, list) and len(r) == dim and all(type(x) is int for x in r)
             for r in rows)):
-        raise InvalidInput(f"--gens must be a JSON list of rows of {R.dim} integers")
-    gens = [R.elem(np.array([x % R.p for x in r], dtype=np.int64)) for r in rows]
-    if not all(R.is_unit(g.v) for g in gens):
+        raise InvalidInput(f"--gens must be a JSON list of rows of {dim} integers")
+    rows = np.array([[x % A.p for x in r] for r in rows], dtype=np.int64).reshape(-1, dim)
+    a, b, c, d = np.split(rows, 4, axis=1)
+    if not all(A.is_unit_vec(det) for det in (A.batch_mul(a, d) - A.batch_mul(b, c)) % A.p):
         raise InvalidInput("--gens has a generator that is not invertible")
-    return gens
+    return rows
 
 
 def at_least(lo):
@@ -239,14 +244,14 @@ def _check_theta_identities(seed, n_tuples=1000, fault=None):
     return ok, details
 
 
-def _central_series_seeds(seed, count=20):
-    """Seeded generator sets over rings of dimension <= 5, sized so that the
-    generated groups stay exhaustively enumerable."""
+def _central_series_seeds(seed):
+    """Twenty seeded generator sets over rings of dimension <= 5, sized so
+    that the generated groups stay exhaustively enumerable."""
     rings = [(3, 2, 2), (3, 3, 2), (5, 2, 2), (9, 2, 2), (7, 2, 2),
              (3, 4, 1), (5, 3, 1)]
     out = []
     rng = np.random.default_rng(seed)
-    for i in range(count):
+    for i in range(20):
         q, k, ngens = rings[i % len(rings)]
         out.append((q, k, int(rng.integers(0, 2 ** 31)), ngens))
     return out
@@ -256,8 +261,8 @@ def _key_set(rows, p):
     return set(row_key(rows, p).tolist())
 
 
-def _check_central_series(seed, count=20, cap=30000):
-    """For `count` seeded generator sets in SR^1 over rings of dimension
+def _check_central_series(seed):
+    """For twenty seeded generator sets in SR^1 over rings of dimension
     <= 5, the descending central series of the generated group Gamma equals
     theta^{-1} of the Lie series of L = span theta(Gamma), element for
     element, at n = 2, 3, 4.  Two generators are drawn only over rings with
@@ -265,12 +270,12 @@ def _check_central_series(seed, count=20, cap=30000):
     |m|^3 <= 729; one generator gives a cyclic group of order at most 25."""
     details = []
     ok = True
-    for (q, k, s, ngens) in _central_series_seeds(seed, count):
+    for (q, k, s, ngens) in _central_series_seeds(seed):
         A = make_truncated_poly_ring(q, k)
         R = m2_structure(A)
         rng = np.random.default_rng(s)
         gens = batch_theta_inv(R, random_rad0(R, rng, ngens))
-        G = FiniteMatrixGroup.generate(R, [R.elem(g) for g in gens], cap=cap)
+        G = FiniteMatrixGroup.generate(R, [R.elem(g) for g in gens], cap=30000)
         L = lie_of_subgroup(G)
         gs = group_series(G, 4)
         ls = descending_series(L, 4)
@@ -304,7 +309,7 @@ def _check_converse(seed):
 def _check_star_law(seed):
     """On the k = 4 example, the star law is a group law on L/L_2 and theta
     is a morphism from Gamma to (L/L_2, *) on seeded samples."""
-    ex = example8(3, 4, with_essential=False, with_congruence=False)
+    ex = example8(3, 4)
     L2 = descending_series(ex.L, 2)[1]
     ok1, _ = star_quotient_checks(ex.L, L2, cap=3 ** 3)
     ok2, _ = theta_star_morphism_check(ex.Gamma, ex.L, L2,
@@ -320,13 +325,14 @@ def _check_example_family(seed):
     ok = True
     for k in (2, 3, 4):
         ex = example8(3, k)
-        rep = key_measure_check(ex.G, ex.essential.A_ess)
+        lie = _lie_report(ex.G, ex.Gamma, ex.L)
+        measure_ok = lie["measure"]["passed"]
         d = {"gamma": ex.Gamma.n, "dim_L": ex.L.dim, "lie_shape": ex.L_matches,
-             "relations": ex.relations_ok, "congruence": ex.congruence[0],
-             "measure_ok": rep.passed}
-        this = ex.L_matches and ex.relations_ok and rep.passed
+             "relations": ex.relations_ok, "congruence": lie["congruence_subgroup"],
+             "measure_ok": measure_ok}
+        this = ex.L_matches and ex.relations_ok and measure_ok
         if k >= 4:
-            this = this and not ex.congruence[0]
+            this = this and not lie["congruence_subgroup"]
         details[f"k={k}"] = d
         ok = ok and this
     return ok, details
@@ -356,7 +362,7 @@ def _check_complements(seed):
     Gamma_n-cosets to L_n-cosets inside Gamma_2, the series commutes with
     the truncation F3[X]/(X^4) -> F3[X]/(X^2), and P is the closed
     pseudo-ring generated by tr(gamma) - 2.  The seed is unused."""
-    ex = example8(3, 4, with_essential=False, with_congruence=False)
+    ex = example8(3, 4)
     R, G, L = ex.R, ex.Gamma, ex.L
     series = descending_series(L, 4)
     traces = R.batch_trace(G.elements)
@@ -404,7 +410,7 @@ def _check_psi(seed):
     """The measure change of variables Psi on the k = 4 example, at three
     seeded gamma in Gamma: Psi permutes L_2, h∘Psi^{-1} is affine, and the
     image of h is tr(J·gamma) + I_2 where that is decided."""
-    ex = example8(3, 4, with_essential=False, with_congruence=False)
+    ex = example8(3, 4)
     L2 = descending_series(ex.L, 2)[1]
     rng = np.random.default_rng(seed)
     oks = []
@@ -472,13 +478,16 @@ def cmd_verify(args):
     return 0 if passed else 1
 
 
-def _lie_report(G, series, ess, cong):
-    """The keys the example8 and analyze reports share: the series
-    dimensions of L = series[0], its decomposition, P = tr(L·L), the
-    essential module, the congruence pair and the measure bound over G."""
-    L = series[0]
+def _lie_report(G, Gamma, L):
+    """The keys the example8 and analyze reports share, for Gamma = G ∩ SR^1
+    and its Lie algebra L: the dimensions of L's descending series, its
+    decomposition, P = tr(L·L), the essential module, the congruence pair
+    and the measure bound over G.  The one place a report computes them."""
+    series = descending_series(L, 4)
+    ess = essential_data(G, series[1])
+    cong = is_congruence_subgroup(L)
     dec = decompose(L)
-    measure = key_measure_check(G, ess.A_ess)
+    measure = key_measure_check(G, ess.A_ess, Gamma.n)
     return {
         "dim_L": [s.dim for s in series],
         "decomposable": dec.decomposable,
@@ -497,9 +506,8 @@ def _lie_report(G, series, ess, cong):
 
 def cmd_example8(args):
     ex = example8(args.p, args.k, cap=args.cap)
-    lie = _lie_report(ex.G, descending_series(ex.L, 4), ex.essential, ex.congruence)
-    wit = essential_not_ideal_witness(ex.ring, ex.essential.A_ess) \
-        if ex.essential.A_ess.dim else None
+    lie = _lie_report(ex.G, ex.Gamma, ex.L)
+    wit = essential_not_ideal_witness(ex.ring, lie["A_ess"]) if lie["A_ess"].dim else None
     checks = {
         "conjugation_relations": ex.relations_ok,
         "lie_algebra_shape": ex.L_matches,
@@ -589,19 +597,16 @@ def cmd_span(args):
 
 def cmd_analyze(args):
     A = make_truncated_poly_ring(args.q, args.k)
+    rows = None if args.gens_preset else parse_gens(args.gens, A)
+    # the essential module enumerates A: refuse before M_2(A) is built
+    if A.p ** A.dim > MAX_RING_ELEMENTS:
+        raise TooLarge("ring too large to enumerate")
     R = m2_structure(A)
-    if args.gens_preset == "example8":
-        ex = example8(A.p, args.k, cap=args.cap, with_essential=False,
-                      with_congruence=False)
-        gens = [ex.g, ex.h, R.j_elem()]
-    else:
-        gens = parse_gens(args.gens, R)
+    gens = [*example8_generators(R), R.j_elem()] if rows is None \
+        else [R.elem(r) for r in rows]
     G = FiniteMatrixGroup.generate(R, gens, cap=args.cap)
-    gamma_idx = G.subgroup_sr1()
-    Gamma = FiniteMatrixGroup(R, G.elements[gamma_idx])
-    L = lie_of_subgroup(Gamma)
-    series = descending_series(L, 4)
-    lie = _lie_report(G, series, essential_data(G, L2=series[1]), is_congruence_subgroup(L, R))
+    Gamma = FiniteMatrixGroup(R, G.elements[G.subgroup_sr1()])
+    lie = _lie_report(G, Gamma, lie_of_subgroup(Gamma))
     from .pseudorep import classify_projective_image, residual_image_group
     try:
         residual_class = classify_projective_image(residual_image_group(G)).tag()

@@ -314,18 +314,6 @@ class GmaElem:
         self.v = np.asarray(v, dtype=np.int64) % R.p
         self.v.setflags(write=False)
 
-    def a(self):
-        return RingElem(self.R.A, self.v[self.R.sa])
-
-    def d(self):
-        return RingElem(self.R.A, self.v[self.R.sd])
-
-    def b(self):
-        return np.array(self.v[self.R.sb])
-
-    def c(self):
-        return np.array(self.v[self.R.sc])
-
     def __mul__(self, other):
         if not isinstance(other, GmaElem) or other.R is not self.R:
             raise CheckFailed("product of elements of different GMAs")
@@ -355,12 +343,6 @@ class GmaElem:
     def inverse(self):
         return GmaElem(self.R, self.R.inv_vec(self.v))
 
-    def trace(self):
-        return RingElem(self.R.A, self.R.trace_vec(self.v))
-
-    def det(self):
-        return RingElem(self.R.A, self.R.det_vec(self.v))
-
     def __eq__(self, other):
         return isinstance(other, GmaElem) and other.R is self.R and np.array_equal(self.v, other.v)
 
@@ -382,7 +364,7 @@ def m2_structure(A, name=None):
                         name=name or f"M2({A.meta.get('kind', 'A')})")
 
 
-def reduced_residue_gma(A, name=None):
+def reduced_residue_gma(A):
     """Faithful GMA [[A, F_q],[F_q, A]] over a truncated-type local ring:
     B = C = A/m as A-modules, pairing m(b, c) = (b c) * z with z spanning
     the socle power m^(nil-1).  BC sits inside m, so this realizes the
@@ -412,7 +394,7 @@ def reduced_residue_gma(A, name=None):
             prod = A.fq.mul(A.fq.encode(_unit(f, k)), A.fq.encode(_unit(f, l)))
             const = A.constant(prod).v
             pairing[k, l] = A.mul_vec(const, z)
-    return GmaStructure(A, act, act, pairing, name=name or "reduced")
+    return GmaStructure(A, act, act, pairing, name="reduced")
 
 
 def _unit(f, k):

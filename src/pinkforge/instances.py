@@ -8,12 +8,12 @@ from .gma import GmaStructure, m2_structure, reduced_residue_gma
 from .localring import make_truncated_poly_ring
 
 
-def diagonal_gma(A, name="diag"):
+def diagonal_gma(A):
     """The GMA [[A, 0], [0, A]] with zero modules."""
     da = A.dim
     act = np.zeros((da, 0, 0), dtype=np.int64)
     pairing = np.zeros((0, 0, da), dtype=np.int64)
-    return GmaStructure(A, act, act, pairing, name=name)
+    return GmaStructure(A, act, act, pairing, name="diag")
 
 
 def const_diag(R, lam, mu):
@@ -100,11 +100,10 @@ def diag_group_constants(R, pairs):
     return [const_diag(R, a, d) for (a, d) in sorted(seen)]
 
 
-def dihedral_constants(R, lam_code, antidiag=(1, 1)):
-    """Closure of diag(lam, lam^-1) and the antidiagonal [[0, b],[c, 0]]."""
+def dihedral_constants(R, lam_code):
+    """Closure of diag(lam, lam^-1) and the antidiagonal [[0, 1],[1, 0]]."""
     fq = R.A.fq
-    b, c = antidiag
-    gens = [((lam_code, 0), (0, fq.inv(lam_code))), ((0, b), (c, 0))]
+    gens = [((lam_code, 0), (0, fq.inv(lam_code))), ((0, 1), (1, 0))]
     return gl2_constants(R, gens)
 
 

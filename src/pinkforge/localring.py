@@ -171,12 +171,12 @@ class FqData:
 
     __slots__ = ("p", "f", "q", "poly", "mul_tensor", "mul_table")
 
-    def __init__(self, p, f, poly=None):
+    def __init__(self, p, f):
         self.p, self.f, self.q = p, f, p ** f
         if self.q > MAX_FIELD:
             raise TooLarge(f"a {self.q} x {self.q} multiplication table exceeds "
                            f"the cap q <= {MAX_FIELD}")
-        self.poly = tuple(poly) if poly is not None else _irreducible_poly(p, f)
+        self.poly = _irreducible_poly(p, f)
         # (f, f, f) F_p-structure tensor: [i, j] holds the digits of alpha^i·alpha^j
         E = np.eye(f, dtype=np.int64).tolist()
         self.mul_tensor = np.array([[_poly_mul_mod(a, b, self.poly, p) for b in E] for a in E],

@@ -526,7 +526,7 @@ def _reduce_against(f, basis, deg, p):
     return g, coords
 
 
-def hecke_span(f, primes, deg_budget=None, max_dim=64, k_eff=0):
+def hecke_span(f, primes, max_dim=64, k_eff=0):
     """Stable span of f under the given Hecke operators.
 
     Usable degree shrinks by a factor ell at each application; every basis
@@ -534,8 +534,7 @@ def hecke_span(f, primes, deg_budget=None, max_dim=64, k_eff=0):
     TooLarge is raised instead of comparing silently-truncated tails.
     """
     p = f.p
-    deg = deg_budget if deg_budget is not None else f.deg
-    f = f.truncate(deg)
+    deg = f.deg
     basis = []          # (series, leading index) pairs
     usable = deg
 

@@ -175,12 +175,12 @@ def group_series(G, n_max):
     return groups
 
 
-def pink_converse(L, cap=10 ** 6, rng=None, closure_samples=3000):
+def pink_converse(L, cap=10 ** 6):
     """H = theta^{-1}(L) as a group, provided [L, L] <= L and tr(L·L)·L <= L.
 
     Both hypotheses are verified exactly on basis tuples; they make H
     closed under products and inverses, which is additionally spot-checked
-    on a seeded sample.  Returns (H, P)."""
+    on 3,000 seeded pairs.  Returns (H, P)."""
     ok, wit = L.bracket_closed()
     if not ok:
         raise CheckFailed(f"bracket closure fails at {wit}")
@@ -192,9 +192,9 @@ def pink_converse(L, cap=10 ** 6, rng=None, closure_samples=3000):
     members = L.enumerate(cap=cap)
     H_rows = batch_theta_inv(R, members)
     H = FiniteMatrixGroup(R, H_rows)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     n = len(H_rows)
-    take = min(closure_samples, n * n)
+    take = min(3000, n * n)
     I = rng.integers(0, n, size=take)
     Jx = rng.integers(0, n, size=take)
     prods = R.batch_mul(H_rows[I], H_rows[Jx])
@@ -269,12 +269,12 @@ def _coset_reps(L, L2, cap):
     return FpSubspace(L.R.p, L.R.dim, comp).enumerate(cap=cap)
 
 
-def theta_star_morphism_check(G, L, L2, rng=None, samples=300):
-    """theta(gamma·gamma') = theta(gamma) * theta(gamma') mod L_2."""
+def theta_star_morphism_check(G, L, L2, rng):
+    """theta(gamma·gamma') = theta(gamma) * theta(gamma') mod L_2, on 300
+    pairs drawn from rng."""
     R = G.R
-    rng = rng or np.random.default_rng(0)
-    I = rng.integers(0, G.n, size=samples)
-    Jx = rng.integers(0, G.n, size=samples)
+    I = rng.integers(0, G.n, size=300)
+    Jx = rng.integers(0, G.n, size=300)
     lhs = batch_theta(R, R.batch_mul(G.elements[I], G.elements[Jx]))
     rhs = _batch_star(R, batch_theta(R, G.elements[I]), batch_theta(R, G.elements[Jx]))
     bad = np.flatnonzero((L2.space.reduce(lhs) != L2.space.reduce(rhs)).any(axis=1))
@@ -492,7 +492,7 @@ def _nabla_swap_invariant(R, nabla, lam):
     return True
 
 
-def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants, cap=10 ** 6):
+def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants):
     """Converse construction: G = theta^{-1}(L)·s(Gbar).
 
     `gbar_constants` is a list of flat constant matrices (entries in the
@@ -500,7 +500,7 @@ def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants, cap=10 ** 6):
     Returns (G, Gamma, tr) with tr the induced pseudo-representation.
     """
     L = LieSubspace(R, lie_vectors)
-    Gamma, P = pink_converse(L, cap=cap)
+    Gamma, P = pink_converse(L)
     p = R.p
     consts = [np.asarray(v, dtype=np.int64) % p for v in gbar_constants]
     # the constant subgroup must normalize L
@@ -519,10 +519,10 @@ def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants, cap=10 ** 6):
     return G, Gamma, tr
 
 
-def structure_round_trip(cls_kind, R, lie_vectors, gbar_constants, cap=10 ** 6):
+def structure_round_trip(cls_kind, R, lie_vectors, gbar_constants):
     """Build the group from Lie data, recompute its Lie algebra, and check
     admissibility plus exact recovery of the input."""
-    G, Gamma, tr = build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants, cap=cap)
+    G, Gamma, tr = build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants)
     L_in = LieSubspace(R, lie_vectors)
     gamma_idx = G.subgroup_sr1()
     Gamma2 = FiniteMatrixGroup(R, G.elements[gamma_idx])
@@ -544,11 +544,11 @@ def principal_ideal(A, x):
     return span_products(x[None, :], np.eye(A.dim, dtype=np.int64), A.mul_tensor, A.p)
 
 
-def candidate_ideals(A, cap=64):
+def candidate_ideals(A):
     """Nonzero ideals to test for the congruence property.
 
     Truncated polynomial rings: exactly the (X^j), an exhaustive list.
-    Otherwise: principal ideals of all elements, deduplicated, capped.
+    Otherwise: principal ideals of all elements, deduplicated, the first 64.
     """
     out = []
     if A.meta.get("kind") == "truncated_poly":
@@ -569,16 +569,16 @@ def candidate_ideals(A, cap=64):
             continue
         seen.add(key)
         out.append((f"({A.format_vec(vec)})", I))
-        if len(out) >= cap:
+        if len(out) >= 64:
             break
     return out, False
 
 
-def is_congruence_subgroup(L, R=None, ideal_cap=64):
+def is_congruence_subgroup(L):
     """(flag, witness): L contains the congruence block of some nonzero
     ideal.  Exhaustive over (X^j) for truncated bases."""
-    R = R or L.R
-    cands, exhaustive = candidate_ideals(R.A, cap=ideal_cap)
+    R = L.R
+    cands, exhaustive = candidate_ideals(R.A)
     for name, I in cands:
         # theta of the principal congruence subgroup of I: [[I, I·B],[I·C, I]]^0
         block = FpSubspace(R.p, R.dim, ideal_block_rows(R, I.basis))
@@ -596,9 +596,13 @@ class EssentialData:
     weakly_odd: bool
 
 
-def unit_squares(A, cap=10 ** 6):
+# Most elements a ring may have for `unit_squares` to enumerate it.
+MAX_RING_ELEMENTS = 10 ** 6
+
+
+def unit_squares(A):
     """Set of keys of squares of units of A."""
-    vecs = A.elements(cap=cap)
+    vecs = A.elements(cap=MAX_RING_ELEMENTS)
     if isinstance(A, LocalRing):
         units = vecs[(vecs @ A.proj.T % A.p).any(axis=1)]
     else:
@@ -606,23 +610,16 @@ def unit_squares(A, cap=10 ** 6):
     return set(row_key(A.batch_mul(units, units), A.p).tolist())
 
 
-def essential_data(G, L2=None, squares=None):
+def essential_data(G, L2):
     """S = {g : tr g = 0, -det g a unit square};
     A_ess = F-span of tr(g·L_2) over g in S."""
     R = G.R
     A = R.A
     p = R.p
-    if L2 is None:
-        gamma_idx = G.subgroup_sr1()
-        Gamma = FiniteMatrixGroup(R, G.elements[gamma_idx])
-        L = lie_of_subgroup(Gamma)
-        L2 = descending_series(L, 2)[1]
-    squares = squares if squares is not None else unit_squares(A)
-    TR = R.batch_trace(G.elements)
-    DET = R.batch_det(G.elements)
-    minus_det = row_key((-DET) % p, p).tolist()
-    mask = ~TR.any(axis=1) & np.array([k in squares for k in minus_det], dtype=bool)
-    S = np.nonzero(mask)[0].tolist()
+    squares = unit_squares(A)
+    traceless = np.flatnonzero(~R.batch_trace(G.elements).any(axis=1))
+    minus_det = row_key((-R.batch_det(G.elements[traceless])) % p, p).tolist()
+    S = traceless[np.array([k in squares for k in minus_det], dtype=bool)].tolist()
     traces = FpSubspace(p, A.dim, trace_products(R, G.elements[S], L2.basis))
     A_ess = span_products(A.constants(), traces.basis, A.mul_tensor, p)
     return EssentialData(S_indices=S, A_ess=A_ess, weakly_odd=bool(S))
@@ -637,9 +634,10 @@ class MeasureReport:
     vacuous: bool = False
 
 
-def key_measure_check(G, A_ess):
+def key_measure_check(G, A_ess, gamma_order):
     """For every F-linear form l on A nonzero somewhere on A_ess, the exact
-    counting measure of {g : l(tr g) != 0} is at least (p-1)/(p·|Gbar|).
+    counting measure of {g : l(tr g) != 0} is at least (p-1)/(p·|Gbar|),
+    where Gbar = G/Gamma and Gamma = G ∩ SR^1 has order gamma_order.
 
     The quantifier runs over the full finite dual space F_q^k of the block
     layout, not a sample.  Orthogonality of the additive characters
@@ -655,9 +653,7 @@ def key_measure_check(G, A_ess):
     R = G.R
     A = R.A
     p = A.p
-    gamma_count = len(G.subgroup_sr1())
-    nbar = G.n // gamma_count
-    bound = Fraction(p - 1, p * nbar)
+    bound = Fraction(p - 1, p * (G.n // gamma_order))
     if A_ess.dim == 0:
         return MeasureReport(bound=bound, min_measure=Fraction(1), n_forms=0,
                              passed=True, vacuous=True)
@@ -699,7 +695,7 @@ def key_measure_check(G, A_ess):
                          passed=mm >= bound)
 
 
-def measure_change_psi(R, L, L2, gamma, cap=10 ** 5):
+def measure_change_psi(R, L, L2, gamma):
     """The change of variables Psi(m) = m + sigma(m) on L_2, with
 
         sigma(m) = (sqrt(1 + tr(m^2)/2) - 1)·(tr(J·gamma)/tr(gamma))·J,
@@ -715,7 +711,7 @@ def measure_change_psi(R, L, L2, gamma, cap=10 ** 5):
         raise CheckFailed("tr(gamma) must be a unit")
     trJg = R.trace_vec(R.mul_vec(R.J, gv))
     coef = A.mul_vec(trJg, A.invert_vec(trg))
-    members = L2.enumerate(cap=cap)
+    members = L2.enumerate(cap=10 ** 5)
     lam = _sqrt_scalars(R, members)
     sig_scal = A.batch_mul_elem((lam - A.one) % p, coef)   # (n, dimA)
     psi = members.copy()
@@ -739,7 +735,7 @@ def measure_change_psi(R, L, L2, gamma, cap=10 ** 5):
     I2 = dec2.I1 if dec2.decomposable else None
     image_keys = set(row_key(h, p).tolist())
     if I2 is not None:
-        expected = set(row_key((trJg + I2.enumerate(cap=cap)) % p, p).tolist())
+        expected = set(row_key((trJg + I2.enumerate(cap=10 ** 5)) % p, p).tolist())
         image_ok = image_keys == expected
     else:
         image_ok = None
@@ -759,11 +755,6 @@ class TwoGeneratorExample:
     L: LieSubspace
     L_matches: bool
     relations_ok: bool
-    essential: EssentialData = None
-    congruence: tuple = None
-
-    def dims(self, n_max=4):
-        return [Lk.dim for Lk in descending_series(self.L, n_max)]
 
 
 def expected_example_lie(R, A):
@@ -784,43 +775,41 @@ def expected_example_lie(R, A):
     return LieSubspace(R, rows, check=False)
 
 
-def example8(p, k, cap=2 * 10 ** 6, with_essential=True, with_congruence=True):
-    """The two-generator subgroup of SL_2^1(F_p[X]/(X^k)) generated by
+def example8_generators(R):
+    """The generators of the example in R = M_2(F_p[X]/(X^k)):
 
         g = diag(X + sqrt(1+X^2), -X + sqrt(1+X^2)),
-        h = [[sqrt(1-X^2), X], [-X, sqrt(1-X^2)]],
+        h = [[sqrt(1-X^2), X], [-X, sqrt(1-X^2)]]."""
+    A = R.A
+    p = A.p
+    X = np.zeros(A.dim, dtype=np.int64)
+    if A.dim > 1:
+        X[1] = 1
+    zero = np.zeros(A.dim, dtype=np.int64)
+    X2 = A.mul_vec(X, X)
+    s1 = hensel_sqrt(A, (A.one + X2) % p).v
+    s2 = hensel_sqrt(A, (A.one - X2) % p).v
+    return R.elem((X + s1) % p, zero, zero, ((-X) % p + s1) % p), R.elem(s2, X, (-X) % p, s2)
 
-    together with G = Gamma ∪ J·Gamma, its Lie algebra, essential data and
-    congruence status."""
+
+def example8(p, k, cap=2 * 10 ** 6):
+    """The two-generator subgroup Gamma of SL_2^1(F_p[X]/(X^k)) generated
+    by `example8_generators`, together with G = Gamma ∪ J·Gamma and the
+    Lie algebra L of Gamma, checked against its closed form."""
     if p == 2:
         raise CheckFailed("the example needs p odd")
     A = make_truncated_poly_ring(p, k)
     R = m2_structure(A)
-    X = np.zeros(A.dim, dtype=np.int64)
-    if k > 1:
-        X[1] = 1
-    one = A.one
-    zero = np.zeros(A.dim, dtype=np.int64)
-    X2 = A.mul_vec(X, X)
-    s1 = hensel_sqrt(A, (one + X2) % p).v
-    s2 = hensel_sqrt(A, (one - X2) % p).v
-    g = R.elem((X + s1) % p, zero, zero, ((-X) % p + s1) % p)
-    h = R.elem(s2, X, (-X) % p, s2)
+    g, h = example8_generators(R)
     J = R.j_elem()
     rel_ok = (J * g * J == g) and (J * h * J == h.inverse())
     Gamma = FiniteMatrixGroup.generate(R, [g, h], cap=cap)
     G = adjoin_normalising(Gamma, J.v, rel_ok, cap)
     L = lie_of_subgroup(Gamma)
-    ex = TwoGeneratorExample(
+    return TwoGeneratorExample(
         ring=A, R=R, g=g, h=h, Gamma=Gamma, G=G, L=L,
         L_matches=(L == expected_example_lie(R, A)), relations_ok=bool(rel_ok),
     )
-    if with_essential:
-        series = descending_series(L, 2)
-        ex.essential = essential_data(G, L2=series[1])
-    if with_congruence:
-        ex.congruence = is_congruence_subgroup(L, R)
-    return ex
 
 
 def adjoin_normalising(Gamma, j, normalises, cap):

@@ -141,13 +141,13 @@ class FiniteMatrixGroup:
             raise ValueError("group not closed under multiplication")
         return perm.astype(np.int32)
 
-    def verify_closure(self, rng=None, samples=2000):
-        """Spot-check closure on generator products plus a seeded sample."""
-        rng = rng or np.random.default_rng(0)
+    def verify_closure(self):
+        """Spot-check closure on the products of the first 30 elements plus
+        2,000 seeded pairs."""
         m = min(self.n, 30)
         I, J = np.divmod(np.arange(m * m), m)
         if self.n > 30:
-            extra = rng.integers(0, self.n, size=(samples, 2))
+            extra = np.random.default_rng(0).integers(0, self.n, size=(2000, 2))
             I, J = np.concatenate([I, extra[:, 0]]), np.concatenate([J, extra[:, 1]])
         prods = self.R.batch_mul(self.elements[I], self.elements[J])
         return bool((self.find(prods) >= 0).all())
@@ -229,9 +229,8 @@ class PseudoRep:
         return self._gt
 
     @classmethod
-    def from_matrix_group(cls, G, build_table=False):
-        gt = GroupTable.from_matrix_group(G) if build_table else None
-        return cls(G.R.A, gt, G.traces(), G.dets(), matrix_group=G)
+    def from_matrix_group(cls, G):
+        return cls(G.R.A, None, G.traces(), G.dets(), matrix_group=G)
 
     def residual_t(self, i):
         return self.A.residue_int(self.t[i])

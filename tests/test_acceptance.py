@@ -9,7 +9,7 @@ the convergence trail in the test output.
 
 import time
 
-from pinkforge.cli import VERIFY_CHECKS
+from pinkforge.cli import VERIFY_CHECKS, _lie_report
 from pinkforge.instances import structure_parameter_sets
 from pinkforge.modforms import (
     delta_expansion,
@@ -19,7 +19,7 @@ from pinkforge.modforms import (
     nilpotency_check,
     series_pow,
 )
-from pinkforge.pinklie import essential_not_ideal_witness, key_measure_check, structure_round_trip
+from pinkforge.pinklie import essential_not_ideal_witness, structure_round_trip
 
 CHECKS = dict(VERIFY_CHECKS)
 
@@ -109,21 +109,24 @@ def test_criterion_6_example_family(example_family):
     t0 = time.time()
     ok = True
     lines = []
+    reports = {}
     for k in (2, 3, 4, 5, 6):
         ex = example_family[k]
+        lie = reports[k] = _lie_report(ex.G, ex.Gamma, ex.L)
+        cong = (lie["congruence_subgroup"], lie["congruence_witness"])
         ok_k = ex.L_matches and ex.relations_ok
         if k >= 4:
-            ok_k = ok_k and ex.congruence == (False, None)
+            ok_k = ok_k and cong == (False, None)
         lines.append(f"k={k}: dim L={ex.L.dim} shape={ex.L_matches}"
-                     + (f" congruence={ex.congruence[0]}" if k >= 4 else ""))
+                     + (f" congruence={cong[0]}" if k >= 4 else ""))
         ok = ok and ok_k
     ex6 = example_family[6]
-    wit = essential_not_ideal_witness(ex6.ring, ex6.essential.A_ess)
+    A_ess = reports[6]["A_ess"]
+    wit = essential_not_ideal_witness(ex6.ring, A_ess)
     ok = ok and wit is not None
     if wit is not None:
         x, a = wit
-        ok = ok and ex6.essential.A_ess.contains(x) \
-            and not ex6.essential.A_ess.contains(ex6.ring.mul_vec(a, x))
+        ok = ok and A_ess.contains(x) and not A_ess.contains(ex6.ring.mul_vec(a, x))
         lines.append(f"k=6 witness: x={ex6.ring.format_vec(x)}, a={ex6.ring.format_vec(a)}")
     dt = time.time() - t0
     report("criterion 6 (two-generator example family)",
@@ -139,11 +142,10 @@ def test_criterion_7_key_measure(example_family):
     lines = []
     for k in (4, 6):
         ex = example_family[k]
-        rep = key_measure_check(ex.G, ex.essential.A_ess)
-        ok_k = rep.passed and not rep.vacuous and rep.n_forms > 0
+        m = _lie_report(ex.G, ex.Gamma, ex.L)["measure"]
+        ok_k = m["passed"] and not m["vacuous"] and m["forms"] > 0
         ok = ok and ok_k
-        lines.append(f"k={k}: min {rep.min_measure} >= bound {rep.bound} "
-                     f"over {rep.n_forms} forms")
+        lines.append(f"k={k}: min {m['min']} >= bound {m['bound']} over {m['forms']} forms")
     dt = time.time() - t0
     report("criterion 7 (key measure bound)", ok, "; ".join(lines) + f"; {dt:.1f}s")
 

@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -102,7 +103,7 @@ def test_series_degree_cap_exit_3(args):
 
 
 @pytest.mark.parametrize("args, message", [
-    # a ring of more than 10^6 elements: exit 1, reported as a failed check
+    # a ring of more than 10^6 elements, which the essential module enumerates
     (["analyze", "--q", "3", "--k", "13", "--gens", "[]"], "ring too large to enumerate"),
     (["analyze", "--q", "9", "--k", "7", "--gens", "[]"], "ring too large to enumerate"),
     # asked numpy for 8.94 GiB and exited 1 with an _ArrayMemoryError traceback
@@ -114,6 +115,18 @@ def test_enumeration_caps_exit_3(args, message):
     assert r.returncode == 3
     assert r.stdout == "" and "Traceback" not in r.stderr
     assert r.stderr.splitlines() == [f"error: {message} (cap reached, undecided)"]
+
+
+def test_analyze_refuses_a_large_ring_before_building_m2():
+    # built M_2(A)'s (4k)^3 product tensor first: 18.5 s at k = 40, then exit 3
+    t0 = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli", "analyze", "--q", "3", "--k", "40",
+                        "--gens", "[]"], capture_output=True, text=True,
+                       preexec_fn=_address_space_2gib, timeout=120)
+    assert time.perf_counter() - t0 < 2
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == ["error: ring too large to enumerate (cap reached, undecided)"]
 
 
 def test_span_out_of_degree_is_undecided():
@@ -237,3 +250,61 @@ def test_verify_times_each_check_on_stderr_only(tmp_path):
     lines = r.stderr.splitlines()
     assert [re.fullmatch(r"\[PASS\] (\w+) \(\d+\.\d\d s\)", line).group(1)
             for line in lines] == names
+
+
+def _report(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("p, k", [(3, 4), (3, 5), (5, 3)])
+def test_example8_and_the_analyze_preset_agree(p, k):
+    ex = _report(["example8", "--p", str(p), "--k", str(k)])
+    an = _report(["analyze", "--q", str(p), "--k", str(k), "--gens-preset", "example8"])
+    shared = (ex.keys() & an.keys()) - {"command", "config"}
+    assert {"ring", "gamma_order", "group_order", "dim_L", "A_ess", "P",
+            "congruence_subgroup", "measure"} <= shared
+    assert {key: ex[key] for key in shared} == {key: an[key] for key in shared}
+
+
+def _count_calls(monkeypatch):
+    """Record the rows of every batch_in_SR1 call, in every pinkforge module
+    that binds it, and every FiniteMatrixGroup.generate call."""
+    from pinkforge import gma
+    from pinkforge.pseudorep import FiniteMatrixGroup
+    calls = {"sr1": [], "generate": 0}
+    in_sr1, generate = gma.batch_in_SR1, FiniteMatrixGroup.generate.__func__
+
+    def counted_sr1(R, X):
+        calls["sr1"].append(len(np.atleast_2d(X)))
+        return in_sr1(R, X)
+
+    def counted_generate(cls, *args, **kwargs):
+        calls["generate"] += 1
+        return generate(cls, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pinkforge") and getattr(mod, "batch_in_SR1", None) is in_sr1:
+            monkeypatch.setattr(mod, "batch_in_SR1", counted_sr1)
+    monkeypatch.setattr(FiniteMatrixGroup, "generate", classmethod(counted_generate))
+    return calls
+
+
+F9_GENS = ("[[1,0,0,0,1,0,0,0,1,0,0,0,0,0,2,0,0,0,1,0,0,0,1,0],"
+           "[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,0,0,0,0,0],"
+           "[0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,1,0,0,0,0]]")
+
+
+def test_a_report_tests_sr1_membership_once_per_group(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    d = _report(["example8", "--p", "3", "--k", "4"])
+    # only Gamma's rows, in lie_of_subgroup: G ∩ SR^1 = Gamma since det J = -1
+    assert calls == {"sr1": [d["gamma_order"]], "generate": 1}
+    calls = _count_calls(monkeypatch)
+    _report(["analyze", "--q", "9", "--k", "3", "--gens", F9_GENS])
+    assert len(calls["sr1"]) <= 2 and calls["generate"] == 1
+    calls = _count_calls(monkeypatch)
+    _report(["analyze", "--q", "3", "--k", "4", "--gens-preset", "example8"])
+    assert len(calls["sr1"]) <= 2 and calls["generate"] == 1

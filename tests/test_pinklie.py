@@ -89,7 +89,7 @@ def test_theta_inv_examples(r33):
     g = theta_inv(R, m)
     assert np.array_equal(g.v[R.sa], [1, 1, 2])   # X + 1 + 2X^2
     assert np.array_equal(g.v[R.sd], [1, 2, 2])   # -X + 1 + 2X^2
-    assert g.det() == A.one_elem()
+    assert np.array_equal(R.det_vec(g.v), A.one)
     # round trip on 500 random radical traceless elements
     rng = np.random.default_rng(1)
     M = random_rad0(R, rng, 500)
@@ -297,7 +297,7 @@ def test_decompose_examples(r33):
     dec = decompose(L)
     assert dec.decomposable and dec.nabla.dim == 0 and dec.I1.dim == 1
     # the two-generator example: decomposable, not strongly (b and c coupled)
-    ex = example8(3, 3, with_essential=False, with_congruence=False)
+    ex = example8(3, 3)
     decx = decompose(ex.L)
     assert decx.decomposable and not decx.strongly
     # ideal block: strongly decomposable with I1 = B1 = C1 = (X)
@@ -319,53 +319,58 @@ def test_congruence_subgroup_cases(example_family):
     A = make_truncated_poly_ring(3, 3)
     R = m2_structure(A)
     L = LieSubspace(R, component_block_rows(R, list(A.maxideal.basis)))
-    flag, wit = is_congruence_subgroup(L, R)
+    flag, wit = is_congruence_subgroup(L)
     assert flag and wit == "(X)"
     # full radical block over F3[eps]
     A2 = make_truncated_poly_ring(3, 2)
     R2 = m2_structure(A2)
     L2 = LieSubspace(R2, component_block_rows(R2, list(A2.maxideal.basis)))
-    assert is_congruence_subgroup(L2, R2)[0]
+    assert is_congruence_subgroup(L2)[0]
     # the two-generator example contains no congruence subgroup at k >= 4
     for k in (4, 5, 6):
-        assert not example_family[k].congruence[0]
-    # but at k <= 3 the full block fits below the parity obstruction
-    assert example_family[2].congruence[0] is False or True  # recorded, see below
+        assert not is_congruence_subgroup(example_family[k].L)[0]
 
 
 def test_congruence_small_k_status(example_family):
     # at k = 2 and 3 the search is still exhaustive; record exact outcomes
-    assert example_family[2].congruence == (False, None)
-    assert example_family[3].congruence == (False, None)
+    assert is_congruence_subgroup(example_family[2].L) == (False, None)
+    assert is_congruence_subgroup(example_family[3].L) == (False, None)
+
+
+def _essential(ex):
+    return essential_data(ex.G, descending_series(ex.L, 2)[1])
 
 
 def test_essential_data_cases(example_family):
     # k = 2: L_2 = 0, no qualifying forms, vacuous measure pass
     ex2 = example_family[2]
-    assert ex2.essential.A_ess.dim == 0
-    rep2 = key_measure_check(ex2.G, ex2.essential.A_ess)
+    ess2 = _essential(ex2)
+    assert ess2.A_ess.dim == 0
+    rep2 = key_measure_check(ex2.G, ess2.A_ess, ex2.Gamma.n)
     assert rep2.vacuous and rep2.passed
     # k = 6: A_ess is the span of the odd monomials of degree >= 3
     ex6 = example_family[6]
+    ess6 = _essential(ex6)
     A6 = ex6.ring
     want = FpSubspace(3, A6.dim, [monomial(A6, 3), monomial(A6, 5)])
-    assert ex6.essential.A_ess == want
-    assert ex6.essential.weakly_odd
+    assert ess6.A_ess == want
+    assert ess6.weakly_odd
     # S consists of trace-zero elements with -det a square; J qualifies
     j_idx = ex6.G.lookup(ex6.R.j_elem())
-    assert j_idx in ex6.essential.S_indices
+    assert j_idx in ess6.S_indices
 
 
 def test_essential_not_ideal_witness(example_family):
     ex6 = example_family[6]
-    wit = essential_not_ideal_witness(ex6.ring, ex6.essential.A_ess)
+    A_ess = _essential(ex6).A_ess
+    wit = essential_not_ideal_witness(ex6.ring, A_ess)
     assert wit is not None
     x, a = wit
-    assert ex6.essential.A_ess.contains(x)
-    assert not ex6.essential.A_ess.contains(ex6.ring.mul_vec(a, x))
+    assert A_ess.contains(x)
+    assert not A_ess.contains(ex6.ring.mul_vec(a, x))
     # at k = 4 the essential module (X^3) happens to be an ideal
     ex4 = example_family[4]
-    assert essential_not_ideal_witness(ex4.ring, ex4.essential.A_ess) is None
+    assert essential_not_ideal_witness(ex4.ring, _essential(ex4).A_ess) is None
 
 
 def test_measure_change_psi(example_family):
@@ -574,9 +579,10 @@ F9_GENS = [[1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1,
 def test_measure_check_matches_brute_force_fp(example_family):
     exs = {(3, k): example_family[k] for k in (2, 3, 4, 5, 6)}
     exs.update({(5, 4): example8(5, 4), (7, 3): example8(7, 3)})
-    got = {pk: key_measure_check(ex.G, ex.essential.A_ess) for pk, ex in exs.items()}
+    ess = {pk: _essential(ex).A_ess for pk, ex in exs.items()}
+    got = {pk: key_measure_check(ex.G, ess[pk], ex.Gamma.n) for pk, ex in exs.items()}
     for pk, ex in exs.items():
-        assert got[pk] == brute_force_measure(ex.G, ex.essential.A_ess), pk
+        assert got[pk] == brute_force_measure(ex.G, ess[pk]), pk
     assert (got[3, 6].n_forms, got[3, 6].min_measure) == (648, Fraction(1, 3))
     assert (got[5, 4].n_forms, got[5, 4].min_measure) == (500, Fraction(2, 5))
 
@@ -585,8 +591,9 @@ def test_measure_check_matches_brute_force_fp(example_family):
 def test_measure_check_matches_brute_force_f9(which, order):
     R = m2_structure(make_truncated_poly_ring(9, 3))
     G = FiniteMatrixGroup.generate(R, [R.elem(np.array(F9_GENS[i])) for i in which])
-    ess = essential_data(G)
-    got = key_measure_check(G, ess.A_ess)
+    Gamma = FiniteMatrixGroup(R, G.elements[G.subgroup_sr1()])
+    ess = essential_data(G, descending_series(lie_of_subgroup(Gamma), 2)[1])
+    got = key_measure_check(G, ess.A_ess, Gamma.n)
     assert G.n == order
     assert got == brute_force_measure(G, ess.A_ess)
     assert (got.n_forms, got.min_measure, got.vacuous) == (648, Fraction(23, 36), False)
@@ -602,14 +609,14 @@ def test_measure_check_on_subspaces_that_are_not_fq_stable():
                        + [R.j_elem()])
     for rows in (1, 2, 4):
         V = FpSubspace(3, A.dim, rng.integers(0, 3, size=(rows, A.dim)))
-        assert key_measure_check(G, V) == brute_force_measure(G, V)
+        assert key_measure_check(G, V, len(G.subgroup_sr1())) == brute_force_measure(G, V)
 
 
 def test_measure_check_caps_the_dual_space():
     R = m2_structure(make_truncated_poly_ring(3, 13))        # 3^13 > 10^6 forms
     G = FiniteMatrixGroup.generate(R, [R.j_elem()])
     with pytest.raises(TooLarge):
-        key_measure_check(G, R.A.maxideal)
+        key_measure_check(G, R.A.maxideal, len(G.subgroup_sr1()))
 
 
 def test_measure_check_residual_guard(example_family, monkeypatch):
@@ -617,7 +624,7 @@ def test_measure_check_residual_guard(example_family, monkeypatch):
     fftn = np.fft.fftn
     monkeypatch.setattr(np.fft, "fftn", lambda a: fftn(a) + 0.3)
     with pytest.raises(CheckFailed, match="measure transform residual .* reaches 1/4"):
-        key_measure_check(ex.G, ex.essential.A_ess)
+        key_measure_check(ex.G, _essential(ex).A_ess, ex.Gamma.n)
 
 
 def _address_space_2gib():
@@ -650,7 +657,7 @@ def _sorted_keys(G):
 @pytest.mark.parametrize("p, k", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
                                   (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (257, 2)])
 def test_example8_G_by_cosets_equals_the_bfs(p, k):
-    ex = example8(p, k, with_essential=False, with_congruence=False)
+    ex = example8(p, k)
     bfs = FiniteMatrixGroup.generate(ex.R, [ex.g, ex.h, ex.R.j_elem()])
     assert ex.relations_ok and ex.G.n == 2 * ex.Gamma.n == bfs.n
     assert np.array_equal(_sorted_keys(ex.G), _sorted_keys(bfs))
@@ -664,7 +671,7 @@ def test_adjoin_normalising_falls_back_to_the_bfs(example_family):
     # no normalising claim: the BFS itself, in its order
     assert np.array_equal(adjoin_normalising(Gamma, J, False, 10 ** 6).elements, bfs.elements)
     # over F_5 the scalar 2 is central, but its square -1 lies outside Gamma
-    ex5 = example8(5, 2, with_essential=False, with_congruence=False)
+    ex5 = example8(5, 2)
     two = (2 * ex5.R.one) % 5
     G = adjoin_normalising(ex5.Gamma, two, True, 10 ** 6)
     assert G.n == 4 * ex5.Gamma.n
@@ -678,8 +685,8 @@ def test_example8_cap_counts_the_J_coset():
     # |Gamma| = 243 and |G| = 486 at (3, 4): a cap between them stops the coset build
     for cap in (243, 300, 485):
         with pytest.raises(TooLarge, match=f"group exceeds cap {cap}"):
-            example8(3, 4, cap=cap, with_essential=False, with_congruence=False)
-    assert example8(3, 4, cap=486, with_essential=False, with_congruence=False).G.n == 486
+            example8(3, 4, cap=cap)
+    assert example8(3, 4, cap=486).G.n == 486
 
 
 def _group_series_all_pairs(G, n_max):

@@ -454,8 +454,8 @@ def test_build_td_kernel_both_ways():
     T = np.fromfunction(lambda i, j: (i + j) % 8, (8, 8), dtype=np.int64)
     gt = GroupTable(table=T.astype(np.int64), identity=0)
     powers = [g ** k for k in range(4)]
-    tvals = np.array([powers[k % 4].trace().v for k in range(8)])
-    dvals = np.array([powers[k % 4].det().v for k in range(8)])
+    tvals = np.array([R0.trace_vec(powers[k % 4].v) for k in range(8)])
+    dvals = np.array([R0.det_vec(powers[k % 4].v) for k in range(8)])
     tr = PseudoRep(A, gt, tvals, dvals)
     ok, _ = check_axioms(tr)
     assert ok

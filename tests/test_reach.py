@@ -1,8 +1,10 @@
 """Every public function, class and method of pinkforge is referenced, by
-name, from the library itself or exported from the package, and every
-attribute or dataclass field it stores is read by it.  Code that only tests
-call is deleted, except the names in KEPT and KEPT_FIELDS.  The only exception
-classes are the three of errors.py, one per non-zero exit code."""
+name (a method as an attribute), from the library itself or exported from
+the package, and every attribute or dataclass field it stores is read by it.
+Code that only tests call is deleted, except the names in KEPT and
+KEPT_FIELDS.  Every defaulted parameter is passed by some call in src/ or
+pinkbench/, except those in SET_INDIRECTLY.  The only exception classes are
+the three of errors.py, one per non-zero exit code."""
 
 import ast
 import builtins
@@ -42,15 +44,15 @@ def _definitions(tree):
 
 
 class _References(ast.NodeVisitor):
-    """Names loaded, attributes and names imported, except inside a function
-    of the same name (a recursive call reaches nothing new)."""
+    """Names loaded or imported, and attributes, except inside a function of
+    the same name (a recursive call reaches nothing new)."""
 
     def __init__(self):
-        self.names, self._inside = set(), []
+        self.names, self.attrs, self._inside = set(), set(), []
 
-    def _use(self, name):
+    def _use(self, name, into=None):
         if name not in self._inside:
-            self.names.add(name)
+            (self.names if into is None else into).add(name)
 
     def visit_FunctionDef(self, node):
         self._inside.append(node.name)
@@ -62,7 +64,7 @@ class _References(ast.NodeVisitor):
             self._use(node.id)
 
     def visit_Attribute(self, node):
-        self._use(node.attr)
+        self._use(node.attr, self.attrs)
         self.generic_visit(node)
 
     def visit_alias(self, node):
@@ -70,15 +72,19 @@ class _References(ast.NodeVisitor):
 
 
 def test_every_public_name_is_reached():
-    defined, used = [], set()
+    """A method counts as reached only through an attribute (x.name): a
+    local variable of the same name reaches nothing."""
+    defined, names, attrs = [], set(), set()
     for mod, tree in _trees():
         defined += [(mod, q, q.rpartition(".")[2]) for q in _definitions(tree)]
         refs = _References()
         refs.visit(tree)
-        used |= refs.names
+        names |= refs.names
+        attrs |= refs.attrs
     assert KEPT <= {name for _, _, name in defined}
     unreached = [f"{mod}.{q}" for mod, q, name in defined
-                 if not name.startswith("_") and name not in used | KEPT]
+                 if not name.startswith("_") and name not in KEPT | attrs
+                 and ("." in q or name not in names)]
     assert unreached == []
 
 
@@ -115,3 +121,118 @@ def test_errors_py_alone_defines_exceptions():
 
     assert sorted(f"{mod}.{name}" for mod, name, _ in classes if is_exception(name)) \
         == ["errors.CheckFailed", "errors.InvalidInput", "errors.TooLarge"]
+
+
+
+PINKBENCH = SRC.parents[1] / "pinkbench"
+
+# Defaulted parameters set only through a call the name match cannot see
+# (super().__init__, cls(...) in a classmethod, the VERIFY_CHECKS registry),
+# or only by tests.
+SET_INDIRECTLY = {
+    ("localring", "FiniteAlgebra.__init__", "names"),       # super()
+    ("localring", "FiniteAlgebra.__init__", "meta"),        # super()
+    ("pseudorep", "PseudoRep.__init__", "matrix_group"),    # cls
+    ("cli", "_check_theta_identities", "n_tuples"),         # VERIFY_CHECKS
+    ("cli", "_check_theta_identities", "fault"),            # VERIFY_CHECKS
+    ("pinklie", "pink_converse", "cap"),                    # tests
+}
+
+
+class _Options(ast.NodeVisitor):
+    """The defaulted parameters a module defines, as {(module, qualified
+    name, parameter): (called name, positional index or None)}, and the
+    calls it makes, as (called name, positional count, [positional source],
+    {keyword: source}).  A method's index does not count self or cls, an
+    __init__ is called by its class's name, and a dataclass field is a
+    parameter of its class.  A default that captures a loop variable (x=x)
+    is not an option.  The source of an argument is the caller's own
+    defaulted parameter when the argument merely forwards it, else None."""
+
+    def __init__(self, mod):
+        self.mod, self.options, self.calls = mod, {}, []
+        self._scope = [None]         # (qualified name, {forwarded parameter name})
+
+    def visit_ClassDef(self, node):
+        fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+        if any(ast.unparse(d) == "dataclass" for d in node.decorator_list):
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    self.options[self.mod, f"{node.name}.{f.target.id}", f.target.id] = \
+                        (node.name, i)
+        for m in node.body:
+            if isinstance(m, ast.FunctionDef):
+                self._function(m, f"{node.name}.{m.name}",
+                               node.name if m.name == "__init__" else m.name, 1)
+            else:
+                self.visit(m)
+
+    def visit_FunctionDef(self, node):
+        self._function(node, node.name, node.name, 0)
+
+    def _function(self, fn, qual, called, skip):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        named = list(zip(pos[len(pos) - len(a.defaults):], a.defaults,
+                         range(len(pos) - len(a.defaults) - skip, len(pos))))
+        named += [(arg, d, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        mine = set()
+        for arg, d, i in named:
+            if not (isinstance(d, ast.Name) and d.id == arg.arg):
+                self.options[self.mod, qual, arg.arg] = (called, i)
+                mine.add(arg.arg)
+        self._scope.append((qual, mine))
+        self.generic_visit(fn)
+        self._scope.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        scope = self._scope[-1]
+
+        def source(value):
+            if scope and isinstance(value, ast.Name) and value.id in scope[1]:
+                return self.mod, scope[0], value.id
+            return None
+
+        npos = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) \
+            else len(node.args)
+        self.calls.append((name, npos, [source(a) for a in node.args],
+                           {k.arg: source(k.value) for k in node.keywords}))
+        self.generic_visit(node)
+
+
+def _source(call, param, i):
+    """What a call passes for a parameter (keyword `param`, position i): the
+    source of the value, or "unset" when the call leaves it at its default."""
+    _, npos, pos, kws = call
+    if param in kws:
+        return kws[param]
+    if i is not None and npos > i:
+        return pos[i] if i < len(pos) else None
+    return None if None in kws else "unset"          # **kwargs may pass it
+
+
+def test_every_option_is_set_by_some_caller():
+    options, calls = {}, []
+    for mod, tree in [*_trees(), *(("pinkbench." + p.stem, ast.parse(p.read_text()))
+                                   for p in sorted(PINKBENCH.glob("*.py")))]:
+        v = _Options(mod)
+        v.visit(tree)
+        calls += v.calls
+        if not mod.startswith("pinkbench."):
+            options.update(v.options)
+    # an option is set by a call that passes it, unless the value passed is
+    # itself an option of the caller that nothing sets
+    unset = {key for key, (called, _) in options.items()
+             if called not in KEPT and key not in SET_INDIRECTLY}
+    while True:
+        still = {key for key in unset
+                 if all(src == "unset" or src in unset
+                        for src in (_source(call, key[2], options[key][1])
+                                    for call in calls if call[0] == options[key][0]))}
+        if still == unset:
+            break
+        unset = still
+    unset = sorted(f"{mod}.{qual}({param})" for mod, qual, param in unset)
+    assert unset == [], "unset options:\n" + "\n".join(unset)
