@@ -51,6 +51,7 @@ from .pinklie import (
     essential_not_ideal_witness,
     example8,
     example8_generators,
+    gamma_and_lie,
     group_series,
     is_congruence_subgroup,
     key_measure_check,
@@ -605,8 +606,8 @@ def cmd_analyze(args):
     gens = [*example8_generators(R), R.j_elem()] if rows is None \
         else [R.elem(r) for r in rows]
     G = FiniteMatrixGroup.generate(R, gens, cap=args.cap)
-    Gamma = FiniteMatrixGroup(R, G.elements[G.subgroup_sr1()])
-    lie = _lie_report(G, Gamma, lie_of_subgroup(Gamma))
+    Gamma, L = gamma_and_lie(G)
+    lie = _lie_report(G, Gamma, L)
     from .pseudorep import classify_projective_image, residual_image_group
     try:
         residual_class = classify_projective_image(residual_image_group(G)).tag()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CheckFailed
 from .fp import FpSubspace, bilinear, matmul_mod, span_products
-from .localring import LocalRing, RingElem, SemiLocalRing
+from .localring import LocalRing, RingElem, SemiLocalRing, check_tensor_size
 
 
 class GmaStructure:
@@ -35,6 +35,7 @@ class GmaStructure:
         self.db = self.act_b.shape[1]
         self.dc = self.act_c.shape[1]
         self.dim = 2 * self.da + self.db + self.dc
+        check_tensor_size(self.dim)
         self.name = name
         da, db, dc = self.da, self.db, self.dc
         self.sa = slice(0, da)
@@ -371,36 +372,19 @@ def reduced_residue_gma(A):
     reduced radical case."""
     if not isinstance(A, LocalRing):
         raise ValueError("local base required")
-    f = A.fq.f
+    fq, dim = A.fq, A.dim
+    # the residue codes of A's basis vectors and of alpha^k, k < f
+    basis, units = fq.encode(A.proj.T), fq.encode(np.eye(fq.f, dtype=np.int64))
     # action of A on A/m through the residue map, in digit coordinates
-    act = np.zeros((A.dim, f, f), dtype=np.int64)
-    for i in range(A.dim):
-        lam = A.residue_digits(np.eye(A.dim, dtype=np.int64)[i])
-        code = A.fq.encode(lam)
-        for k in range(f):
-            prod = A.fq.mul(code, A.fq.encode(_unit(f, k)))
-            act[i, k] = A.fq.digits(prod)
+    act = fq.digits(fq.mul_table[np.ix_(basis, units)])
     # socle generator: a basis vector of m^(nil-1)
-    power = FpSubspace(A.p, A.dim, [A.one])
+    power = FpSubspace(A.p, dim, [A.one])
     for _ in range(A.nilpotency - 1):
         power = span_products(power.basis, A.maxideal.basis, A.mul_tensor, A.p)
-    if power.dim == 0:
-        z = A.one
-    else:
-        z = power.basis[0]
-    pairing = np.zeros((f, f, A.dim), dtype=np.int64)
-    for k in range(f):
-        for l in range(f):
-            prod = A.fq.mul(A.fq.encode(_unit(f, k)), A.fq.encode(_unit(f, l)))
-            const = A.constant(prod).v
-            pairing[k, l] = A.mul_vec(const, z)
+    z = A.one if power.dim == 0 else power.basis[0]
+    consts = A.constants()[fq.mul_table[np.ix_(units, units)]].reshape(-1, dim)
+    pairing = A.batch_mul_elem(consts, z).reshape(fq.f, fq.f, dim)
     return GmaStructure(A, act, act, pairing, name="reduced")
-
-
-def _unit(f, k):
-    d = [0] * f
-    d[k] = 1
-    return tuple(d)
 
 
 def is_faithful(R):

@@ -6,6 +6,7 @@ import numpy as np
 
 from .gma import GmaStructure, m2_structure, reduced_residue_gma
 from .localring import make_truncated_poly_ring
+from .pseudorep import FiniteMatrixGroup
 
 
 def diagonal_gma(A):
@@ -33,71 +34,24 @@ def const_matrix(R, entries):
     return R.assemble(A.constant(a).v, A.constant(b).v, A.constant(c).v, A.constant(d).v)
 
 
-def _fq_matmul(fq, m1, m2):
-    (a1, b1), (c1, d1) = m1
-    (a2, b2), (c2, d2) = m2
-    add = lambda x, y: fq.encode((np.array(fq.digits(x)) + np.array(fq.digits(y))) % fq.p)
-    return ((add(fq.mul(a1, a2), fq.mul(b1, c2)), add(fq.mul(a1, b2), fq.mul(b1, d2))),
-            (add(fq.mul(c1, a2), fq.mul(d1, c2)), add(fq.mul(c1, b2), fq.mul(d1, d2))))
-
-
-def fq_matrix_group(fq, gens):
-    """Closure of 2x2 matrices over F_q (entries as int codes)."""
-    seen = {((1, 0), (0, 1))}
-    frontier = [((1, 0), (0, 1))]
-    gens = [tuple(map(tuple, g)) for g in gens]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                r = _fq_matmul(fq, m, g)
-                if r not in seen:
-                    seen.add(r)
-                    new.append(r)
-        frontier = new
-    return sorted(seen)
-
-
 def gl2_constants(R, gens):
-    """Constant lifts of the group generated by F_q matrices."""
-    mats = fq_matrix_group(R.A.fq, gens)
-    return [const_matrix(R, m) for m in mats]
+    """Constant lifts of the group generated by F_q matrices (entries as
+    codes), as rows in BFS order."""
+    return FiniteMatrixGroup.generate(R, [const_matrix(R, g) for g in gens]).elements
 
 
 def sl2_fp_constants(R):
     """Constant lifts of SL_2(F_p) inside an M2-presented structure."""
-    p = R.p
-    fq = R.A.fq
-    e = lambda k: fq.encode([k % p] + [0] * (fq.f - 1))
-    gens = [((e(1), e(1)), (e(0), e(1))), ((e(1), e(0)), (e(1), e(1)))]
-    return gl2_constants(R, gens)
+    return gl2_constants(R, [((1, 1), (0, 1)), ((1, 0), (1, 1))])
 
 
 def gl2_fp_constants(R):
-    p = R.p
-    fq = R.A.fq
-    e = lambda k: fq.encode([k % p] + [0] * (fq.f - 1))
-    gens = [((e(1), e(1)), (e(0), e(1))), ((e(1), e(0)), (e(1), e(1))),
-            ((e(1), e(0)), (e(0), e(p - 1)))]
-    return gl2_constants(R, gens)
+    return gl2_constants(R, [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (0, R.p - 1))])
 
 
 def diag_group_constants(R, pairs):
     """Closure of constant diagonal matrices given as (lam, mu) code pairs."""
-    fq = R.A.fq
-    seen = {(1, 1)}
-    frontier = [(1, 1)]
-    pairs = [tuple(t) for t in pairs]
-    while frontier:
-        new = []
-        for (a, d) in frontier:
-            for (l, m) in pairs:
-                r = (fq.mul(a, l), fq.mul(d, m))
-                if r not in seen:
-                    seen.add(r)
-                    new.append(r)
-        frontier = new
-    return [const_diag(R, a, d) for (a, d) in sorted(seen)]
+    return FiniteMatrixGroup.generate(R, [const_diag(R, l, m) for l, m in pairs]).elements
 
 
 def dihedral_constants(R, lam_code):
@@ -110,11 +64,10 @@ def dihedral_constants(R, lam_code):
 def klein_constants(R, lam=1):
     """Scalars, J, and the swap [[0,1],[lam,0]]: projective Klein group."""
     fq = R.A.fq
-    minus = fq.encode([fq.p - 1] + [0] * (fq.f - 1))
     gens = [
-        ((_gen_code(fq), 0), (0, _gen_code(fq))),                    # scalars
-        ((1, 0), (0, minus)),                                        # J
-        ((0, 1), (fq.encode([lam % fq.p] + [0] * (fq.f - 1)), 0)),   # swap
+        ((_gen_code(fq), 0), (0, _gen_code(fq))),    # scalars
+        ((1, 0), (0, fq.p - 1)),                     # J
+        ((0, 1), (lam % fq.p, 0)),                   # swap
     ]
     return gl2_constants(R, gens)
 
@@ -196,9 +149,7 @@ def structure_parameter_sets():
                 A = make_truncated_poly_ring(q, k)
                 R = diagonal_gma(A)
                 rows = diag_rows(R, [monomial(A, j) for j in js])
-                fq = A.fq
-                minus = fq.encode([fq.p - 1] + [0] * (fq.f - 1))
-                gbar = diag_group_constants(R, [(1, minus)])
+                gbar = diag_group_constants(R, [(1, A.p - 1)])
                 return {"R": R, "lie_rows": rows, "gbar": gbar}
             out.append(("order2", build))
         # reduced module case: nabla nonzero inside [[0, F_q],[F_q, 0]]

@@ -161,12 +161,24 @@ def _poly_gcd_nontrivial(poly, g, p):
 
 MAX_FIELD = 1 << 12             # q x q table entries stay at most 2^24 (128 MiB)
 
+# Bytes one dim^3 int64 structure tensor may take: dim <= 128, so M_2 over
+# F_p[X]/(X^32) at most.  Building a GMA's tensor peaks near eight times that.
+MAX_TENSOR_BYTES = 1 << 24
+
+
+def check_tensor_size(dim):
+    """Raise TooLarge before a dim^3 int64 structure tensor over the budget."""
+    if 8 * dim ** 3 > MAX_TENSOR_BYTES:
+        raise TooLarge(f"a {dim}^3 structure tensor exceeds {MAX_TENSOR_BYTES} bytes")
+
 
 class FqData:
     """The residue field F_q = GF(p^f) with int-encoded elements.
 
     Element k in [0, q) encodes sum(digit_i * alpha^i) with digits base p,
-    alpha a root of the fixed irreducible polynomial.
+    lowest first, alpha a root of the fixed irreducible polynomial; so the
+    code of a prime-field element k is k itself.  `digits` and `encode` are
+    the one codec between codes and digit rows.
     """
 
     __slots__ = ("p", "f", "q", "poly", "mul_tensor", "mul_table")
@@ -184,28 +196,22 @@ class FqData:
         # digits of alpha^i·b for every code b; the digits of a·b are then
         # sum_i a_i (alpha^i·b), filled by row blocks.  That sum is a float64
         # product (numpy's int64 one has no BLAS), exact as f·(p-1)^2 < 2^53.
-        D = np.indices((p,) * f).reshape(f, -1)[::-1].T    # D[k] = digits of code k
+        D = self.digits(np.arange(self.q))
         shifted = pair_products(np.eye(f, dtype=np.int64), D, self.mul_tensor, p)
         shifted = shifted.reshape(f, self.q * f).astype(np.float64)
-        weights = p ** np.arange(f, dtype=np.int64)
         self.mul_table = np.empty((self.q, self.q), dtype=np.int64)
         block = max(1, (1 << 20) // (self.q * f))
         for s in range(0, self.q, block):
-            prods = (D[s:s + block] @ shifted).astype(np.int64) % p
-            self.mul_table[s:s + block] = prods.reshape(-1, self.q, f) @ weights
+            prods = (D[s:s + block] @ shifted).astype(np.int64)
+            self.mul_table[s:s + block] = self.encode(prods.reshape(-1, self.q, f))
 
-    def digits(self, k):
-        out = []
-        for _ in range(self.f):
-            out.append(k % self.p)
-            k //= self.p
-        return tuple(out)
+    def digits(self, codes):
+        """Base-p digits of codes, lowest first, on a new last axis."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self.p ** np.arange(self.f) % self.p
 
     def encode(self, digits):
-        k = 0
-        for d in reversed(digits):
-            k = k * self.p + int(d) % self.p
-        return k
+        """Codes of digit rows (the last axis, lowest first, reduced mod p)."""
+        return np.asarray(digits, dtype=np.int64) % self.p @ self.p ** np.arange(self.f)
 
     def mul(self, a, b):
         return int(self.mul_table[a, b])
@@ -216,8 +222,8 @@ class FqData:
         return self.pow(a, self.q - 2)
 
     def pow(self, a, e):
+        """a^e for e >= 0, with 0^0 = 1."""
         r, b = 1, a
-        e %= self.q - 1 if a else 1
         while e:
             if e & 1:
                 r = self.mul(r, b)
@@ -424,26 +430,16 @@ class LocalRing(FiniteAlgebra):
     def is_unit_vec(self, x):
         return bool((self.proj @ x % self.p).any())
 
-    def residue_digits(self, x):
-        return tuple(int(c) for c in self.proj @ np.asarray(x) % self.p)
-
     def residue_int(self, x):
-        return self.fq.encode(self.residue_digits(x))
+        return int(self.fq.encode(self.proj @ np.asarray(x)))
 
     def constant(self, lam):
-        """The multiplicative constants section s: F_q -> A at lam."""
-        if isinstance(lam, RingElem):
-            lam = self.residue_int(lam.v)
-        if isinstance(lam, (tuple, list, np.ndarray)):
-            digits = np.array(lam, dtype=np.int64) % self.p
-        else:
-            digits = np.array(self.fq.digits(int(lam) % self.fq.q), dtype=np.int64)
-        return RingElem(self, digits @ self.embed % self.p)
+        """The multiplicative constants section s: F_q -> A at the code lam."""
+        return RingElem(self, self.fq.digits(lam) @ self.embed % self.p)
 
     def constants(self):
         """All q constants s(F_q), as a (q, dim) array."""
-        rows = [self.constant(k).v for k in range(self.fq.q)]
-        return np.array(rows, dtype=np.int64)
+        return self.fq.digits(np.arange(self.fq.q)) @ self.embed % self.p
 
     def in_one_plus_m(self, x):
         return self.maxideal.contains((np.asarray(x) - self.one) % self.p)
@@ -452,9 +448,7 @@ class LocalRing(FiniteAlgebra):
         """Coordinates of x in the F_q-basis (block layout only)."""
         if self.fq_block is None:
             raise ValueError("ring has no F_q block layout")
-        f = self.fq.f
-        x = np.asarray(x)
-        return [self.fq.encode(x[j * f:(j + 1) * f]) for j in range(self.dim // f)]
+        return self.fq.encode(np.asarray(x).reshape(-1, self.fq.f))
 
     def descriptor(self):
         d = super().descriptor()
@@ -520,8 +514,9 @@ def make_truncated_poly_ring(q, k):
     p, f = pf
     if k < 1:
         raise ValueError("k must be >= 1")
-    fq = FqData(p, f)
     dim = f * k
+    check_tensor_size(dim)
+    fq = FqData(p, f)
     # alpha^i1 X^j1 · alpha^i2 X^j2 = (alpha^i1 alpha^i2) X^(j1+j2), zero once j1+j2 >= k
     S = np.zeros((k, f, k, f, k, f), dtype=np.int64)
     J1, J2 = np.nonzero(np.add.outer(np.arange(k), np.arange(k)) < k)

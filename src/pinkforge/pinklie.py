@@ -145,6 +145,14 @@ def lie_of_subgroup(G):
     return LieSubspace(R, batch_theta(R, G.elements))
 
 
+def gamma_and_lie(G):
+    """(Gamma, L) for Gamma = G ∩ SR^1 and its Lie algebra: membership is
+    tested once, on G, so Gamma needs no second test."""
+    R = G.R
+    Gamma = FiniteMatrixGroup(R, G.elements[G.subgroup_sr1()])
+    return Gamma, LieSubspace(R, batch_theta(R, Gamma.elements))
+
+
 def descending_series(L, n_max):
     """[L_1, ..., L_n] with L_{k+1} = [L_k, L]."""
     out = [L]
@@ -397,11 +405,7 @@ def subfield_constants(A, d):
     if fq.f % d:
         raise ValueError("not a subfield degree")
     qd = A.p ** d
-    out = []
-    for lam in range(fq.q):
-        if fq.pow(lam, qd) == lam:
-            out.append(A.constant(lam).v)
-    return np.array(out, dtype=np.int64)
+    return A.constants()[[lam for lam in fq.elements() if fq.pow(lam, qd) == lam]]
 
 
 def check_structure_theorem(cls_kind, G, L=None, subfield_degree=None):
@@ -411,9 +415,7 @@ def check_structure_theorem(cls_kind, G, L=None, subfield_degree=None):
     R = G.R
     A = R.A
     if L is None:
-        gamma_idx = G.subgroup_sr1()
-        Gamma = FiniteMatrixGroup(R, G.elements[gamma_idx])
-        L = lie_of_subgroup(Gamma)
+        L = gamma_and_lie(G)[1]
     dec = decompose(L)
     rep = {"class": cls_kind, "dim_L": L.dim}
     p, mt, consts = A.p, A.mul_tensor, A.constants()
@@ -524,9 +526,7 @@ def structure_round_trip(cls_kind, R, lie_vectors, gbar_constants):
     admissibility plus exact recovery of the input."""
     G, Gamma, tr = build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants)
     L_in = LieSubspace(R, lie_vectors)
-    gamma_idx = G.subgroup_sr1()
-    Gamma2 = FiniteMatrixGroup(R, G.elements[gamma_idx])
-    L_out = lie_of_subgroup(Gamma2)
+    Gamma2, L_out = gamma_and_lie(G)
     return {
         "lie_recovered": L_out == L_in,
         "admissible": is_admissible(tr),
@@ -670,8 +670,8 @@ def key_measure_check(G, A_ess, gamma_order):
     hhat = np.fft.fftn(h.reshape(grid)).ravel()
     # tr_mul[a, i] = Tr(a·alpha^i); Tr(b) is the trace of y -> b·y on the alpha^i
     mt = fq.mul_table
-    powers = p ** np.arange(f)
-    trace = (mt[:, powers] // powers % p).sum(axis=1) % p
+    powers = fq.encode(np.eye(f, dtype=np.int64))          # the codes of alpha^i
+    trace = fq.digits(mt[:, powers]).trace(axis1=1, axis2=2) % p
     tr_mul = trace[mt[:, powers]]
     W = np.indices((q,) * k).reshape(k, -1).T            # every form, lex order
     U = tr_mul[W].reshape(len(W), A.dim)                # u_w at index j·f + i

@@ -443,10 +443,11 @@ def _is_dihedral(gt, orders):
 
 
 
-def _fq_add(fq, a, b):
-    da = np.array(fq.digits(a), dtype=np.int64)
-    db = np.array(fq.digits(b), dtype=np.int64)
-    return fq.encode((da + db) % fq.p)
+def _roots(fq, t, d):
+    """The codes x with x^2 - t·x + d = 0 in F_q, ascending."""
+    x = np.arange(fq.q)
+    sums = fq.digits(fq.mul_table[x, x]) + fq.digits(d)
+    return np.flatnonzero(fq.encode(sums) == fq.mul_table[t]).tolist()
 
 
 def _character_pairs(gt, fq, tbar, dbar):
@@ -454,14 +455,8 @@ def _character_pairs(gt, fq, tbar, dbar):
     chi1·chi2 = dbar, or None.  Candidate values at each element are the
     roots of x^2 - tbar·x + dbar; a depth-first search with product
     propagation glues them into a homomorphism."""
-    cand = []
-    for i in range(gt.n):
-        roots = [x for x in range(1, fq.q)
-                 if _fq_add(fq, fq.mul(x, x), dbar[i]) == fq.mul(tbar[i], x)]
-        if not roots:
-            return None
-        cand.append(roots)
-    if 1 not in cand[gt.identity]:
+    cand = [[x for x in _roots(fq, t, d) if x] for t, d in zip(tbar, dbar)]
+    if not all(cand) or 1 not in cand[gt.identity]:
         return None
     chi = {gt.identity: 1}
 
@@ -517,9 +512,9 @@ def residual_multfree_data(tr):
     """
     A, gt = tr.A, tr.gt
     fq = A.fq
-    tbar = [tr.residual_t(i) for i in range(gt.n)]
-    dbar = [tr.residual_d(i) for i in range(gt.n)]
-    chars = _character_pairs(gt, fq, tbar, dbar)
+    # residue digits of t and d, and their codes
+    trows, drows = tr.t @ A.proj.T % A.p, tr.d @ A.proj.T % A.p
+    chars = _character_pairs(gt, fq, fq.encode(trows), fq.encode(drows))
     if chars is not None:
         chi1, chi2 = chars
         if chi1 == chi2:
@@ -528,8 +523,6 @@ def residual_multfree_data(tr):
     # residual quotient dimension over F
     from .localring import make_truncated_poly_ring
     Fq_ring = make_truncated_poly_ring(fq.q, 1)
-    trows = np.array([Fq_ring.fq.digits(v) for v in tbar], dtype=np.int64)
-    drows = np.array([Fq_ring.fq.digits(v) for v in dbar], dtype=np.int64)
     res_tr = PseudoRep(Fq_ring, tr.gt, trows, drows)
     ker = linear_kernel(res_tr)
     dimF = (gt.n * fq.f - ker.dim) // fq.f
@@ -543,13 +536,8 @@ def residual_eigendata(tr, g):
 
     Roots of x^2 - tbar(g) x + dbar(g) over F_q; requires the discriminant
     to be a nonzero square."""
-    fq = tr.A.fq
-    tb, db = tr.residual_t(g), tr.residual_d(g)
-    roots = [x for x in range(fq.q) if _fq_add(fq, fq.mul(x, x), db) == fq.mul(tb, x)]
-    roots = sorted(set(roots))
-    if len(roots) == 2:
-        return roots[0], roots[1]
-    return None
+    roots = _roots(tr.A.fq, tr.residual_t(g), tr.residual_d(g))
+    return tuple(roots) if len(roots) == 2 else None
 
 
 class QuotientAlgebra:

@@ -55,6 +55,8 @@ def test_usage_error_exit_2():
     ["verify", "--tuples", "0"],
     ["example8", "--p", "3", "--k", "3", "--cap", "0"],
     ["analyze", "--q", "3", "--k", "2", "--gens", "[]", "--cap", "0"],
+    # a malformed --gens is a usage error even on a ring over the cap
+    ["analyze", "--q", "3", "--k", "13", "--gens", "[[1]]"],
     # M·Np·p reached np.gcd as int64: an OverflowError traceback and exit 1
     ["cyclotomic", "--p", "3", "--form", "delta", "--M", "10000000000000000000", "--X", "1000"],
     ["density", "--p", "3", "--form", "delta", "--np", "10000000000000000000", "--X", "1000"],
@@ -115,6 +117,21 @@ def test_enumeration_caps_exit_3(args, message):
     assert r.returncode == 3
     assert r.stdout == "" and "Traceback" not in r.stderr
     assert r.stderr.splitlines() == [f"error: {message} (cap reached, undecided)"]
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--q", "3", "--k", "1000", "--gens", "[]"],
+    ["example8", "--p", "3", "--k", "1000"],
+])
+def test_structure_tensor_cap_exit_3(args):
+    # allocated a 1000^3 int64 tensor (7.45 GiB): exit 1 with an
+    # _ArrayMemoryError traceback under this limit
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli"] + args, capture_output=True,
+                       text=True, preexec_fn=_address_space_2gib, timeout=120)
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == ["error: a 1000^3 structure tensor exceeds 16777216 bytes "
+                                     "(cap reached, undecided)"]
 
 
 def test_analyze_refuses_a_large_ring_before_building_m2():
@@ -302,9 +319,10 @@ def test_a_report_tests_sr1_membership_once_per_group(monkeypatch):
     d = _report(["example8", "--p", "3", "--k", "4"])
     # only Gamma's rows, in lie_of_subgroup: G ∩ SR^1 = Gamma since det J = -1
     assert calls == {"sr1": [d["gamma_order"]], "generate": 1}
+    # once, on G's rows: Gamma = G ∩ SR^1 needs no second test
     calls = _count_calls(monkeypatch)
-    _report(["analyze", "--q", "9", "--k", "3", "--gens", F9_GENS])
-    assert len(calls["sr1"]) <= 2 and calls["generate"] == 1
+    d = _report(["analyze", "--q", "9", "--k", "3", "--gens", F9_GENS])
+    assert calls == {"sr1": [d["group_order"]], "generate": 1}
     calls = _count_calls(monkeypatch)
-    _report(["analyze", "--q", "3", "--k", "4", "--gens-preset", "example8"])
-    assert len(calls["sr1"]) <= 2 and calls["generate"] == 1
+    d = _report(["analyze", "--q", "3", "--k", "4", "--gens-preset", "example8"])
+    assert calls == {"sr1": [d["group_order"]], "generate": 1}

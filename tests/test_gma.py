@@ -396,3 +396,41 @@ def test_validate_reports_the_first_failure_of_the_loop_reference():
     assert seen == {None, "B is not an A-module", "C is not an A-module",
                     "pairing compatibility fails on B",
                     "pairing compatibility fails on C", "pairing is not A-bilinear"}
+
+
+def _reduced_tables_loop(A):
+    """act_b and pairing of `reduced_residue_gma` by the per-code loops it
+    replaced: one field product and one digit expansion per entry."""
+    fq, f, p = A.fq, A.fq.f, A.p
+
+    def encode(digits):
+        return sum(int(d) % p * p ** i for i, d in enumerate(digits))
+
+    def digits(k):
+        return [k // p ** i % p for i in range(f)]
+
+    unit = [encode(np.eye(f, dtype=np.int64)[k]) for k in range(f)]
+    act = np.zeros((A.dim, f, f), dtype=np.int64)
+    for i in range(A.dim):
+        code = encode(A.proj @ np.eye(A.dim, dtype=np.int64)[i] % p)
+        for k in range(f):
+            act[i, k] = digits(fq.mul(code, unit[k]))
+    power = FpSubspace(p, A.dim, [A.one])
+    for _ in range(A.nilpotency - 1):
+        power = FpSubspace(p, A.dim, [A.mul_vec(x, m) for x in power.basis
+                                      for m in A.maxideal.basis])
+    z = power.basis[0] if power.dim else A.one
+    pairing = np.zeros((f, f, A.dim), dtype=np.int64)
+    for k in range(f):
+        for l in range(f):
+            pairing[k, l] = A.mul_vec(A.constant(fq.mul(unit[k], unit[l])).v, z)
+    return act, pairing
+
+
+@pytest.mark.parametrize("q, k", [(3, 3), (9, 2), (25, 2)])
+def test_reduced_residue_gma_matches_the_loops(q, k):
+    A = make_truncated_poly_ring(q, k)
+    R = reduced_residue_gma(A)
+    act, pairing = _reduced_tables_loop(A)
+    assert np.array_equal(R.act_b, act) and np.array_equal(R.act_c, act)
+    assert np.array_equal(R.pairing, pairing)

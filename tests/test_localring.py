@@ -19,6 +19,7 @@ from pinkforge.localring import (
     quotient_ring,
 )
 from pinkforge.fp import FpSubspace
+from pinkforge.gma import m2_structure
 
 
 def poly_mul_trunc(a, b, p, k):
@@ -338,3 +339,69 @@ def test_ring_descriptor_serializable():
     A = make_truncated_poly_ring(9, 2)
     text = json.dumps(A.descriptor(), sort_keys=True)
     assert "q_poly" in text
+
+
+def _digits_loop(fq, k):
+    """The scalar codec the array one replaced: base-p digits, lowest first."""
+    out = []
+    for _ in range(fq.f):
+        out.append(k % fq.p)
+        k //= fq.p
+    return tuple(out)
+
+
+def _encode_loop(fq, digits):
+    k = 0
+    for d in reversed(digits):
+        k = k * fq.p + int(d) % fq.p
+    return k
+
+
+@pytest.mark.parametrize("p, f", [(2, 4), (3, 6), (5, 2), (4093, 1)])
+def test_array_codec_matches_the_scalar_loops(p, f):
+    fq = FqData(p, f)
+    codes = np.arange(fq.q)
+    want = np.array([_digits_loop(fq, int(k)) for k in codes], dtype=np.int64)
+    assert np.array_equal(fq.digits(codes), want)
+    assert np.array_equal(fq.encode(want), codes)
+    # digits off their range are reduced mod p, as the loop reduced them
+    shifted = want + p * np.arange(f) - 2 * p
+    assert np.array_equal(fq.encode(shifted), [_encode_loop(fq, row) for row in shifted.tolist()])
+    # scalars, and a leading axis of any shape
+    k = fq.q - 1
+    assert tuple(fq.digits(k).tolist()) == _digits_loop(fq, k)
+    assert int(fq.encode(list(_digits_loop(fq, k)))) == k
+    grid = codes[: (fq.q // 2) * 2].reshape(2, -1)
+    assert np.array_equal(fq.encode(fq.digits(grid)), grid)
+
+
+@pytest.mark.parametrize("q, k", [(3, 3), (9, 2), (25, 1), (27, 2), (7, 2)])
+def test_constants_are_the_stacked_constant_rows(q, k):
+    A = make_truncated_poly_ring(q, k)
+    rings = [A, quotient_ring(A, [A.maxideal.basis[-1]])[0]] if k > 1 else [A]
+    for B in rings:
+        stacked = np.array([B.constant(lam).v for lam in range(B.fq.q)], dtype=np.int64)
+        assert np.array_equal(B.constants(), stacked)
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (3, 2), (2, 3), (5, 2)])
+def test_fq_pow_of_zero(p, f):
+    # pow(0, e) returned 1 for every e: e was reduced mod 1
+    fq = FqData(p, f)
+    assert fq.pow(0, 0) == 1
+    assert [fq.pow(0, e) for e in (1, 2, fq.q - 1, fq.q, 5 * fq.q)] == [0] * 5
+    for a in range(1, fq.q):
+        assert fq.pow(a, fq.q - 1) == 1 and fq.pow(a, fq.q) == a
+        assert fq.mul(a, fq.inv(a)) == 1
+
+
+def test_structure_tensor_budget():
+    # (k·f)^3 entries were allocated before any check: 7.45 GiB at k = 1000
+    with pytest.raises(TooLarge, match=r"a 1000\^3 structure tensor exceeds 16777216 bytes"):
+        make_truncated_poly_ring(3, 1000)
+    with pytest.raises(TooLarge, match=r"a 129\^3 structure tensor"):
+        make_truncated_poly_ring(3, 129)
+    # M_2's tensor is (4k)^3: refused at k = 33, over a ring that passes
+    A = make_truncated_poly_ring(3, 33)
+    with pytest.raises(TooLarge, match=r"a 132\^3 structure tensor"):
+        m2_structure(A)

@@ -480,6 +480,19 @@ def test_forward_check_subfield_choice():
         assert not failures, (d, failures)
 
 
+@pytest.mark.parametrize("q, d", [(9, 1), (25, 1), (27, 1), (27, 3)])
+def test_subfield_constants_has_every_element(q, d):
+    # FqData.pow(0, e) returned 1, so 0 was dropped: two rows of F_3's three
+    from pinkforge.pinklie import subfield_constants
+    A = make_truncated_poly_ring(q, 2)
+    C = subfield_constants(A, d)
+    assert len(C) == A.p ** d == len(set(map(tuple, C.tolist())))
+    assert not C[0].any()
+    # closed under products: the constants of a subfield
+    prods = A.batch_mul(np.repeat(C, len(C), 0), np.tile(C, (len(C), 1)))
+    assert set(map(tuple, prods.tolist())) == set(map(tuple, C.tolist()))
+
+
 def test_functoriality_through_truncation(example_family):
     # pushing the Lie series through F3[X]/(X^4) -> F3[X]/(X^2) matches the
     # series computed downstairs

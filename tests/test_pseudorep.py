@@ -620,3 +620,87 @@ def test_commutator_subgroup_equals_brute_force(gl2_f3):
     gt = GroupTable.from_matrix_group(gl2_f3)
     comms = gt.table[gt.table, gt.inv[gt.table.T]]
     assert len(_index_closure(gt.table, gt.identity, comms.ravel())) == 24   # SL2(F3)
+
+
+def _fq_add(fq, a, b):
+    """The sum of two codes, digit by digit."""
+    return sum((a // fq.p ** i + b // fq.p ** i) % fq.p * fq.p ** i for i in range(fq.f))
+
+
+def _fq_matrix_group_reference(fq, gens):
+    """The tuple BFS `gl2_constants` replaced: the closure of 2x2 matrices
+    over F_q, entries as codes, as a set of ((a, b), (c, d))."""
+    def matmul(m1, m2):
+        (a1, b1), (c1, d1) = m1
+        (a2, b2), (c2, d2) = m2
+        return ((_fq_add(fq, fq.mul(a1, a2), fq.mul(b1, c2)),
+                 _fq_add(fq, fq.mul(a1, b2), fq.mul(b1, d2))),
+                (_fq_add(fq, fq.mul(c1, a2), fq.mul(d1, c2)),
+                 _fq_add(fq, fq.mul(c1, b2), fq.mul(d1, d2))))
+    seen = frontier = {((1, 0), (0, 1))}
+    while frontier:
+        frontier = {matmul(m, g) for m in frontier for g in gens} - seen
+        seen = seen | frontier
+    return seen
+
+
+def _diag_group_reference(fq, pairs):
+    seen = frontier = {(1, 1)}
+    while frontier:
+        frontier = {(fq.mul(a, l), fq.mul(d, m)) for a, d in frontier for l, m in pairs} - seen
+        seen = seen | frontier
+    return seen
+
+
+def _residue_codes(R, rows):
+    """The four entries of each constant row as residue-field codes."""
+    A = R.A
+    return [A.fq.encode(c @ A.proj.T).tolist() for c in R.comps(np.asarray(rows))]
+
+
+def _const_gens(fq, name):
+    gen = next(g for g in range(2, fq.q)
+               if len({fq.pow(g, e) for e in range(fq.q - 1)}) == fq.q - 1)
+    lam = fq.pow(gen, 3)
+    return {
+        "gl2": [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (0, fq.p - 1))],
+        "sl2": [((1, 1), (0, 1)), ((1, 0), (1, 1))],
+        "klein": [((gen, 0), (0, gen)), ((1, 0), (0, fq.p - 1)), ((0, 1), (1, 0))],
+        "dihedral": [((lam, 0), (0, fq.inv(lam))), ((0, 1), (1, 0))],
+        # i = [[0, -1], [1, 0]] and w = (-1 + i + j + ij)/2 with j = [[3, 2], [2, -3]]
+        "binary_tetrahedral": [((0, 6), (1, 0)), ((0, 2), (3, 6))],
+    }[name]
+
+
+@pytest.mark.parametrize("q, name, order", [
+    (3, "gl2", 48), (3, "sl2", 24), (5, "klein", 16), (25, "dihedral", 16),
+    (7, "binary_tetrahedral", 24),
+])
+def test_gl2_constants_match_the_tuple_bfs(q, name, order):
+    A = make_truncated_poly_ring(q, 2)
+    R = m2_structure(A)
+    from pinkforge.instances import gl2_constants
+    gens = _const_gens(A.fq, name)
+    rows = gl2_constants(R, gens)
+    a, b, c, d = _residue_codes(R, rows)
+    got = set(zip(zip(a, b), zip(c, d)))
+    assert len(got) == len(rows) == order
+    assert got == _fq_matrix_group_reference(A.fq, gens)
+
+
+@pytest.mark.parametrize("q, reduced, pairs", [
+    (3, False, [(1, 2)]), (9, False, [(3, 1)]), (5, True, [(2, 3), (4, 1)]),
+    (9, True, [(3, 1)]), (25, False, [(7, 7), (1, 24)]),
+])
+def test_diag_group_constants_match_the_tuple_bfs(q, reduced, pairs):
+    from pinkforge.gma import reduced_residue_gma
+    from pinkforge.instances import diagonal_gma
+    A = make_truncated_poly_ring(q, 2)
+    R = reduced_residue_gma(A) if reduced else diagonal_gma(A)
+    rows = diag_group_constants(R, pairs)
+    a = A.fq.encode(rows[:, R.sa] @ A.proj.T)
+    d = A.fq.encode(rows[:, R.sd] @ A.proj.T)
+    assert not rows[:, R.sb].any() and not rows[:, R.sc].any()
+    got = set(zip(a.tolist(), d.tolist()))
+    assert len(got) == len(rows)
+    assert got == _diag_group_reference(A.fq, pairs)
