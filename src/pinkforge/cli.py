@@ -52,6 +52,7 @@ from .pinklie import (
     example8,
     example8_generators,
     gamma_and_lie,
+    generate_sr1,
     group_series,
     is_congruence_subgroup,
     key_measure_check,
@@ -276,8 +277,7 @@ def _check_central_series(seed):
         R = m2_structure(A)
         rng = np.random.default_rng(s)
         gens = batch_theta_inv(R, random_rad0(R, rng, ngens))
-        G = FiniteMatrixGroup.generate(R, [R.elem(g) for g in gens], cap=30000)
-        L = lie_of_subgroup(G)
+        G, L = generate_sr1(R, gens, cap=30000)
         gs = group_series(G, 4)
         ls = descending_series(L, 4)
         agree = True
@@ -390,8 +390,7 @@ def _check_complements(seed):
     xs = np.zeros(A.dim, dtype=np.int64)
     xs[2] = 1   # X^2 generates the truncation ideal
     Rq, apply = m2_quotient_map(R, [xs])
-    Gq = FiniteMatrixGroup.generate(Rq, [Rq.elem(v) for v in apply(np.array([ex.g.v, ex.h.v]))])
-    Lq = lie_of_subgroup(Gq)
+    Lq = generate_sr1(Rq, apply(np.array([ex.g.v, ex.h.v])))[1]
     ok_functo = True
     for n in range(4):
         pushed = FpSubspace(Rq.p, Rq.dim, apply(series[n].basis)) if series[n].dim \

@@ -91,10 +91,21 @@ class GmaStructure:
             raise CheckFailed("pairing is not A-bilinear")
 
     def _build_mul_tensor(self):
-        """S[i, j] = e_i * e_j, from one batched pass of the product rule."""
-        D = self.dim
-        E = np.eye(D, dtype=np.int64)
-        return self.batch_mul(np.repeat(E, D, axis=0), np.tile(E, (D, 1))).reshape(D, D, D)
+        """S[i, j] = e_i * e_j, assembled from the product rule: each of its
+        eight terms puts one of A's tensor, the two actions and the pairing
+        into the block (factor of x, factor of y, component of xy)."""
+        sa, sb, sc, sd = self.sa, self.sb, self.sc, self.sd
+        mt, swap = self.A.mul_tensor, (1, 0, 2)
+        S = np.zeros((self.dim,) * 3, dtype=np.int64)
+        S[sa, sa, sa] = mt                                    # a a'
+        S[sb, sc, sa] = self.pairing                          # m(b, c')
+        S[sa, sb, sb] = self.act_b                            # a b'
+        S[sb, sd, sb] = self.act_b.transpose(swap)            # d' b
+        S[sc, sa, sc] = self.act_c.transpose(swap)            # a' c
+        S[sd, sc, sc] = self.act_c                            # d c'
+        S[sd, sd, sd] = mt                                    # d d'
+        S[sc, sb, sd] = self.pairing.transpose(swap)          # m(b', c)
+        return S
 
     # -- component access ----------------------------------------------------
     def comps(self, x):

@@ -9,6 +9,8 @@ are F_p-subspaces, and the constants section of A -> A/m is a genuine
 field embedding F_q -> A (the fixed points of x -> x^q).
 """
 
+import math
+
 import numpy as np
 
 from .errors import CheckFailed, TooLarge
@@ -162,7 +164,8 @@ def _poly_gcd_nontrivial(poly, g, p):
 MAX_FIELD = 1 << 12             # q x q table entries stay at most 2^24 (128 MiB)
 
 # Bytes one dim^3 int64 structure tensor may take: dim <= 128, so M_2 over
-# F_p[X]/(X^32) at most.  Building a GMA's tensor peaks near eight times that.
+# F_p[X]/(X^32) at most.  Building a GMA, with its law checks, peaks near
+# two and a half times that.
 MAX_TENSOR_BYTES = 1 << 24
 
 
@@ -407,7 +410,6 @@ class LocalRing(FiniteAlgebra):
         self.fq_block = fq_block
         self._check_local()
         self.nilpotency = self._nilpotency_index()
-        self.units_order = (self.fq.q - 1) * p ** (self.dim - self.fq.f)
 
     def _check_local(self):
         if self.maxideal.contains(self.one):
@@ -489,9 +491,6 @@ class SemiLocalRing(FiniteAlgebra):
                 full[o:o + fac.dim] = row
                 rad_rows.append(full)
         self.radical = FpSubspace(p, dim, rad_rows)
-        self.units_order = 1
-        for fac in factors:
-            self.units_order *= fac.units_order
 
     def project(self, x, i):
         o = self.offsets[i]
@@ -571,25 +570,39 @@ def hensel_sqrt(A, x):
     return RingElem(A, y)
 
 
+def _one_plus_m_exponent(A):
+    """p^j, the least power of p at or above the nilpotency index N of the
+    radical (the largest over a product's factors).  It kills 1 + rad A: for
+    y in the radical, (1 + y)^(p^j) = 1 + y^(p^j) in characteristic p, and
+    y^(p^j) = 0 as p^j >= N."""
+    factors = A.factors if isinstance(A, SemiLocalRing) else [A]
+    nil = max(f.nilpotency for f in factors)
+    e = 1
+    while e < nil:
+        e *= A.p
+    return e
+
+
 def batch_sqrt_one_plus_m(A, X):
     """Square roots in 1+m for rows of X, via the power map.
 
-    1+m is a p-group of order p^E, so squaring is invertible on it and
-    sqrt(x) = x^((p^E + 1)//2).
+    1+m is a p-group killed by p^j (`_one_plus_m_exponent`), so for p odd
+    squaring is invertible on it and sqrt(x) = x^((p^j + 1)/2): its square
+    is x^(p^j)·x = x.
     """
     if A.p == 2:
         raise CheckFailed("square roots in 1+m need p odd")
-    if isinstance(A, SemiLocalRing):
-        E = sum(f.dim - f.fq.f for f in A.factors)
-    else:
-        E = A.dim - A.fq.f
-    e = (A.p ** E + 1) // 2
-    return A.batch_pow(X, e)
+    return A.batch_pow(X, (_one_plus_m_exponent(A) + 1) // 2)
 
 
 def batch_invert(A, X):
-    """Inverses of rows of X, all assumed units: x^(|A*| - 1)."""
-    return A.batch_pow(X, A.units_order - 1)
+    """Inverses of rows of X, all assumed units: x^(e - 1) for the multiple
+    e = lcm(q_i - 1)·p^j of the exponent of A*.  A unit's residue in each
+    factor's field F_{q_i} has order dividing q_i - 1, so x^lcm(q_i - 1)
+    lies in 1 + rad A, which p^j kills."""
+    factors = A.factors if isinstance(A, SemiLocalRing) else [A]
+    e = math.lcm(*(f.fq.q - 1 for f in factors)) * _one_plus_m_exponent(A)
+    return A.batch_pow(X, e - 1)
 
 
 def quotient_ring(A, ideal_vectors):

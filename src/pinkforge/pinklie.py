@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CheckFailed, TooLarge
-from .fp import FpSubspace, pair_products, row_key, span_products
+from .fp import FpSubspace, bilinear, pair_products, row_key, saturate, span_products
 from .gma import GmaElem, GmaStructure, batch_in_SR1, m2_structure
 from .instances import ideal_block_rows
 from .localring import LocalRing, batch_sqrt_one_plus_m, hensel_sqrt, make_truncated_poly_ring
@@ -145,6 +145,79 @@ def lie_of_subgroup(G):
     return LieSubspace(R, batch_theta(R, G.elements))
 
 
+def generate_sr1(R, gens, cap=2 * 10 ** 6):
+    """(Gamma, L) for Gamma = <gens> inside SR^1 and L = span theta(Gamma),
+    from the generators, with no BFS and no membership test of Gamma's rows.
+
+    L' is span theta(gens) closed under the bracket and under P·L' for
+    P = tr(L'·L'), until neither adds anything.  H = theta^{-1}(L') is then
+    a group (R. Pink, Compositio Math. 88 (1993); see `pink_converse`), and
+    it contains the generators.  The certificate does not rest on that: for
+    each generator s, H.find(H·s) >= 0 shows H·s <= H, so the orbit of 1
+    under these index maps lies in H, and it is <gens> exactly, as a finite
+    group is the monoid its generators make.  When the orbit is all of H,
+    Gamma = H and L = L', since theta maps H onto L'; otherwise Gamma is the
+    orbit and L = span theta(Gamma).  H·s outside H would contradict the
+    converse theorem, so it raises CheckFailed, as does a generator outside
+    SR^1.  `cap` bounds |H| = p^dim L', which is checked before H exists."""
+    if R.p == 2:
+        raise CheckFailed("theta needs p odd")
+    p = R.p
+    gvecs = [g.v if isinstance(g, GmaElem) else np.asarray(g, dtype=np.int64) % p
+             for g in gens]
+    S = np.array(gvecs, dtype=np.int64).reshape(-1, R.dim)
+    if not batch_in_SR1(R, S).all():
+        raise CheckFailed("a generator lies outside SR^1")
+    space = FpSubspace(p, R.dim, batch_theta(R, S))
+    Tb = bracket_tensor(R)
+    while True:
+        space = saturate(space, Tb)
+        grown = saturate(space, R.mul_tensor, by=_scal(R, trace_square(R, space).basis))
+        if grown.dim == space.dim:
+            break
+        space = grown
+    if p ** space.dim > cap:
+        raise TooLarge(f"group exceeds cap {cap}")
+    L = LieSubspace(R, space, check=False)
+    H = FiniteMatrixGroup(R, enumerate_preimage(L), generators=gvecs)
+    perms = [H.find(R.batch_mul_elem(H.elements, s)) for s in gvecs]
+    if any((perm < 0).any() for perm in perms):
+        raise CheckFailed("theta^{-1}(L) is not closed under a generator")
+    seen = np.zeros(H.n, dtype=bool)
+    seen[H.id_index] = True
+    frontier = np.array([H.id_index])
+    while frontier.size:
+        reached = np.zeros(H.n, dtype=bool)
+        for perm in perms:
+            reached[perm[frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen[frontier] = True
+    if seen.all():
+        return H, L
+    Gamma = FiniteMatrixGroup(R, H.elements[seen], generators=gvecs)
+    return Gamma, LieSubspace(R, batch_theta(R, Gamma.elements), check=False)
+
+
+def enumerate_preimage(L, cap=None):
+    """The rows of theta^{-1}(L), in the order of `L.enumerate`:
+    m + sqrt(1 + Q(m))·Id with Q(m) = tr(m^2)/2.  For m = sum c_i b_i on
+    L's basis, Q is the quadratic form c -> sum c_i c_j tr(b_i b_j)/2, one
+    `bilinear` on the coefficient rows, and only the distinct values of
+    1 + Q take a square root."""
+    R = L.R
+    A, p = R.A, R.p
+    members = L.enumerate(cap=cap)
+    coeffs = members[:, L.space.pivots]          # the RREF basis has unit pivot columns
+    d = L.dim
+    form = trace_products(R, L.basis, L.basis).reshape(d, d, A.dim) * pow(2, -1, p) % p
+    Q = bilinear(coeffs, coeffs, form, p)
+    _, first, which = np.unique(row_key(Q, p), return_index=True, return_inverse=True)
+    lam = batch_sqrt_one_plus_m(A, (A.one + Q[first]) % p)[which]
+    members[:, R.sa] = (members[:, R.sa] + lam) % p
+    members[:, R.sd] = (members[:, R.sd] + lam) % p
+    return members
+
+
 def gamma_and_lie(G):
     """(Gamma, L) for Gamma = G ∩ SR^1 and its Lie algebra: membership is
     tested once, on G, so Gamma needs no second test."""
@@ -197,8 +270,7 @@ def pink_converse(L, cap=10 ** 6):
     if not ok:
         raise CheckFailed(f"tr(L·L)·L <= L fails at {wit}")
     R = L.R
-    members = L.enumerate(cap=cap)
-    H_rows = batch_theta_inv(R, members)
+    H_rows = enumerate_preimage(L, cap=cap)
     H = FiniteMatrixGroup(R, H_rows)
     rng = np.random.default_rng(0)
     n = len(H_rows)
@@ -803,9 +875,8 @@ def example8(p, k, cap=2 * 10 ** 6):
     g, h = example8_generators(R)
     J = R.j_elem()
     rel_ok = (J * g * J == g) and (J * h * J == h.inverse())
-    Gamma = FiniteMatrixGroup.generate(R, [g, h], cap=cap)
+    Gamma, L = generate_sr1(R, [g, h], cap=cap)
     G = adjoin_normalising(Gamma, J.v, rel_ok, cap)
-    L = lie_of_subgroup(Gamma)
     return TwoGeneratorExample(
         ring=A, R=R, g=g, h=h, Gamma=Gamma, G=G, L=L,
         L_matches=(L == expected_example_lie(R, A)), relations_ok=bool(rel_ok),

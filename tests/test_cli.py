@@ -317,8 +317,8 @@ F9_GENS = ("[[1,0,0,0,1,0,0,0,1,0,0,0,0,0,2,0,0,0,1,0,0,0,1,0],"
 def test_a_report_tests_sr1_membership_once_per_group(monkeypatch):
     calls = _count_calls(monkeypatch)
     d = _report(["example8", "--p", "3", "--k", "4"])
-    # only Gamma's rows, in lie_of_subgroup: G ∩ SR^1 = Gamma since det J = -1
-    assert calls == {"sr1": [d["gamma_order"]], "generate": 1}
+    # only the two generators, in generate_sr1: G ∩ SR^1 = Gamma since det J = -1
+    assert calls == {"sr1": [2], "generate": 0} and d["gamma_order"] == 243
     # once, on G's rows: Gamma = G ∩ SR^1 needs no second test
     calls = _count_calls(monkeypatch)
     d = _report(["analyze", "--q", "9", "--k", "3", "--gens", F9_GENS])

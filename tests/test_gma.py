@@ -434,3 +434,18 @@ def test_reduced_residue_gma_matches_the_loops(q, k):
     act, pairing = _reduced_tables_loop(A)
     assert np.array_equal(R.act_b, act) and np.array_equal(R.act_c, act)
     assert np.array_equal(R.pairing, pairing)
+
+
+def _mul_tensor_by_products(R):
+    """The structure tensor as built before the blocks were placed: one
+    `batch_mul` of every ordered pair of basis vectors."""
+    D = R.dim
+    E = np.eye(D, dtype=np.int64)
+    return R.batch_mul(np.repeat(E, D, axis=0), np.tile(E, (D, 1))).reshape(D, D, D)
+
+
+@pytest.mark.parametrize("q, k", [(3, 4), (9, 3), (5, 3)])
+def test_mul_tensor_blocks_equal_the_basis_products(q, k):
+    A = make_truncated_poly_ring(q, k)
+    for R in (m2_structure(A), reduced_residue_gma(A)):
+        assert np.array_equal(R.mul_tensor, _mul_tensor_by_products(R)), R.name

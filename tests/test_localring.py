@@ -229,6 +229,34 @@ def test_batch_invert():
     assert np.array_equal(prods, np.tile(A.one, (len(units), 1)))
 
 
+def _unit_group_rings():
+    return [make_truncated_poly_ring(3, 8), make_truncated_poly_ring(9, 3),
+            SemiLocalRing([make_truncated_poly_ring(3, 3), make_truncated_poly_ring(9, 2)])]
+
+
+def test_batch_invert_and_sqrt_match_the_group_order_exponents():
+    # the exponents used before: |A*| - 1 for inverses and (p^E + 1)/2 for
+    # square roots in 1 + rad A, E = dim rad A
+    rng = np.random.default_rng(5)
+    for A in _unit_group_rings():
+        factors = A.factors if isinstance(A, SemiLocalRing) else [A]
+        order = 1
+        for fac in factors:
+            order *= (fac.fq.q - 1) * A.p ** (fac.dim - fac.fq.f)
+        E = sum(fac.dim - fac.fq.f for fac in factors)
+        X = rng.integers(0, A.p, size=(200, A.dim))
+        units = X[[A.is_unit_vec(x) for x in X]]
+        assert len(units) > 50
+        inv = batch_invert(A, units)
+        assert np.array_equal(inv, A.batch_pow(units, order - 1))
+        assert np.array_equal(A.batch_mul(units, inv), np.tile(A.one, (len(units), 1)))
+        rad = A.radical if isinstance(A, SemiLocalRing) else A.maxideal
+        ones = (A.one + rng.integers(0, A.p, size=(100, rad.dim)) @ rad.basis) % A.p
+        roots = batch_sqrt_one_plus_m(A, ones)
+        assert np.array_equal(roots, A.batch_pow(ones, (A.p ** E + 1) // 2))
+        assert np.array_equal(A.batch_mul(roots, roots), ones)
+
+
 def test_teichmuller_constants():
     A = make_truncated_poly_ring(9, 2)
     assert A.constant(0).is_zero()

@@ -29,7 +29,10 @@ from pinkforge.pinklie import (
     descending_series,
     essential_data,
     essential_not_ideal_witness,
+    enumerate_preimage,
     example8,
+    expected_example_lie,
+    generate_sr1,
     group_series,
     is_congruence_subgroup,
     key_measure_check,
@@ -758,3 +761,72 @@ def test_residual_image_group_equals_the_element_loop():
     _, first = np.unique(row_key(rows, 3), return_index=True)
     got = residual_image_group(G)
     assert G.n == 432 and np.array_equal(got.elements, rows[np.sort(first)])
+
+
+def _seeded_sr1_generators(R, ngens, seed):
+    """theta^{-1} of ngens random traceless matrices with entries in (X^j):
+    j = 1 for one generator (a cyclic group), and for two the least j >= 1
+    whose congruence kernel has at most 20,000 elements, so that the BFS
+    stays quick."""
+    A = R.A
+    f, k = A.fq_block
+    j = 1
+    if ngens == 2:
+        while A.p ** (3 * f * (k - j)) > 20_000:
+            j += 1
+    xj = np.zeros(A.dim, dtype=np.int64)
+    xj[(j - 1) * f] = 1
+    rows = R.ring_scale(xj, random_rad0(R, np.random.default_rng(seed), ngens))
+    return batch_theta_inv(R, rows)
+
+
+def test_generate_sr1_equals_the_bfs_and_its_lie_algebra():
+    branches = set()
+    for q in (3, 5, 7, 9):
+        for k in (3, 4, 5, 6):
+            R = m2_structure(make_truncated_poly_ring(q, k))
+            for ngens in (1, 2):
+                gens = _seeded_sr1_generators(R, ngens, 100 * q + 10 * k + ngens)
+                Gamma, L = generate_sr1(R, gens)
+                bfs = FiniteMatrixGroup.generate(R, gens)
+                assert np.array_equal(_sorted_keys(Gamma), _sorted_keys(bfs)), (q, k, ngens)
+                assert L == lie_of_subgroup(bfs), (q, k, ngens)
+                # the orbit is theta^{-1}(L) exactly when |Gamma| = p^dim L
+                branches.add(Gamma.n == R.p ** L.dim)
+    assert branches == {True, False}
+
+
+def test_generate_sr1_takes_the_orbit_of_a_cyclic_group():
+    # over F_5[X]/(X^5) a generator has order 5, while P·theta(s) widens L'
+    R = m2_structure(make_truncated_poly_ring(5, 5))
+    gens = _seeded_sr1_generators(R, 1, 551)
+    Gamma, L = generate_sr1(R, gens)
+    bfs = FiniteMatrixGroup.generate(R, gens)
+    assert Gamma.n == bfs.n == 5 < 5 ** L.dim
+    assert np.array_equal(_sorted_keys(Gamma), _sorted_keys(bfs))
+    assert L == lie_of_subgroup(bfs)
+    assert np.array_equal(Gamma.generators, gens)
+
+
+def test_generate_sr1_refuses_a_generator_outside_sr1():
+    R = m2_structure(make_truncated_poly_ring(3, 3))
+    g = _seeded_sr1_generators(R, 1, 0)[0]
+    for bad in (R.J, (2 * R.one) % 3, R.batch_mul(g[None, :], R.J[None, :])[0]):
+        with pytest.raises(CheckFailed, match="outside SR\\^1"):
+            generate_sr1(R, [g, bad])
+
+
+def test_generate_sr1_checks_the_cap_before_enumerating():
+    R = m2_structure(make_truncated_poly_ring(3, 4))
+    gens = example8(3, 4).Gamma.generators
+    with pytest.raises(TooLarge, match="group exceeds cap 242"):
+        generate_sr1(R, gens, cap=242)
+    assert generate_sr1(R, gens, cap=243)[0].n == 243
+
+
+@pytest.mark.parametrize("p, k", [(3, 8), (5, 4), (7, 3), (257, 2)])
+def test_preimage_by_the_quadratic_form_equals_batch_theta_inv(p, k):
+    A = make_truncated_poly_ring(p, k)
+    R = m2_structure(A)
+    L = expected_example_lie(R, A)
+    assert np.array_equal(enumerate_preimage(L), batch_theta_inv(R, L.enumerate()))

@@ -506,10 +506,11 @@ def test_generate_keeps_the_reference_bfs_order(example_family):
         gamma, G = (FiniteMatrixGroup.generate(ex.R, H.generators) for H in (ex.Gamma, ex.G))
         for got, H in ((gamma, ex.Gamma), (G, ex.G)):
             assert np.array_equal(got.elements, _bfs_reference(ex.R, H.generators))
-        assert np.array_equal(gamma.elements, ex.Gamma.elements)
-        # G = Gamma ∪ J·Gamma comes from cosets, so only its element set is the BFS one
-        assert np.array_equal(np.sort(row_key(G.elements, ex.R.p)),
-                              np.sort(row_key(ex.G.elements, ex.R.p)))
+        # Gamma comes from its Lie algebra and G = Gamma ∪ J·Gamma from cosets,
+        # so only their element sets are the BFS ones
+        for got, H in ((gamma, ex.Gamma), (G, ex.G)):
+            assert np.array_equal(np.sort(row_key(got.elements, ex.R.p)),
+                                  np.sort(row_key(H.elements, ex.R.p)))
 
 
 def test_mul_table_and_inverses_match_dict_lookups(example_family):
