@@ -7,8 +7,10 @@ a_0..a_N exactly.  Multiplication truncates to the smaller degree.  For
 p = 2 the coefficients are the bits of a python integer (bit n = a_n); one
 codec turns them into a uint8 0/1 array and back, and a product by a sparse
 factor XORs shifted copies of the other in place on uint64 words (one copy
-per exponent mod 64).  Every other product is one numpy FFT of base-2^s
-digits, sized by a rounding-error bound and checked.
+per exponent mod 64).  Every other product is by halves: the product of
+the low halves and the cross term truncated to the top half, each by numpy
+float FFTs of base-2^s digits about as long as the series, sized by a
+rounding-error bound and checked.
 
 Delta comes from Frobenius: eta(q)^{p^i} = eta(q^{p^i}) mod p splits eta^24
 into dilated Euler (eta) and Jacobi (eta^3) series, multiplied exactly over Z;
@@ -26,16 +28,19 @@ from .localring import is_prime
 
 
 P_LIMIT = 2 ** 31          # primes below this keep int64 coefficient arithmetic exact
-# Popcount up to which GF(2) products use the word-packed shift-XOR kernel:
-# its crossover with the FFT at degree 1e5, which grows with the degree (about
-# 3,000 terms at 2e4, 25,000 at 2e5, 100,000 at 2e6).  Kernel / FFT for a
-# random 20,000-term factor times a dense one (2-vCPU Xeon, median of 7):
-# 0.033 / 0.036 s at 1e5, 0.061 / 0.076 s at 2e5, 0.082 / 0.164 s at 5e5;
-# Delta^3·Delta^5 mod 2 at 2e5 (6,160 and 6,140 terms) 0.018 / 0.078 s.
+# Popcount up to which GF(2) products use the word-packed shift-XOR kernel.
+# Its crossover with the FFT grows with the degree: about 3,000 terms at 2e4,
+# 13,000 at 1e5, 26,000 at 2e5, 40,000 at 5e5 and 80,000 at 2e6.  Kernel / FFT
+# for a random 20,000-term factor times a dense one (2-vCPU Xeon, median of 7):
+# 0.049 / 0.033 s at 1e5, 0.055 / 0.072 s at 2e5, 0.072 / 0.149 s at 5e5;
+# Delta^3·Delta^5 mod 2 at 2e5 (6,160 and 6,140 terms) 0.018 / 0.043 s.
 SPARSE_CUTOFF = 20_000
 # Largest degree `delta_expansion` builds, ten times the largest the README and
-# the benchmark use (2e6).  An odd-p series at this degree is 160 MB of int64
-# before its FFT buffers; beyond it TooLarge is raised before any array exists.
+# the benchmark use (2e6); beyond it TooLarge is raised before any array exists.
+# `density --p 65521 --form delta --X 4e6` peaks at 428 MB in a fresh process
+# (two squarings at transform length 2^22; 823 MB at 8e6, length 2^23).  The
+# peak grows by about 27 bytes a degree and 68 a transform point, so at this
+# cap (length 2^25) it comes to about 2.9 GB.
 MAX_DEGREE = 2 * 10 ** 7
 
 
@@ -219,44 +224,81 @@ def series_mul(f, g):
             f, g = g, f
         if f.popcount() <= SPARSE_CUTOFF:
             return FpSeries(2, deg, bits=_xor_shifts(np.flatnonzero(f._coefs()), g.bits, deg))
-    a = f.coeffs_array()[: deg + 1]
-    return FpSeries(p, deg, coef=_dense_mul(a, a if g is f else g.coeffs_array()[: deg + 1], p))
+    a = f._coefs()[: deg + 1]
+    return FpSeries(p, deg, coef=_dense_mul(a, a if g is f else g._coefs()[: deg + 1], p))
 
 
 def _dense_mul(a, b, p):
-    """(a·b mod p)[:n] for int64 arrays of length n with entries in [0, p),
-    by float FFTs of base-2^s digits; `b is a` is transformed once.
+    """(a·b mod p)[:n] for arrays a, b of length n with entries in [0, p),
+    by float FFTs of base-2^s digits; `b is a` is transformed once, and
+    neither input is written.
 
-    With d digits, up to d digit products share each of the 2d-1 spectra.
-    For an FFT of length N = 2^k >= 2n-1 and digits at most M, Percival's
-    bound (Math. Comp. 72, 2003) on the error of one convolution is
-    N·M²·((1+ε)^{3k} (1+ε√5)^{3k+1} (1+β)^{3k} - 1), with ε = β = 2^-53;
-    d is the fewest digits for which d times it stays below 1/4.  A
-    residual of 1/4 or more raises CheckFailed instead of rounding.
+    Only n terms of the product are wanted, so the product goes by halves
+    (Mulders, AAECC 11, 2000): with h = ⌈n/2⌉, a = a0 + x^h·a1 and b alike,
+    it is a0·b0 + x^h·(a0·b1 + a1·b0) mod x^n.  Both pieces are cyclic
+    convolutions of length N = 2^k >= 2h - 1, about n where the full
+    product would need about 2n.
+
+    With d digits, up to d digit products share each of the 2d-1 spectra
+    of a0·b0, and up to 2d each spectrum of the cross a0·b1 + a1·b0.  For
+    digits at most M, Percival's bound (Math. Comp. 72, 2003) on the error
+    of one convolution is N·M²·((1+ε)^{3k} (1+ε√5)^{3k+1} (1+β)^{3k} - 1),
+    with ε = β = 2^-53; d is the fewest digits for which 2d times it stays
+    below 1/4.  A residual of 1/4 or more raises CheckFailed instead of
+    rounding.  One spectrum accumulator, one product buffer and one
+    transform output serve every digit index.
     """
     n = a.shape[0]
-    size = 1 << (2 * n - 2).bit_length()
+    h = (n + 1) // 2
+    size = 1 << (2 * h - 2).bit_length()
     k, eps = size.bit_length() - 1, 2.0 ** -53
     err = math.expm1(6 * k * math.log1p(eps) + (3 * k + 1) * math.log1p(eps * math.sqrt(5)))
     bits = (p - 1).bit_length()
     for d in range(1, bits + 1):
         s = -(-bits // d)
-        if d * size * min((1 << s) - 1, p - 1) ** 2 * err < 0.25:
+        if 2 * d * size * min((1 << s) - 1, p - 1) ** 2 * err < 0.25:
             break
     else:
         raise TooLarge(f"no digit width keeps a degree-{n - 1} product exact")
     mask = (1 << s) - 1
-    fa = [np.fft.rfft((a >> s * i & mask).astype(np.float64), size) for i in range(d)]
-    fb = fa if b is a else [np.fft.rfft((b >> s * i & mask).astype(np.float64), size)
-                            for i in range(d)]
+
+    def spectra(x):
+        return [np.fft.rfft((x >> s * i & mask).astype(np.float64), size) for i in range(d)]
+
+    a0, a1 = spectra(a[:h]), spectra(a[h:])
+    b0, b1 = (a0, a1) if b is a else (spectra(b[:h]), spectra(b[h:]))
+    spec = np.empty(size // 2 + 1, dtype=np.complex128)
+    prod = np.empty_like(spec)
+    conv = np.empty(size)
+
+    def rounded(pairs, dst):
+        """dst = the convolution whose spectrum is the sum of the pairs'
+        products, rounded; raises on a residual of 1/4 or more."""
+        (x, y), *rest = pairs
+        np.multiply(x, y, out=spec)
+        for x, y in rest:
+            np.add(spec, np.multiply(x, y, out=prod), out=spec)
+        c = np.fft.irfft(spec, size, out=conv)[: dst.shape[0]]
+        np.rint(c, out=dst, casting="unsafe")
+        c -= dst
+        if np.abs(c, out=c).max() >= 0.25:
+            raise CheckFailed("FFT rounding residual reached 1/4")
+
+    low = min(n, 2 * h - 1)                 # a0·b0 has 2h - 1 terms
+    term = np.zeros(n, dtype=np.int64)
+    cross = np.empty(n - h, dtype=np.int64)
     out = np.zeros(n, dtype=np.int64)
     for j in range(2 * d - 1):
-        spec = sum(fa[i] * fb[j - i] for i in range(max(0, j - d + 1), min(j, d - 1) + 1))
-        conv = np.fft.irfft(spec, size)[:n]
-        exact = np.rint(conv)
-        if np.abs(conv - exact).max() >= 0.25:
-            raise CheckFailed("FFT rounding residual reached 1/4")
-        out = (out + (exact.astype(np.int64) % p) * pow(2, s * j, p)) % p
+        idx = range(max(0, j - d + 1), min(j, d - 1) + 1)
+        rounded([(a0[i], b0[j - i]) for i in idx], term[:low])
+        term[low:] = 0
+        if n > h:
+            rounded([(a0[i], b1[j - i]) for i in idx] + [(a1[i], b0[j - i]) for i in idx], cross)
+            term[h:] += cross
+        term %= p
+        term *= pow(2, s * j, p)
+        out += term
+        out %= p
     return out
 
 
@@ -310,20 +352,20 @@ def _eta_cubed(deg):
 
 def _sparse_mul(p, deg, x, y):
     """The product mod p, to degree deg, of two sparse integer series given
-    as (ascending exponents, int64 coefficients): each block of rows of x
-    against the terms of y it meets, summed over Z by one float64
-    np.bincount, then one % p.  Exponents are distinct, so at most
-    min(K_x, K_y) products meet in one degree and the sums are exact
+    as (ascending exponents, int64 coefficients): for each term c·q^e of the
+    shorter factor, c times the other's terms up to degree deg - e is added
+    at their exponents plus e into one float64 array, then one % p.
+    Exponents are distinct, so no index repeats within one addition, at
+    most min(K_x, K_y) products meet in one degree, and the sums are exact
     integers while min(K_x, K_y)·max|c_x|·max|c_y| < 2^53."""
-    (ex, cx), (ey, cy) = x, y
-    if min(ex.size, ey.size) * int(abs(cx).max()) * int(abs(cy).max()) >= 1 << 53:
+    (ex, cx), (ey, cy) = sorted((x, y), key=lambda t: t[0].size)
+    if ex.size * int(abs(cx).max()) * int(abs(cy).max()) >= 1 << 53:
         raise TooLarge(f"a sparse product is not exact in float64 at degree {deg}")
     acc = np.zeros(deg + 1, dtype=np.float64)
-    rows = max(1, (1 << 20) // ey.size)
-    for lo in range(0, ex.size, rows):
-        hi = np.searchsorted(ey, deg - ex[lo], side="right")
-        i, j = np.nonzero(ex[lo:lo + rows, None] + ey[:hi] <= deg)
-        acc += np.bincount(ex[lo + i] + ey[j], weights=cx[lo + i] * cy[j], minlength=deg + 1)
+    cy = cy.astype(np.float64)
+    tops = np.searchsorted(ey, deg - ex, side="right").tolist()
+    for e, c, h in zip(ex.tolist(), cx.tolist(), tops):
+        acc[e + ey[:h]] += c * cy[:h]
     return FpSeries(p, deg, coef=acc.astype(np.int64))
 
 

@@ -210,9 +210,7 @@ def enumerate_preimage(L, cap=None):
     coeffs = members[:, L.space.pivots]          # the RREF basis has unit pivot columns
     d = L.dim
     form = trace_products(R, L.basis, L.basis).reshape(d, d, A.dim) * pow(2, -1, p) % p
-    Q = bilinear(coeffs, coeffs, form, p)
-    _, first, which = np.unique(row_key(Q, p), return_index=True, return_inverse=True)
-    lam = batch_sqrt_one_plus_m(A, (A.one + Q[first]) % p)[which]
+    lam = _sqrt_one_plus(A, bilinear(coeffs, coeffs, form, p))
     members[:, R.sa] = (members[:, R.sa] + lam) % p
     members[:, R.sd] = (members[:, R.sd] + lam) % p
     return members
@@ -249,7 +247,7 @@ def group_series(G, n_max):
     for _ in range(n_max - 1):
         prev = levels[-1]
         comm = T[T[np.ix_(prev, Y)], T[np.ix_(inv[prev], inv[Y])]]
-        levels.append(_index_closure(T, G.id_index, np.unique(comm)))
+        levels.append(_index_closure(T, G.id_index, np.unique(comm, return_index=True)[0]))
     groups = [G]
     for idxs in levels[1:]:
         groups.append(FiniteMatrixGroup(G.R, G.elements[idxs]))
@@ -296,9 +294,20 @@ def star_law(R, x, y):
 
 def _sqrt_scalars(R, M):
     """sqrt(1 + tr(m^2)/2) in 1 + m for each row m of M, as ring vectors: the
-    scalar of theta^{-1}(m) = m + sqrt(1 + tr(m^2)/2)·Id and of the star law."""
-    half_trace = R.batch_trace(R.batch_mul(M, M)) * pow(2, -1, R.p)
-    return batch_sqrt_one_plus_m(R.A, (R.A.one + half_trace) % R.p)
+    scalar of theta^{-1}(m) = m + sqrt(1 + tr(m^2)/2)·Id and of the star law.
+    tr(m^2)/2 = tr(m)^2/2 - det(m), so no row is squared."""
+    A, p = R.A, R.p
+    t = R.batch_trace(M)
+    return _sqrt_one_plus(A, bilinear(t, t, A.mul_tensor, p) * pow(2, -1, p) - R.batch_det(M))
+
+
+def _sqrt_one_plus(A, Q):
+    """sqrt(1 + q) in 1 + m for each row q of Q (ring vectors, any integers):
+    only the distinct values take a root, then a gather."""
+    p = A.p
+    Q = Q % p
+    _, first, which = np.unique(row_key(Q, p), return_index=True, return_inverse=True)
+    return batch_sqrt_one_plus_m(A, (A.one + Q[first]) % p)[which]
 
 
 def _batch_star(R, X, Y):

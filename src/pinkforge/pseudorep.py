@@ -187,14 +187,15 @@ class GroupTable:
 
 def _index_closure(T, identity, gens):
     """Sorted indices of the subgroup generated by `gens` in the finite group
-    with table T: a BFS that multiplies each new level by every generator."""
-    gens = np.unique(np.asarray(list(gens), dtype=np.int64))
+    with table T: a BFS that multiplies each new level by every generator.
+    (`np.unique` with an index output: the plain form imports numpy.ma.)"""
+    gens = np.unique(np.asarray(list(gens), dtype=np.int64), return_index=True)[0]
     seen = np.zeros(len(T), dtype=bool)
     seen[identity] = True
     seen[gens] = True
     frontier = np.flatnonzero(seen)
     while frontier.size:
-        prods = np.unique(T[np.ix_(frontier, gens)])
+        prods = np.unique(T[np.ix_(frontier, gens)], return_index=True)[0]
         frontier = prods[~seen[prods]]
         seen[frontier] = True
     return np.flatnonzero(seen)

@@ -146,6 +146,18 @@ def test_analyze_refuses_a_large_ring_before_building_m2():
     assert r.stderr.splitlines() == ["error: ring too large to enumerate (cap reached, undecided)"]
 
 
+
+def test_verify_does_not_import_numpy_ma():
+    # a plain np.unique(x), with no index output, imports numpy.ma (17-18 ms):
+    # group_series and _index_closure made such calls in every pink verify
+    code = ("import contextlib, io, sys\n"
+            "from pinkforge.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--seed', '1']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0 and r.stdout == "False\n"
+
 def test_span_out_of_degree_is_undecided():
     # ran out of usable degree: exit 1 with no report before
     r = run_cli(["span", "--p", "2", "--form", "delta", "--primes", "3", "--deg", "1"])

@@ -1,15 +1,17 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinkforge import modforms
-from pinkforge.errors import TooLarge
+from pinkforge.errors import CheckFailed, TooLarge
 from pinkforge.modforms import (
     SPARSE_CUTOFF,
     FpSeries,
+    _dense_mul,
     _eta_cubed,
     _eta_terms,
     _pack_bits,
@@ -254,6 +256,102 @@ def test_prime_limit():
         delta_expansion(4294967311, 60)
 
 
+def _full_length_dense_mul(a, b, p):
+    """The dense product as it was before the product by halves: one float
+    FFT of length 2^k >= 2n - 1 per digit, with d products per spectrum."""
+    n = a.shape[0]
+    size = 1 << (2 * n - 2).bit_length()
+    k, eps = size.bit_length() - 1, 2.0 ** -53
+    err = math.expm1(6 * k * math.log1p(eps) + (3 * k + 1) * math.log1p(eps * math.sqrt(5)))
+    bits = (p - 1).bit_length()
+    for d in range(1, bits + 1):
+        s = -(-bits // d)
+        if d * size * min((1 << s) - 1, p - 1) ** 2 * err < 0.25:
+            break
+    else:
+        raise TooLarge(f"no digit width keeps a degree-{n - 1} product exact")
+    mask = (1 << s) - 1
+    fa = [np.fft.rfft((a >> s * i & mask).astype(np.float64), size) for i in range(d)]
+    fb = fa if b is a else [np.fft.rfft((b >> s * i & mask).astype(np.float64), size)
+                            for i in range(d)]
+    out = np.zeros(n, dtype=np.int64)
+    for j in range(2 * d - 1):
+        spec = sum(fa[i] * fb[j - i] for i in range(max(0, j - d + 1), min(j, d - 1) + 1))
+        conv = np.fft.irfft(spec, size)[:n]
+        exact = np.rint(conv)
+        if np.abs(conv - exact).max() >= 0.25:
+            raise CheckFailed("FFT rounding residual reached 1/4")
+        out = (out + (exact.astype(np.int64) % p) * pow(2, s * j, p)) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
+def test_dense_mul_by_halves_equals_the_full_length_product(p):
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 3, 4, 5, 1000, 1001, 2 ** 16, 2 ** 16 + 1):
+        for a, b in ((rng.integers(0, p, n), rng.integers(0, p, n)),
+                     (np.full(n, p - 1, dtype=np.int64), np.full(n, p - 1, dtype=np.int64))):
+            kept = a.copy(), b.copy()
+            assert np.array_equal(_dense_mul(a, b, p), _full_length_dense_mul(a, b, p)), n
+            assert np.array_equal(_dense_mul(a, a, p), _full_length_dense_mul(a, a, p)), n
+            assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_series_mul_leaves_its_operands_unchanged(p):
+    # series_mul hands _dense_mul the coefficient arrays themselves, not copies
+    deg = 100_000
+    rng = np.random.default_rng(p)
+    f = FpSeries(p, deg, coef=rng.integers(0, p, deg + 1))
+    g = FpSeries(p, deg, coef=rng.integers(0, p, deg + 1))
+    if p == 2:
+        assert min(f.popcount(), g.popcount()) > SPARSE_CUTOFF      # the dense path
+    before = [x.coeffs_array() for x in (f, g)]
+    want = _full_length_dense_mul(before[0], before[1], p)
+    assert np.array_equal(series_mul(f, g).coeffs_array(), want)
+    assert np.array_equal(series_mul(f, f).coeffs_array(),
+                          _full_length_dense_mul(before[0], before[0], p))
+    assert np.array_equal(f.coeffs_array(), before[0])
+    assert np.array_equal(g.coeffs_array(), before[1])
+
+
+@pytest.mark.parametrize("p, bound", [(5, 12), (65521, 17)])
+def test_series_mul_memory_beyond_its_operands(p, bound):
+    # the full-length product peaked at 14.4 and 20.8 operands here.
+    # tracemalloc sees numpy's arrays but not pocketfft's own scratch, so
+    # that scratch is not in the bound
+    deg = 10 ** 6
+    rng = np.random.default_rng(p)
+    f = FpSeries(p, deg, coef=rng.integers(0, p, deg + 1))
+    g = FpSeries(p, deg, coef=rng.integers(0, p, deg + 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        series_mul(f, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * f.coef.nbytes
+
+
+def test_dense_mul_refuses_an_inexact_product(monkeypatch):
+    # at length 2^45 no digit width meets the bound: raised before allocating
+    huge = np.broadcast_to(np.int64(0), (2 ** 45,))
+    with pytest.raises(TooLarge, match="no digit width"):
+        _dense_mul(huge, huge, 2)
+    irfft = np.fft.irfft
+
+    def skewed(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out += 0.25
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", skewed)
+    a = np.arange(100, dtype=np.int64)
+    with pytest.raises(CheckFailed, match="residual reached 1/4"):
+        _dense_mul(a, a, 101)
+
+
 BIG_PRIMES = (65521, 2 ** 31 - 1)
 
 
@@ -334,7 +432,7 @@ def test_sparse_mul_matches_a_dense_convolution():
             for p in (3, 65521, 2 ** 31 - 1):
                 want = np.convolve(da, db)[: deg + 1] % p
                 assert np.array_equal(_sparse_mul(p, deg, a, b).coeffs_array(), want)
-    # random supports with large coefficients, rows in several blocks
+    # random supports with large coefficients, 1,500 terms each
     e = np.sort(rng.choice(5000, 1500, replace=False))
     c = rng.integers(-10 ** 5, 10 ** 5, e.size)
     dense = np.zeros(5000, dtype=np.int64)

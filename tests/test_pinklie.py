@@ -16,9 +16,10 @@ from pinkforge.instances import (
     monomial,
     structure_parameter_sets,
 )
-from pinkforge.localring import make_truncated_poly_ring
+from pinkforge.localring import batch_sqrt_one_plus_m, make_truncated_poly_ring
 from pinkforge.pinklie import (
     LieSubspace,
+    _sqrt_scalars,
     adjoin_normalising,
     MeasureReport,
     batch_theta,
@@ -830,3 +831,21 @@ def test_preimage_by_the_quadratic_form_equals_batch_theta_inv(p, k):
     R = m2_structure(A)
     L = expected_example_lie(R, A)
     assert np.array_equal(enumerate_preimage(L), batch_theta_inv(R, L.enumerate()))
+
+
+@pytest.mark.parametrize("q, k", [(3, 8), (9, 3)])
+def test_sqrt_scalars_equal_the_root_of_the_squared_trace(q, k):
+    # the body before tr(m^2)/2 = tr(m)^2/2 - det(m): the product m·m of
+    # every row, its trace, and a root per row
+    A = make_truncated_poly_ring(q, k)
+    R = m2_structure(A)
+    f = A.fq.f
+    rng = np.random.default_rng(q * k)
+    M = rng.integers(0, R.p, size=(3000, 4, A.dim))
+    M[:, :, :f] = 0                                 # every entry in the maximal ideal
+    M = M.reshape(3000, R.dim)
+    M[1000:2000] = M[:1000]                         # repeated rows
+    M[2000:] = random_rad0(R, rng, 1000)            # traceless rows, as theta^-1 takes
+    half_trace = R.batch_trace(R.batch_mul(M, M)) * pow(2, -1, R.p)
+    want = batch_sqrt_one_plus_m(A, (A.one + half_trace) % R.p)
+    assert np.array_equal(_sqrt_scalars(R, M), want)
