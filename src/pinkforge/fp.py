@@ -156,28 +156,57 @@ class FpSubspace:
 
 
 _INT64_LIMIT = 2 ** 63
+_FLOAT_EXACT = 2 ** 53  # float64 sums of integers below this are exact
 _BLOCK_BYTES = 1 << 23  # intermediate size per row block in `bilinear` and `pair_products`
 
 
 def matmul_mod(X, Y, p):
-    """(X @ Y) mod p for residues in [0, p), exact in int64 for every
-    p < 2^31: the inner sum runs in chunks of as many products as keep the
-    running sum below 2^63, which is one chunk unless m·(p-1)^2 >= 2^63
-    (for p = 2^31 - 1, two products a chunk).  Broadcasts like `@`."""
+    """(X @ Y) mod p for residues in [0, p), exact for every p < 2^31, by
+    float64 BLAS products (`_exact_mod`).  Broadcasts like `@`."""
+    return _exact_mod(np.matmul, X, Y, p)
+
+
+def _exact_mod(product, X, Y, p):
+    """product(X, Y) mod p, for a product that sums m = X.shape[-1] terms
+    X[.., j]·Y[.., j, k] with X and Y in [0, p) (or, as `bilinear` passes
+    it, Y any integers whose sums stay below 2^53 unsplit): the one float64
+    kernel, with delayed reduction (Dumas, Giorgi, Pernet, FFLAS-FFPACK,
+    ACM TOMS 35(3), 2008).  A sum of integers stays exact in float64 while
+    it is below 2^53, and is reduced once, in int64.
+
+    That is one product when m·(p-1)^2 < 2^53.  Otherwise X is split into
+    base-2^s digits, s the widest with m·(2^s-1)·(p-1) < 2^53, and the
+    digit products are combined mod p by Horner's rule; for p = 2^31 - 1
+    and m = 32, two digits of 16 bits."""
     m = X.shape[-1]
-    step = max(1, (_INT64_LIMIT - p) // max(1, (p - 1) ** 2))
-    out = (X[..., :step] @ Y[..., :step, :]) % p
-    for s in range(step, m, step):
-        out = (out + X[..., s:s + step] @ Y[..., s:s + step, :]) % p
+    bits = (p - 1).bit_length()
+    s = min(bits, ((_FLOAT_EXACT - 1) // max(1, m * (p - 1)) + 1).bit_length() - 1)
+    if s == 0:
+        raise TooLarge(f"an inner dimension of {m} has no exact float64 sums mod {p}")
+    Yf = np.asarray(Y, dtype=np.float64)
+    out = None
+    for i in reversed(range(-(-bits // s))):
+        digit = X if s == bits else X >> s * i & (1 << s) - 1
+        part = product(digit.astype(np.float64), Yf).astype(np.int64)
+        if out is not None:
+            part += out << s
+        part %= p
+        out = part
     return out
+
+
+def _row_products(Y, M):
+    """Rows sum_j Y[n,j] M[n,j,k]: one vector-matrix product per row, which
+    `einsum` sums in place where `@` would make one BLAS call a row."""
+    return np.einsum("nj,njk->nk", Y, M)
 
 
 def bilinear(X, Y, T, p):
     """Rows sum_{i,j} X[n,i] Y[n,j] T[i,j,k] mod p for residues in [0, p),
-    as two contractions, the second a `matmul_mod`; exact for every
-    p < 2^31.  A single row of X or Y pairs with every row of the other.
-    Rows go in blocks whose (rows, j, k) intermediate stays near
-    `_BLOCK_BYTES`."""
+    as two float64 contractions: X with T as one BLAS product, then each
+    row with its Y by `_row_products`; exact for every p < 2^31.  A single
+    row of X or Y pairs with every row of the other.  Rows go in blocks
+    whose (rows, j, k) intermediate stays near `_BLOCK_BYTES`."""
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
     I, J, K = T.shape
@@ -187,15 +216,19 @@ def bilinear(X, Y, T, p):
     if min(n, I, J, K) == 0:
         return np.zeros((n, K), dtype=np.int64)
     T2 = T.reshape(I, J * K)
-    # The intermediate needs reducing only when I·J·(p-1)^3 may reach 2^63;
-    # below that the second `matmul_mod` sums its unreduced entries in one
-    # pass.  At small p that `%` would cost more than both products.
-    reduce_mid = I * J * (p - 1) ** 3 >= _INT64_LIMIT
+    # The intermediate needs reducing only when I·J·(p-1)^3 may reach 2^53;
+    # below that it stays an exact float64 product, and the second
+    # contraction sums its unreduced entries exactly in one pass
+    # (J·(p-1)^2 < 2^53 there, so Y is not split).
+    reduce_mid = I * J * (p - 1) ** 3 >= _FLOAT_EXACT
+    if not reduce_mid:
+        T2 = T2.astype(np.float64)
     block = max(1, _BLOCK_BYTES // (8 * J * K))
     out = np.empty((n, K), dtype=np.int64)
     for s in range(0, n, block):
-        XT = matmul_mod(X[s:s + block], T2, p) if reduce_mid else X[s:s + block] @ T2
-        out[s:s + block] = matmul_mod(Y[s:s + block, None, :], XT.reshape(-1, J, K), p)[:, 0, :]
+        Xb = X[s:s + block]
+        XT = matmul_mod(Xb, T2, p) if reduce_mid else Xb.astype(np.float64) @ T2
+        out[s:s + block] = _exact_mod(_row_products, Y[s:s + block], XT.reshape(-1, J, K), p)
     return out
 
 

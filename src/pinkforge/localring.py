@@ -197,15 +197,14 @@ class FqData:
         self.mul_tensor = np.array([[_poly_mul_mod(a, b, self.poly, p) for b in E] for a in E],
                                    dtype=np.int64).reshape(f, f, f)
         # digits of alpha^i·b for every code b; the digits of a·b are then
-        # sum_i a_i (alpha^i·b), filled by row blocks.  That sum is a float64
-        # product (numpy's int64 one has no BLAS), exact as f·(p-1)^2 < 2^53.
+        # sum_i a_i (alpha^i·b), filled by row blocks
         D = self.digits(np.arange(self.q))
         shifted = pair_products(np.eye(f, dtype=np.int64), D, self.mul_tensor, p)
-        shifted = shifted.reshape(f, self.q * f).astype(np.float64)
+        shifted = shifted.reshape(f, self.q * f)
         self.mul_table = np.empty((self.q, self.q), dtype=np.int64)
         block = max(1, (1 << 20) // (self.q * f))
         for s in range(0, self.q, block):
-            prods = (D[s:s + block] @ shifted).astype(np.int64)
+            prods = matmul_mod(D[s:s + block], shifted, p)
             self.mul_table[s:s + block] = self.encode(prods.reshape(-1, self.q, f))
 
     def digits(self, codes):

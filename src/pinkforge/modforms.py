@@ -75,6 +75,18 @@ class FpSeries:
             self.coef = coef[: self.deg + 1]
 
     @classmethod
+    def _of_residues(cls, p, deg, coef):
+        """The series a_0..a_deg = coef[:deg + 1], for an array of length at
+        least deg + 1 with entries already in [0, p): the constructor's path
+        at p = 2, else the int64 `coef` kept as a view, neither reduced nor
+        copied.  For the module's own results, which are reduced already."""
+        if p == 2:
+            return cls(2, deg, coef=coef)
+        f = cls.__new__(cls)
+        f.p, f.deg, f.bits, f.coef = p, int(deg), None, coef[: deg + 1]
+        return f
+
+    @classmethod
     def from_coeffs(cls, p, coeffs, deg=None):
         coeffs = list(coeffs)
         deg = deg if deg is not None else len(coeffs) - 1
@@ -126,7 +138,7 @@ class FpSeries:
             raise ValueError("cannot extend a truncated series")
         if self.p == 2:
             return FpSeries(2, deg, bits=self.bits)
-        return FpSeries(self.p, deg, coef=self.coef[: deg + 1])
+        return FpSeries._of_residues(self.p, deg, self.coef)
 
     # -- ring operations -------------------------------------------------------
     def _align(self, other):
@@ -138,13 +150,15 @@ class FpSeries:
         deg = self._align(other)
         if self.p == 2:
             return FpSeries(2, deg, bits=self.bits ^ other.bits)
-        return FpSeries(self.p, deg, coef=(self.coef[: deg + 1] + other.coef[: deg + 1]) % self.p)
+        coef = (self.coef[: deg + 1] + other.coef[: deg + 1]) % self.p
+        return FpSeries._of_residues(self.p, deg, coef)
 
     def __sub__(self, other):
         deg = self._align(other)
         if self.p == 2:
             return FpSeries(2, deg, bits=self.bits ^ other.bits)
-        return FpSeries(self.p, deg, coef=(self.coef[: deg + 1] - other.coef[: deg + 1]) % self.p)
+        coef = (self.coef[: deg + 1] - other.coef[: deg + 1]) % self.p
+        return FpSeries._of_residues(self.p, deg, coef)
 
     def __eq__(self, other):
         if not isinstance(other, FpSeries) or other.p != self.p:
@@ -162,7 +176,7 @@ class FpSeries:
         c %= self.p
         if self.p == 2:
             return FpSeries(2, self.deg, bits=self.bits if c else 0)
-        return FpSeries(self.p, self.deg, coef=(self.coef * c) % self.p)
+        return FpSeries._of_residues(self.p, self.deg, (self.coef * c) % self.p)
 
     def shift(self, k):
         """Multiply by q^k; exactness extends to deg + k."""
@@ -170,7 +184,7 @@ class FpSeries:
             return FpSeries(2, self.deg + k, bits=self.bits << k)
         coef = np.zeros(self.deg + k + 1, dtype=np.int64)
         coef[k:] = self.coef
-        return FpSeries(self.p, self.deg + k, coef=coef)
+        return FpSeries._of_residues(self.p, self.deg + k, coef)
 
     def dilate(self, a, out_deg=None):
         """f(q) -> f(q^a); exactness extends to a·deg + a - 1, so out_deg
@@ -181,7 +195,7 @@ class FpSeries:
         src = self._coefs()
         out = np.zeros(out_deg + 1, dtype=src.dtype)
         out[:: a][: top + 1] = src[: top + 1]
-        return FpSeries(self.p, out_deg, coef=out)
+        return FpSeries._of_residues(self.p, out_deg, out)
 
 
 def _unpack_bits(bits, deg):
@@ -225,7 +239,7 @@ def series_mul(f, g):
         if f.popcount() <= SPARSE_CUTOFF:
             return FpSeries(2, deg, bits=_xor_shifts(np.flatnonzero(f._coefs()), g.bits, deg))
     a = f._coefs()[: deg + 1]
-    return FpSeries(p, deg, coef=_dense_mul(a, a if g is f else g._coefs()[: deg + 1], p))
+    return FpSeries._of_residues(p, deg, _dense_mul(a, a if g is f else g._coefs()[: deg + 1], p))
 
 
 def _dense_mul(a, b, p):

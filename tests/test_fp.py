@@ -1,7 +1,14 @@
+import io
+import sys
+from collections import Counter
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pinkforge import cli, fp, gma, localring, pinklie
+from pinkforge.errors import TooLarge
 from pinkforge.fp import (
     FpSubspace,
     bilinear,
@@ -181,7 +188,8 @@ def test_reduce_equals_sequential_elimination(p):
         assert np.array_equal(V.reduce(X[0]), _reduce_by_rows(V, X[0]))
 
 
-# 1000003: I·J·(p-1)^2 < 2^63 <= I·J·(p-1)^3 for the 17 x 5 x 4 tensor below
+# at 3 `bilinear` keeps its 17 x 5 intermediate unreduced, at the others it
+# reduces it; at 2^31 - 1 `matmul_mod` splits X into digits
 @pytest.mark.parametrize("p", [3, 65521, 1000003, 2 ** 31 - 1])
 def test_matmul_mod_and_bilinear_are_exact(p):
     rng = np.random.default_rng(7)
@@ -194,6 +202,114 @@ def test_matmul_mod_and_bilinear_are_exact(p):
     assert np.array_equal(matmul_mod(X, M, p), ref_mm.astype(np.int64))
     ref = np.einsum("ni,nj,ijk->nk", X.astype(object), Y.astype(object), T.astype(object)) % p
     assert np.array_equal(bilinear(X, Y, T, p), ref.astype(np.int64))
+
+
+# (m, p, below): m·(p-1)^2 < 2^53 (one float64 product) exactly when below;
+# the pairs straddle it.  At 2^31 - 1 every product splits X into digits, and
+# the pair straddles the digit width: 64 terms take two 16-bit digits, 65
+# three of 15 bits.
+_MATMUL_SWITCH = [
+    (2098176, 65521, True), (2098177, 65521, False),
+    (9007, 1000003, True), (9008, 1000003, False),
+    (8, 33554393, True), (8, 33554467, False),
+    (64, 2 ** 31 - 1, False), (65, 2 ** 31 - 1, False),
+    (1, 3, True), (40, 3, True), (40, 65521, True), (1, 2 ** 31 - 1, False),
+]
+
+
+def _worst_rows(rows, n, p, dtype=np.int64):
+    """Rows of all p - 1, the largest sums, and a second row whose first
+    entry is p - 2: a product pairing it with itself has an odd sum, which
+    float64 cannot hold beyond 2^53."""
+    A = np.full((rows, n), p - 1, dtype=dtype)
+    A[1, 0] = p - 2
+    return A
+
+
+@pytest.mark.parametrize("m, p, below", _MATMUL_SWITCH)
+def test_matmul_mod_is_exact_at_the_float_switch(m, p, below):
+    assert (m * (p - 1) ** 2 < 2 ** 53) == below
+    # object arrays of a few repeated ints keep the reference small at m = 2·10^6
+    X, Y = _worst_rows(2, m, p), _worst_rows(2, m, p).T
+    ref = _worst_rows(2, m, p, object) @ _worst_rows(2, m, p, object).T % p
+    assert np.array_equal(matmul_mod(X, Y, p), ref.astype(np.int64))
+    if m <= 10 ** 4:
+        rng = np.random.default_rng(m)
+        X = rng.integers(0, p, size=(5, m))
+        Y = rng.integers(0, p, size=(m, 4))
+        ref = X.astype(object) @ Y.astype(object) % p
+        assert np.array_equal(matmul_mod(X, Y, p), ref.astype(np.int64))
+
+
+def test_matmul_mod_refuses_an_inner_dimension_without_exact_sums():
+    # m·(p-1) >= 2^53: even one-bit digits of X overflow float64's integers
+    p = 2 ** 31 - 1
+    m = (2 ** 53 - 1) // (p - 1) + 1
+    X = np.broadcast_to(np.int64(1), (1, m))
+    Y = np.broadcast_to(np.int64(1), (m, 1))
+    with pytest.raises(TooLarge):
+        matmul_mod(X, Y, p)
+
+
+# (I, J, p, below): the intermediate stays unreduced exactly when
+# I·J·(p-1)^3 < 2^53; the pairs straddle it
+_BILINEAR_SWITCH = [
+    (8, 4, 65521, True), (11, 3, 65521, False), (4, 8, 65521, True), (3, 11, 65521, False),
+    (1, 1, 208057, True), (1, 1, 208067, False),
+    (17, 5, 3, True), (17, 5, 65521, False), (17, 5, 1000003, False), (17, 5, 2 ** 31 - 1, False),
+]
+
+
+@pytest.mark.parametrize("I, J, p, below", _BILINEAR_SWITCH)
+def test_bilinear_is_exact_at_the_float_switch(I, J, p, below):
+    assert (I * J * (p - 1) ** 3 < 2 ** 53) == below
+    rng = np.random.default_rng(I * J)
+    K = 3
+    X = np.vstack([_worst_rows(2, I, p), rng.integers(0, p, size=(4, I))])
+    Y = np.vstack([_worst_rows(2, J, p), rng.integers(0, p, size=(4, J))])
+    worst = np.full((I, J, K), p - 1, dtype=np.int64)
+    worst[0, 0] = p - 2
+    for T in (worst, rng.integers(0, p, size=(I, J, K))):
+        ref = np.einsum("ni,nj,ijk->nk", X.astype(object), Y.astype(object), T.astype(object)) % p
+        assert np.array_equal(bilinear(X, Y, T, p), ref.astype(np.int64))
+
+
+def _is_residues(A, p):
+    A = np.asarray(A)
+    return A.dtype.kind in "iu" and (A.size == 0 or (A.min() >= 0 and A.max() < p))
+
+
+def test_matrix_products_get_residues(monkeypatch):
+    """The float kernel's 2^53 rule holds for inputs in [0, p): every call
+    of `matmul_mod` and `bilinear` that the reports make, `bilinear`'s own
+    first contraction included, gets residues.  Only its second contraction
+    takes an unreduced intermediate, and that goes to the kernel directly."""
+    calls = Counter()
+    mm, bl = fp.matmul_mod, fp.bilinear
+
+    def checked_mm(X, Y, p):
+        calls["matmul_mod"] += 1
+        assert _is_residues(X, p) and _is_residues(Y, p), sys._getframe(1).f_code.co_name
+        return mm(X, Y, p)
+
+    def checked_bl(X, Y, T, p):
+        calls["bilinear"] += 1
+        assert _is_residues(X, p) and _is_residues(Y, p) and _is_residues(T, p), \
+            sys._getframe(1).f_code.co_name
+        return bl(X, Y, T, p)
+
+    for mod in (fp, gma, localring, pinklie):
+        for name, wrapper in (("matmul_mod", checked_mm), ("bilinear", checked_bl)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
+    f9_gens = ("[[1,0,0,0,1,0,0,0,1,0,0,0,0,0,2,0,0,0,1,0,0,0,1,0],"
+               "[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,0,0,0,0,0],"
+               "[0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,1,0,0,0,0]]")
+    for argv in (["verify", "--seed", "1"], ["example8", "--p", "3", "--k", "4"],
+                 ["analyze", "--q", "9", "--k", "3", "--gens", f9_gens]):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    assert calls["matmul_mod"] > 1000 and calls["bilinear"] > 1000
 
 
 def _products_by_loop(U, V, T, p):

@@ -141,6 +141,35 @@ def test_large_field_table_on_sampled_pairs(p, f):
     assert fq.mul_table[a, b].tolist() == want
 
 
+def _field_product(a, b, fq):
+    """a·b in F_q on codes, in Python ints: digits, the schoolbook product,
+    then the monic modulus taken off from the top degree down."""
+    p, f, poly = fq.p, fq.f, fq.poly
+    da = [a // p ** i % p for i in range(f)]
+    db = [b // p ** i % p for i in range(f)]
+    c = [0] * (2 * f - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            c[i + j] += x * y
+    for d in range(2 * f - 2, f - 1, -1):
+        for j in range(f):
+            c[d - f + j] -= c[d] * poly[j]
+    return sum(x % p * p ** i for i, x in enumerate(c[:f]))
+
+
+@pytest.mark.parametrize("p, f", [(3, 2), (5, 2), (3, 3), (3, 5), (2, 12)])
+def test_field_table_equals_python_int_products(p, f):
+    # the table is filled by `fp.matmul_mod`; q = 9, 25, 27, 243, 4096, every
+    # pair up to 243 and 20,000 of them at 4096
+    fq = FqData(p, f)
+    if fq.q <= 243:
+        a, b = np.indices((fq.q, fq.q)).reshape(2, -1)
+    else:
+        a, b = np.random.default_rng(fq.q).integers(0, fq.q, (2, 20_000))
+    want = [_field_product(x, y, fq) for x, y in zip(a.tolist(), b.tolist())]
+    assert fq.mul_table[a, b].tolist() == want
+
+
 def test_field_table_is_fast():
     # filled pair by pair in a Python double loop, FqData(3, 6) took 3.7 s
     start = time.perf_counter()

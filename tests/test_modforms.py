@@ -315,6 +315,33 @@ def test_series_mul_leaves_its_operands_unchanged(p):
     assert np.array_equal(g.coeffs_array(), before[1])
 
 
+@pytest.mark.parametrize("p", [3, 65521])
+def test_reduced_results_are_kept_not_copied(p):
+    # FpSeries.__init__ reduced every array mod p into a new one, even the
+    # slice `truncate` passes and the products, shifts and sums made here
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, p, (2, 1000))
+    a[0] = b[0] = p - 1
+    f, g = FpSeries(p, 999, coef=a), FpSeries(p, 999, coef=b)
+    t = f.truncate(499)
+    assert np.shares_memory(t.coef, f.coef)
+    assert t.deg == 499 and t.coef.tolist() == a[:500].tolist()
+    ao, bo = a.astype(object), b.astype(object)
+    assert series_mul(f, g).coef.tolist() == (np.convolve(ao, bo)[:1000] % p).tolist()
+    assert series_mul(f, f).coef.tolist() == (np.convolve(ao, ao)[:1000] % p).tolist()
+    assert f.shift(3).coef.tolist() == [0, 0, 0] + a.tolist()
+    assert (f + g).coef.tolist() == ((ao + bo) % p).tolist()
+    assert (f - g).coef.tolist() == ((ao - bo) % p).tolist()
+    assert f.scale(-2).coef.tolist() == ((-2 * ao) % p).tolist()
+    assert f.dilate(3, out_deg=2000).coef.tolist() == [
+        int(a[n // 3]) if n % 3 == 0 else 0 for n in range(2001)]
+    for h in (t, series_mul(f, g), f.shift(3), f + g, f.scale(5), f.dilate(2)):
+        assert h.coef.dtype == np.int64 and len(h.coef) == h.deg + 1
+    # the public constructor still reduces what it is given
+    assert FpSeries(p, 4, coef=[-1, p, 2 * p + 5, 10 ** 12]).coef.tolist() == [
+        p - 1, 0, 5 % p, 10 ** 12 % p, 0]
+
+
 @pytest.mark.parametrize("p, bound", [(5, 12), (65521, 17)])
 def test_series_mul_memory_beyond_its_operands(p, bound):
     # the full-length product peaked at 14.4 and 20.8 operands here.
