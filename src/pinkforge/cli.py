@@ -201,10 +201,11 @@ def _check_ring_axioms(seed):
         from .localring import hensel_sqrt
         sq_ok = True
         if A.p > 2 and A.p ** A.maxideal.dim <= 3 ** 5:
-            one_plus_m = [(A.one + v) % A.p for v in A.maxideal.enumerate()]
+            one_plus_m = (A.one + A.maxideal.enumerate()) % A.p
+            squares = A.batch_mul(one_plus_m, one_plus_m)
             for x in one_plus_m:
                 y = hensel_sqrt(A, x).v
-                roots = [u for u in one_plus_m if np.array_equal(A.mul_vec(u, u), x)]
+                roots = one_plus_m[(squares == x).all(axis=1)]
                 if len(roots) != 1 or not np.array_equal(roots[0], y):
                     sq_ok = False
         this = assoc and distr and units_ok and sq_ok

@@ -110,11 +110,10 @@ def full_antidiag_rows(R, ideal_vectors):
     za = np.zeros(R.A.dim, dtype=np.int64)
     zb = np.zeros(R.db, dtype=np.int64)
     zc = np.zeros(R.dc, dtype=np.int64)
+    eb, ec = np.eye(R.db, dtype=np.int64), np.eye(R.dc, dtype=np.int64)
     for a in ideal_vectors:
-        for e in np.eye(R.db, dtype=np.int64):
-            rows.append(R.assemble(za, R.module_act(a, e[None, :], "b")[0], zc, za))
-        for e in np.eye(R.dc, dtype=np.int64):
-            rows.append(R.assemble(za, zb, R.module_act(a, e[None, :], "c")[0], za))
+        rows.extend(R.assemble(za, b, zc, za) for b in R.module_act(a, eb, "b"))
+        rows.extend(R.assemble(za, zb, c, za) for c in R.module_act(a, ec, "c"))
     return rows
 
 

@@ -204,8 +204,9 @@ class FqData:
         self.mul_table = np.empty((self.q, self.q), dtype=np.int64)
         block = max(1, (1 << 20) // (self.q * f))
         for s in range(0, self.q, block):
+            # residues already: weight the digits without `encode`'s `% p`
             prods = matmul_mod(D[s:s + block], shifted, p)
-            self.mul_table[s:s + block] = self.encode(prods.reshape(-1, self.q, f))
+            self.mul_table[s:s + block] = prods.reshape(-1, self.q, f) @ p ** np.arange(f)
 
     def digits(self, codes):
         """Base-p digits of codes, lowest first, on a new last axis."""

@@ -588,11 +588,9 @@ def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants):
     consts = [np.asarray(v, dtype=np.int64) % p for v in gbar_constants]
     # the constant subgroup must normalize L
     for s in consts:
-        sinv = R.inv_vec(s)
-        for v in L.basis:
-            conj = R.mul_vec(s, R.mul_vec(v, sinv))
-            if not L.contains(conj):
-                raise CheckFailed("constant subgroup does not normalize L")
+        conj = R.batch_mul_elem_left(s, R.batch_mul_elem(L.basis, R.inv_vec(s)))
+        if not L.contains(conj).all():
+            raise CheckFailed("constant subgroup does not normalize L")
     prods = np.concatenate([R.batch_mul_elem(Gamma.elements, s) for s in consts])
     _, first = np.unique(row_key(prods, p), return_index=True)
     G = FiniteMatrixGroup(R, prods[np.sort(first)])

@@ -338,3 +338,31 @@ def test_a_report_tests_sr1_membership_once_per_group(monkeypatch):
     calls = _count_calls(monkeypatch)
     d = _report(["analyze", "--q", "3", "--k", "4", "--gens-preset", "example8"])
     assert calls == {"sr1": [d["group_order"]], "generate": 1}
+
+
+def test_verify_makes_no_row_at_a_time_products(monkeypatch):
+    """`pink verify --seed 1` batches its GMA products: the kernel calls it
+    makes stay at or below the counts recorded here (4,525 `bilinear`, 600
+    GMA `mul_vec` and 492 `module_act` calls when each product summed the
+    component rule block by block and the radical, the antidiagonal blocks
+    and the normaliser check went one row at a time)."""
+    from pinkforge import fp
+    from pinkforge.gma import GmaStructure
+    calls = {"bilinear": 0, "mul_vec": 0, "module_act": 0}
+    bilinear = fp.bilinear
+
+    def counted_bilinear(*args):
+        calls["bilinear"] += 1
+        return bilinear(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pinkforge") and getattr(mod, "bilinear", None) is bilinear:
+            monkeypatch.setattr(mod, "bilinear", counted_bilinear)
+    for method in ("mul_vec", "module_act"):
+        def counted(self, *args, _method=method, _fn=getattr(GmaStructure, method)):
+            calls[_method] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(GmaStructure, method, counted)
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--seed", "1"]) == 0
+    assert calls["bilinear"] <= 2137 and calls["mul_vec"] <= 36 and calls["module_act"] <= 154, calls

@@ -11,7 +11,7 @@ from pinkforge.gma import (
     m2_structure,
     reduced_residue_gma,
 )
-from pinkforge.localring import make_truncated_poly_ring
+from pinkforge.localring import FiniteAlgebra, make_truncated_poly_ring
 
 
 def zero_pairing_gma(A, dim_mod=1):
@@ -270,16 +270,17 @@ def test_semilocal_radical_profile():
 
 
 def _component_rule(R, x, y):
-    """The displayed product rule on one pair of rows."""
+    """The displayed product rule on one pair of rows, or row by row on two
+    equal stacks of rows."""
     ein = np.einsum
     a, b, c, d = R.comps(x)
     a2, b2, c2, d2 = R.comps(y)
     mt = R.A.mul_tensor
-    na = ein("i,j,ijk->k", a, a2, mt) + ein("k,l,kli->i", b, c2, R.pairing)
-    nb = ein("i,k,ikj->j", a, b2, R.act_b) + ein("i,k,ikj->j", d2, b, R.act_b)
-    nc = ein("i,k,ikj->j", a2, c, R.act_c) + ein("i,k,ikj->j", d, c2, R.act_c)
-    nd = ein("i,j,ijk->k", d, d2, mt) + ein("k,l,kli->i", b2, c, R.pairing)
-    return np.concatenate([na, nb, nc, nd]) % R.p
+    na = ein("...i,...j,ijk->...k", a, a2, mt) + ein("...k,...l,kli->...i", b, c2, R.pairing)
+    nb = ein("...i,...k,ikj->...j", a, b2, R.act_b) + ein("...i,...k,ikj->...j", d2, b, R.act_b)
+    nc = ein("...i,...k,ikj->...j", a2, c, R.act_c) + ein("...i,...k,ikj->...j", d, c2, R.act_c)
+    nd = ein("...i,...j,ijk->...k", d, d2, mt) + ein("...k,...l,kli->...i", b2, c, R.pairing)
+    return np.concatenate([na, nb, nc, nd], axis=-1) % R.p
 
 
 def _component_det(R, x):
@@ -288,23 +289,46 @@ def _component_det(R, x):
             - np.einsum("k,l,kli->i", b, c, R.pairing)) % R.p
 
 
+def _dual_numbers(p):
+    """F_p[eps] as a bare algebra: no residue-field table, so any p < 2^31."""
+    T = np.zeros((2, 2, 2), dtype=np.int64)
+    T[0, 0, 0] = T[0, 1, 1] = T[1, 0, 1] = 1
+    return FiniteAlgebra(p, T, [1, 0], meta={"kind": "dual"})
+
+
 def test_products_and_det_match_the_component_rule():
     from pinkforge.instances import structure_parameter_sets
     structures = [build()["R"] for _, build in structure_parameter_sets()]
     structures.append(m2_structure(make_truncated_poly_ring(9, 3)))
+    # M_2(F_p[eps]), D = 8: at 65521, 64·(p-1)^3 >= 2^53, so `bilinear`
+    # reduces its intermediate, and at 257 it does not
+    structures += [m2_structure(_dual_numbers(p)) for p in (257, 65521)]
     rng = np.random.default_rng(11)
     for R in structures:
-        X = rng.integers(0, R.p, size=(40, R.dim))
-        Y = rng.integers(0, R.p, size=(40, R.dim))
+        top = np.full((1, R.dim), R.p - 1)
+        X = np.vstack([rng.integers(0, R.p, size=(40, R.dim)), top])
+        Y = np.vstack([rng.integers(0, R.p, size=(40, R.dim)), top])
         want = np.array([_component_rule(R, x, y) for x, y in zip(X, Y)])
         assert np.array_equal(R.batch_mul(X, Y), want), R.name
         assert np.array_equal(np.array([R.mul_vec(x, y) for x, y in zip(X, Y)]), want)
+        # one row against many, both ways round
+        assert np.array_equal(R.batch_mul(X[0], Y), [_component_rule(R, X[0], y) for y in Y])
+        assert np.array_equal(R.batch_mul(X, Y[0]), [_component_rule(R, x, Y[0]) for x in X])
         assert np.array_equal(R.batch_mul_elem(X, Y[0]),
                               [_component_rule(R, x, Y[0]) for x in X])
         assert np.array_equal(R.batch_mul_elem_left(X[0], Y),
                               [_component_rule(R, X[0], y) for y in Y])
         assert np.array_equal(R.batch_det(X), [_component_det(R, x) for x in X])
         assert np.array_equal(R.det_vec(X[3]), _component_det(R, X[3]))
+    # D = 16: 5,000 rows cross `bilinear`'s blocks of 2^23 / (8·16·16) = 4,096
+    R = m2_structure(make_truncated_poly_ring(3, 4))
+    X = rng.integers(0, 3, size=(5000, R.dim))
+    Y = rng.integers(0, 3, size=(5000, R.dim))
+    got = R.batch_mul(X, Y)
+    assert np.array_equal(got, _component_rule(R, X, Y))
+    assert np.array_equal(R.batch_mul(X[7], Y), _component_rule(R, X[7], Y))
+    for n in (0, 4095, 4096, 4999):
+        assert np.array_equal(R.mul_vec(X[n], Y[n]), got[n])
 
 
 def _loop_validate(A, act_b, act_c, pairing):
@@ -437,11 +461,11 @@ def test_reduced_residue_gma_matches_the_loops(q, k):
 
 
 def _mul_tensor_by_products(R):
-    """The structure tensor as built before the blocks were placed: one
-    `batch_mul` of every ordered pair of basis vectors."""
+    """The structure tensor from the displayed rule on every ordered pair of
+    basis vectors (`batch_mul` contracts with the tensor itself)."""
     D = R.dim
     E = np.eye(D, dtype=np.int64)
-    return R.batch_mul(np.repeat(E, D, axis=0), np.tile(E, (D, 1))).reshape(D, D, D)
+    return _component_rule(R, np.repeat(E, D, axis=0), np.tile(E, (D, 1))).reshape(D, D, D)
 
 
 @pytest.mark.parametrize("q, k", [(3, 4), (9, 3), (5, 3)])
@@ -449,3 +473,103 @@ def test_mul_tensor_blocks_equal_the_basis_products(q, k):
     A = make_truncated_poly_ring(q, k)
     for R in (m2_structure(A), reduced_residue_gma(A)):
         assert np.array_equal(R.mul_tensor, _mul_tensor_by_products(R)), R.name
+
+
+def _radical_rows_by_loop(R):
+    """The rows `radical` spans, with one `module_act` call per basis row of
+    B and C (the loop before it took the identity block whole), and the
+    number of scaling vectors."""
+    from pinkforge.gma import _lift_block
+    from pinkforge.localring import SemiLocalRing
+    A = R.A
+    factors = A.factors if isinstance(A, SemiLocalRing) else [A]
+    rows, n_scale = [], 0
+    za, zb, zc = (np.zeros(n, dtype=np.int64) for n in (R.da, R.db, R.dc))
+    for i, (fac, tag) in enumerate(zip(factors, R.radical_profile())):
+        if isinstance(A, SemiLocalRing):
+            mrows = [_lift_block(r, A.offsets[i], A.dim) for r in fac.maxideal.basis]
+            onei = _lift_block(fac.one, A.offsets[i], A.dim)
+        else:
+            mrows, onei = list(fac.maxideal.basis), fac.one
+        for mr in mrows:
+            rows.append(R.assemble(mr, zb, zc, za))
+            rows.append(R.assemble(za, zb, zc, mr))
+        for s in (mrows if tag == "matrix" else [onei]):
+            n_scale += 1
+            rows.extend(R.assemble(za, R.module_act(s, b[None, :], "b")[0], zc, za)
+                        for b in np.eye(R.db, dtype=np.int64))
+            rows.extend(R.assemble(za, zb, R.module_act(s, c[None, :], "c")[0], za)
+                        for c in np.eye(R.dc, dtype=np.int64))
+    return rows, n_scale
+
+
+def _full_antidiag_rows_by_loop(R, ideal_vectors):
+    """`instances.full_antidiag_rows` with one `module_act` call per basis row."""
+    rows = []
+    za, zb, zc = (np.zeros(n, dtype=np.int64) for n in (R.da, R.db, R.dc))
+    for a in ideal_vectors:
+        for e in np.eye(R.db, dtype=np.int64):
+            rows.append(R.assemble(za, R.module_act(a, e[None, :], "b")[0], zc, za))
+        for e in np.eye(R.dc, dtype=np.int64):
+            rows.append(R.assemble(za, zb, R.module_act(a, e[None, :], "c")[0], za))
+    return rows
+
+
+def _row_list_structures():
+    from pinkforge.localring import SemiLocalRing
+    return [m2_structure(make_truncated_poly_ring(3, 3)),
+            m2_structure(make_truncated_poly_ring(9, 2)),
+            reduced_residue_gma(make_truncated_poly_ring(3, 3)),
+            reduced_residue_gma(make_truncated_poly_ring(25, 2)),
+            m2_structure(SemiLocalRing([make_truncated_poly_ring(3, 2),
+                                        make_truncated_poly_ring(3, 1)])),
+            m2_structure(SemiLocalRing([make_truncated_poly_ring(5, 2),
+                                        make_truncated_poly_ring(25, 2)]))]
+
+
+def _count_module_act(monkeypatch, R):
+    calls = []
+    act = R.module_act
+
+    def counted(a, M, which):
+        calls.append(len(np.atleast_2d(M)))
+        return act(a, M, which)
+    monkeypatch.setattr(R, "module_act", counted)
+    return calls
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_radical_rows_equal_the_one_row_loop(monkeypatch, i):
+    from pinkforge import gma
+    R = _row_list_structures()[i]
+    want, n_scale = _radical_rows_by_loop(R)
+    spanned = []
+    subspace = gma.FpSubspace
+
+    def recorded(p, n, vectors=()):
+        spanned.append(list(vectors))
+        return subspace(p, n, vectors)
+    monkeypatch.setattr(gma, "FpSubspace", recorded)
+    calls = _count_module_act(monkeypatch, R)
+    rad = R.radical()
+    got = spanned[-1]
+    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert rad == FpSubspace(R.p, R.dim, want)
+    assert len(calls) <= 2 * n_scale
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_full_antidiag_rows_equal_the_one_row_loop(monkeypatch, i):
+    from pinkforge.instances import full_antidiag_rows, ideal_block_rows
+    from pinkforge.localring import SemiLocalRing
+    R = _row_list_structures()[i]
+    A = R.A
+    ideal = A.radical.basis if isinstance(A, SemiLocalRing) else A.maxideal.basis
+    for vectors in ([A.one], list(ideal)):
+        want = _full_antidiag_rows_by_loop(R, vectors)
+        got = full_antidiag_rows(R, vectors)
+        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+        calls = _count_module_act(monkeypatch, R)
+        ideal_block_rows(R, vectors)
+        assert len(calls) <= 2 * len(vectors)
+        monkeypatch.undo()

@@ -464,6 +464,24 @@ def test_example_full_pipeline_forward_check(example_family):
     assert dec.decomposable and not dec.strongly
 
 
+@pytest.mark.parametrize("q, k", [(3, 2), (3, 3), (9, 2)])
+def test_a_constant_that_does_not_normalise_L_is_refused(q, k):
+    # L = diag(m, -m) is normalised by diagonal constants, not by the
+    # unipotent [[1, 1], [0, 1]]: conjugating diag(x, -x) puts -2x above
+    # the diagonal
+    from pinkforge.instances import const_diag, const_matrix, diag_rows
+    from pinkforge.pinklie import build_group_from_lie
+    A = make_truncated_poly_ring(q, k)
+    R = m2_structure(A)
+    rows = diag_rows(R, list(A.maxideal.basis))
+    G, _, _ = build_group_from_lie("order2", R, rows, [R.one, const_diag(R, 1, A.p - 1)])
+    assert G.n == 2 * q ** (k - 1)
+    for consts in ([const_matrix(R, ((1, 1), (0, 1)))],
+                   [R.one, const_diag(R, 1, A.p - 1), const_matrix(R, ((1, 0), (1, 1)))]):
+        with pytest.raises(CheckFailed, match="constant subgroup does not normalize L"):
+            build_group_from_lie("order2", R, rows, consts)
+
+
 def test_forward_check_subfield_choice():
     # over F25 both the prime subfield and the full field satisfy the
     # gcd condition for the projective dihedral class; the shape check must
