@@ -4,15 +4,8 @@ densities at level one."""
 
 __version__ = "0.1.0"
 
-from .localring import (  # noqa: F401
-    LocalRing,
-    RingElem,
-    SemiLocalRing,
-    hensel_sqrt,
-    invert,
-    make_truncated_poly_ring,
-)
-from .gma import GmaElem, GmaStructure, m2_structure, reduced_residue_gma  # noqa: F401
+from .localring import LocalRing, SemiLocalRing, make_truncated_poly_ring  # noqa: F401
+from .gma import GmaStructure, m2_structure, reduced_residue_gma  # noqa: F401
 from .pseudorep import FiniteMatrixGroup, PseudoRep  # noqa: F401
 from .pinklie import (  # noqa: F401
     LieSubspace,

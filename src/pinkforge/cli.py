@@ -29,7 +29,7 @@ from . import __version__
 from .errors import CheckFailed, InvalidInput, TooLarge
 from .fp import FpSubspace, row_key, saturate
 from .gma import m2_structure, m2_quotient_map, reduced_residue_gma
-from .localring import factor_prime_power, is_prime, make_truncated_poly_ring
+from .localring import batch_sqrt_one_plus_m, factor_prime_power, is_prime, make_truncated_poly_ring
 from .modforms import (
     P_LIMIT,
     cyclotomic_test,
@@ -198,13 +198,11 @@ def _check_ring_axioms(seed):
         ideal_mask = np.array([A.maxideal.contains(v) for v in elems])
         units_ok = bool((unit_mask ^ ideal_mask).all())
         # square roots on 1+m: existence and uniqueness by exhaustion
-        from .localring import hensel_sqrt
         sq_ok = True
         if A.p > 2 and A.p ** A.maxideal.dim <= 3 ** 5:
             one_plus_m = (A.one + A.maxideal.enumerate()) % A.p
             squares = A.batch_mul(one_plus_m, one_plus_m)
-            for x in one_plus_m:
-                y = hensel_sqrt(A, x).v
+            for x, y in zip(one_plus_m, batch_sqrt_one_plus_m(A, one_plus_m)):
                 roots = one_plus_m[(squares == x).all(axis=1)]
                 if len(roots) != 1 or not np.array_equal(roots[0], y):
                     sq_ok = False
@@ -391,7 +389,7 @@ def _check_complements(seed):
     xs = np.zeros(A.dim, dtype=np.int64)
     xs[2] = 1   # X^2 generates the truncation ideal
     Rq, apply = m2_quotient_map(R, [xs])
-    Lq = generate_sr1(Rq, apply(np.array([ex.g.v, ex.h.v])))[1]
+    Lq = generate_sr1(Rq, apply(np.array([ex.g, ex.h])))[1]
     ok_functo = True
     for n in range(4):
         pushed = FpSubspace(Rq.p, Rq.dim, apply(series[n].basis)) if series[n].dim \
@@ -603,8 +601,7 @@ def cmd_analyze(args):
     if A.p ** A.dim > MAX_RING_ELEMENTS:
         raise TooLarge("ring too large to enumerate")
     R = m2_structure(A)
-    gens = [*example8_generators(R), R.j_elem()] if rows is None \
-        else [R.elem(r) for r in rows]
+    gens = np.array([*example8_generators(R), R.J]) if rows is None else rows
     G = FiniteMatrixGroup.generate(R, gens, cap=args.cap)
     Gamma, L = gamma_and_lie(G)
     lie = _lie_report(G, Gamma, L)
@@ -618,7 +615,7 @@ def cmd_analyze(args):
         "version": __version__,
         "config": {"q": args.q, "k": args.k, "cap": args.cap,
                    "gens_preset": args.gens_preset},
-        "generators": [g.v.tolist() for g in gens],
+        "generators": gens.tolist(),
         "ring": A.descriptor(),
         "residual_class": residual_class,
         "group_order": G.n,

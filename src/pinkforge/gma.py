@@ -1,8 +1,8 @@
 """Generalized 2x2 matrix algebras over a finite local or semi-local base.
 
-An element is a formal matrix (a, b, c, d) with a, d in the base ring A and
-b, c in finite A-modules B, C glued by a bilinear pairing B x C -> A.  The
-product rule is
+An element is a formal matrix (a, b, c, d), held as the flat coordinate row
+[a | b | c | d], with a, d in the base ring A and b, c in finite A-modules
+B, C glued by a bilinear pairing B x C -> A.  The product rule is
 
     (a,b,c,d)(a',b',c',d') = (aa'+m(b,c'), ab'+d'b, a'c+dc', dd'+m(b',c))
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CheckFailed
 from .fp import FpSubspace, bilinear, matmul_mod, span_products
-from .localring import LocalRing, RingElem, SemiLocalRing, check_tensor_size
+from .localring import LocalRing, SemiLocalRing, check_tensor_size
 
 
 class GmaStructure:
@@ -205,28 +205,6 @@ class GmaStructure:
     def is_unit(self, x):
         return self.A.is_unit_vec(self.det_vec(x))
 
-    def elem(self, a, b=None, c=None, d=None):
-        if b is None:
-            v = np.asarray(a, dtype=np.int64) % self.p
-            if v.shape != (self.dim,):
-                raise ValueError("flat coordinate length mismatch")
-            return GmaElem(self, v)
-
-        def conv(x, n):
-            w = x.v if isinstance(x, RingElem) else np.asarray(x, dtype=np.int64)
-            if w.shape != (n,):
-                raise ValueError("component length mismatch")
-            return w % self.p
-
-        return GmaElem(self, self.assemble(conv(a, self.da), conv(b, self.db),
-                                           conv(c, self.dc), conv(d, self.da)))
-
-    def identity(self):
-        return GmaElem(self, self.one)
-
-    def j_elem(self):
-        return GmaElem(self, self.J)
-
     # -- radical ---------------------------------------------------------------
     def bc_ideal(self):
         """The ideal of A spanned by pairing values m(B, C)."""
@@ -311,58 +289,6 @@ def _lift_block(v, off, dim):
     out = np.zeros(dim, dtype=np.int64)
     out[off:off + len(v)] = v
     return out
-
-
-class GmaElem:
-    """Element of a GmaStructure in flat [a | b | c | d] coordinates."""
-
-    __slots__ = ("R", "v")
-
-    def __init__(self, R, v):
-        self.R = R
-        self.v = np.asarray(v, dtype=np.int64) % R.p
-        self.v.setflags(write=False)
-
-    def __mul__(self, other):
-        if not isinstance(other, GmaElem) or other.R is not self.R:
-            raise CheckFailed("product of elements of different GMAs")
-        return GmaElem(self.R, self.R.mul_vec(self.v, other.v))
-
-    def __add__(self, other):
-        return GmaElem(self.R, (self.v + other.v) % self.R.p)
-
-    def __sub__(self, other):
-        return GmaElem(self.R, (self.v - other.v) % self.R.p)
-
-    def __neg__(self):
-        return GmaElem(self.R, (-self.v) % self.R.p)
-
-    def __pow__(self, e):
-        if e < 0:
-            return GmaElem(self.R, self.R.inv_vec(self.v)) ** (-e)
-        r = GmaElem(self.R, self.R.one)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
-    def inverse(self):
-        return GmaElem(self.R, self.R.inv_vec(self.v))
-
-    def __eq__(self, other):
-        return isinstance(other, GmaElem) and other.R is self.R and np.array_equal(self.v, other.v)
-
-    def __hash__(self):
-        return hash((id(self.R), self.v.tobytes()))
-
-    def __repr__(self):
-        A = self.R.A
-        a, b, c, d = self.R.comps(self.v)
-        return (f"[[{A.format_vec(a)}, b{list(map(int, b))}], "
-                f"[c{list(map(int, c))}, {A.format_vec(d)}]]")
 
 
 # -- standard constructions ----------------------------------------------------

@@ -20,8 +20,8 @@ def diagonal_gma(A):
 def const_diag(R, lam, mu):
     """Constant diagonal matrix diag(s(lam), s(mu))."""
     A = R.A
-    return R.assemble(A.constant(lam).v, np.zeros(R.db, dtype=np.int64),
-                      np.zeros(R.dc, dtype=np.int64), A.constant(mu).v)
+    return R.assemble(A.constant(lam), np.zeros(R.db, dtype=np.int64),
+                      np.zeros(R.dc, dtype=np.int64), A.constant(mu))
 
 
 def const_matrix(R, entries):
@@ -31,7 +31,7 @@ def const_matrix(R, entries):
     if R.db != A.dim or R.dc != A.dim:
         raise ValueError("full matrix constants need B = C = A")
     (a, b), (c, d) = entries
-    return R.assemble(A.constant(a).v, A.constant(b).v, A.constant(c).v, A.constant(d).v)
+    return R.assemble(A.constant(a), A.constant(b), A.constant(c), A.constant(d))
 
 
 def gl2_constants(R, gens):

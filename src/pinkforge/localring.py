@@ -1,12 +1,13 @@
 """Finite commutative F_p-algebras: local rings, their products, and the
-basic analytic toolkit (unit inversion, square roots of 1+m by Newton
-iteration, the multiplicative constants section of the residue field).
+basic analytic toolkit (unit inversion, square roots on 1 + rad A by the
+power map, the multiplicative constants section of the residue field).
 
 A ring is presented by an ordered F_p-basis and a structure-constant
-tensor.  Every element is a coefficient vector mod p.  All rings here are
-finite with p·A = 0, so the maximal ideal is nilpotent, additive subgroups
-are F_p-subspaces, and the constants section of A -> A/m is a genuine
-field embedding F_q -> A (the fixed points of x -> x^q).
+tensor.  An element is its coefficient row mod p, the one representation.
+All rings here are finite with p·A = 0, so the maximal ideal is nilpotent,
+additive subgroups are F_p-subspaces, and the constants section of
+A -> A/m is a genuine field embedding F_q -> A (the fixed points of
+x -> x^q).
 """
 
 import math
@@ -266,15 +267,6 @@ class FiniteAlgebra:
         S = self.mul_tensor.transpose(1, 0, 2).reshape(D, D * D)
         return matmul_mod(X, matmul_mod(y, S, self.p).reshape(D, D), self.p)
 
-    def pow_vec(self, x, e):
-        r, b = self.one.copy(), x % self.p
-        while e:
-            if e & 1:
-                r = self.mul_vec(r, b)
-            b = self.mul_vec(b, b)
-            e >>= 1
-        return r
-
     def batch_pow(self, X, e):
         R = np.tile(self.one, (X.shape[0], 1))
         B = X % self.p
@@ -292,22 +284,10 @@ class FiniteAlgebra:
     def invert_vec(self, x):
         z = solve(self.mulmat(x), self.one, self.p)
         if z is None or not np.array_equal(self.mul_vec(x, z), self.one):
-            raise CheckFailed(f"{self.elem(x)} is not invertible")
+            raise CheckFailed(f"{self.format_vec(np.asarray(x) % self.p)} is not invertible")
         return z
 
     # -- elements ----------------------------------------------------------
-    def elem(self, coeffs):
-        v = np.array(coeffs, dtype=np.int64) % self.p
-        if v.shape != (self.dim,):
-            raise ValueError("coefficient length mismatch")
-        return RingElem(self, v)
-
-    def one_elem(self):
-        return RingElem(self, self.one)
-
-    def scalar(self, k):
-        return RingElem(self, (self.one * (int(k) % self.p)) % self.p)
-
     def elements(self, cap=None):
         """All p^dim elements as an array; guard with cap."""
         if cap is not None and self.p ** self.dim > cap:
@@ -325,74 +305,6 @@ class FiniteAlgebra:
 
     def descriptor(self):
         return dict(self.meta, p=self.p, dim=self.dim)
-
-
-class RingElem:
-    """Immutable element of a FiniteAlgebra: a coefficient vector."""
-
-    __slots__ = ("ring", "v")
-
-    def __init__(self, ring, v):
-        self.ring = ring
-        self.v = np.asarray(v, dtype=np.int64) % ring.p
-        self.v.setflags(write=False)
-
-    def _coerce(self, other):
-        if isinstance(other, RingElem):
-            if other.ring is not self.ring:
-                raise ValueError("elements of different rings")
-            return other.v
-        if isinstance(other, (int, np.integer)):
-            return (self.ring.one * (int(other) % self.ring.p)) % self.ring.p
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._coerce(other)
-        return RingElem(self.ring, (self.v + w) % self.ring.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._coerce(other)
-        return RingElem(self.ring, (self.v - w) % self.ring.p)
-
-    def __rsub__(self, other):
-        w = self._coerce(other)
-        return RingElem(self.ring, (w - self.v) % self.ring.p)
-
-    def __mul__(self, other):
-        w = self._coerce(other)
-        return RingElem(self.ring, self.ring.mul_vec(self.v, w))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RingElem(self.ring, (-self.v) % self.ring.p)
-
-    def __pow__(self, e):
-        if e < 0:
-            return RingElem(self.ring, self.ring.pow_vec(self.ring.invert_vec(self.v), -e))
-        return RingElem(self.ring, self.ring.pow_vec(self.v, e))
-
-    def inverse(self):
-        return RingElem(self.ring, self.ring.invert_vec(self.v))
-
-    def is_unit(self):
-        return self.ring.is_unit_vec(self.v)
-
-    def is_zero(self):
-        return not self.v.any()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, np.integer)):
-            other = self.ring.scalar(other)
-        return isinstance(other, RingElem) and self.ring is other.ring and np.array_equal(self.v, other.v)
-
-    def __hash__(self):
-        return hash((id(self.ring), self.v.tobytes()))
-
-    def __repr__(self):
-        return self.ring.format_vec(self.v)
 
 
 class LocalRing(FiniteAlgebra):
@@ -437,14 +349,11 @@ class LocalRing(FiniteAlgebra):
 
     def constant(self, lam):
         """The multiplicative constants section s: F_q -> A at the code lam."""
-        return RingElem(self, self.fq.digits(lam) @ self.embed % self.p)
+        return self.fq.digits(lam) @ self.embed % self.p
 
     def constants(self):
         """All q constants s(F_q), as a (q, dim) array."""
         return self.fq.digits(np.arange(self.fq.q)) @ self.embed % self.p
-
-    def in_one_plus_m(self, x):
-        return self.maxideal.contains((np.asarray(x) - self.one) % self.p)
 
     def fq_coords(self, x):
         """Coordinates of x in the F_q-basis (block layout only)."""
@@ -542,34 +451,6 @@ def _monomial_name(i, j):
     return (a + ("*" if a and x else "") + x) or "1"
 
 
-def invert(A, x):
-    """Inverse of a unit; CheckFailed for elements of the maximal ideal."""
-    if isinstance(x, RingElem):
-        return RingElem(A, A.invert_vec(x.v))
-    return RingElem(A, A.invert_vec(np.asarray(x)))
-
-
-def hensel_sqrt(A, x):
-    """Unique square root in 1+m of x in 1+m, p odd.
-
-    Newton iteration y <- (y + x/y)/2 starting at 1; quadratic convergence
-    in the m-adic filtration, so ceil(log2(nilpotency))+1 steps suffice.
-    """
-    if A.p == 2:
-        raise CheckFailed("square roots in 1+m need p odd")
-    v = x.v if isinstance(x, RingElem) else np.asarray(x, dtype=np.int64) % A.p
-    if not A.in_one_plus_m(v):
-        raise CheckFailed("argument not in 1 + m")
-    inv2 = pow(2, -1, A.p)
-    y = A.one.copy()
-    steps = max(1, int(np.ceil(np.log2(max(A.nilpotency, 2)))) + 1)
-    for _ in range(steps):
-        y = (y + A.mul_vec(v, A.invert_vec(y))) * inv2 % A.p
-    if not np.array_equal(A.mul_vec(y, y), v):
-        raise CheckFailed("Newton iteration failed to converge")
-    return RingElem(A, y)
-
-
 def _one_plus_m_exponent(A):
     """p^j, the least power of p at or above the nilpotency index N of the
     radical (the largest over a product's factors).  It kills 1 + rad A: for
@@ -584,14 +465,18 @@ def _one_plus_m_exponent(A):
 
 
 def batch_sqrt_one_plus_m(A, X):
-    """Square roots in 1+m for rows of X, via the power map.
+    """The square roots in 1+m (1 + rad A for a product) of the rows of X,
+    via the power map; CheckFailed for a row outside 1+m.
 
     1+m is a p-group killed by p^j (`_one_plus_m_exponent`), so for p odd
     squaring is invertible on it and sqrt(x) = x^((p^j + 1)/2): its square
-    is x^(p^j)·x = x.
+    is x^(p^j)·x = x.  Outside 1+m that power need not square to x.
     """
     if A.p == 2:
         raise CheckFailed("square roots in 1+m need p odd")
+    rad = A.radical if isinstance(A, SemiLocalRing) else A.maxideal
+    if not rad.contains((np.asarray(X) - A.one) % A.p).all():
+        raise CheckFailed("argument not in 1 + m")
     return A.batch_pow(X, (_one_plus_m_exponent(A) + 1) // 2)
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import CheckFailed, TooLarge
 from .fp import FpSubspace, bilinear, pair_products, row_key, saturate, span_products
-from .gma import GmaElem, GmaStructure, batch_in_SR1, m2_structure
+from .gma import GmaStructure, batch_in_SR1, m2_structure
 from .instances import ideal_block_rows
-from .localring import LocalRing, batch_sqrt_one_plus_m, hensel_sqrt, make_truncated_poly_ring
+from .localring import LocalRing, batch_sqrt_one_plus_m, make_truncated_poly_ring
 from .pseudorep import FiniteMatrixGroup, PseudoRep, _index_closure, is_admissible
 
 
@@ -31,8 +31,7 @@ def theta(R, x):
     """x - (tr x / 2)·Id; restricted to SR^1 a bijection onto (rad R)^0."""
     if R.p == 2:
         raise CheckFailed("theta needs p odd")
-    v = x.v if isinstance(x, GmaElem) else np.asarray(x, dtype=np.int64) % R.p
-    return GmaElem(R, batch_theta(R, v[None, :])[0])
+    return batch_theta(R, x)[0]
 
 
 def batch_theta(R, X):
@@ -48,12 +47,12 @@ def batch_theta(R, X):
 
 def theta_inv(R, m):
     """Inverse of theta on traceless radical elements: lands in SR^1."""
-    v = m.v if isinstance(m, GmaElem) else np.asarray(m, dtype=np.int64) % R.p
+    v = np.asarray(m, dtype=np.int64) % R.p
     if R.trace_vec(v).any():
         raise CheckFailed("theta_inv needs a traceless argument")
     if not R.in_radical(v):
         raise CheckFailed("theta_inv needs a radical argument")
-    return GmaElem(R, batch_theta_inv(R, v[None, :])[0])
+    return batch_theta_inv(R, v)[0]
 
 
 def batch_theta_inv(R, M):
@@ -86,7 +85,7 @@ class LieSubspace:
         return self.space.basis
 
     def contains(self, v):
-        return self.space.contains(v if not isinstance(v, GmaElem) else v.v)
+        return self.space.contains(v)
 
     def enumerate(self, cap=None):
         return self.space.enumerate(cap=cap)
@@ -163,8 +162,7 @@ def generate_sr1(R, gens, cap=2 * 10 ** 6):
     if R.p == 2:
         raise CheckFailed("theta needs p odd")
     p = R.p
-    gvecs = [g.v if isinstance(g, GmaElem) else np.asarray(g, dtype=np.int64) % p
-             for g in gens]
+    gvecs = [np.asarray(g, dtype=np.int64) % p for g in gens]
     S = np.array(gvecs, dtype=np.int64).reshape(-1, R.dim)
     if not batch_in_SR1(R, S).all():
         raise CheckFailed("a generator lies outside SR^1")
@@ -285,11 +283,9 @@ def star_law(R, x, y):
     """x * y = x·sqrt(1 + tr(y^2)/2) + y·sqrt(1 + tr(x^2)/2) on L."""
     p = R.p
     inv2 = pow(2, -1, p)
-    xv = x if not isinstance(x, GmaElem) else x.v
-    yv = y if not isinstance(y, GmaElem) else y.v
-    sx = hensel_sqrt(R.A, (R.A.one + R.trace_vec(R.mul_vec(xv, xv)) * inv2) % p).v
-    sy = hensel_sqrt(R.A, (R.A.one + R.trace_vec(R.mul_vec(yv, yv)) * inv2) % p).v
-    return (R.ring_scale(sy, xv[None, :])[0] + R.ring_scale(sx, yv[None, :])[0]) % p
+    halves = R.batch_trace(R.batch_mul([x, y], [x, y])) * inv2
+    sx, sy = batch_sqrt_one_plus_m(R.A, (R.A.one + halves) % p)
+    return (R.ring_scale(sy, x)[0] + R.ring_scale(sx, y)[0]) % p
 
 
 def _sqrt_scalars(R, M):
@@ -784,7 +780,7 @@ def measure_change_psi(R, L, L2, gamma):
     h is tr(J·gamma) + I_2."""
     A = R.A
     p = R.p
-    gv = gamma.v if isinstance(gamma, GmaElem) else np.asarray(gamma) % p
+    gv = np.asarray(gamma) % p
     trg = R.trace_vec(gv)
     if not A.is_unit_vec(trg):
         raise CheckFailed("tr(gamma) must be a unit")
@@ -827,8 +823,8 @@ def measure_change_psi(R, L, L2, gamma):
 class TwoGeneratorExample:
     ring: LocalRing
     R: GmaStructure
-    g: GmaElem
-    h: GmaElem
+    g: np.ndarray
+    h: np.ndarray
     Gamma: FiniteMatrixGroup
     G: FiniteMatrixGroup
     L: LieSubspace
@@ -866,9 +862,8 @@ def example8_generators(R):
         X[1] = 1
     zero = np.zeros(A.dim, dtype=np.int64)
     X2 = A.mul_vec(X, X)
-    s1 = hensel_sqrt(A, (A.one + X2) % p).v
-    s2 = hensel_sqrt(A, (A.one - X2) % p).v
-    return R.elem((X + s1) % p, zero, zero, ((-X) % p + s1) % p), R.elem(s2, X, (-X) % p, s2)
+    s1, s2 = batch_sqrt_one_plus_m(A, (A.one + np.array([X2, -X2])) % p)
+    return R.assemble(X + s1, zero, zero, s1 - X), R.assemble(s2, X, -X, s2)
 
 
 def example8(p, k, cap=2 * 10 ** 6):
@@ -880,10 +875,11 @@ def example8(p, k, cap=2 * 10 ** 6):
     A = make_truncated_poly_ring(p, k)
     R = m2_structure(A)
     g, h = example8_generators(R)
-    J = R.j_elem()
-    rel_ok = (J * g * J == g) and (J * h * J == h.inverse())
+    J = R.J
+    rel_ok = (np.array_equal(R.mul_vec(R.mul_vec(J, g), J), g)
+              and np.array_equal(R.mul_vec(R.mul_vec(J, h), J), R.inv_vec(h)))
     Gamma, L = generate_sr1(R, [g, h], cap=cap)
-    G = adjoin_normalising(Gamma, J.v, rel_ok, cap)
+    G = adjoin_normalising(Gamma, J, rel_ok, cap)
     return TwoGeneratorExample(
         ring=A, R=R, g=g, h=h, Gamma=Gamma, G=G, L=L,
         L_matches=(L == expected_example_lie(R, A)), relations_ok=bool(rel_ok),

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckFailed, TooLarge
-from .fp import FpSubspace, nullspace, row_key, span_products
-from .gma import GmaElem, GmaStructure, batch_in_SR1, m2_structure
-from .localring import LocalRing, RingElem
+from .fp import _BLOCK_BYTES, FpSubspace, nullspace, row_key, span_products
+from .gma import GmaStructure, batch_in_SR1, m2_structure
+from .localring import LocalRing
 
 
 ALGEBRA_QUOTIENT_CAP = 10 ** 4  # |group| bound for A[G]/Ker constructions
@@ -46,9 +46,10 @@ class FiniteMatrixGroup:
     def generate(cls, R, gens, cap=2 * 10 ** 6):
         """BFS closure of the generators under multiplication.  A level
         multiplies the frontier by each generator and inverse in turn and
-        keeps the first occurrence of every new element, in that order."""
-        gvecs = [g.v if isinstance(g, GmaElem) else np.asarray(g, dtype=np.int64) % R.p
-                 for g in gens]
+        keeps the first occurrence of every new element, in that order.
+        The frontier goes in row blocks of about `_BLOCK_BYTES`, so the cap
+        is reached before a level's products outgrow memory."""
+        gvecs = [np.asarray(g, dtype=np.int64) % R.p for g in gens]
         for g in gvecs:
             if not R.is_unit(g):
                 raise ValueError("generator is not invertible")
@@ -56,27 +57,23 @@ class FiniteMatrixGroup:
         seen = set(row_key(R.one[None, :], R.p).tolist())
         levels = [R.one[None, :]]
         frontier = levels[0]
+        block = max(1, _BLOCK_BYTES // (8 * R.dim))
         while len(frontier):
             new = []
             for g in gall:
-                prods = R.batch_mul_elem(frontier, g)
-                fresh = []
-                for i, k in enumerate(row_key(prods, R.p).tolist()):
-                    if k not in seen:
-                        seen.add(k)
-                        fresh.append(i)
-                new.append(prods[fresh])
-                if len(seen) > cap:
-                    raise TooLarge(f"group exceeds cap {cap}")
+                for s in range(0, len(frontier), block):
+                    prods = R.batch_mul_elem(frontier[s:s + block], g)
+                    fresh = []
+                    for i, k in enumerate(row_key(prods, R.p).tolist()):
+                        if k not in seen:
+                            seen.add(k)
+                            fresh.append(i)
+                    new.append(prods[fresh])
+                    if len(seen) > cap:
+                        raise TooLarge(f"group exceeds cap {cap}")
             frontier = np.concatenate([frontier[:0]] + new)   # no generators: empty
             levels.append(frontier)
         return cls(R, np.concatenate(levels), generators=gvecs)
-
-    def elem(self, i):
-        return GmaElem(self.R, self.elements[i])
-
-    def __iter__(self):
-        return (self.elem(i) for i in range(self.n))
 
     def __len__(self):
         return self.n
@@ -89,7 +86,7 @@ class FiniteMatrixGroup:
 
     def lookup(self, v):
         """Index of one element, or None."""
-        i = int(self.find(v.v if isinstance(v, GmaElem) else v))
+        i = int(self.find(v))
         return None if i < 0 else i
 
     def inverses(self):
@@ -287,7 +284,7 @@ def check_axioms(tr):
 
 
 def extend_to_algebra(tr, coeffs):
-    """(T, D) of an element sum_g coeffs[g]·g of A[G].
+    """(T, D), as ring rows, of an element sum_g coeffs[g]·g of A[G].
 
     T is the A-linear extension of t.  D is the unique quadratic form with
     polarization f(x, y) = T(x)T(y) - T(xy) agreeing with d on group
@@ -310,7 +307,7 @@ def extend_to_algebra(tr, coeffs):
         for h in support[gi + 1:]:
             f_gh = (A.mul_vec(tr.t[g], tr.t[h]) - tr.t[gt.table[g, h]]) % p
             Dval = (Dval + A.mul_vec(A.mul_vec(C[g], C[h]), f_gh)) % p
-    return RingElem(A, Tval), RingElem(A, Dval)
+    return Tval, Dval
 
 
 def _trace_relation_matrix(tr):
@@ -342,10 +339,7 @@ def linear_kernel(tr):
     M = _trace_relation_matrix(tr)
     K = nullspace(M, p)
     if p == 2 and K.shape[0]:
-        rows = []
-        for v in K:
-            _, Dv = extend_to_algebra(tr, v.reshape(gt.n, A.dim))
-            rows.append(Dv.v)
+        rows = [extend_to_algebra(tr, v.reshape(gt.n, A.dim))[1] for v in K]
         K2 = nullspace(np.array(rows).T, 2)
         K = (K2 @ K) % 2
     return FpSubspace(p, gt.n * A.dim, K)
@@ -632,8 +626,8 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
 
     Q = QuotientAlgebra(tr)
     x0 = Q.class_of_group_elem(g0)
-    s_lam = A.constant(lam0).v
-    s_mu = A.constant(mu0).v
+    s_lam = A.constant(lam0)
+    s_mu = A.constant(mu0)
     diff_inv = A.invert_vec((s_lam - s_mu) % p)
     one_R = Q.scalar_embed(A.one)
     u = Q.mul(Q.scalar_embed(diff_inv), (x0 - Q.scalar_embed(s_mu)) % p)

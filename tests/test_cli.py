@@ -119,6 +119,17 @@ def test_enumeration_caps_exit_3(args, message):
     assert r.stderr.splitlines() == [f"error: {message} (cap reached, undecided)"]
 
 
+def test_group_cap_is_reached_within_2gib():
+    # the BFS multiplied a whole level at once: a (827216, 40) float64
+    # product failed to allocate, exit 1 with an _ArrayMemoryError traceback
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli", "analyze", "--q", "3", "--k", "10",
+                        "--gens-preset", "example8"], capture_output=True, text=True,
+                       preexec_fn=_address_space_2gib, timeout=300)
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == ["error: group exceeds cap 2000000 (cap reached, undecided)"]
+
+
 @pytest.mark.parametrize("args", [
     ["analyze", "--q", "3", "--k", "1000", "--gens", "[]"],
     ["example8", "--p", "3", "--k", "1000"],

@@ -62,16 +62,15 @@ def r33():
 def test_theta_examples(r33):
     R = r33
     A = R.A
-    assert not theta(R, R.identity()).v.any()
+    assert not theta(R, R.one).any()
     # diag(1+X, 1-X+X^2) -> diag(X+X^2, -(X+X^2)) after centering
-    z = np.zeros(2 + 1, dtype=np.int64)[:0]
-    x = R.elem(A.elem([1, 1, 0]).v, np.zeros(3, dtype=np.int64),
-               np.zeros(3, dtype=np.int64), A.elem([1, 2, 1]).v)
+    x = R.assemble([1, 1, 0], np.zeros(3, dtype=np.int64),
+                   np.zeros(3, dtype=np.int64), [1, 2, 1])
     th = theta(R, x)
     # tr/2 = 1 + 2X^2, so the diagonal recenters to (X + X^2, 2X + 2X^2)
-    assert np.array_equal(th.v[R.sa], [0, 1, 1])
-    assert np.array_equal(th.v[R.sd], [0, 2, 2])
-    assert not th.v[R.sb].any() and not th.v[R.sc].any()
+    assert np.array_equal(th[R.sa], [0, 1, 1])
+    assert np.array_equal(th[R.sd], [0, 2, 2])
+    assert not th[R.sb].any() and not th[R.sc].any()
 
 
 def test_theta_inverse_negation(r33):
@@ -87,21 +86,21 @@ def test_theta_inv_examples(r33):
     R = r33
     A = R.A
     z3 = np.zeros(3, dtype=np.int64)
-    assert theta_inv(R, R.elem(z3, z3, z3, z3)) == R.identity()
+    assert np.array_equal(theta_inv(R, R.assemble(z3, z3, z3, z3)), R.one)
     # m = diag(X, -X): theta_inv = diag(X + sqrt(1+X^2), -X + sqrt(1+X^2))
-    m = R.elem(A.elem([0, 1, 0]).v, z3, z3, A.elem([0, 2, 0]).v)
+    m = R.assemble([0, 1, 0], z3, z3, [0, 2, 0])
     g = theta_inv(R, m)
-    assert np.array_equal(g.v[R.sa], [1, 1, 2])   # X + 1 + 2X^2
-    assert np.array_equal(g.v[R.sd], [1, 2, 2])   # -X + 1 + 2X^2
-    assert np.array_equal(R.det_vec(g.v), A.one)
+    assert np.array_equal(g[R.sa], [1, 1, 2])   # X + 1 + 2X^2
+    assert np.array_equal(g[R.sd], [1, 2, 2])   # -X + 1 + 2X^2
+    assert np.array_equal(R.det_vec(g), A.one)
     # round trip on 500 random radical traceless elements
     rng = np.random.default_rng(1)
     M = random_rad0(R, rng, 500)
     assert np.array_equal(batch_theta(R, batch_theta_inv(R, M)), M)
     # domain errors
     with pytest.raises(CheckFailed, match="theta_inv needs a radical argument"):
-        theta_inv(R, R.j_elem())      # traceless but not radical
-    bad = R.elem(A.one, z3, z3, A.one)
+        theta_inv(R, R.J)             # traceless but not radical
+    bad = R.assemble(A.one, z3, z3, A.one)
     with pytest.raises(CheckFailed, match="theta_inv needs a traceless argument"):
         theta_inv(R, bad)             # nonzero trace
 
@@ -121,11 +120,11 @@ def test_formula_battery_across_structures(rng):
 def test_generate_group_examples():
     A = make_truncated_poly_ring(3, 2)
     R = m2_structure(A)
-    G1 = FiniteMatrixGroup.generate(R, [R.identity()])
+    G1 = FiniteMatrixGroup.generate(R, [R.one])
     assert G1.n == 1
     # theta^{-1}(X·J) has order 3: {Id, Id ± XJ}
     z = np.zeros(2, dtype=np.int64)
-    m = R.elem(A.elem([0, 1]).v, z, z, A.elem([0, 2]).v)
+    m = R.assemble([0, 1], z, z, [0, 2])
     g = theta_inv(R, m)
     G3 = FiniteMatrixGroup.generate(R, [g])
     assert G3.n == 3
@@ -151,12 +150,12 @@ def test_lie_of_subgroup_examples(example_family):
     A = make_truncated_poly_ring(3, 2)
     R = m2_structure(A)
     z = np.zeros(2, dtype=np.int64)
-    G1 = FiniteMatrixGroup.generate(R, [R.identity()])
+    G1 = FiniteMatrixGroup.generate(R, [R.one])
     assert lie_of_subgroup(G1).dim == 0
-    m = R.elem(A.elem([0, 1]).v, z, z, A.elem([0, 2]).v)
+    m = R.assemble([0, 1], z, z, [0, 2])
     G3 = FiniteMatrixGroup.generate(R, [theta_inv(R, m)])
     L3 = lie_of_subgroup(G3)
-    assert L3.dim == 1 and L3.contains(m.v)
+    assert L3.dim == 1 and L3.contains(m)
     # the k = 2 example: span{XJ, X·antidiag(1, -1)}... b(X) = c(-X) pattern
     ex = example_family[2]
     assert ex.L.dim == 2 and ex.L_matches
@@ -210,7 +209,7 @@ def test_central_series_match_seeded():
         A = make_truncated_poly_ring(q, k)
         R = m2_structure(A)
         gens = batch_theta_inv(R, random_rad0(R, rng, 2))
-        G = FiniteMatrixGroup.generate(R, [R.elem(v) for v in gens], cap=30000)
+        G = FiniteMatrixGroup.generate(R, gens, cap=30000)
         L = lie_of_subgroup(G)
         gs = group_series(G, 4)
         ls = descending_series(L, 4)
@@ -360,7 +359,7 @@ def test_essential_data_cases(example_family):
     assert ess6.A_ess == want
     assert ess6.weakly_odd
     # S consists of trace-zero elements with -det a square; J qualifies
-    j_idx = ex6.G.lookup(ex6.R.j_elem())
+    j_idx = ex6.G.lookup(ex6.R.J)
     assert j_idx in ess6.S_indices
 
 
@@ -525,7 +524,7 @@ def test_functoriality_through_truncation(example_family):
     x2 = np.zeros(A.dim, dtype=np.int64)
     x2[2] = 1
     Rq, apply = m2_quotient_map(R, [x2])
-    Gq = FiniteMatrixGroup.generate(Rq, [Rq.elem(v) for v in apply(np.array([ex.g.v, ex.h.v]))])
+    Gq = FiniteMatrixGroup.generate(Rq, apply(np.array([ex.g, ex.h])))
     Lq = lie_of_subgroup(Gq)
     series_up = descending_series(ex.L, 4)
     series_dn = descending_series(Lq, 4)
@@ -625,7 +624,7 @@ def test_measure_check_matches_brute_force_fp(example_family):
 @pytest.mark.parametrize("which, order", [((0, 1, 2), 432), ((0, 2), 216)])
 def test_measure_check_matches_brute_force_f9(which, order):
     R = m2_structure(make_truncated_poly_ring(9, 3))
-    G = FiniteMatrixGroup.generate(R, [R.elem(np.array(F9_GENS[i])) for i in which])
+    G = FiniteMatrixGroup.generate(R, [F9_GENS[i] for i in which])
     Gamma = FiniteMatrixGroup(R, G.elements[G.subgroup_sr1()])
     ess = essential_data(G, descending_series(lie_of_subgroup(Gamma), 2)[1])
     got = key_measure_check(G, ess.A_ess, Gamma.n)
@@ -640,8 +639,7 @@ def test_measure_check_on_subspaces_that_are_not_fq_stable():
     rng = np.random.default_rng(11)
     A = make_truncated_poly_ring(27, 2)
     R = m2_structure(A)
-    G = FiniteMatrixGroup.generate(R, [R.elem(g) for g in batch_theta_inv(R, random_rad0(R, rng, 1))]
-                       + [R.j_elem()])
+    G = FiniteMatrixGroup.generate(R, [*batch_theta_inv(R, random_rad0(R, rng, 1)), R.J])
     for rows in (1, 2, 4):
         V = FpSubspace(3, A.dim, rng.integers(0, 3, size=(rows, A.dim)))
         assert key_measure_check(G, V, len(G.subgroup_sr1())) == brute_force_measure(G, V)
@@ -649,7 +647,7 @@ def test_measure_check_on_subspaces_that_are_not_fq_stable():
 
 def test_measure_check_caps_the_dual_space():
     R = m2_structure(make_truncated_poly_ring(3, 13))        # 3^13 > 10^6 forms
-    G = FiniteMatrixGroup.generate(R, [R.j_elem()])
+    G = FiniteMatrixGroup.generate(R, [R.J])
     with pytest.raises(TooLarge):
         key_measure_check(G, R.A.maxideal, len(G.subgroup_sr1()))
 
@@ -693,7 +691,7 @@ def _sorted_keys(G):
                                   (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (257, 2)])
 def test_example8_G_by_cosets_equals_the_bfs(p, k):
     ex = example8(p, k)
-    bfs = FiniteMatrixGroup.generate(ex.R, [ex.g, ex.h, ex.R.j_elem()])
+    bfs = FiniteMatrixGroup.generate(ex.R, [ex.g, ex.h, ex.R.J])
     assert ex.relations_ok and ex.G.n == 2 * ex.Gamma.n == bfs.n
     assert np.array_equal(_sorted_keys(ex.G), _sorted_keys(bfs))
 
@@ -759,8 +757,8 @@ def test_random_sr_equals_the_element_loop():
         out = np.empty_like(core)
         for i in range(n):
             lam = int(lams[i])
-            const = R.assemble(A.constant(lam).v, np.zeros(R.db, dtype=np.int64),
-                               np.zeros(R.dc, dtype=np.int64), A.constant(A.fq.inv(lam)).v)
+            const = R.assemble(A.constant(lam), np.zeros(R.db, dtype=np.int64),
+                               np.zeros(R.dc, dtype=np.int64), A.constant(A.fq.inv(lam)))
             out[i] = R.mul_vec(core[i], const)
         return out
 
@@ -773,7 +771,7 @@ def test_random_sr_equals_the_element_loop():
 
 def test_residual_image_group_equals_the_element_loop():
     R = m2_structure(make_truncated_poly_ring(9, 3))
-    G = FiniteMatrixGroup.generate(R, [R.elem(np.array(g)) for g in F9_GENS])
+    G = FiniteMatrixGroup.generate(R, F9_GENS)
     Fq = make_truncated_poly_ring(9, 1)
     rows = np.array([[d for comp in R.comps(v) for d in Fq.fq.digits(R.A.residue_int(comp))]
                      for v in G.elements])

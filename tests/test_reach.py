@@ -8,13 +8,14 @@ the three of errors.py, one per non-zero exit code."""
 
 import ast
 import builtins
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pinkforge"
 
 KEPT = {
     # references the tests compare against
-    "eta_product_term", "one_elem", "fq_coords", "star_law", "bracket",
+    "eta_product_term", "fq_coords", "star_law", "bracket",
     # the realization of a pseudo-representation (t, d) as a GMA representation
     "build_td_representation", "QuotientAlgebra", "residual_multfree_data",
     "residual_eigendata", "check_axioms", "is_faithful",
@@ -124,7 +125,33 @@ def test_errors_py_alone_defines_exceptions():
 
 
 
+def test_no_class_defines_element_arithmetic():
+    """Ring and GMA elements are coordinate rows, multiplied by their
+    structure's methods: no class wraps them with operators."""
+    operators = {"__mul__", "__rmul__", "__pow__", "__neg__"}
+    defined = [f"{mod}.{node.name}.{m.name}" for mod, tree in _trees()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for m in node.body if isinstance(m, ast.FunctionDef) and m.name in operators]
+    assert defined == []
+
+
 PINKBENCH = SRC.parents[1] / "pinkbench"
+
+
+def test_benchmark_targets_resolve():
+    """Each traced name in pinkbench/layers.py resolves as its `Tracer`
+    installs it: a method in its class's own __dict__ (one inherited or
+    moved to a base class is not found there), else a module attribute."""
+    spec = importlib.util.spec_from_file_location("_pinkbench_layers", PINKBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = []
+    for t in layers.TARGETS:
+        mod = importlib.import_module(f"pinkforge.{t.module}")
+        owner, _, name = t.attr.rpartition(".")
+        if not (name in vars(getattr(mod, owner)) if owner else callable(getattr(mod, name, None))):
+            missing.append(t.key)
+    assert len(layers.TARGETS) > 0 and missing == []
 
 # Defaulted parameters set only through a call the name match cannot see
 # (super().__init__, cls(...) in a classmethod, the VERIFY_CHECKS registry),
