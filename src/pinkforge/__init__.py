@@ -11,7 +11,7 @@ from .pinklie import (  # noqa: F401
     LieSubspace,
     descending_series,
     example8,
-    generate_sr1,
+    generate_group,
     lie_of_subgroup,
     pink_converse,
     theta,

@@ -51,8 +51,7 @@ from .pinklie import (
     essential_not_ideal_witness,
     example8,
     example8_generators,
-    gamma_and_lie,
-    generate_sr1,
+    generate_group,
     group_series,
     is_congruence_subgroup,
     key_measure_check,
@@ -65,7 +64,6 @@ from .pinklie import (
     structure_round_trip,
     theta_star_morphism_check,
 )
-from .pseudorep import FiniteMatrixGroup
 from .instances import structure_parameter_sets
 
 
@@ -276,7 +274,7 @@ def _check_central_series(seed):
         R = m2_structure(A)
         rng = np.random.default_rng(s)
         gens = batch_theta_inv(R, random_rad0(R, rng, ngens))
-        G, L = generate_sr1(R, gens, cap=30000)
+        G, _, L = generate_group(R, gens, cap=30000)
         gs = group_series(G, 4)
         ls = descending_series(L, 4)
         agree = True
@@ -389,7 +387,7 @@ def _check_complements(seed):
     xs = np.zeros(A.dim, dtype=np.int64)
     xs[2] = 1   # X^2 generates the truncation ideal
     Rq, apply = m2_quotient_map(R, [xs])
-    Lq = generate_sr1(Rq, apply(np.array([ex.g, ex.h])))[1]
+    Lq = generate_group(Rq, apply(np.array([ex.g, ex.h])))[2]
     ok_functo = True
     for n in range(4):
         pushed = FpSubspace(Rq.p, Rq.dim, apply(series[n].basis)) if series[n].dim \
@@ -602,8 +600,7 @@ def cmd_analyze(args):
         raise TooLarge("ring too large to enumerate")
     R = m2_structure(A)
     gens = np.array([*example8_generators(R), R.J]) if rows is None else rows
-    G = FiniteMatrixGroup.generate(R, gens, cap=args.cap)
-    Gamma, L = gamma_and_lie(G)
+    G, Gamma, L = generate_group(R, gens, cap=args.cap)
     lie = _lie_report(G, Gamma, L)
     from .pseudorep import classify_projective_image, residual_image_group
     try:

@@ -144,56 +144,85 @@ def lie_of_subgroup(G):
     return LieSubspace(R, batch_theta(R, G.elements))
 
 
-def generate_sr1(R, gens, cap=2 * 10 ** 6):
-    """(Gamma, L) for Gamma = <gens> inside SR^1 and L = span theta(Gamma),
-    from the generators, with no BFS and no membership test of Gamma's rows.
-
-    L' is span theta(gens) closed under the bracket and under P·L' for
-    P = tr(L'·L'), until neither adds anything.  H = theta^{-1}(L') is then
-    a group (R. Pink, Compositio Math. 88 (1993); see `pink_converse`), and
-    it contains the generators.  The certificate does not rest on that: for
-    each generator s, H.find(H·s) >= 0 shows H·s <= H, so the orbit of 1
-    under these index maps lies in H, and it is <gens> exactly, as a finite
-    group is the monoid its generators make.  When the orbit is all of H,
-    Gamma = H and L = L', since theta maps H onto L'; otherwise Gamma is the
-    orbit and L = span theta(Gamma).  H·s outside H would contradict the
-    converse theorem, so it raises CheckFailed, as does a generator outside
-    SR^1.  `cap` bounds |H| = p^dim L', which is checked before H exists."""
+def generate_group(R, gens, cap=2 * 10 ** 6):
+    """(G, Gamma, L) for G = <gens> in R*, Gamma = G ∩ SR^1 and L = span
+    theta(Gamma).  A BFS over the keys (det x, x mod rad R), multiplicative
+    as rad R is an ideal and equal exactly when x'^-1·x lies in SR^1, gives a
+    transversal T of G/Gamma, T[0] = 1: one batched product a level and no
+    inverses, as a finite group is the monoid its generators make.  The
+    Schreier generators t·s·u^-1, u the representative of t·s (D. Holt,
+    B. Eick, E. O'Brien, Handbook of Computational Group Theory, 2005, §4.1),
+    less the identity, repeats and rows whose inverse is kept, generate
+    Gamma.  L' is span theta of them, closed under the bracket and under P·L'
+    for P = tr(L'·L'), and H = theta^{-1}(L') a group (R. Pink, Compositio
+    Math. 88 (1993); see `pink_converse`).  H.find(H·s) >= 0 for each
+    generator s certifies H·s <= H, so the orbit of 1 under these index maps
+    is Gamma: H with L = L', or a subgroup with L = span theta(Gamma).  G is
+    the union of the cosets t·Gamma (Gamma when T = {1}).  `cap` bounds the
+    cosets, then the rows to enumerate, |T|·p^dim L' >= |G|, before H exists."""
     if R.p == 2:
         raise CheckFailed("theta needs p odd")
     p = R.p
-    gvecs = [np.asarray(g, dtype=np.int64) % p for g in gens]
-    S = np.array(gvecs, dtype=np.int64).reshape(-1, R.dim)
-    if not batch_in_SR1(R, S).all():
-        raise CheckFailed("a generator lies outside SR^1")
-    space = FpSubspace(p, R.dim, batch_theta(R, S))
-    Tb = bracket_tensor(R)
+    S = np.asarray(gens, dtype=np.int64).reshape(-1, R.dim) % p
+    cosets, reps, edges, ends = {}, [], [], []
+    level = np.concatenate([R.one[None, :], S])          # 1, then its edges 1·s = s
     while True:
-        space = saturate(space, Tb)
+        fresh = []
+        keys = np.concatenate([R.batch_det(level), R.radical().reduce(level)], axis=1)
+        for i, key in enumerate(row_key(keys, p).tolist()):
+            if key not in cosets:
+                cosets[key] = len(cosets)
+                fresh.append(i)
+            ends.append(cosets[key])
+        if len(cosets) > cap:
+            raise TooLarge(f"group exceeds cap {cap}")
+        edges.append(level)
+        reps.append(level[fresh])
+        new = level[fresh[1:] if len(edges) == 1 else fresh]     # 1 is expanded already
+        if not len(new):
+            break
+        level = R.batch_mul(np.repeat(new, len(S), axis=0), np.tile(S, (len(new), 1)))
+    T, W = np.concatenate(reps), np.concatenate(edges)
+    if len(T) > 1:                                      # else u = 1 and t·s·u^-1 = s
+        W = R.batch_mul(W, R.batch_inv(T)[ends])
+    # w in SR^1 has det 1, so w^-1 = tr(w) - w
+    inverse_keys = row_key((_scal(R, R.batch_trace(W)) - W) % p, p).tolist()
+    kept, gvecs = set(row_key(R.one[None, :], p).tolist()), []
+    for w, key, inverse_key in zip(W, row_key(W, p).tolist(), inverse_keys):
+        if key not in kept and inverse_key not in kept:
+            kept.add(key)
+            gvecs.append(w)
+    gvecs = np.array(gvecs, dtype=np.int64).reshape(-1, R.dim)
+    if not batch_in_SR1(R, gvecs).all():
+        raise CheckFailed("a Schreier generator lies outside SR^1")
+    grown = FpSubspace(p, R.dim, batch_theta(R, gvecs))
+    while True:
+        space = saturate(grown, bracket_tensor(R))
         grown = saturate(space, R.mul_tensor, by=_scal(R, trace_square(R, space).basis))
         if grown.dim == space.dim:
             break
-        space = grown
-    if p ** space.dim > cap:
+    if len(T) * p ** space.dim > cap:
         raise TooLarge(f"group exceeds cap {cap}")
     L = LieSubspace(R, space, check=False)
     H = FiniteMatrixGroup(R, enumerate_preimage(L), generators=gvecs)
     perms = [H.find(R.batch_mul_elem(H.elements, s)) for s in gvecs]
     if any((perm < 0).any() for perm in perms):
         raise CheckFailed("theta^{-1}(L) is not closed under a generator")
-    seen = np.zeros(H.n, dtype=bool)
-    seen[H.id_index] = True
+    orbit = np.zeros(H.n, dtype=bool)
     frontier = np.array([H.id_index])
     while frontier.size:
+        orbit[frontier] = True
         reached = np.zeros(H.n, dtype=bool)
         for perm in perms:
             reached[perm[frontier]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        seen[frontier] = True
-    if seen.all():
-        return H, L
-    Gamma = FiniteMatrixGroup(R, H.elements[seen], generators=gvecs)
-    return Gamma, LieSubspace(R, batch_theta(R, Gamma.elements), check=False)
+        frontier = np.flatnonzero(reached & ~orbit)
+    Gamma = H
+    if not orbit.all():
+        Gamma = FiniteMatrixGroup(R, H.elements[orbit], generators=gvecs)
+        L = LieSubspace(R, batch_theta(R, Gamma.elements), check=False)
+    G = Gamma if len(T) == 1 else FiniteMatrixGroup(R, np.concatenate(
+        [Gamma.elements] + [R.batch_mul_elem_left(t, Gamma.elements) for t in T[1:]]), generators=S)
+    return G, Gamma, L
 
 
 def enumerate_preimage(L, cap=None):
@@ -218,7 +247,7 @@ def gamma_and_lie(G):
     """(Gamma, L) for Gamma = G ∩ SR^1 and its Lie algebra: membership is
     tested once, on G, so Gamma needs no second test."""
     R = G.R
-    Gamma = FiniteMatrixGroup(R, G.elements[G.subgroup_sr1()])
+    Gamma = FiniteMatrixGroup(R, G.elements[batch_in_SR1(R, G.elements)])
     return Gamma, LieSubspace(R, batch_theta(R, Gamma.elements))
 
 
@@ -868,8 +897,8 @@ def example8_generators(R):
 
 def example8(p, k, cap=2 * 10 ** 6):
     """The two-generator subgroup Gamma of SL_2^1(F_p[X]/(X^k)) generated
-    by `example8_generators`, together with G = Gamma ∪ J·Gamma and the
-    Lie algebra L of Gamma, checked against its closed form."""
+    by `example8_generators`, together with G = <g, h, J> = Gamma ∪ J·Gamma
+    and the Lie algebra L of Gamma, checked against its closed form."""
     if p == 2:
         raise CheckFailed("the example needs p odd")
     A = make_truncated_poly_ring(p, k)
@@ -878,28 +907,11 @@ def example8(p, k, cap=2 * 10 ** 6):
     J = R.J
     rel_ok = (np.array_equal(R.mul_vec(R.mul_vec(J, g), J), g)
               and np.array_equal(R.mul_vec(R.mul_vec(J, h), J), R.inv_vec(h)))
-    Gamma, L = generate_sr1(R, [g, h], cap=cap)
-    G = adjoin_normalising(Gamma, J, rel_ok, cap)
+    G, Gamma, L = generate_group(R, [g, h, J], cap=cap)
     return TwoGeneratorExample(
         ring=A, R=R, g=g, h=h, Gamma=Gamma, G=G, L=L,
         L_matches=(L == expected_example_lie(R, A)), relations_ok=bool(rel_ok),
     )
-
-
-def adjoin_normalising(Gamma, j, normalises, cap):
-    """<Gamma, j>, given whether j·x·j^-1 lies in Gamma for every generator x.
-    If so and j^2 lies in Gamma, it is Gamma ∪ j·Gamma (Gamma when j does),
-    one batched product; otherwise a BFS.  The cap bounds its order."""
-    R = Gamma.R
-    if not normalises or Gamma.lookup(R.mul_vec(j, j)) is None:
-        return FiniteMatrixGroup.generate(R, Gamma.generators + [j], cap=cap)
-    if Gamma.lookup(j) is not None:
-        return Gamma
-    if 2 * Gamma.n > cap:
-        raise TooLarge(f"group exceeds cap {cap}")
-    coset = R.batch_mul_elem_left(j, Gamma.elements)
-    return FiniteMatrixGroup(R, np.concatenate([Gamma.elements, coset]),
-                             generators=Gamma.generators + [j])
 
 
 def essential_not_ideal_witness(A, A_ess):

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckFailed, TooLarge
-from .fp import _BLOCK_BYTES, FpSubspace, nullspace, row_key, span_products
-from .gma import GmaStructure, batch_in_SR1, m2_structure
+from .fp import FpSubspace, nullspace, row_key, span_products
+from .gma import GmaStructure, m2_structure
 from .localring import LocalRing
 
 
@@ -35,20 +35,20 @@ class FiniteMatrixGroup:
         self._keys = keys[self._order]
         if (self._keys[1:] == self._keys[:-1]).any():
             raise ValueError("duplicate elements")
-        self.id_index = self.lookup(R.one)
-        if self.id_index is None:
+        self.id_index = int(self.find(R.one))
+        if self.id_index < 0:
             raise ValueError("identity missing")
         self.generators = list(generators) if generators is not None else []
         self._inv = None
         self._table = None
 
     @classmethod
-    def generate(cls, R, gens, cap=2 * 10 ** 6):
+    def generate(cls, R, gens):
         """BFS closure of the generators under multiplication.  A level
         multiplies the frontier by each generator and inverse in turn and
-        keeps the first occurrence of every new element, in that order.
-        The frontier goes in row blocks of about `_BLOCK_BYTES`, so the cap
-        is reached before a level's products outgrow memory."""
+        keeps the first occurrence of every new element, in that order.  It
+        closes `instances`' constant groups and is the tests' reference for
+        `pinklie.generate_group`."""
         gvecs = [np.asarray(g, dtype=np.int64) % R.p for g in gens]
         for g in gvecs:
             if not R.is_unit(g):
@@ -57,20 +57,16 @@ class FiniteMatrixGroup:
         seen = set(row_key(R.one[None, :], R.p).tolist())
         levels = [R.one[None, :]]
         frontier = levels[0]
-        block = max(1, _BLOCK_BYTES // (8 * R.dim))
         while len(frontier):
             new = []
             for g in gall:
-                for s in range(0, len(frontier), block):
-                    prods = R.batch_mul_elem(frontier[s:s + block], g)
-                    fresh = []
-                    for i, k in enumerate(row_key(prods, R.p).tolist()):
-                        if k not in seen:
-                            seen.add(k)
-                            fresh.append(i)
-                    new.append(prods[fresh])
-                    if len(seen) > cap:
-                        raise TooLarge(f"group exceeds cap {cap}")
+                prods = R.batch_mul_elem(frontier, g)
+                fresh = []
+                for i, k in enumerate(row_key(prods, R.p).tolist()):
+                    if k not in seen:
+                        seen.add(k)
+                        fresh.append(i)
+                new.append(prods[fresh])
             frontier = np.concatenate([frontier[:0]] + new)   # no generators: empty
             levels.append(frontier)
         return cls(R, np.concatenate(levels), generators=gvecs)
@@ -83,11 +79,6 @@ class FiniteMatrixGroup:
         keys = row_key(np.asarray(rows, dtype=np.int64) % self.R.p, self.R.p)
         pos = np.minimum(np.searchsorted(self._keys, keys), self.n - 1)
         return np.where(self._keys[pos] == keys, self._order[pos], -1)
-
-    def lookup(self, v):
-        """Index of one element, or None."""
-        i = int(self.find(v))
-        return None if i < 0 else i
 
     def inverses(self):
         if self._inv is None:
@@ -154,11 +145,6 @@ class FiniteMatrixGroup:
 
     def dets(self):
         return self.R.batch_det(self.elements)
-
-    def subgroup_sr1(self):
-        """Indices of G ∩ SR^1."""
-        mask = batch_in_SR1(self.R, self.elements)
-        return np.nonzero(mask)[0]
 
 
 @dataclass

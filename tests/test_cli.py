@@ -338,17 +338,31 @@ F9_GENS = ("[[1,0,0,0,1,0,0,0,1,0,0,0,0,0,2,0,0,0,1,0,0,0,1,0],"
 
 
 def test_a_report_tests_sr1_membership_once_per_group(monkeypatch):
+    # once, on the Schreier generators of Gamma = G ∩ SR^1, and no BFS of G
     calls = _count_calls(monkeypatch)
     d = _report(["example8", "--p", "3", "--k", "4"])
-    # only the two generators, in generate_sr1: G ∩ SR^1 = Gamma since det J = -1
+    # g and h: J·g·J^-1 = g, J·h·J^-1 = h^-1 and J^2 = 1 add none
     assert calls == {"sr1": [2], "generate": 0} and d["gamma_order"] == 243
-    # once, on G's rows: Gamma = G ∩ SR^1 needs no second test
     calls = _count_calls(monkeypatch)
     d = _report(["analyze", "--q", "9", "--k", "3", "--gens", F9_GENS])
-    assert calls == {"sr1": [d["group_order"]], "generate": 1}
+    assert calls == {"sr1": [2], "generate": 0} and d["group_order"] == 432
     calls = _count_calls(monkeypatch)
     d = _report(["analyze", "--q", "3", "--k", "4", "--gens-preset", "example8"])
-    assert calls == {"sr1": [d["group_order"]], "generate": 1}
+    assert calls == {"sr1": [2], "generate": 0} and d["group_order"] == 486
+
+
+def test_group_cap_is_checked_before_theta_inverse_is_enumerated(monkeypatch, capsys):
+    # |T|·p^dim L = 2·1009^2 exceeds the cap: this built H = theta^{-1}(L),
+    # 1,018,081 rows, and took 3 s before it exited 3
+    from pinkforge import pinklie
+
+    def enumerate_preimage(*args, **kwargs):
+        raise AssertionError("enumerate_preimage ran")
+
+    monkeypatch.setattr(pinklie, "enumerate_preimage", enumerate_preimage)
+    assert main(["example8", "--p", "1009", "--k", "2"]) == 3
+    assert capsys.readouterr().err == \
+        "error: group exceeds cap 2000000 (cap reached, undecided)\n"
 
 
 def test_verify_makes_no_row_at_a_time_products(monkeypatch):

@@ -164,8 +164,8 @@ def test_find_returns_minus_one_for_non_members():
         folded[:, R.sc.start] = 256         # 256 and 0 are one key after an int8 cast
         assert (G.find(outside) == -1).all()
         assert (G.find(folded) == -1).all()
-        assert G.lookup(outside[3]) is None
-        assert G.lookup(G.elements[7]) == 7
+        assert G.find(outside[3]) == -1
+        assert G.find(G.elements[7]) == 7
 
 
 def _reduce_by_rows(V, v):

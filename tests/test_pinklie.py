@@ -9,7 +9,7 @@ import pytest
 
 from pinkforge.errors import CheckFailed, TooLarge
 from pinkforge.fp import FpSubspace, row_key
-from pinkforge.gma import m2_structure, reduced_residue_gma
+from pinkforge.gma import batch_in_SR1, m2_structure, reduced_residue_gma
 from pinkforge.instances import (
     component_block_rows,
     diag_group_constants,
@@ -20,7 +20,6 @@ from pinkforge.localring import batch_sqrt_one_plus_m, make_truncated_poly_ring
 from pinkforge.pinklie import (
     LieSubspace,
     _sqrt_scalars,
-    adjoin_normalising,
     MeasureReport,
     batch_theta,
     batch_theta_inv,
@@ -33,7 +32,8 @@ from pinkforge.pinklie import (
     enumerate_preimage,
     example8,
     expected_example_lie,
-    generate_sr1,
+    gamma_and_lie,
+    generate_group,
     group_series,
     is_congruence_subgroup,
     key_measure_check,
@@ -52,6 +52,7 @@ from pinkforge.pinklie import (
     theta_star_morphism_check,
 )
 from pinkforge.pseudorep import FiniteMatrixGroup, _index_closure, residual_image_group
+from pinkforge.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +135,6 @@ def test_generate_group_examples():
         (R.one + np.concatenate([[0, 1], z, z, [0, 2]])) % 3,
         (R.one + np.concatenate([[0, 2], z, z, [0, 1]])) % 3]), 3).tolist())
     assert keys == expect
-    with pytest.raises(TooLarge):
-        FiniteMatrixGroup.generate(R, [g], cap=2)
 
 
 def test_example_group_k2_abelian(example_family):
@@ -209,7 +208,7 @@ def test_central_series_match_seeded():
         A = make_truncated_poly_ring(q, k)
         R = m2_structure(A)
         gens = batch_theta_inv(R, random_rad0(R, rng, 2))
-        G = FiniteMatrixGroup.generate(R, gens, cap=30000)
+        G = FiniteMatrixGroup.generate(R, gens)
         L = lie_of_subgroup(G)
         gs = group_series(G, 4)
         ls = descending_series(L, 4)
@@ -359,7 +358,7 @@ def test_essential_data_cases(example_family):
     assert ess6.A_ess == want
     assert ess6.weakly_odd
     # S consists of trace-zero elements with -det a square; J qualifies
-    j_idx = ex6.G.lookup(ex6.R.J)
+    j_idx = int(ex6.G.find(ex6.R.J))
     assert j_idx in ess6.S_indices
 
 
@@ -581,7 +580,7 @@ def brute_force_measure(G, A_ess):
     R = G.R
     A = R.A
     p = A.p
-    bound = Fraction(p - 1, p * (G.n // len(G.subgroup_sr1())))
+    bound = Fraction(p - 1, p * (G.n // int(batch_in_SR1(R, G.elements).sum())))
     if A_ess.dim == 0:
         return MeasureReport(bound=bound, min_measure=Fraction(1), n_forms=0,
                              passed=True, vacuous=True)
@@ -625,7 +624,7 @@ def test_measure_check_matches_brute_force_fp(example_family):
 def test_measure_check_matches_brute_force_f9(which, order):
     R = m2_structure(make_truncated_poly_ring(9, 3))
     G = FiniteMatrixGroup.generate(R, [F9_GENS[i] for i in which])
-    Gamma = FiniteMatrixGroup(R, G.elements[G.subgroup_sr1()])
+    Gamma = FiniteMatrixGroup(R, G.elements[batch_in_SR1(R, G.elements)])
     ess = essential_data(G, descending_series(lie_of_subgroup(Gamma), 2)[1])
     got = key_measure_check(G, ess.A_ess, Gamma.n)
     assert G.n == order
@@ -640,16 +639,17 @@ def test_measure_check_on_subspaces_that_are_not_fq_stable():
     A = make_truncated_poly_ring(27, 2)
     R = m2_structure(A)
     G = FiniteMatrixGroup.generate(R, [*batch_theta_inv(R, random_rad0(R, rng, 1)), R.J])
+    gamma_order = int(batch_in_SR1(R, G.elements).sum())
     for rows in (1, 2, 4):
         V = FpSubspace(3, A.dim, rng.integers(0, 3, size=(rows, A.dim)))
-        assert key_measure_check(G, V, len(G.subgroup_sr1())) == brute_force_measure(G, V)
+        assert key_measure_check(G, V, gamma_order) == brute_force_measure(G, V)
 
 
 def test_measure_check_caps_the_dual_space():
     R = m2_structure(make_truncated_poly_ring(3, 13))        # 3^13 > 10^6 forms
     G = FiniteMatrixGroup.generate(R, [R.J])
     with pytest.raises(TooLarge):
-        key_measure_check(G, R.A.maxideal, len(G.subgroup_sr1()))
+        key_measure_check(G, R.A.maxideal, int(batch_in_SR1(R, G.elements).sum()))
 
 
 def test_measure_check_residual_guard(example_family, monkeypatch):
@@ -694,24 +694,6 @@ def test_example8_G_by_cosets_equals_the_bfs(p, k):
     bfs = FiniteMatrixGroup.generate(ex.R, [ex.g, ex.h, ex.R.J])
     assert ex.relations_ok and ex.G.n == 2 * ex.Gamma.n == bfs.n
     assert np.array_equal(_sorted_keys(ex.G), _sorted_keys(bfs))
-
-
-def test_adjoin_normalising_falls_back_to_the_bfs(example_family):
-    ex = example_family[3]
-    R, Gamma = ex.R, ex.Gamma
-    J = R.J
-    bfs = FiniteMatrixGroup.generate(R, Gamma.generators + [J])
-    # no normalising claim: the BFS itself, in its order
-    assert np.array_equal(adjoin_normalising(Gamma, J, False, 10 ** 6).elements, bfs.elements)
-    # over F_5 the scalar 2 is central, but its square -1 lies outside Gamma
-    ex5 = example8(5, 2)
-    two = (2 * ex5.R.one) % 5
-    G = adjoin_normalising(ex5.Gamma, two, True, 10 ** 6)
-    assert G.n == 4 * ex5.Gamma.n
-    want = FiniteMatrixGroup.generate(ex5.R, ex5.Gamma.generators + [two])
-    assert np.array_equal(G.elements, want.elements)
-    # j in Gamma: G is Gamma
-    assert adjoin_normalising(Gamma, Gamma.elements[1], True, 10 ** 6) is Gamma
 
 
 def test_example8_cap_counts_the_J_coset():
@@ -797,48 +779,125 @@ def _seeded_sr1_generators(R, ngens, seed):
     return batch_theta_inv(R, rows)
 
 
+def _seeded_unit_generator_sets(R, seed):
+    """Sets of units whose groups the BFS closes quickly: s = theta^{-1} of a
+    random traceless element of (X^j)·M_2(A), j the least >= 1 with
+    q^(3(k-j)) <= 729, beside J, beside a constant diag(a, 1) with a != 1
+    (a determinant outside 1 + m), and beside the unipotent [[1, 1], [0, 1]]
+    (a non-trivial residual image of determinant 1); one random unit; and
+    the three constants alone."""
+    A = R.A
+    f, k = A.fq_block
+    q = A.fq.q
+    rng = np.random.default_rng(seed)
+    j = 1
+    while q ** (3 * (k - j)) > 729:
+        j += 1
+    xj = np.zeros(A.dim, dtype=np.int64)
+    xj[(j - 1) * f] = 1
+    s = batch_theta_inv(R, R.ring_scale(xj, random_rad0(R, rng, 1)))[0]
+    zero = np.zeros(A.dim, dtype=np.int64)
+    diag = R.assemble(A.constant(int(rng.integers(2, q))), zero, zero, A.one)
+    unipotent = R.assemble(A.one, A.one, zero, A.one)
+    unit = rng.integers(0, R.p, size=R.dim)
+    while not R.is_unit(unit):
+        unit = rng.integers(0, R.p, size=R.dim)
+    return [[s, R.J], [s, diag], [s, unipotent], [unit], [R.J, diag, unipotent]]
+
+
 def test_generate_sr1_equals_the_bfs_and_its_lie_algebra():
-    branches = set()
+    """generate_group against the BFS and gamma_and_lie: G as a set, |Gamma|
+    and L, on seeded sets in SR^1 (G = Gamma, over both branches of the
+    orbit certificate), on seeded sets of units with a non-trivial residual
+    image, determinants outside 1 + m or J, and on the sets that add J, 2 or
+    g·J to a generator g in SR^1."""
+    branches, cosets = set(), set()
+    cases = []
     for q in (3, 5, 7, 9):
         for k in (3, 4, 5, 6):
             R = m2_structure(make_truncated_poly_ring(q, k))
-            for ngens in (1, 2):
-                gens = _seeded_sr1_generators(R, ngens, 100 * q + 10 * k + ngens)
-                Gamma, L = generate_sr1(R, gens)
-                bfs = FiniteMatrixGroup.generate(R, gens)
-                assert np.array_equal(_sorted_keys(Gamma), _sorted_keys(bfs)), (q, k, ngens)
-                assert L == lie_of_subgroup(bfs), (q, k, ngens)
-                # the orbit is theta^{-1}(L) exactly when |Gamma| = p^dim L
-                branches.add(Gamma.n == R.p ** L.dim)
-    assert branches == {True, False}
+            cases += [(R, _seeded_sr1_generators(R, ngens, 100 * q + 10 * k + ngens))
+                      for ngens in (1, 2)]
+        for k in (2, 3, 4, 5):
+            R = m2_structure(make_truncated_poly_ring(q, k))
+            cases += [(R, gens) for gens in _seeded_unit_generator_sets(R, 10 * q + k)]
+    R = m2_structure(make_truncated_poly_ring(3, 3))
+    g = _seeded_sr1_generators(R, 1, 0)[0]
+    cases += [(R, [g, bad]) for bad in (R.J, (2 * R.one) % 3, R.mul_vec(g, R.J))]
+    for R, gens in cases:
+        G, Gamma, L = generate_group(R, gens)
+        bfs = FiniteMatrixGroup.generate(R, gens)
+        bfs_gamma, bfs_L = gamma_and_lie(bfs)
+        where = (R.name, np.asarray(gens).tolist())
+        assert np.array_equal(_sorted_keys(G), _sorted_keys(bfs)), where
+        assert Gamma.n == bfs_gamma.n and L == bfs_L, where
+        # the orbit is theta^{-1}(L) exactly when |Gamma| = p^dim L
+        branches.add(Gamma.n == R.p ** L.dim)
+        cosets.add(G.n // Gamma.n > 1)
+    assert branches == {True, False} and cosets == {True, False}
 
 
 def test_generate_sr1_takes_the_orbit_of_a_cyclic_group():
     # over F_5[X]/(X^5) a generator has order 5, while P·theta(s) widens L'
     R = m2_structure(make_truncated_poly_ring(5, 5))
     gens = _seeded_sr1_generators(R, 1, 551)
-    Gamma, L = generate_sr1(R, gens)
+    G, Gamma, L = generate_group(R, gens)
     bfs = FiniteMatrixGroup.generate(R, gens)
-    assert Gamma.n == bfs.n == 5 < 5 ** L.dim
+    assert G is Gamma and Gamma.n == bfs.n == 5 < 5 ** L.dim
     assert np.array_equal(_sorted_keys(Gamma), _sorted_keys(bfs))
     assert L == lie_of_subgroup(bfs)
     assert np.array_equal(Gamma.generators, gens)
 
 
-def test_generate_sr1_refuses_a_generator_outside_sr1():
+def test_generate_sr1_refuses_a_generator_outside_sr1(monkeypatch):
+    # diag(1 + X, 1) and (1 + X)·1 are Id mod rad R with det != 1: with
+    # coset keys blind to det they share the coset of 1, so each comes out as
+    # a Schreier generator outside SR^1, and generate_group refuses it
+    # rather than build a wrong Gamma; with the true keys it gives the BFS
     R = m2_structure(make_truncated_poly_ring(3, 3))
+    A = R.A
     g = _seeded_sr1_generators(R, 1, 0)[0]
-    for bad in (R.J, (2 * R.one) % 3, R.batch_mul(g[None, :], R.J[None, :])[0]):
-        with pytest.raises(CheckFailed, match="outside SR\\^1"):
-            generate_sr1(R, [g, bad])
+    zero = np.zeros(A.dim, dtype=np.int64)
+    one_plus_x = (A.one + A.maxideal.basis[0]) % 3
+    bads = (R.assemble(one_plus_x, zero, zero, A.one),
+            R.assemble(one_plus_x, zero, zero, one_plus_x))
+    for bad in bads:
+        G = generate_group(R, [g, bad])[0]
+        bfs = FiniteMatrixGroup.generate(R, [g, bad])
+        assert G.n > 1 and np.array_equal(_sorted_keys(G), _sorted_keys(bfs))
+    # the coset keys are det's A.dim columns, then the residue's R.dim
+    monkeypatch.setattr("pinkforge.pinklie.row_key", lambda M, p: row_key(
+        M[:, A.dim:] if M.shape[1] == A.dim + R.dim else M, p))
+    for bad in bads:
+        with pytest.raises(CheckFailed, match="a Schreier generator lies outside SR\\^1"):
+            generate_group(R, [g, bad])
+
+
+def test_cap_bounds_the_rows_enumerated_for_a_cyclic_gamma(capsys):
+    # |G| = |Gamma| = 5, but the cap bounds |T|·p^dim L' = 25, the rows of
+    # theta^{-1}(L') the certificate enumerates
+    R = m2_structure(make_truncated_poly_ring(5, 5))
+    gens = _seeded_sr1_generators(R, 1, 551)
+    argv = ["analyze", "--q", "5", "--k", "5", "--gens", json.dumps(gens.tolist())]
+    for cap in (5, 24):
+        assert main(argv + ["--cap", str(cap)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: group exceeds cap {cap} (cap reached, undecided)\n"
+    bfs = FiniteMatrixGroup.generate(R, gens)
+    L = lie_of_subgroup(bfs)
+    assert main(argv + ["--cap", "25"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["group_order"] == d["gamma_order"] == bfs.n == 5
+    assert d["dim_L"] == [s.dim for s in descending_series(L, 4)]
+    assert d["P"] == L.trace_pseudoring().basis.tolist()
 
 
 def test_generate_sr1_checks_the_cap_before_enumerating():
     R = m2_structure(make_truncated_poly_ring(3, 4))
     gens = example8(3, 4).Gamma.generators
     with pytest.raises(TooLarge, match="group exceeds cap 242"):
-        generate_sr1(R, gens, cap=242)
-    assert generate_sr1(R, gens, cap=243)[0].n == 243
+        generate_group(R, gens, cap=242)
+    assert generate_group(R, gens, cap=243)[1].n == 243
 
 
 @pytest.mark.parametrize("p, k", [(3, 8), (5, 4), (7, 3), (257, 2)])

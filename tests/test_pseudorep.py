@@ -114,8 +114,8 @@ def test_kernel_of_example_group(example_family):
     ex = example_family[2]
     tr = PseudoRep.from_matrix_group(ex.G)
     ker = group_kernel(tr)
-    h_idx = ex.G.lookup(ex.h)
-    hinv_idx = ex.G.lookup(ex.R.inv_vec(ex.h))
+    h_idx = int(ex.G.find(ex.h))
+    hinv_idx = int(ex.G.find(ex.R.inv_vec(ex.h)))
     assert ker == sorted([ex.G.id_index, h_idx, hinv_idx])
     T = tr.gt.table
     assert set(T[T[:, ker], tr.gt.inv[:, None]].ravel().tolist()) == set(ker)
