@@ -29,7 +29,13 @@ from . import __version__
 from .errors import CheckFailed, InvalidInput, TooLarge
 from .fp import FpSubspace, row_key, saturate
 from .gma import m2_structure, m2_quotient_map, reduced_residue_gma
-from .localring import batch_sqrt_one_plus_m, factor_prime_power, is_prime, make_truncated_poly_ring
+from .localring import (
+    batch_sqrt_one_plus_m,
+    check_tensor_size,
+    factor_prime_power,
+    is_prime,
+    make_truncated_poly_ring,
+)
 from .modforms import (
     P_LIMIT,
     cyclotomic_test,
@@ -41,7 +47,6 @@ from .modforms import (
     series_pow,
 )
 from .pinklie import (
-    MAX_RING_ELEMENTS,
     LieSubspace,
     batch_theta,
     batch_theta_inv,
@@ -51,6 +56,7 @@ from .pinklie import (
     essential_not_ideal_witness,
     example8,
     example8_generators,
+    forms_over_cap,
     generate_group,
     group_series,
     is_congruence_subgroup,
@@ -126,23 +132,19 @@ def prime_list(text):
     return primes
 
 
-def parse_gens(text, A):
-    """--gens: a JSON list of flat coordinate rows (a | b | c | d) of units
-    of M_2(A), as an array."""
+def parse_gens(text, p, dim):
+    """--gens: a JSON list of flat coordinate rows (a | b | c | d) of
+    M_2(A), dim entries each, as an array mod p.  `cmd_analyze` tests that
+    they are units once A exists."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError:
         rows = None
-    dim = 4 * A.dim
     if not (isinstance(rows, list) and all(
             isinstance(r, list) and len(r) == dim and all(type(x) is int for x in r)
             for r in rows)):
         raise InvalidInput(f"--gens must be a JSON list of rows of {dim} integers")
-    rows = np.array([[x % A.p for x in r] for r in rows], dtype=np.int64).reshape(-1, dim)
-    a, b, c, d = np.split(rows, 4, axis=1)
-    if not all(A.is_unit_vec(det) for det in (A.batch_mul(a, d) - A.batch_mul(b, c)) % A.p):
-        raise InvalidInput("--gens has a generator that is not invertible")
-    return rows
+    return np.array([[x % p for x in r] for r in rows], dtype=np.int64).reshape(-1, dim)
 
 
 def at_least(lo):
@@ -304,10 +306,9 @@ def _check_converse(seed):
     return ok, {"order": H.n, "series_dims": dims}
 
 
-def _check_star_law(seed):
-    """On the k = 4 example, the star law is a group law on L/L_2 and theta
-    is a morphism from Gamma to (L/L_2, *) on seeded samples."""
-    ex = example8(3, 4)
+def _check_star_law(seed, ex):
+    """On the k = 4 example ex, the star law is a group law on L/L_2 and
+    theta is a morphism from Gamma to (L/L_2, *) on seeded samples."""
     L2 = descending_series(ex.L, 2)[1]
     ok1, _ = star_quotient_checks(ex.L, L2, cap=3 ** 3)
     ok2, _ = theta_star_morphism_check(ex.Gamma, ex.L, L2,
@@ -315,14 +316,13 @@ def _check_star_law(seed):
     return ok1 and ok2, {"group_law": ok1, "morphism": ok2}
 
 
-def _check_example_family(seed):
-    """The two-generator example at k = 2, 3, 4: L has the expected shape,
-    J conjugates g and h as stated, the measure bound holds, and at k = 4
-    Gamma contains no congruence subgroup.  The seed is unused."""
+def _check_example_family(seed, ex):
+    """The two-generator example at k = 2, 3 and at k = 4 (ex): L has the
+    expected shape, J conjugates g and h as stated, the measure bound holds,
+    and at k = 4 Gamma contains no congruence subgroup.  The seed is unused."""
     details = {}
     ok = True
-    for k in (2, 3, 4):
-        ex = example8(3, k)
+    for k, ex in ((2, example8(3, 2)), (3, example8(3, 3)), (4, ex)):
         lie = _lie_report(ex.G, ex.Gamma, ex.L)
         measure_ok = lie["measure"]["passed"]
         d = {"gamma": ex.Gamma.n, "dim_L": ex.L.dim, "lie_shape": ex.L_matches,
@@ -355,12 +355,11 @@ def _check_structure_round_trips(seed):
     return ok, details
 
 
-def _check_complements(seed):
-    """On the k = 4 example: tr(gamma)·L_n = L_n, theta carries
+def _check_complements(seed, ex):
+    """On the k = 4 example ex: tr(gamma)·L_n = L_n, theta carries
     Gamma_n-cosets to L_n-cosets inside Gamma_2, the series commutes with
     the truncation F3[X]/(X^4) -> F3[X]/(X^2), and P is the closed
     pseudo-ring generated by tr(gamma) - 2.  The seed is unused."""
-    ex = example8(3, 4)
     R, G, L = ex.R, ex.Gamma, ex.L
     series = descending_series(L, 4)
     traces = R.batch_trace(G.elements)
@@ -403,11 +402,10 @@ def _check_complements(seed):
                 "functoriality": ok_functo, "pseudo_ring_description": ok_pseudo}
 
 
-def _check_psi(seed):
-    """The measure change of variables Psi on the k = 4 example, at three
+def _check_psi(seed, ex):
+    """The measure change of variables Psi on the k = 4 example ex, at three
     seeded gamma in Gamma: Psi permutes L_2, h∘Psi^{-1} is affine, and the
     image of h is tr(J·gamma) + I_2 where that is decided."""
-    ex = example8(3, 4)
     L2 = descending_series(ex.L, 2)[1]
     rng = np.random.default_rng(seed)
     oks = []
@@ -434,7 +432,8 @@ def _check_series_identities(seed):
 
 
 # The one registry of checks: `pink verify` runs every entry in name order,
-# and the acceptance tests call entries at pinned seeds.
+# and the acceptance tests call entries at pinned seeds.  Four entries take
+# the k = 4 example as well, which `cmd_verify` builds once per run.
 VERIFY_CHECKS = [
     ("ring_axioms", _check_ring_axioms),
     ("theta_identities", _check_theta_identities),
@@ -450,13 +449,14 @@ VERIFY_CHECKS = [
 
 
 def cmd_verify(args):
+    ex = example8(3, 4)
+    extra = {"theta_identities": {"n_tuples": args.tuples, "fault": args.inject_fault},
+             "star_law": {"ex": ex}, "example_family": {"ex": ex},
+             "theory_complements": {"ex": ex}, "measure_change_of_variables": {"ex": ex}}
     results, seconds = {}, {}
     for name, fn in sorted(VERIFY_CHECKS):
         t0 = time.perf_counter()
-        if name == "theta_identities":
-            ok, details = fn(args.seed, n_tuples=args.tuples, fault=args.inject_fault)
-        else:
-            ok, details = fn(args.seed)
+        ok, details = fn(args.seed, **extra.get(name, {}))
         seconds[name] = time.perf_counter() - t0
         results[name] = {"passed": ok, "details": details}
     passed = all(r["passed"] for r in results.values())
@@ -593,12 +593,16 @@ def cmd_span(args):
 
 
 def cmd_analyze(args):
-    A = make_truncated_poly_ring(args.q, args.k)
-    rows = None if args.gens_preset else parse_gens(args.gens, A)
-    # the essential module enumerates A: refuse before M_2(A) is built
-    if A.p ** A.dim > MAX_RING_ELEMENTS:
+    p, f = factor_prime_power(args.q)
+    check_tensor_size(f * args.k)              # the ring build's own refusal comes first
+    rows = None if args.gens_preset else parse_gens(args.gens, p, 4 * f * args.k)
+    # the measure check enumerates the q^k forms on A: refuse before A is built
+    if forms_over_cap(args.q, args.k):
         raise TooLarge("ring too large to enumerate")
+    A = make_truncated_poly_ring(args.q, args.k)
     R = m2_structure(A)
+    if rows is not None and not all(A.is_unit_vec(det) for det in R.batch_det(rows)):
+        raise InvalidInput("--gens has a generator that is not invertible")
     gens = np.array([*example8_generators(R), R.J]) if rows is None else rows
     G, Gamma, L = generate_group(R, gens, cap=args.cap)
     lie = _lie_report(G, Gamma, L)

@@ -306,18 +306,18 @@ def reduced_residue_gma(A):
     reduced radical case."""
     if not isinstance(A, LocalRing):
         raise ValueError("local base required")
-    fq, dim = A.fq, A.dim
-    # the residue codes of A's basis vectors and of alpha^k, k < f
-    basis, units = fq.encode(A.proj.T), fq.encode(np.eye(fq.f, dtype=np.int64))
-    # action of A on A/m through the residue map, in digit coordinates
-    act = fq.digits(fq.mul_table[np.ix_(basis, units)])
+    p, f, T = A.p, A.fq.f, A.fq.mul_tensor
+    # action of A on A/m through the residue map, in digit coordinates:
+    # act[i, k] holds the digits of (e_i mod m)·alpha^k
+    act = matmul_mod(A.proj.T, T.reshape(f, f * f), p).reshape(A.dim, f, f)
     # socle generator: a basis vector of m^(nil-1)
-    power = FpSubspace(A.p, dim, [A.one])
+    power = FpSubspace(p, A.dim, [A.one])
     for _ in range(A.nilpotency - 1):
-        power = span_products(power.basis, A.maxideal.basis, A.mul_tensor, A.p)
+        power = span_products(power.basis, A.maxideal.basis, A.mul_tensor, p)
     z = A.one if power.dim == 0 else power.basis[0]
-    consts = A.constants()[fq.mul_table[np.ix_(units, units)]].reshape(-1, dim)
-    pairing = A.batch_mul_elem(consts, z).reshape(fq.f, fq.f, dim)
+    # the constants s(alpha^k·alpha^l), k-major
+    consts = matmul_mod(T.reshape(f * f, f), A.embed, p)
+    pairing = A.batch_mul_elem(consts, z).reshape(f, f, A.dim)
     return GmaStructure(A, act, act, pairing, name="reduced")
 
 

@@ -64,24 +64,13 @@ def dihedral_constants(R, lam_code):
 def klein_constants(R, lam=1):
     """Scalars, J, and the swap [[0,1],[lam,0]]: projective Klein group."""
     fq = R.A.fq
+    gen = fq.generator()
     gens = [
-        ((_gen_code(fq), 0), (0, _gen_code(fq))),    # scalars
+        ((gen, 0), (0, gen)),                        # scalars
         ((1, 0), (0, fq.p - 1)),                     # J
         ((0, 1), (lam % fq.p, 0)),                   # swap
     ]
     return gl2_constants(R, gens)
-
-
-def _gen_code(fq):
-    """A multiplicative generator of F_q*."""
-    for g in range(2, fq.q):
-        seen, x = set(), 1
-        for _ in range(fq.q - 1):
-            x = fq.mul(x, g)
-            seen.add(x)
-        if len(seen) == fq.q - 1:
-            return g
-    return 1
 
 
 # -- Lie data per structure class ----------------------------------------------
@@ -169,7 +158,7 @@ def structure_parameter_sets():
                 A = make_truncated_poly_ring(q, k)
                 R = diagonal_gma(A)
                 rows = diag_rows(R, [m for m in A.maxideal.basis])
-                gen = _gen_code(A.fq)
+                gen = A.fq.generator()
                 gbar = diag_group_constants(R, [(gen, 1)])
                 return {"R": R, "lie_rows": rows, "gbar": gbar}
             out.append(("cyclic", build))
@@ -178,7 +167,7 @@ def structure_parameter_sets():
             R = reduced_residue_gma(A)
             rows = (diag_rows(R, list(A.maxideal.basis))
                     + full_antidiag_rows(R, [A.one]))
-            gen = _gen_code(A.fq)
+            gen = A.fq.generator()
             gbar = diag_group_constants(R, [(gen, 1)])
             return {"R": R, "lie_rows": rows, "gbar": gbar}
         out.append(("cyclic", build_mod))
@@ -213,7 +202,7 @@ def structure_parameter_sets():
             R = m2_structure(A)
             rows = (diag_rows(R, list(A.maxideal.basis))
                     + full_antidiag_rows(R, list(A.maxideal.basis)))
-            gen = _gen_code(A.fq)
+            gen = A.fq.generator()
             lam = A.fq.pow(gen, lam_power)
             gbar = dihedral_constants(R, lam)
             return {"R": R, "lie_rows": rows, "gbar": gbar}
@@ -224,14 +213,14 @@ def structure_parameter_sets():
             A = make_truncated_poly_ring(9, 2)
             R = m2_structure(A)
             rows = diag_rows(R, list(A.maxideal.basis))
-            gbar = dihedral_constants(R, _gen_code(A.fq))
+            gbar = dihedral_constants(R, A.fq.generator())
             return {"R": R, "lie_rows": rows, "gbar": gbar}
         out.append(("dihedral", build_diag_only))
         def build_anti_only():
             A = make_truncated_poly_ring(9, 2)
             R = m2_structure(A)
             rows = full_antidiag_rows(R, list(A.maxideal.basis))
-            gbar = dihedral_constants(R, _gen_code(A.fq))
+            gbar = dihedral_constants(R, A.fq.generator())
             return {"R": R, "lie_rows": rows, "gbar": gbar}
         out.append(("dihedral", build_anti_only))
         return out

@@ -1,15 +1,18 @@
 """Finite commutative F_p-algebras: local rings, their products, and the
 basic analytic toolkit (unit inversion, square roots on 1 + rad A by the
-power map, the multiplicative constants section of the residue field).
+power map, unit squares by Euler's criterion, the multiplicative constants
+section of the residue field).
 
 A ring is presented by an ordered F_p-basis and a structure-constant
 tensor.  An element is its coefficient row mod p, the one representation.
 All rings here are finite with p·A = 0, so the maximal ideal is nilpotent,
 additive subgroups are F_p-subspaces, and the constants section of
 A -> A/m is a genuine field embedding F_q -> A (the fixed points of
-x -> x^q).
+x -> x^q).  The residue field F_q is itself such an algebra, F_p[x]/(poly)
+with the companion structure tensor, and multiplies only through it.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -72,97 +75,66 @@ IRREDUCIBLE = {
 }
 
 
-def _poly_mul_mod(a, b, poly, p):
-    """Product of GF(p)[x] polynomials reduced mod the monic `poly`."""
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _smallest_generator(q, power):
+    """The least code g >= 2 that generates F_q* (1 when q = 2), given the
+    field's power map on codes: g generates exactly when g^((q-1)/r) != 1
+    for every prime r dividing q - 1."""
+    exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+    return next((g for g in range(2, q) if all(power(g, e) != 1 for e in exponents)), 1)
+
+
+def _companion_tensor(poly, p):
+    """The (f, f, f) structure tensor of F_p[x]/(poly), poly monic with
+    ascending coefficients, on the basis x^i: [i, j] holds the coefficients
+    of x^i·x^j, row i of C^j for the companion matrix C of y -> x·y."""
     f = len(poly) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for d in range(len(out) - 1, f - 1, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for j in range(f):
-                out[d - f + j] = (out[d - f + j] - c * poly[j]) % p
-    return tuple(out[:f])
+    C = np.eye(f, k=1, dtype=np.int64)
+    C[-1] = np.negative(poly[:f]) % p
+    powers = [np.eye(f, dtype=np.int64)]
+    for _ in range(f - 1):
+        powers.append(matmul_mod(powers[-1], C, p))
+    return np.stack(powers, axis=1)
+
+
+def _is_irreducible(poly, p):
+    """Rabin's test (SIAM J. Comput. 9(2), 1980) in F_p[x]/(poly), f >= 2:
+    poly is irreducible iff x^(p^f) = x and x^(p^(f/r)) - x is a unit for
+    every prime r dividing f."""
+    f = len(poly) - 1
+    E = np.eye(f, dtype=np.int64)
+    K = FiniteAlgebra(p, _companion_tensor(poly, p), E[0])
+    frobenius = [E[1]]                       # x^(p^d) for d = 0..f
+    for _ in range(f):
+        frobenius.append(K.batch_pow(frobenius[-1][None, :], p)[0])
+    return (np.array_equal(frobenius[f], E[1])
+            and all(K.is_unit_vec((frobenius[f // r] - E[1]) % p) for r in _prime_factors(f)))
 
 
 def _irreducible_poly(p, f):
+    """The fixed entry of IRREDUCIBLE; else x - g for the least generator g
+    of F_p* when f = 1, and the first monic irreducible in coefficient-lex
+    order (constant term first) when f >= 2."""
     if (p, f) in IRREDUCIBLE:
         return IRREDUCIBLE[(p, f)]
     if f == 1:
-        # x - g, g the smallest primitive root mod p
-        for g in range(2, p):
-            seen, x = set(), 1
-            for _ in range(p - 1):
-                x = x * g % p
-                seen.add(x)
-            if len(seen) == p - 1:
-                return ((-g) % p, 1)
-    # smallest (coefficient-lex) monic irreducible: adequate for tiny fields,
-    # and deterministic
-    from itertools import product as iproduct
-    for tail in iproduct(range(p), repeat=f):
-        poly = tuple(tail) + (1,)
-        if poly[0] == 0:
-            continue
-        # irreducible over F_p iff no factor of degree <= f//2; test by gcd
-        # with x^{p^d} - x via repeated powering
-        x = (0, 1) + (0,) * (f - 2) if f >= 2 else (1,)
-        xp = x
-        reducible = False
-        for _ in range(f // 2):
-            # xp <- xp^p mod poly
-            acc = (1,) + (0,) * (f - 1)
-            base = xp
-            e = p
-            while e:
-                if e & 1:
-                    acc = _poly_mul_mod(acc, base, poly, p)
-                base = _poly_mul_mod(base, base, poly, p)
-                e >>= 1
-            xp = acc
-            diff = tuple((a - b) % p for a, b in zip(xp, x))
-            if not any(diff):
-                reducible = True
-                break
-            # gcd(poly, xp - x) != 1 <=> a root field of small degree
-            if _poly_gcd_nontrivial(poly, diff, p):
-                reducible = True
-                break
-        if not reducible:
-            return poly
+        return ((-_smallest_generator(p, lambda g, e: pow(g, e, p))) % p, 1)
+    for tail in itertools.product(range(p), repeat=f):
+        if tail[0] and _is_irreducible(tail + (1,), p):
+            return tail + (1,)
     raise ValueError(f"no irreducible polynomial found for GF({p}^{f})")
 
-
-def _poly_gcd_nontrivial(poly, g, p):
-    a = list(poly)
-    b = list(g)
-    def deg(u):
-        d = len(u) - 1
-        while d >= 0 and u[d] % p == 0:
-            d -= 1
-        return d
-    while True:
-        db = deg(b)
-        if db < 0:
-            return deg(a) > 0
-        if db == 0:
-            return False
-        da = deg(a)
-        if da < db:
-            a, b = b, a
-            continue
-        c = a[da] * pow(b[db], -1, p)
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-        if deg(a) < deg(b):
-            a, b = b, a
-
-
-MAX_FIELD = 1 << 12             # q x q table entries stay at most 2^24 (128 MiB)
 
 # Bytes one dim^3 int64 structure tensor may take: dim <= 128, so M_2 over
 # F_p[X]/(X^32) at most.  Building a GMA, with its law checks, peaks near
@@ -174,69 +146,6 @@ def check_tensor_size(dim):
     """Raise TooLarge before a dim^3 int64 structure tensor over the budget."""
     if 8 * dim ** 3 > MAX_TENSOR_BYTES:
         raise TooLarge(f"a {dim}^3 structure tensor exceeds {MAX_TENSOR_BYTES} bytes")
-
-
-class FqData:
-    """The residue field F_q = GF(p^f) with int-encoded elements.
-
-    Element k in [0, q) encodes sum(digit_i * alpha^i) with digits base p,
-    lowest first, alpha a root of the fixed irreducible polynomial; so the
-    code of a prime-field element k is k itself.  `digits` and `encode` are
-    the one codec between codes and digit rows.
-    """
-
-    __slots__ = ("p", "f", "q", "poly", "mul_tensor", "mul_table")
-
-    def __init__(self, p, f):
-        self.p, self.f, self.q = p, f, p ** f
-        if self.q > MAX_FIELD:
-            raise TooLarge(f"a {self.q} x {self.q} multiplication table exceeds "
-                           f"the cap q <= {MAX_FIELD}")
-        self.poly = _irreducible_poly(p, f)
-        # (f, f, f) F_p-structure tensor: [i, j] holds the digits of alpha^i·alpha^j
-        E = np.eye(f, dtype=np.int64).tolist()
-        self.mul_tensor = np.array([[_poly_mul_mod(a, b, self.poly, p) for b in E] for a in E],
-                                   dtype=np.int64).reshape(f, f, f)
-        # digits of alpha^i·b for every code b; the digits of a·b are then
-        # sum_i a_i (alpha^i·b), filled by row blocks
-        D = self.digits(np.arange(self.q))
-        shifted = pair_products(np.eye(f, dtype=np.int64), D, self.mul_tensor, p)
-        shifted = shifted.reshape(f, self.q * f)
-        self.mul_table = np.empty((self.q, self.q), dtype=np.int64)
-        block = max(1, (1 << 20) // (self.q * f))
-        for s in range(0, self.q, block):
-            # residues already: weight the digits without `encode`'s `% p`
-            prods = matmul_mod(D[s:s + block], shifted, p)
-            self.mul_table[s:s + block] = prods.reshape(-1, self.q, f) @ p ** np.arange(f)
-
-    def digits(self, codes):
-        """Base-p digits of codes, lowest first, on a new last axis."""
-        return np.asarray(codes, dtype=np.int64)[..., None] // self.p ** np.arange(self.f) % self.p
-
-    def encode(self, digits):
-        """Codes of digit rows (the last axis, lowest first, reduced mod p)."""
-        return np.asarray(digits, dtype=np.int64) % self.p @ self.p ** np.arange(self.f)
-
-    def mul(self, a, b):
-        return int(self.mul_table[a, b])
-
-    def inv(self, a):
-        if a == 0:
-            raise CheckFailed("0 in residue field")
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a, e):
-        """a^e for e >= 0, with 0^0 = 1."""
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
-
-    def elements(self):
-        return range(self.q)
 
 
 class FiniteAlgebra:
@@ -305,6 +214,54 @@ class FiniteAlgebra:
 
     def descriptor(self):
         return dict(self.meta, p=self.p, dim=self.dim)
+
+
+class FqData(FiniteAlgebra):
+    """The residue field F_q = GF(p^f) as the F_p-algebra F_p[x]/(poly) on
+    the basis alpha^i, alpha = x mod poly, with int-encoded elements.
+
+    Element k in [0, q) encodes sum(digit_i * alpha^i) with digits base p,
+    lowest first; so the code of a prime-field element k is k itself.
+    `digits` and `encode` are the one codec between codes and digit rows;
+    `mul`, `inv` and `pow` take and return codes, and compute on digit rows
+    through the (f, f, f) structure tensor.
+    """
+
+    def __init__(self, p, f):
+        self.f, self.q = f, p ** f
+        self.poly = _irreducible_poly(p, f)
+        super().__init__(p, _companion_tensor(self.poly, p), np.eye(f, dtype=np.int64)[0])
+
+    def digits(self, codes):
+        """Base-p digits of codes, lowest first, on a new last axis."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self.p ** np.arange(self.f) % self.p
+
+    def encode(self, digits):
+        """Codes of digit rows (the last axis, lowest first, reduced mod p)."""
+        return np.asarray(digits, dtype=np.int64) % self.p @ self.p ** np.arange(self.f)
+
+    def _codes(self, rows, shape):
+        """The codes of digit rows, shaped; a scalar for shape ()."""
+        return self.encode(rows).reshape(shape)[()]
+
+    def mul(self, a, b):
+        """Elementwise products of codes (ints or arrays that broadcast)."""
+        a, b = np.broadcast_arrays(a, b)
+        return self._codes(self.batch_mul(self.digits(a.ravel()), self.digits(b.ravel())), a.shape)
+
+    def inv(self, a):
+        if (np.asarray(a) == 0).any():
+            raise CheckFailed("0 in residue field")
+        return self.pow(a, self.q - 2)
+
+    def pow(self, a, e):
+        """a^e for codes a (an int or an array) and e >= 0, with 0^0 = 1."""
+        a = np.asarray(a)
+        return self._codes(self.batch_pow(self.digits(a.ravel()), e), a.shape)
+
+    def generator(self):
+        """The least code that generates F_q*."""
+        return _smallest_generator(self.q, self.pow)
 
 
 class LocalRing(FiniteAlgebra):
@@ -478,6 +435,21 @@ def batch_sqrt_one_plus_m(A, X):
     if not rad.contains((np.asarray(X) - A.one) % A.p).all():
         raise CheckFailed("argument not in 1 + m")
     return A.batch_pow(X, (_one_plus_m_exponent(A) + 1) // 2)
+
+
+def batch_is_unit_square(A, X):
+    """Which rows of X are squares of units of A, p odd, by Euler's
+    criterion: x is one iff x^((q-1)/2) lies in 1+m.  A* = F_q* x (1+m) with
+    1+m of odd order, so every element of 1+m is a square and a unit is one
+    exactly when its residue is; a non-unit's power lies in m.  On a product
+    ring, factor by factor."""
+    if A.p == 2:
+        raise CheckFailed("Euler's criterion needs p odd")
+    X = np.atleast_2d(X) % A.p
+    if isinstance(A, SemiLocalRing):
+        return np.logical_and.reduce([batch_is_unit_square(fac, X[:, o:o + fac.dim])
+                                      for fac, o in zip(A.factors, A.offsets)])
+    return A.maxideal.contains((A.batch_pow(X, (A.fq.q - 1) // 2) - A.one) % A.p)
 
 
 def batch_invert(A, X):

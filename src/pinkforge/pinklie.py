@@ -18,10 +18,16 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CheckFailed, TooLarge
-from .fp import FpSubspace, bilinear, pair_products, row_key, saturate, span_products
+from .fp import FpSubspace, bilinear, matmul_mod, pair_products, row_key, saturate, span_products
 from .gma import GmaStructure, batch_in_SR1, m2_structure
 from .instances import ideal_block_rows
-from .localring import LocalRing, batch_sqrt_one_plus_m, make_truncated_poly_ring
+from .localring import (
+    LocalRing,
+    batch_invert,
+    batch_is_unit_square,
+    batch_sqrt_one_plus_m,
+    make_truncated_poly_ring,
+)
 from .pseudorep import FiniteMatrixGroup, PseudoRep, _index_closure, is_admissible
 
 
@@ -510,8 +516,8 @@ def subfield_constants(A, d):
     fq = A.fq
     if fq.f % d:
         raise ValueError("not a subfield degree")
-    qd = A.p ** d
-    return A.constants()[[lam for lam in fq.elements() if fq.pow(lam, qd) == lam]]
+    codes = np.arange(fq.q)
+    return A.constants()[fq.pow(codes, A.p ** d) == codes]
 
 
 def check_structure_theorem(cls_kind, G, L=None, subfield_degree=None):
@@ -524,7 +530,8 @@ def check_structure_theorem(cls_kind, G, L=None, subfield_degree=None):
         L = gamma_and_lie(G)[1]
     dec = decompose(L)
     rep = {"class": cls_kind, "dim_L": L.dim}
-    p, mt, consts = A.p, A.mul_tensor, A.constants()
+    # F-spans as F_p-spans of products with the embedded alpha^i
+    p, mt, consts = A.p, A.mul_tensor, A.embed
     E = np.eye(A.dim, dtype=np.int64)
     one_sp = FpSubspace(p, A.dim, [A.one])
     full_module_B = FpSubspace(p, R.db, np.eye(R.db, dtype=np.int64))
@@ -700,33 +707,28 @@ class EssentialData:
     weakly_odd: bool
 
 
-# Most elements a ring may have for `unit_squares` to enumerate it.
-MAX_RING_ELEMENTS = 10 ** 6
-
-
-def unit_squares(A):
-    """Set of keys of squares of units of A."""
-    vecs = A.elements(cap=MAX_RING_ELEMENTS)
-    if isinstance(A, LocalRing):
-        units = vecs[(vecs @ A.proj.T % A.p).any(axis=1)]
-    else:
-        units = np.array([v for v in vecs if A.is_unit_vec(v)])
-    return set(row_key(A.batch_mul(units, units), A.p).tolist())
-
-
 def essential_data(G, L2):
     """S = {g : tr g = 0, -det g a unit square};
-    A_ess = F-span of tr(g·L_2) over g in S."""
+    A_ess = F-span of tr(g·L_2) over g in S, the F_p-span of its products
+    with the embedded alpha^i."""
     R = G.R
     A = R.A
     p = R.p
-    squares = unit_squares(A)
     traceless = np.flatnonzero(~R.batch_trace(G.elements).any(axis=1))
-    minus_det = row_key((-R.batch_det(G.elements[traceless])) % p, p).tolist()
-    S = traceless[np.array([k in squares for k in minus_det], dtype=bool)].tolist()
+    S = traceless[batch_is_unit_square(A, -R.batch_det(G.elements[traceless]))].tolist()
     traces = FpSubspace(p, A.dim, trace_products(R, G.elements[S], L2.basis))
-    A_ess = span_products(A.constants(), traces.basis, A.mul_tensor, p)
+    A_ess = span_products(A.embed, traces.basis, A.mul_tensor, p)
     return EssentialData(S_indices=S, A_ess=A_ess, weakly_odd=bool(S))
+
+
+# Most F_q-linear forms on A, q^k = p^dim A, that `key_measure_check`
+# enumerates.
+MAX_FORMS = 10 ** 6
+
+
+def forms_over_cap(q, k):
+    """q^k > MAX_FORMS, for q >= 2, without forming q^k for a large k."""
+    return q ** min(k, MAX_FORMS.bit_length()) > MAX_FORMS
 
 
 @dataclass
@@ -766,17 +768,17 @@ def key_measure_check(G, A_ess, gamma_order):
     if f > 1 and A.fq_block is None:
         raise ValueError("F_q-linear forms need a block layout")
     k = A.dim // f
-    if q ** k > 10 ** 6:
+    if forms_over_cap(q, k):
         raise TooLarge(f"{q}^{k} forms exceed the measure cap 10^6")
     grid = (p,) * A.dim
     TR = R.batch_trace(G.elements)
     h = np.bincount(np.ravel_multi_index(TR.T, grid), minlength=q ** k)
     hhat = np.fft.fftn(h.reshape(grid)).ravel()
-    # tr_mul[a, i] = Tr(a·alpha^i); Tr(b) is the trace of y -> b·y on the alpha^i
-    mt = fq.mul_table
-    powers = fq.encode(np.eye(f, dtype=np.int64))          # the codes of alpha^i
-    trace = fq.digits(mt[:, powers]).trace(axis1=1, axis2=2) % p
-    tr_mul = trace[mt[:, powers]]
+    # tr_mul[a, i] = Tr(a·alpha^i).  Tr(b) is the trace of y -> b·y on the
+    # alpha^i, linear in b's digits with weights sum_j T[j, i, j]
+    T = fq.mul_tensor
+    D = fq.digits(np.arange(q))                          # every code's digit row
+    tr_mul = matmul_mod(D, T @ np.einsum("jij->i", T) % p, p)
     W = np.indices((q,) * k).reshape(k, -1).T            # every form, lex order
     U = tr_mul[W].reshape(len(W), A.dim)                # u_w at index j·f + i
     hU = hhat[np.ravel_multi_index(U.T, grid)]
@@ -786,7 +788,8 @@ def key_measure_check(G, A_ess, gamma_order):
     zeros = np.zeros(len(W))
     on_ess = np.zeros(len(W), dtype=bool)
     for c in range(q):
-        cw = mt[c, W] @ qpow                            # index of c·w
+        M_c = matmul_mod(D[c], T.reshape(f, f * f), p).reshape(f, f)    # y -> c·y on digits
+        cw = fq.encode(matmul_mod(D, M_c, p))[W] @ qpow                 # index of c·w
         zeros += hU[cw].real
         on_ess |= u_on_ess[cw]
     zeros /= q
@@ -945,9 +948,9 @@ def random_sr(R, rng, n):
     A = R.A
     lams = rng.integers(1, A.fq.q, size=n)
     C = A.constants()
-    inv = np.argmax(A.fq.mul_table == 1, axis=1)        # inv[lam]·lam = 1 for lam != 0
+    inv = batch_invert(A, C[1:])                        # inv[lam - 1]·C[lam] = 1
     zb, zc = np.zeros((n, R.db), dtype=np.int64), np.zeros((n, R.dc), dtype=np.int64)
-    return R.batch_mul(core, R.assemble(C[lams], zb, zc, C[inv[lams]]))
+    return R.batch_mul(core, R.assemble(C[lams], zb, zc, inv[lams - 1]))
 
 
 # Most tuples `pink_formula_battery` draws.  Its arrays take about 2 KB a

@@ -223,8 +223,8 @@ class PseudoRep:
         return self.A.residue_int(self.d[i])
 
     def has_constant_det(self):
-        consts = set(row_key(self.A.constants(), self.A.p).tolist())
-        return consts.issuperset(row_key(self.d, self.A.p).tolist())
+        """Every d(g) lies in s(F_q), the F_p-span of the embedded alpha^i."""
+        return bool(FpSubspace(self.A.p, self.A.dim, self.A.embed).contains(self.d).all())
 
     def to_dict(self):
         """JSON-ready value table: base descriptor plus t and d rows."""
@@ -427,8 +427,8 @@ def _is_dihedral(gt, orders):
 def _roots(fq, t, d):
     """The codes x with x^2 - t·x + d = 0 in F_q, ascending."""
     x = np.arange(fq.q)
-    sums = fq.digits(fq.mul_table[x, x]) + fq.digits(d)
-    return np.flatnonzero(fq.encode(sums) == fq.mul_table[t]).tolist()
+    sums = fq.digits(fq.mul(x, x)) + fq.digits(d)
+    return np.flatnonzero(fq.encode(sums) == fq.mul(t, x)).tolist()
 
 
 def _character_pairs(gt, fq, tbar, dbar):
@@ -445,19 +445,18 @@ def _character_pairs(gt, fq, tbar, dbar):
         changed = True
         while changed:
             changed = False
-            known = list(chi.items())
-            for i, vi in known:
-                for j, vj in known:
-                    k = int(gt.table[i, j])
-                    val = fq.mul(vi, vj)
-                    if k in chi:
-                        if chi[k] != val:
-                            return False
-                    elif val not in cand[k]:
+            known, vals = map(np.array, zip(*chi.items()))
+            products = fq.mul(vals[:, None], vals[None, :])
+            for k, val in zip(gt.table[np.ix_(known, known)].ravel().tolist(),
+                              products.ravel().tolist()):
+                if k in chi:
+                    if chi[k] != val:
                         return False
-                    else:
-                        chi[k] = val
-                        changed = True
+                elif val not in cand[k]:
+                    return False
+                else:
+                    chi[k] = val
+                    changed = True
         return True
 
     def dfs():
@@ -479,7 +478,7 @@ def _character_pairs(gt, fq, tbar, dbar):
     if not dfs():
         return None
     chi1 = [chi[i] for i in range(gt.n)]
-    chi2 = [fq.mul(dbar[i], fq.inv(chi1[i])) for i in range(gt.n)]
+    chi2 = fq.mul(dbar, fq.inv(chi1)).tolist()
     return chi1, chi2
 
 
@@ -705,7 +704,7 @@ def is_admissible(tr):
     if not tr.has_constant_det():
         return False
     traces = FpSubspace(A.p, A.dim, tr.t)
-    return span_products(A.constants(), traces.basis, A.mul_tensor, A.p).dim == A.dim
+    return span_products(A.embed, traces.basis, A.mul_tensor, A.p).dim == A.dim
 
 
 def residual_image_group(G):

@@ -77,11 +77,12 @@ def test_cap_reached_exit_3():
 
 
 def test_field_table_cap_exit_3():
-    # allocated a 32 GiB table and died with a MemoryError traceback
+    # allocated a 32 GiB table and died with a MemoryError traceback, then
+    # refused the field's q x q table; with no table the group cap is reached
     r = run_cli(["example8", "--p", "65521", "--k", "2"])
     assert r.returncode == 3
     assert r.stdout == "" and "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: a 65521 x 65521 multiplication table exceeds")
+    assert r.stderr.splitlines() == ["error: group exceeds cap 2000000 (cap reached, undecided)"]
 
 
 def _address_space_2gib():
@@ -143,6 +144,24 @@ def test_structure_tensor_cap_exit_3(args):
     assert r.stdout == "" and "Traceback" not in r.stderr
     assert r.stderr.splitlines() == ["error: a 1000^3 structure tensor exceeds 16777216 bytes "
                                      "(cap reached, undecided)"]
+
+
+@pytest.mark.parametrize("args, message", [
+    # the f = 1 root search listed the powers of each candidate in a set of
+    # up to p - 1 = 2^31 - 2 elements
+    (["example8", "--p", "2147483647", "--k", "2"], "group exceeds cap 2000000"),
+    # without a residue-field cap, A = F_q would search for a degree-128
+    # irreducible polynomial before the ring cap was tested
+    (["analyze", "--q", str(3 ** 128), "--k", "1", "--gens", "[]"], "ring too large to enumerate"),
+])
+def test_large_residue_fields_exit_3_at_once(args, message):
+    t0 = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli"] + args, capture_output=True,
+                       text=True, preexec_fn=_address_space_2gib, timeout=120)
+    assert time.perf_counter() - t0 < 2
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == [f"error: {message} (cap reached, undecided)"]
 
 
 def test_analyze_refuses_a_large_ring_before_building_m2():

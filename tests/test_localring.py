@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -5,18 +6,20 @@ import pytest
 
 from pinkforge.errors import CheckFailed, TooLarge
 from pinkforge.localring import (
+    IRREDUCIBLE,
     FqData,
     LocalRing,
     SemiLocalRing,
-    _poly_mul_mod,
+    _irreducible_poly,
     batch_invert,
+    batch_is_unit_square,
     batch_sqrt_one_plus_m,
     factor_prime_power,
     is_prime,
     make_truncated_poly_ring,
     quotient_ring,
 )
-from pinkforge.fp import FpSubspace
+from pinkforge.fp import FpSubspace, row_key
 from pinkforge.gma import m2_structure
 
 
@@ -100,43 +103,39 @@ def test_factor_prime_power_is_immediate_at_2_31():
 
 
 def test_field_table_is_capped_before_allocating():
-    # used to fill a q x q table in a Python loop: 32 GiB at q = 65521
+    # filled a q x q table (32 GiB at q = 65521), later refused q > 4,096:
+    # F_q now multiplies through its (f, f, f) tensor and builds at once
     start = time.perf_counter()
-    with pytest.raises(TooLarge):
-        make_truncated_poly_ring(2 ** 31 - 1, 2)
-    with pytest.raises(TooLarge):
-        FqData(65521, 1)
+    A = make_truncated_poly_ring(2 ** 31 - 1, 2)
+    fq = FqData(65521, 1)
     assert time.perf_counter() - start < 1.0
+    assert A.fq.poly == (2 ** 31 - 1 - 7, 1) and fq.poly == (65521 - 17, 1)
+    assert fq.mul(65520, 65520) == 1 and A.fq.inv(2) == 2 ** 30
 
 
 @pytest.mark.parametrize("p", (2, 3, 257, 1021))
 def test_prime_field_table_is_the_product_mod_p(p):
     fq = FqData(p, 1)
     a, b = np.random.default_rng(p).integers(0, p, (2, 500))
-    assert fq.mul_table.shape == (p, p)
-    assert np.array_equal(fq.mul_table[a, b], a * b % p)
-
-
-def _poly_table(fq):
-    """The q x q table by `_poly_mul_mod` on digit tuples, pair by pair."""
-    q = fq.q
-    return np.array([[fq.encode(_poly_mul_mod(fq.digits(a), fq.digits(b), fq.poly, fq.p))
-                      for b in range(q)] for a in range(q)], dtype=np.int64)
+    assert fq.mul_tensor.tolist() == [[[1]]]
+    assert np.array_equal(fq.mul(a, b), a * b % p)
 
 
 @pytest.mark.parametrize("p, f", [(2, 3), (3, 2), (5, 2)])
 def test_field_table_equals_polynomial_products(p, f):
+    # every pair, as the q x q table was checked
     fq = FqData(p, f)
-    assert np.array_equal(fq.mul_table, _poly_table(fq))
+    a, b = np.indices((fq.q, fq.q))
+    want = [[_field_product(x, y, fq) for x, y in zip(r, s)] for r, s in zip(a.tolist(), b.tolist())]
+    assert fq.mul(a, b).tolist() == want
 
 
 @pytest.mark.parametrize("p, f", [(3, 6), (2, 12)])
 def test_large_field_table_on_sampled_pairs(p, f):
     fq = FqData(p, f)
     a, b = np.random.default_rng(p * f).integers(0, fq.q, (2, 10 ** 4))
-    want = [fq.encode(_poly_mul_mod(fq.digits(x), fq.digits(y), fq.poly, p))
-            for x, y in zip(a.tolist(), b.tolist())]
-    assert fq.mul_table[a, b].tolist() == want
+    want = [_field_product(x, y, fq) for x, y in zip(a.tolist(), b.tolist())]
+    assert fq.mul(a, b).tolist() == want
 
 
 def _field_product(a, b, fq):
@@ -157,7 +156,7 @@ def _field_product(a, b, fq):
 
 @pytest.mark.parametrize("p, f", [(3, 2), (5, 2), (3, 3), (3, 5), (2, 12)])
 def test_field_table_equals_python_int_products(p, f):
-    # the table is filled by `fp.matmul_mod`; q = 9, 25, 27, 243, 4096, every
+    # products through the structure tensor; q = 9, 25, 27, 243, 4096, every
     # pair up to 243 and 20,000 of them at 4096
     fq = FqData(p, f)
     if fq.q <= 243:
@@ -165,7 +164,10 @@ def test_field_table_equals_python_int_products(p, f):
     else:
         a, b = np.random.default_rng(fq.q).integers(0, fq.q, (2, 20_000))
     want = [_field_product(x, y, fq) for x, y in zip(a.tolist(), b.tolist())]
-    assert fq.mul_table[a, b].tolist() == want
+    assert fq.mul(a, b).tolist() == want
+    # the tensor contracted with the digit rows directly
+    D = fq.digits(np.stack([a, b]))
+    assert fq.encode(np.einsum("ni,nj,ijk->nk", D[0], D[1], fq.mul_tensor)).tolist() == want
 
 
 def test_field_table_is_fast():
@@ -176,17 +178,93 @@ def test_field_table_is_fast():
 
 
 def _truncated_tensor_by_loop(A):
-    """F_q[X]/(X^k) structure constants from `_poly_mul_mod` on unit digits."""
-    (f, k), p, poly = A.fq_block, A.p, A.fq.poly
-    E = np.eye(f, dtype=np.int64).tolist()
+    """F_q[X]/(X^k) structure constants from `_field_product` on the codes
+    p^i of alpha^i."""
+    (f, k), fq = A.fq_block, A.fq
     S = np.zeros((A.dim,) * 3, dtype=np.int64)
     for j1 in range(k):
         for j2 in range(k - j1):
             for i1 in range(f):
                 for i2 in range(f):
-                    prod = _poly_mul_mod(E[i1], E[i2], poly, p)
+                    prod = fq.digits(_field_product(A.p ** i1, A.p ** i2, fq))
                     S[j1 * f + i1, j2 * f + i2, (j1 + j2) * f:(j1 + j2 + 1) * f] = prod
     return S
+
+
+def _first_irreducible(p, f):
+    """The first monic irreducible of degree f over F_p in coefficient-lex
+    order (constant term first), by trial division by every monic
+    polynomial of degree 1..f//2, in Python ints."""
+    def divides(d, g):
+        e, r = len(d) - 1, list(g)
+        for top in range(len(r) - 1, e - 1, -1):
+            c = r[top] % p
+            for j in range(e + 1):
+                r[top - e + j] -= c * d[j]
+        return all(x % p == 0 for x in r[:e])
+    for tail in itertools.product(range(p), repeat=f):
+        g = tail + (1,)
+        if not any(divides(d + (1,), g) for e in range(1, f // 2 + 1)
+                   for d in itertools.product(range(p), repeat=e)):
+            return g
+
+
+def _least_primitive_root(p):
+    """The least g whose powers mod p fill F_p*, by listing them."""
+    return next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+
+
+def _small_fields():
+    return [(p, f) for p in range(2, 3 ** 7) if is_prime(p)
+            for f in range(1, 12) if p ** f <= 3 ** 7]
+
+
+def test_irreducible_poly_equals_trial_division():
+    # Rabin's test in place of the gcd search over GF(p)[x]: every field of
+    # at most 3^7 elements outside IRREDUCIBLE, and F_4096
+    cases = [pf for pf in _small_fields() if pf not in IRREDUCIBLE] + [(2, 12)]
+    assert len(cases) > 300
+    for p, f in cases:
+        want = ((-_least_primitive_root(p)) % p, 1) if f == 1 else _first_irreducible(p, f)
+        assert _irreducible_poly(p, f) == want, (p, f)
+    for pf, poly in IRREDUCIBLE.items():
+        assert _irreducible_poly(*pf) == poly
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3), (13, 1), (2, 4), (2, 5)])
+def test_fq_generator_is_the_least_by_listing_powers(p, f):
+    fq = FqData(p, f)
+    want = next((g for g in range(2, fq.q)
+                 if len({_power_loop(fq, g, e) for e in range(fq.q - 1)}) == fq.q - 1), 1)
+    assert fq.generator() == want
+
+
+def _power_loop(fq, g, e):
+    x = 1
+    for _ in range(e):
+        x = _field_product(x, g, fq)
+    return x
+
+
+def _unit_squares(A):
+    """Keys of the squares of the units of A, by enumerating A."""
+    vecs = A.elements(cap=10 ** 6)
+    if isinstance(A, LocalRing):
+        units = vecs[(vecs @ A.proj.T % A.p).any(axis=1)]
+    else:
+        units = np.array([v for v in vecs if A.is_unit_vec(v)])
+    return set(row_key(A.batch_mul(units, units), A.p).tolist())
+
+
+@pytest.mark.parametrize("rings", [[(3, 4)], [(5, 3)], [(7, 2)], [(9, 3)], [(25, 2)], [(27, 2)],
+                                   [(3, 2), (9, 2)]])
+def test_euler_criterion_equals_the_enumerated_squares(rings):
+    factors = [make_truncated_poly_ring(q, k) for q, k in rings]
+    A = factors[0] if len(factors) == 1 else SemiLocalRing(factors)
+    X = A.elements()
+    want = np.isin(row_key(X, A.p), list(_unit_squares(A)))
+    assert want.any() and not want.all()
+    assert np.array_equal(batch_is_unit_square(A, X), want)
 
 
 @pytest.mark.parametrize("q, k", [(9, 3), (8, 2), (3, 4), (27, 2), (25, 1)])

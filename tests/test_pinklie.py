@@ -53,6 +53,7 @@ from pinkforge.pinklie import (
 )
 from pinkforge.pseudorep import FiniteMatrixGroup, _index_closure, residual_image_group
 from pinkforge.cli import main
+from test_localring import _field_product
 
 
 @pytest.fixture(scope="module")
@@ -484,12 +485,12 @@ def test_forward_check_subfield_choice():
     # over F25 both the prime subfield and the full field satisfy the
     # gcd condition for the projective dihedral class; the shape check must
     # pass for either scalar extension
-    from pinkforge.instances import diag_rows, dihedral_constants, _gen_code
+    from pinkforge.instances import diag_rows, dihedral_constants
     from pinkforge.pinklie import check_structure_theorem
     A = make_truncated_poly_ring(25, 2)
     R = m2_structure(A)
     rows = diag_rows(R, list(A.maxideal.basis))
-    gen = _gen_code(A.fq)
+    gen = A.fq.generator()
     lam = A.fq.pow(gen, 3)       # ratio of order 8: projective D8
     gbar = dihedral_constants(R, lam)
     rep = structure_round_trip("dihedral", R, rows, gbar)
@@ -593,11 +594,13 @@ def brute_force_measure(G, A_ess):
                         for block in np.array_split(forms, -(-n_forms // 64)))
     else:
         fq = A.fq
+        # the q x q product table from the Python-int reference
+        table = np.array([[_field_product(a, b, fq) for b in range(fq.q)] for a in range(fq.q)])
         tr_coords = np.array([A.fq_coords(t) for t in TR], dtype=np.int64)
         ess_coords = np.array([A.fq_coords(v) for v in A_ess.basis], dtype=np.int64)
-        counts = [int((_fq_form_apply(fq.mul_table, fq, tr_coords, w) != 0).sum())
+        counts = [int((_fq_form_apply(table, fq, tr_coords, w) != 0).sum())
                   for w in _tuples(fq.q, A.fq_block[1])
-                  if any(w) and _fq_form_apply(fq.mul_table, fq, ess_coords, w).any()]
+                  if any(w) and _fq_form_apply(table, fq, ess_coords, w).any()]
         n_forms, min_count = len(counts), min(counts)
     mm = Fraction(min_count, G.n)
     return MeasureReport(bound=bound, min_measure=mm, n_forms=n_forms, passed=mm >= bound)
