@@ -726,11 +726,6 @@ def essential_data(G, L2):
 MAX_FORMS = 10 ** 6
 
 
-def forms_over_cap(q, k):
-    """q^k > MAX_FORMS, for q >= 2, without forming q^k for a large k."""
-    return q ** min(k, MAX_FORMS.bit_length()) > MAX_FORMS
-
-
 @dataclass
 class MeasureReport:
     bound: Fraction
@@ -768,8 +763,8 @@ def key_measure_check(G, A_ess, gamma_order):
     if f > 1 and A.fq_block is None:
         raise ValueError("F_q-linear forms need a block layout")
     k = A.dim // f
-    if forms_over_cap(q, k):
-        raise TooLarge(f"{q}^{k} forms exceed the measure cap 10^6")
+    if q ** k > MAX_FORMS:
+        raise TooLarge(f"{q}^{k} forms exceed the measure cap {MAX_FORMS}")
     grid = (p,) * A.dim
     TR = R.batch_trace(G.elements)
     h = np.bincount(np.ravel_multi_index(TR.T, grid), minlength=q ** k)

@@ -150,9 +150,18 @@ def test_structure_tensor_cap_exit_3(args):
     # the f = 1 root search listed the powers of each candidate in a set of
     # up to p - 1 = 2^31 - 2 elements
     (["example8", "--p", "2147483647", "--k", "2"], "group exceeds cap 2000000"),
-    # without a residue-field cap, A = F_q would search for a degree-128
-    # irreducible polynomial before the ring cap was tested
-    (["analyze", "--q", str(3 ** 128), "--k", "1", "--gens", "[]"], "ring too large to enumerate"),
+    # A = F_q would search for a degree-128 irreducible polynomial first
+    (["analyze", "--q", str(3 ** 128), "--k", "1", "--gens", "[]"],
+     f"residue field F_{3 ** 128} exceeds the cap q <= 4096"),
+    # under the forms cap at k = 1: a coset BFS of 999,982 levels, then an
+    # n x n table of the residual image
+    (["analyze", "--q", "999983", "--k", "1", "--gens", "[[5,0,0,1]]"],
+     "residue field F_999983 exceeds the cap q <= 4096"),
+    (["analyze", "--q", "4099", "--k", "1", "--gens", "[[2,0,0,1]]"],
+     "residue field F_4099 exceeds the cap q <= 4096"),
+    # the cap comes before --gens is read
+    (["analyze", "--q", "4099", "--k", "1", "--gens", "[[1]]"],
+     "residue field F_4099 exceeds the cap q <= 4096"),
 ])
 def test_large_residue_fields_exit_3_at_once(args, message):
     t0 = time.perf_counter()
@@ -162,6 +171,12 @@ def test_large_residue_fields_exit_3_at_once(args, message):
     assert r.returncode == 3
     assert r.stdout == "" and "Traceback" not in r.stderr
     assert r.stderr.splitlines() == [f"error: {message} (cap reached, undecided)"]
+
+
+def test_analyze_runs_at_the_largest_residue_field():
+    r = run_cli(["analyze", "--q", "4093", "--k", "1", "--gens", "[]"])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["ring"]["q"] == 4093
 
 
 def test_analyze_refuses_a_large_ring_before_building_m2():
