@@ -166,11 +166,10 @@ def form(text):
     return text
 
 
-def parse_form(name, p, deg):
-    """'delta^N' or 'delta' -> the corresponding series mod p."""
+def form_power(name):
+    """'delta^N' -> N, 'delta' -> 1."""
     n = _FORM.fullmatch(name.strip().lower()).group(2)
-    d = delta_expansion(p, deg)
-    return d if n is None else series_pow(d, int(n))
+    return 1 if n is None else int(n)
 
 
 # -- verify battery ---------------------------------------------------------------
@@ -527,7 +526,7 @@ def cmd_example8(args):
 
 
 def cmd_density(args):
-    f = parse_form(args.form, args.p, args.X)
+    f = series_pow(delta_expansion(args.p, args.X), form_power(args.form))
     rep = density_sweep(f, args.X, Np=args.np)
     report = {
         "command": "density",
@@ -556,7 +555,7 @@ def cmd_delta_power(args):
 
 
 def cmd_cyclotomic(args):
-    f = parse_form(args.form, args.p, args.X)
+    f = series_pow(delta_expansion(args.p, args.X), form_power(args.form))
     verdict, data = cyclotomic_test(f, args.M, args.X, Np=args.np or 1)
     report = {
         "command": "cyclotomic",
@@ -571,8 +570,7 @@ def cmd_cyclotomic(args):
 
 def cmd_span(args):
     primes = args.primes
-    f = parse_form(args.form, args.p, args.deg)
-    span = hecke_span(f, primes, max_dim=args.max_dim, k_eff=args.k_eff)
+    span = hecke_span(args.p, form_power(args.form), primes, max_dim=args.max_dim)
     nil = {}
     if args.p == 2:
         for ell in primes:
@@ -582,9 +580,8 @@ def cmd_span(args):
         "command": "span",
         "version": __version__,
         "config": {"p": args.p, "form": args.form, "primes": primes,
-                   "deg": args.deg, "max_dim": args.max_dim},
+                   "max_dim": args.max_dim},
         "dim": span.dim,
-        "usable_deg": span.usable_deg,
         "matrices": {str(ell): span.matrices[ell].tolist() for ell in primes},
         "nilpotency_order": nil,
     }
@@ -684,9 +681,7 @@ def build_parser():
     s.add_argument("--p", type=prime, required=True)
     s.add_argument("--form", type=form, required=True)
     s.add_argument("--primes", type=prime_list, required=True, help="comma-separated")
-    s.add_argument("--deg", type=at_least(1), required=True)
     s.add_argument("--max-dim", type=at_least(1), default=64)
-    s.add_argument("--k-eff", type=int, default=0)
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_span)
 

@@ -1,6 +1,7 @@
 """Level-one q-expansions over F_p: the discriminant form and its powers,
-Hecke operators, prime-coefficient densities, cyclotomicity sweeps, and
-finite Hecke-stable spans.
+Hecke operators, prime-coefficient densities, cyclotomicity sweeps, and the
+Hecke-stable span of Delta^n in M_12n (weight 12n), whose forms are fixed by
+a_0..a_n (Sturm, LNM 1240, 1987), on the basis Delta^c·E_4^{3(n-c)}.
 
 Series are dense and truncated: a degree-N series knows its coefficients
 a_0..a_N exactly.  Multiplication truncates to the smaller degree.  For
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckFailed, TooLarge
+from .fp import matmul_mod, rref
 from .localring import is_prime
 
 
@@ -129,9 +131,6 @@ class FpSeries:
         if self.p == 2:
             return int(self.bits).bit_count()
         return int((self.coef != 0).sum())
-
-    def is_zero(self):
-        return self.bits == 0 if self.p == 2 else not self.coef.any()
 
     def truncate(self, deg):
         if deg > self.deg:
@@ -543,11 +542,50 @@ def cyclotomic_test(f, M, X, Np=1):
 
 # -- Hecke spans -------------------------------------------------------------------
 
+def _eisenstein_e4(p, deg):
+    """E_4 = 1 + 240·sum sigma_3(m) q^m mod p to degree deg.  sigma_3 comes
+    from a divisor sieve over the pairs d·e <= deg: one slice per d <= r =
+    isqrt(deg) adds d^3, and one per cofactor d <= r adds e^3 for e > r."""
+    m = np.arange(deg + 1, dtype=np.int64) % p
+    cube = m * m % p * m % p
+    sigma = np.zeros(deg + 1, dtype=np.int64)
+    r = math.isqrt(deg)
+    for d in range(1, r + 1):
+        sigma[d:: d] += cube[d]
+        sigma[(r + 1) * d:: d] += cube[r + 1: deg // d + 1]
+    coef = 240 % p * (sigma % p) % p
+    coef[0] = 1
+    return FpSeries(p, deg, coef=coef)
+
+
+def _sturm_operators(p, n, primes):
+    """T_ell at weight 12n as matrices Q_ell on a_0..a_n.  b_c =
+    Delta^c·E_4^{3(n-c)}, c = 0..n, is a unitriangular Z-basis of M_12n (b_c
+    = q^c + O(q^{c+1})).  With B the a_0..a_n of the b_c and C_ell those of
+    T_ell b_c (b_c to degree ell·n), Q_ell = C_ell·B^-1: one rref takes the
+    rows [B^T | C_ell^T ...] to [I | Q_ell^T ...]."""
+    if (n + 1) * (max(primes) * n + 1) > MAX_DEGREE:
+        raise TooLarge(f"a basis of {n + 1} forms to degree {max(primes) * n} "
+                       f"exceeds the cap of {MAX_DEGREE} coefficients")
+    deg = max(1, max(primes) * n)
+    one = FpSeries.from_coeffs(p, [1], deg=deg)
+    delta, e12 = delta_expansion(p, deg), series_pow(_eisenstein_e4(p, deg), 3)
+    b, e = [one, delta][: n + 1], e12
+    for _ in range(n - 1):
+        b.append(series_mul(b[-1], delta))                  # Delta^c
+    for c in range(n - 1, 0, -1):
+        b[c], e = series_mul(b[c], e), series_mul(e, e12)   # b_c, E_4^{3(n-c+1)}
+    b[0] = e if n else one
+    rows = [[g.truncate(n).coeffs_array()
+             for g in [f] + [hecke_T(ell, 12 * n, f) for ell in primes]] for f in b]
+    R, _ = rref(np.array(rows).reshape(n + 1, -1), p)
+    return {ell: R[:, (i + 1) * (n + 1):(i + 2) * (n + 1)].T for i, ell in enumerate(primes)}
+
+
 @dataclass
 class HeckeSpan:
     p: int
-    basis: list                 # FpSeries, echelonized by leading index
-    usable_deg: int
+    basis: list                 # a_0..a_n of each form, echelonized by leading index
     matrices: dict              # ell -> np.ndarray, columns = images of basis
 
     @property
@@ -555,85 +593,45 @@ class HeckeSpan:
         return len(self.basis)
 
 
-MIN_USABLE_DEG = 16
-
-
-def _leading_index(f, deg):
-    for n in f.support():
-        if n <= deg:
-            return n
-    return None
-
-
-def _reduce_against(f, basis, deg, p):
-    """Echelon reduction of f against basis rows up to degree deg.
-
-    Returns (residual, coords)."""
+def _reduce_against(v, basis, p):
+    """Echelon reduction of v against (vector, leading index) pairs: (residual, coords)."""
     coords = np.zeros(len(basis), dtype=np.int64)
-    g = f
     for i, (b, lead) in enumerate(basis):
-        if lead > g.deg or lead > deg:
-            raise TooLarge("basis lead beyond the comparable degree")
-        c = g.coeff(lead)
-        if c:
-            factor = (c * pow(int(b.coeff(lead)), -1, p)) % p
-            g = g - b.scale(factor)
-            coords[i] = factor
-    return g, coords
+        if v[lead]:
+            coords[i] = v[lead] * pow(int(b[lead]), -1, p) % p
+            v = (v - coords[i] * b) % p
+    return v, coords
 
 
-def hecke_span(f, primes, max_dim=64, k_eff=0):
-    """Stable span of f under the given Hecke operators.
+def hecke_span(p, n, primes, max_dim=64):
+    """Stable span of Delta^n mod p under T_ell, ell in primes, at weight 12n.
 
-    Usable degree shrinks by a factor ell at each application; every basis
-    vector tracks it, comparisons happen at the common usable degree, and
-    TooLarge is raised instead of comparing silently-truncated tails.
+    Forms of M_12n are their coefficient vectors a_0..a_n and T_ell is the
+    matrix `_sturm_operators` gives, so the span is exact linear algebra
+    on vectors of length n + 1, with no truncated tails to compare.
     """
-    p = f.p
-    deg = f.deg
-    basis = []          # (series, leading index) pairs
-    usable = deg
+    Q = _sturm_operators(p, n, primes)
+    basis = []          # (vector, leading index) pairs
 
-    def add_vector(g, gdeg):
-        nonlocal usable
-        usable = min(usable, gdeg)
-        if usable < MIN_USABLE_DEG:
-            raise TooLarge("usable degree fell below the comparison floor")
-        res, _ = _reduce_against(g, basis, usable, p)
-        if res.truncate(usable).is_zero():
+    def add_vector(v):
+        res, _ = _reduce_against(v, basis, p)
+        if not res.any():
             return False
-        lead = _leading_index(res, usable)
-        if lead is None:
-            return False
-        basis.append((res, lead))
+        basis.append((res, int(np.flatnonzero(res)[0])))
         basis.sort(key=lambda t: t[1])
         if len(basis) > max_dim:
             raise TooLarge("span dimension exceeded max_dim")
         return True
 
-    add_vector(f, deg)
-    frontier = [(f, deg)]
+    frontier = [np.eye(1, n + 1, n, dtype=np.int64)[0]]      # Delta^n = q^n + O(q^{n+1})
+    add_vector(frontier[0])
     while frontier:
-        new = []
-        for (g, gdeg) in frontier:
-            for ell in primes:
-                img = hecke_T(ell, k_eff, g)
-                if add_vector(img, gdeg // ell):
-                    new.append((img, gdeg // ell))
-        frontier = new
-    # matrices of each operator on the stabilized basis
-    matrices = {}
-    for ell in primes:
-        cols = []
-        for (b, _) in basis:
-            img = hecke_T(ell, k_eff, b)
-            res, coords = _reduce_against(img, basis, usable // ell, p)
-            if not res.truncate(usable // ell).is_zero():
-                raise CheckFailed("span not stable at matrix extraction")
-            cols.append(coords)
-        matrices[ell] = np.array(cols, dtype=np.int64).T % p
-    return HeckeSpan(p=p, basis=[b for (b, _) in basis], usable_deg=usable,
-                     matrices=matrices)
+        images = [matmul_mod(Q[ell], g, p) for g in frontier for ell in primes]
+        frontier = [img for img in images if add_vector(img)]
+    # the span is closed, so each image reduces to zero: its coords are a column
+    matrices = {ell: np.array([_reduce_against(matmul_mod(Q[ell], b, p), basis, p)[1]
+                               for b, _ in basis]).T for ell in primes}
+    return HeckeSpan(p=p, basis=[b for b, _ in basis], matrices=matrices)
 
 
 def nilpotency_check(span, ell, lam):

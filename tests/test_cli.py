@@ -30,14 +30,15 @@ def test_usage_error_exit_2():
     ["density", "--p", "1", "--form", "delta", "--X", "100"],
     ["delta-power", "--p", "2147483648", "--n", "1", "--deg", "10", "--out", "{tmp}/d.bin"],
     ["cyclotomic", "--p", "4294967311", "--form", "delta", "--M", "4", "--X", "100"],
-    ["span", "--p", "0", "--form", "delta", "--primes", "3", "--deg", "100"],
+    ["span", "--p", "0", "--form", "delta", "--primes", "3"],
     ["density", "--p", "3", "--form", "eta", "--X", "100"],
     ["analyze", "--q", "9", "--k", "3", "--gens-preset", "example8"],
     ["density", "--p", "3", "--form", "delta", "--X", "0"],
     ["cyclotomic", "--p", "3", "--form", "delta", "--M", "4", "--X", "0"],
     ["cyclotomic", "--p", "3", "--form", "delta", "--M", "0", "--X", "100"],
     ["delta-power", "--p", "3", "--n", "1", "--deg", "0", "--out", "{tmp}/d.bin"],
-    ["span", "--p", "2", "--form", "delta", "--primes", "3", "--deg", "0"],
+    # span takes neither --deg nor --k-eff: n and the weight 12n come from --form
+    ["span", "--p", "2", "--form", "delta", "--primes", "3", "--deg", "100"],
     ["example8", "--p", "3", "--k", "1"],
     ["example8", "--p", "2", "--k", "3"],
     ["density", "--p", "3", "--form", "delta", "--X", "100", "--out", "{tmp}/no/d.json"],
@@ -49,8 +50,8 @@ def test_usage_error_exit_2():
     ["analyze", "--q", "3", "--k", "1", "--gens", "[[1, 0]]"],
     ["analyze", "--q", "3", "--k", "1", "--gens", "{{}}"],
     ["analyze", "--q", "3", "--k", "1", "--gens", "[[0, 0, 0, 0]]"],
-    ["span", "--p", "2", "--form", "delta", "--primes", "3,x", "--deg", "100"],
-    ["span", "--p", "2", "--form", "delta", "--primes", "4", "--deg", "100"],
+    ["span", "--p", "2", "--form", "delta", "--primes", "3,x"],
+    ["span", "--p", "2", "--form", "delta", "--primes", "4"],
     ["verify", "--seed", "-1"],
     ["verify", "--tuples", "0"],
     ["example8", "--p", "3", "--k", "3", "--cap", "0"],
@@ -60,6 +61,7 @@ def test_usage_error_exit_2():
     # M·Np·p reached np.gcd as int64: an OverflowError traceback and exit 1
     ["cyclotomic", "--p", "3", "--form", "delta", "--M", "10000000000000000000", "--X", "1000"],
     ["density", "--p", "3", "--form", "delta", "--np", "10000000000000000000", "--X", "1000"],
+    ["span", "--p", "11", "--form", "delta", "--primes", "2", "--k-eff", "12"],
 ])
 def test_bad_input_is_a_usage_error(args, tmp_path):
     r = run_cli([a.format(tmp=tmp_path) for a in args])
@@ -92,17 +94,34 @@ def _address_space_2gib():
 @pytest.mark.parametrize("args", [
     ["density", "--p", "3", "--form", "delta", "--X", "10000000000000000000"],
     ["cyclotomic", "--p", "3", "--form", "delta", "--M", "4", "--X", "10000000000"],
-    ["span", "--p", "3", "--form", "delta", "--primes", "5", "--deg", "100000000000000"],
 ])
 def test_series_degree_cap_exit_3(args):
-    # these asked numpy for 11.1 GiB, 24.8 GiB and 243 TiB and exited 1
-    # with an _ArrayMemoryError traceback
+    # these asked numpy for 11.1 GiB and 24.8 GiB and exited 1 with an
+    # _ArrayMemoryError traceback
     r = subprocess.run([sys.executable, "-m", "pinkforge.cli"] + args, capture_output=True,
                        text=True, preexec_fn=_address_space_2gib, timeout=120)
     assert r.returncode == 3
     assert r.stdout == "" and "Traceback" not in r.stderr
     assert re.fullmatch(r"error: series degree \d+ exceeds the cap \d+ \(cap reached, undecided\)",
                         r.stderr.strip())
+
+
+@pytest.mark.parametrize("args", [
+    ["span", "--p", "2", "--form", "delta^100000000000000", "--primes", "3"],
+    ["span", "--p", "3", "--form", "delta", "--primes", "2147483647"],
+])
+def test_span_basis_budget_exit_3(args):
+    # span's --deg 100000000000000 asked numpy for 243 TiB and exited 1 with
+    # an _ArrayMemoryError traceback; its Sturm basis of (n + 1) forms to
+    # degree ell_max·n is refused before any series exists
+    t0 = time.time()
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli"] + args, capture_output=True,
+                       text=True, preexec_fn=_address_space_2gib, timeout=120)
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert re.fullmatch(r"error: a basis of \d+ forms to degree \d+ exceeds the cap of 20000000 "
+                        r"coefficients \(cap reached, undecided\)", r.stderr.strip())
+    assert time.time() - t0 < 2.0
 
 
 @pytest.mark.parametrize("args, message", [
@@ -203,11 +222,23 @@ def test_verify_does_not_import_numpy_ma():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0 and r.stdout == "False\n"
 
-def test_span_out_of_degree_is_undecided():
-    # ran out of usable degree: exit 1 with no report before
-    r = run_cli(["span", "--p", "2", "--form", "delta", "--primes", "3", "--deg", "1"])
-    assert r.returncode == 3
-    assert r.stdout == "" and "Traceback" not in r.stderr
+def test_span_needs_no_degree():
+    # with --deg 1 the usable degree ran out (exit 3, and exit 1 before that);
+    # the span is fixed by a_0..a_n of M_12n
+    r = run_cli(["span", "--p", "2", "--form", "delta", "--primes", "3"])
+    assert r.returncode == 0 and "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["dim"] == 1
+
+
+@pytest.mark.parametrize("p, ell, tau", [(11, 2, 9), (17, 3, 14)])
+def test_span_weight_is_12n(p, ell, tau):
+    # T_ell acts at weight 12 on Delta, with eigenvalue tau(ell) mod p:
+    # tau(2) = -24 = 9 mod 11, tau(3) = 252 = 14 mod 17.  The --k-eff 0
+    # default used weight 0, so these spans never closed and exited 3.
+    r = run_cli(["span", "--p", str(p), "--form", "delta", "--primes", str(ell)])
+    assert r.returncode == 0
+    d = json.loads(r.stdout)
+    assert d["dim"] == 1 and d["matrices"] == {str(ell): [[tau]]}
 
 
 def test_analyze_over_a_field_with_no_generators():
@@ -279,7 +310,7 @@ def test_delta_power_file_layout(tmp_path):
 def test_span_and_cyclotomic(tmp_path):
     out = tmp_path / "span.json"
     rc = main(["span", "--p", "2", "--form", "delta^3", "--primes", "3,5",
-               "--deg", "60000", "--out", str(out)])
+               "--out", str(out)])
     assert rc == 0
     d = json.loads(out.read_text())
     assert d["dim"] == 2

@@ -82,14 +82,13 @@ def test_cyclotomic(p, form, M, X, np_):
 
 
 @FUZZ
-@given(p=PRIMES, form=st.sampled_from(["delta", "delta^3", "eta"]),
+@example(p="2", form="delta^3", primes="3,5", max_dim=[])
+@given(p=PRIMES, form=st.sampled_from(["delta", "delta^3", "delta^0", "eta"]),
        primes=st.lists(st.sampled_from(["3", "5", "7", "2", "0", "-1", "x", ""]), min_size=1,
                        max_size=3).map(",".join),
-       deg=st.integers(-1, 2000).map(str), max_dim=opt("--max-dim", SMALL),
-       k_eff=opt("--k-eff", SMALL))
-def test_span(p, form, primes, deg, max_dim, k_eff):
-    check(["span", "--p", p, "--form", form, "--primes", primes, "--deg", deg]
-          + max_dim + k_eff)
+       max_dim=opt("--max-dim", SMALL))
+def test_span(p, form, primes, max_dim):
+    check(["span", "--p", p, "--form", form, "--primes", primes] + max_dim)
 
 
 GENS = st.lists(st.lists(st.integers(-1, 9), min_size=0, max_size=9), min_size=0, max_size=3)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import time
 import tracemalloc
@@ -8,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from pinkforge import modforms
 from pinkforge.errors import CheckFailed, TooLarge
+from pinkforge.fp import rref
 from pinkforge.modforms import (
     SPARSE_CUTOFF,
     FpSeries,
     _dense_mul,
+    _eisenstein_e4,
     _eta_cubed,
     _eta_terms,
     _pack_bits,
@@ -503,7 +507,7 @@ def test_mul_commutes_and_distributes(n1, n2):
 def test_hecke_U_examples():
     # series supported away from multiples of ell maps to zero
     f = FpSeries.from_support(2, 100, [1, 2, 4, 7, 8])
-    assert hecke_U(3, f).is_zero()
+    assert hecke_U(3, f).support() == []
     g = FpSeries.from_support(2, 100, [3, 9, 12])
     assert set(hecke_U(3, g).support()) == {1, 3, 4}
     with pytest.raises(ValueError):
@@ -639,8 +643,7 @@ def test_cyclotomic_random_sparse_fuzz(rng):
 def test_hecke_span_eigenform_like():
     # a 1-dimensional span: f with T_3 f = f built as a lambda-eigen series
     # is hard to fabricate exactly; use Delta mod 2, where T_ell Delta = 0
-    d = delta_expansion(2, 50000)
-    span = hecke_span(d, [3, 5])
+    span = hecke_span(2, 1, [3, 5])
     assert span.dim == 1
     assert not span.matrices[3].any() and not span.matrices[5].any()
     order, _ = nilpotency_check(span, 3, 0)
@@ -648,8 +651,7 @@ def test_hecke_span_eigenform_like():
 
 
 def test_hecke_span_delta_cube():
-    d3 = series_pow(delta_expansion(2, 60000), 3)
-    span = hecke_span(d3, [3, 5])
+    span = hecke_span(2, 3, [3, 5])
     assert span.dim == 2
     M3, M5 = span.matrices[3], span.matrices[5]
     assert not ((M3 @ M5 - M5 @ M3) % 2).any()
@@ -661,10 +663,200 @@ def test_hecke_span_delta_cube():
     assert order is None and witness is not None
 
 
-def test_hecke_span_degree_guard():
-    d3 = series_pow(delta_expansion(2, 200), 3)
-    with pytest.raises(TooLarge, match="usable degree fell below the comparison floor"):
-        hecke_span(d3, [3, 5, 7, 11])
+def test_hecke_span_reports_where_the_degree_ran_out():
+    # at degree 200 the usable degree of the truncated series fell below its
+    # floor; on a_0..a_3 the span reports.  T_ell Delta^3 = a_ell(Delta^3)·Delta
+    # mod 2, and Delta^3 = Delta(q)·Delta(q^2) = q^3 + q^11 + ...
+    span = hecke_span(2, 3, [3, 5, 7, 11])
+    assert span.dim == 2
+    assert [b.tolist() for b in span.basis] == [[0, 1, 0, 0], [0, 0, 0, 1]]
+    assert {ell: m.tolist() for ell, m in span.matrices.items()} == {
+        3: [[0, 1], [0, 0]], 5: [[0, 0], [0, 0]], 7: [[0, 0], [0, 0]], 11: [[0, 1], [0, 0]]}
+
+
+def test_hecke_span_basis_budget():
+    # refused before any series is built: (n + 1)·(ell_max·n + 1) coefficients
+    with pytest.raises(TooLarge, match="exceeds the cap of 20000000 coefficients"):
+        hecke_span(2, 10 ** 12, [3])
+    with pytest.raises(TooLarge, match="exceeds the cap"):
+        hecke_span(3, 1, [2147483647])
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 4, 8, 9, 10, 48, 49, 50, 1000])
+def test_eisenstein_e4_against_divisor_sums(deg):
+    for p in (2, 3, 5, 7, 691, 65521):
+        sigma3 = [sum(d ** 3 for d in range(1, m + 1) if m % d == 0) for m in range(deg + 1)]
+        want = [1] + [240 * s % p for s in sigma3[1:]]
+        assert _eisenstein_e4(p, deg).coeffs_array().tolist() == want
+
+
+# The span at the parent, which tracked the usable degree of truncated series:
+# (p, n, primes, dim, nilpotency orders of T_3 and T_5 at p = 2, sha256 of
+# json.dumps of the report's matrices with sorted keys), from `pink span` at a
+# --deg where it reports with a usable degree of at least n, and --k-eff 12n
+# where (p - 1) does not divide 12.
+DEGREE_TRACKING_SPANS = [
+    (2, 0, "3,5", 1, (1, 1),
+     "1e46a8a2a54a3ff68e7fb34a8e0bab4be7e026ff5cc26cf59765ae7dd99c2d5a"),
+    (2, 1, "3,5", 1, (1, 1),
+     "1e46a8a2a54a3ff68e7fb34a8e0bab4be7e026ff5cc26cf59765ae7dd99c2d5a"),
+    (2, 2, "3,5", 1, (1, 1),
+     "1e46a8a2a54a3ff68e7fb34a8e0bab4be7e026ff5cc26cf59765ae7dd99c2d5a"),
+    (2, 3, "3,5", 2, (2, 1),
+     "42c1bd6f82bedcfe66b6098318a1202b57b36dd5e25629460bcf265cc36aa6f7"),
+    (2, 4, "3,5", 1, (1, 1),
+     "1e46a8a2a54a3ff68e7fb34a8e0bab4be7e026ff5cc26cf59765ae7dd99c2d5a"),
+    (2, 5, "3,5", 2, (1, 2),
+     "c0dc2e06f4d9698e61650efbfb661c90d2b7e5f47186147b04f7964ef46ec143"),
+    (2, 6, "3,5", 2, (2, 1),
+     "42c1bd6f82bedcfe66b6098318a1202b57b36dd5e25629460bcf265cc36aa6f7"),
+    (2, 7, "3,5", 4, (2, 2),
+     "33c76c4264c952014ecae5e14cb45e94a1864acb888aeb4fbe1052e8b3f9087c"),
+    (2, 8, "3,5", 1, (1, 1),
+     "1e46a8a2a54a3ff68e7fb34a8e0bab4be7e026ff5cc26cf59765ae7dd99c2d5a"),
+    (2, 9, "3,5", 3, (3, 1),
+     "a630bd87c0db450c8e8f266461e85d5a8aed24366cc8b64a258872acfeae272b"),
+    (2, 10, "3,5", 2, (1, 2),
+     "c0dc2e06f4d9698e61650efbfb661c90d2b7e5f47186147b04f7964ef46ec143"),
+    (2, 11, "3,5", 4, (4, 1),
+     "9bfd44578dda0e49a627da0c4d14d44a8c71c6d74c2873076715cabcd5aa0838"),
+    (2, 12, "3,5", 2, (2, 1),
+     "42c1bd6f82bedcfe66b6098318a1202b57b36dd5e25629460bcf265cc36aa6f7"),
+    (2, 13, "3,5", 6, (3, 2),
+     "f1ec00074bbdc4b039c6e48dba9203ebda1d6680203e7b1195cceaea929c7d8a"),
+    (2, 14, "3,5", 4, (2, 2),
+     "33c76c4264c952014ecae5e14cb45e94a1864acb888aeb4fbe1052e8b3f9087c"),
+    (2, 15, "3,5", 8, (4, 2),
+     "42bc92f998f1411a15013ab3fd82cc00281624e44ad7003012d26213c6a0a08d"),
+    (2, 16, "3,5", 1, (1, 1),
+     "1e46a8a2a54a3ff68e7fb34a8e0bab4be7e026ff5cc26cf59765ae7dd99c2d5a"),
+    (2, 17, "3,5", 3, (1, 3),
+     "0400ba4cea4de9b05bff30d4bbbadb5216d5f19fb40975dd1a9b1026a1233719"),
+    (2, 18, "3,5", 3, (3, 1),
+     "a630bd87c0db450c8e8f266461e85d5a8aed24366cc8b64a258872acfeae272b"),
+    (2, 19, "3,5", 6, (4, 3),
+     "02cf8d5bb894a66be45af35a7e45fd6fb19d9c81606ead21b0fe6603c16edb28"),
+    (2, 20, "3,5", 2, (1, 2),
+     "c0dc2e06f4d9698e61650efbfb661c90d2b7e5f47186147b04f7964ef46ec143"),
+    (2, 21, "3,5", 6, (3, 4),
+     "63c96d0cf56cfd58f2b22fe2f1083d658dde989fe8764bc6e8530cf3fa83d5c6"),
+    (2, 22, "3,5", 4, (4, 1),
+     "9bfd44578dda0e49a627da0c4d14d44a8c71c6d74c2873076715cabcd5aa0838"),
+    (2, 23, "3,5", 8, (2, 4),
+     "d575a99859856e3414e5190efc1d542bda3abdbb8433a4309f865f3ce0e7fdcc"),
+    (2, 24, "3,5", 2, (2, 1),
+     "42c1bd6f82bedcfe66b6098318a1202b57b36dd5e25629460bcf265cc36aa6f7"),
+    (2, 25, "3,5", 9, (3, 3),
+     "90d38138801e41be88ccae2895d4c3c7308843cfe92b670243c7b9682d594b53"),
+    (2, 26, "3,5", 6, (3, 2),
+     "f1ec00074bbdc4b039c6e48dba9203ebda1d6680203e7b1195cceaea929c7d8a"),
+    (2, 27, "3,5", 12, (4, 3),
+     "c64c1123be6424d932c0ee9ebf08e69c845a50d13be8cc65713700dd98cfef16"),
+    (2, 28, "3,5", 4, (2, 2),
+     "33c76c4264c952014ecae5e14cb45e94a1864acb888aeb4fbe1052e8b3f9087c"),
+    (2, 29, "3,5", 12, (3, 4),
+     "452e0604fca7c0b3a25a1821f0dced0bef08aeb5e70b020a577d4e0c952a8c21"),
+    (2, 30, "3,5", 8, (4, 2),
+     "42bc92f998f1411a15013ab3fd82cc00281624e44ad7003012d26213c6a0a08d"),
+    (2, 31, "3,5", 16, (4, 4),
+     "bf3b415e5cace3ac03d8990ee6542c0cb7eb25d4ee68127c257c88c0640a5372"),
+    (3, 0, "2,5", 1, None,
+     "89162a5c576e2fd0ea1053d12c1662004bea49f9d627563c5c6671d8afe544e6"),
+    (3, 1, "2,5", 1, None,
+     "89162a5c576e2fd0ea1053d12c1662004bea49f9d627563c5c6671d8afe544e6"),
+    (3, 2, "2,5", 2, None,
+     "3872aeb48f4da73f71d48231a335a0093df77b7087ec6392c6c30bbca03a6695"),
+    (3, 4, "2,5", 3, None,
+     "f953094bd4153fb196e99ab8ba1e823dc4afa8b9f0af09345465db46e261599d"),
+    (3, 5, "2,5", 4, None,
+     "12dee722956b49061e8798501e9a894726a4c7de621d88a1ccb8ee1279b1ae80"),
+    (3, 7, "2,5", 5, None,
+     "05cd9e853c1f58894f8c1d2618e609e4676f640b49f0b7f06f7f6ca0d9927c72"),
+    (3, 13, "2,5", 5, None,
+     "8ba4f884ad2b876afa723a063446bfdba1ee1df816a46fabee63eaac5675d302"),
+    (5, 0, "2,3", 1, None,
+     "712ed1bf6688ae03f4b00fdeabfa550fb95c9dc91b32db00fd04c0e4f2f957df"),
+    (5, 1, "2,3", 1, None,
+     "470afe02467712fa4ca30db30496d817f41d781f575b4d7d8756c07dce583fe9"),
+    (5, 2, "2,3", 2, None,
+     "0cff5bf7826320c33dd0d3ae33b1693d8a622b0adc09aac8e42e433dfee7b61a"),
+    (5, 3, "2,3", 3, None,
+     "275ae86039ce0220f902a6da1a58cd0a9e60b44daf6ef6c08e09ed86e708d058"),
+    (5, 4, "2,3", 4, None,
+     "b07a6e044469316caf47a05ea0306ce3f49cb66278738e5069b02f360b9df0ab"),
+    (7, 0, "2,3", 1, None,
+     "1b70df2a13fd8ab1038a4a0ec04f73b24f56c41e7746b7b4c178e2f2b1569697"),
+    (7, 1, "2,3", 1, None,
+     "63a266c097f15d634531e9a65f3acc9724fdde4920f4cebaf1269137abcafd80"),
+    (7, 2, "2,3", 2, None,
+     "039c954e11f0558f663207b9754bb2099a8e0203e2fd25441a9cbf725c08ede7"),
+    (7, 3, "2,3", 3, None,
+     "56ecf9e12325daa129017c60252170c768b85efdbe0ec2c7c0c178d254cf6e5e"),
+    (11, 0, "2,3", 1, None,
+     "d6b93d0f34accb1ae0bd38ea36f7a39f1e715c5b73609c5f34378b533f1413c6"),
+    (11, 1, "2,3", 1, None,
+     "02dccf713c8b95dcedc3a55ca980d39c5faaaac6c3e5c2c90c631a77b6a8dcdb"),
+    (11, 2, "2,3", 2, None,
+     "baae64ad041a69c1e33a85f6eb85c202aae5a3e52847afc7869c60a019742af9"),
+    (13, 3, "2,13", 3, None,
+     "9a452286b02df776ca073de9a7ba84e33fe72348fdf6c48be2e1533d2b3d847d"),
+    (257, 2, "2,3", 2, None,
+     "3a8a24af0e5c188152ff8dbe680a3ca4b545884baf8780507973c547a2ce98cc"),
+    (65521, 2, "2,3", 2, None,
+     "ebe5eb105c3e4b72d309fff036120d06008659f970a21fd7f7d7afdb77a9a373"),
+]
+
+
+@pytest.mark.parametrize("p, n, primes, dim, nil, digest", DEGREE_TRACKING_SPANS,
+                         ids=[f"p{c[0]}-n{c[1]}" for c in DEGREE_TRACKING_SPANS])
+def test_hecke_span_matches_the_degree_tracking_span(p, n, primes, dim, nil, digest):
+    ells = [int(ell) for ell in primes.split(",")]
+    span = hecke_span(p, n, ells)
+    matrices = json.dumps({str(ell): span.matrices[ell].tolist() for ell in ells}, sort_keys=True)
+    assert hashlib.sha256(matrices.encode()).hexdigest() == digest
+    assert span.dim == dim
+    if nil is not None:
+        assert tuple(nilpotency_check(span, ell, 0)[0] for ell in ells) == nil
+
+
+def _nicolas_serre_height(n):
+    """n_3 + n_5 for n = sum beta_i 2^i: n_3 = sum beta_{2i+1} 2^i and
+    n_5 = sum beta_{2i+2} 2^i."""
+    beta = bin(n)[:1:-1]
+    return int(beta[1::2][::-1] or "0", 2) + int(beta[2::2][::-1] or "0", 2)
+
+
+def test_nicolas_serre_height():
+    """For every odd n <= 255, the largest i + j with T_3^i T_5^j Delta^n != 0
+    mod 2 is n_3 + n_5 (Nicolas and Serre, C. R. Acad. Sci. Paris 350, 2012).
+    On each span M_3 and M_5 commute, and a_ell(g) = a_1(T_ell g) on the
+    basis, with a_ell read off g = sum x_c Delta^c where ell > n."""
+    t0 = time.time()
+    d = delta_expansion(2, 255)
+    powers = [FpSeries.from_coeffs(2, [1], deg=255)]
+    for _ in range(255):
+        powers.append(series_mul(powers[-1], d))
+    P = np.array([f.coeffs_array() for f in powers])     # a_m(Delta^c) mod 2
+    assert _nicolas_serre_height(21) == 3 and _nicolas_serre_height(255) == 15 + 7
+    for n in range(1, 256, 2):
+        span = hecke_span(2, n, [3, 5], max_dim=128)
+        M3, M5 = span.matrices[3], span.matrices[5]
+        assert not ((M3 @ M5 - M5 @ M3) % 2).any()
+        V = np.array(span.basis)
+        assert np.flatnonzero(V[-1]).tolist() == [n]        # Delta^n, added first
+        # a_0..a_{max(n, 5)} of each basis form, through the Delta^c it combines
+        A = rref(P[: n + 1, : max(n, 5) + 1], 2)[0]
+        coeffs = V @ A % 2
+        for ell, M in ((3, M3), (5, M5)):
+            assert np.array_equal(coeffs[:, ell], V[:, 1] @ M % 2)
+        height, v, j = -1, np.eye(span.dim, dtype=np.int64)[-1], 0
+        while v.any():
+            w, i = v, 0
+            while w.any():
+                height, w, i = max(height, i + j), M3 @ w % 2, i + 1
+            v, j = M5 @ v % 2, j + 1
+        assert height == _nicolas_serre_height(n), n
+    assert time.time() - t0 < 20.0
 
 
 def test_prime_sieve():
@@ -685,6 +877,5 @@ def test_delta_mod2_support_spot_check_1e7():
 
 def test_hecke_span_dimension_guard():
     from pinkforge.modforms import TooLarge
-    d3 = series_pow(delta_expansion(2, 60000), 3)
     with pytest.raises(TooLarge):
-        hecke_span(d3, [3, 5], max_dim=1)
+        hecke_span(2, 3, [3, 5], max_dim=1)
