@@ -589,18 +589,9 @@ def cmd_span(args):
     return 0
 
 
-# `analyze` classifies its residual image, a subgroup of GL_2(F_q), by an
-# n x n multiplication table, and its group build takes one BFS level per
-# coset; neither step has a bound of its own, so residue fields above F_4096
-# are refused before anything is parsed or built.
-MAX_RESIDUE_FIELD = 1 << 12
-
-
 def cmd_analyze(args):
     p, f = factor_prime_power(args.q)
     check_tensor_size(f * args.k)              # the ring build's own refusal comes first
-    if args.q > MAX_RESIDUE_FIELD:
-        raise TooLarge(f"residue field F_{args.q} exceeds the cap q <= {MAX_RESIDUE_FIELD}")
     rows = None if args.gens_preset else parse_gens(args.gens, p, 4 * f * args.k)
     # the measure check enumerates the q^k forms on A: refuse before A is built
     if args.q ** args.k > MAX_FORMS:

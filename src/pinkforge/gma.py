@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CheckFailed
 from .fp import FpSubspace, bilinear, matmul_mod, span_products
-from .localring import LocalRing, SemiLocalRing, check_tensor_size
+from .localring import FiniteAlgebra, LocalRing, SemiLocalRing, check_tensor_size
 
 
 class GmaStructure:
@@ -136,6 +136,8 @@ class GmaStructure:
         this with more than one row, all at D <= 16.  A single row of X or
         Y pairs with every row of the other."""
         return bilinear(np.asarray(X) % self.p, np.asarray(Y) % self.p, self.mul_tensor, self.p)
+
+    batch_pow = FiniteAlgebra.batch_pow
 
     def batch_mul_elem(self, X, y):
         """Rows X[n] * y, as one product with the matrix of right

@@ -177,14 +177,15 @@ class FiniteAlgebra:
         return matmul_mod(X, matmul_mod(y, S, self.p).reshape(D, D), self.p)
 
     def batch_pow(self, X, e):
-        R = np.tile(self.one, (X.shape[0], 1))
-        B = X % self.p
+        """Rows x^e by squaring, 0^0 = 1; a GMA shares it (`one`, `p`, `batch_mul`)."""
+        out, B = None, X % self.p
         while e:
             if e & 1:
-                R = self.batch_mul(R, B)
-            B = self.batch_mul(B, B)
+                out = B if out is None else self.batch_mul(out, B)
             e >>= 1
-        return R
+            if e:
+                B = self.batch_mul(B, B)
+        return np.tile(self.one, (len(X), 1)) if out is None else out
 
     def is_unit_vec(self, x):
         M = self.mulmat(x)

@@ -543,9 +543,11 @@ def cyclotomic_test(f, M, X, Np=1):
 # -- Hecke spans -------------------------------------------------------------------
 
 def _eisenstein_e4(p, deg):
-    """E_4 = 1 + 240·sum sigma_3(m) q^m mod p to degree deg.  sigma_3 comes
-    from a divisor sieve over the pairs d·e <= deg: one slice per d <= r =
-    isqrt(deg) adds d^3, and one per cofactor d <= r adds e^3 for e > r."""
+    """E_4 = 1 + 240·sum sigma_3(m) q^m mod p to degree deg, 1 if p | 240.
+    sigma_3 comes from a divisor sieve over the pairs d·e <= deg: one slice
+    per d <= r = isqrt(deg) adds d^3, and one per cofactor adds e^3, e > r."""
+    if 240 % p == 0:
+        return FpSeries.from_coeffs(p, [1], deg=deg)
     m = np.arange(deg + 1, dtype=np.int64) % p
     cube = m * m % p * m % p
     sigma = np.zeros(deg + 1, dtype=np.int64)

@@ -154,51 +154,55 @@ def generate_group(R, gens, cap=2 * 10 ** 6):
     """(G, Gamma, L) for G = <gens> in R*, Gamma = G ∩ SR^1 and L = span
     theta(Gamma).  A BFS over the keys (det x, x mod rad R), multiplicative
     as rad R is an ideal and equal exactly when x'^-1·x lies in SR^1, gives a
-    transversal T of G/Gamma, T[0] = 1: one batched product a level and no
-    inverses, as a finite group is the monoid its generators make.  The
-    Schreier generators t·s·u^-1, u the representative of t·s (D. Holt,
-    B. Eick, E. O'Brien, Handbook of Computational Group Theory, 2005, §4.1),
-    less the identity, repeats and rows whose inverse is kept, generate
-    Gamma.  L' is span theta of them, closed under the bracket and under P·L'
-    for P = tr(L'·L'), and H = theta^{-1}(L') a group (R. Pink, Compositio
-    Math. 88 (1993); see `pink_converse`).  H.find(H·s) >= 0 for each
-    generator s certifies H·s <= H, so the orbit of 1 under these index maps
-    is Gamma: H with L = L', or a subgroup with L = span theta(Gamma).  G is
-    the union of the cosets t·Gamma (Gamma when T = {1}).  `cap` bounds the
-    cosets, then the rows to enumerate, |T|·p^dim L' >= |G|, before H exists."""
+    transversal T of G/Gamma, T[0] = 1, with no inverses, as a finite group
+    is the monoid its generators make.  A level keys the edges t·s of the
+    newest t and, to find cosets only, T·t for the newest t in T, so a
+    cyclic T doubles.  The Schreier generators t·s·u^-1, u the representative
+    of t·s (D. Holt, B. Eick, E. O'Brien, Handbook of Computational Group
+    Theory, 2005, §4.1), less the identity, repeats and rows whose inverse is
+    kept, generate Gamma.  L' is span theta of them, closed under the bracket
+    and under P·L' for P = tr(L'·L'), and H = theta^{-1}(L') a group (R. Pink,
+    Compositio Math. 88 (1993); see `pink_converse`).  H.find(H·s) >= 0 for
+    each generator s certifies H·s <= H, so the orbit of 1 under these index
+    maps is Gamma: H with L = L', or a subgroup with L = span theta(Gamma).
+    G is the union of the t·Gamma, one product per element of the smaller of
+    T and Gamma.  `cap` bounds the cosets as keys are added, then the rows to
+    enumerate, |T|·p^dim L' >= |G|, before H exists."""
     if R.p == 2:
         raise CheckFailed("theta needs p odd")
     p = R.p
     S = np.asarray(gens, dtype=np.int64).reshape(-1, R.dim) % p
-    cosets, reps, edges, ends = {}, [], [], []
-    level = np.concatenate([R.one[None, :], S])          # 1, then its edges 1·s = s
+    cosets, edges, ends, level = {}, [], [], R.one[None, :]      # 1, with no edges
+    T = E = level[:0]
     while True:
-        fresh = []
         keys = np.concatenate([R.batch_det(level), R.radical().reduce(level)], axis=1)
-        for i, key in enumerate(row_key(keys, p).tolist()):
+        keys, fresh = row_key(keys, p).tolist(), []
+        for i, key in enumerate(keys):
             if key not in cosets:
+                if len(cosets) == cap:
+                    raise TooLarge(f"group exceeds cap {cap}")
                 cosets[key] = len(cosets)
                 fresh.append(i)
-            ends.append(cosets[key])
-        if len(cosets) > cap:
-            raise TooLarge(f"group exceeds cap {cap}")
-        edges.append(level)
-        reps.append(level[fresh])
-        new = level[fresh[1:] if len(edges) == 1 else fresh]     # 1 is expanded already
-        if not len(new):
+        ends += map(cosets.__getitem__, keys[:len(E)])
+        edges.append(E)
+        if not fresh:
             break
-        level = R.batch_mul(np.repeat(new, len(S), axis=0), np.tile(S, (len(new), 1)))
-    T, W = np.concatenate(reps), np.concatenate(edges)
+        new = level[fresh]
+        T = np.concatenate([T, new])
+        # edge new[i]·S[j] in row i·|S| + j; the empty block keeps S = [] valid
+        E = np.hstack([new[:, :0]] + [R.batch_mul_elem(new, s) for s in S]).reshape(-1, R.dim)
+        level = np.concatenate([E, R.batch_mul_elem(T, T[-1])])
+    W = np.concatenate(edges)
     if len(T) > 1:                                      # else u = 1 and t·s·u^-1 = s
         W = R.batch_mul(W, R.batch_inv(T)[ends])
     # w in SR^1 has det 1, so w^-1 = tr(w) - w
     inverse_keys = row_key((_scal(R, R.batch_trace(W)) - W) % p, p).tolist()
-    kept, gvecs = set(row_key(R.one[None, :], p).tolist()), []
-    for w, key, inverse_key in zip(W, row_key(W, p).tolist(), inverse_keys):
+    kept, picked = set(row_key(R.one[None, :], p).tolist()), []
+    for i, (key, inverse_key) in enumerate(zip(row_key(W, p).tolist(), inverse_keys)):
         if key not in kept and inverse_key not in kept:
             kept.add(key)
-            gvecs.append(w)
-    gvecs = np.array(gvecs, dtype=np.int64).reshape(-1, R.dim)
+            picked.append(i)
+    gvecs = W[picked]
     if not batch_in_SR1(R, gvecs).all():
         raise CheckFailed("a Schreier generator lies outside SR^1")
     grown = FpSubspace(p, R.dim, batch_theta(R, gvecs))
@@ -226,9 +230,13 @@ def generate_group(R, gens, cap=2 * 10 ** 6):
     if not orbit.all():
         Gamma = FiniteMatrixGroup(R, H.elements[orbit], generators=gvecs)
         L = LieSubspace(R, batch_theta(R, Gamma.elements), check=False)
-    G = Gamma if len(T) == 1 else FiniteMatrixGroup(R, np.concatenate(
-        [Gamma.elements] + [R.batch_mul_elem_left(t, Gamma.elements) for t in T[1:]]), generators=S)
-    return G, Gamma, L
+    if len(T) == 1:
+        return Gamma, Gamma, L
+    if len(T) <= Gamma.n:                                               # t-major
+        rows = np.stack([R.batch_mul_elem_left(t, Gamma.elements) for t in T])
+    else:
+        rows = np.stack([R.batch_mul_elem(T, g) for g in Gamma.elements], axis=1)
+    return FiniteMatrixGroup(R, rows.reshape(-1, R.dim), generators=S), Gamma, L
 
 
 def enumerate_preimage(L, cap=None):

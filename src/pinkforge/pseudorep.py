@@ -12,7 +12,7 @@ import numpy as np
 from .errors import CheckFailed, TooLarge
 from .fp import FpSubspace, nullspace, row_key, span_products
 from .gma import GmaStructure, m2_structure
-from .localring import LocalRing
+from .localring import LocalRing, _prime_factors, batch_invert
 
 
 ALGEBRA_QUOTIENT_CAP = 10 ** 4  # |group| bound for A[G]/Ker constructions
@@ -184,12 +184,6 @@ def _index_closure(T, identity, gens):
     return np.flatnonzero(seen)
 
 
-def _coset_classes(gt, subgroup_indices):
-    """(class map, class count) of the cosets x·H, numbered by least index."""
-    first, cls = np.unique(gt.table[:, subgroup_indices].min(axis=1), return_inverse=True)
-    return cls, len(first)
-
-
 class PseudoRep:
     """Pair of maps (t, d) on a finite group with values in a finite
     F_p-algebra, held as (n, dimA) coefficient arrays."""
@@ -350,27 +344,26 @@ class ResidualClass:
 
 
 def classify_projective_image(Gbar):
-    """Classification of a finite subgroup of GL_2(F_q) by its image in
-    PGL_2: cyclic Z/n, dihedral D_n, PSL_2/PGL_2 of a subfield, or
-    A4/S4/A5.  Input: FiniteMatrixGroup over a field (m = 0)."""
+    """Classification of a finite subgroup of GL_2(F_q) by its image P in
+    PGL_2 (L. E. Dickson, Linear Groups, 1901): cyclic Z/n, dihedral D_n,
+    PSL_2/PGL_2 of a subfield, or A4/S4/A5.  Input: FiniteMatrixGroup in
+    M_2 of a field.  P is the distinct rows of Gbar scaled to a leading 1,
+    n = |P|, with orders from matrix powers: no n x n table is built."""
     R = Gbar.R
     A = R.A
-    if not isinstance(A, LocalRing) or A.maxideal.dim != 0:
-        raise ValueError("classification expects a group over a field")
-    p, q, f = A.p, A.fq.q, A.fq.f
-    E = Gbar.elements
-    scal = np.flatnonzero(~E[:, R.sb].any(axis=1) & ~E[:, R.sc].any(axis=1)
-                          & (E[:, R.sa] == E[:, R.sd]).all(axis=1))
-    gt = GroupTable.from_matrix_group(Gbar)
-    cls, ncls = _coset_classes(gt, scal)
-    # projective multiplication table on coset classes
-    reps = np.unique(cls, return_index=True)[1]
-    pgt = GroupTable(table=cls[gt.table[np.ix_(reps, reps)]], identity=int(cls[gt.identity]))
-    n = ncls
-    orders = _element_orders(pgt)
-    if max(orders) == n:
+    if not isinstance(A, LocalRing) or A.maxideal.dim != 0 or R.dim != 4 * A.dim:
+        raise ValueError("classification expects a group in M_2 of a field")
+    p, f = A.p, A.fq.f
+    E = Gbar.elements.reshape(-1, 4, A.dim)                # entries a, b, c, d
+    lead = E[np.arange(len(E)), E.any(axis=2).argmax(axis=1)]
+    P = A.batch_mul(np.repeat(batch_invert(A, lead), 4, axis=0), E.reshape(-1, A.dim))
+    P = P.reshape(Gbar.elements.shape)
+    P = P[np.unique(row_key(P, p), return_index=True)[1]]
+    n = len(P)
+    orders = _projective_orders(R, P, n)
+    if orders.max() == n:
         return ResidualClass("cyclic", n, "n=2" if n == 2 else f"n={n}")
-    if _is_dihedral(pgt, orders):
+    if _is_dihedral(R, P, orders):
         return ResidualClass("dihedral", n)
     # Dickson: remaining subgroups of PGL_2 are PSL_2/PGL_2 of subfields or
     # A4, S4, A5; order plus the earlier exclusions identifies the class.
@@ -388,40 +381,42 @@ def classify_projective_image(Gbar):
     raise CheckFailed(f"projective image of order {n} outside the classification")
 
 
-def _element_orders(gt):
-    orders = []
-    for i in range(gt.n):
-        o, x = 1, i
-        while x != gt.identity:
-            x = int(gt.table[x, i])
-            o += 1
-        orders.append(o)
+def _is_scalar(R, X):
+    a, b, c, d = R.comps(X)
+    return ~b.any(axis=1) & ~c.any(axis=1) & (a == d).all(axis=1)
+
+
+def _projective_orders(R, X, n):
+    """The order modulo scalars of each row of X, for rows whose orders
+    divide n: for each prime power r^e exactly dividing n, y = x^(n/r^e)
+    has the r-part of x's order, r^i for the least i with y^(r^i) scalar;
+    y^(r^e) is, so at most e - 1 r-th powers are taken."""
+    orders = np.ones(len(X), dtype=np.int64)
+    for r in _prime_factors(n):
+        e = next(i for i in range(1, n.bit_length() + 1) if n % r ** (i + 1))
+        live, Y = np.arange(len(X)), R.batch_pow(X, n // r ** e)
+        for i in range(e):
+            if i:
+                Y = R.batch_pow(Y, r)
+            keep = ~_is_scalar(R, Y)
+            live, Y = live[keep], Y[keep]
+            orders[live] *= r
     return orders
 
 
-def _is_dihedral(gt, orders):
-    n = gt.n
-    if n % 2 or n < 4:
+def _is_dihedral(R, P, orders):
+    """Whether a projective image P of order n = 2m, not cyclic, is
+    dihedral.  For m >= 3 the rotations are the only cyclic subgroup of
+    order m of D_m, so P is dihedral iff, for x of order m, some involution
+    y has y·x·y^-1·x scalar; no y in <x> has, as x^2 is not scalar."""
+    n = len(P)
+    if n == 4:
+        return True                  # not cyclic: the Klein four-group
+    if n % 2 or n < 4 or not (orders == n // 2).any():
         return False
-    half = n // 2
-    cands = [i for i, o in enumerate(orders) if o == half]
-    if half == 2:
-        # Klein four-group counts as the order-4 dihedral
-        return all(o <= 2 for o in orders)
-    for x in cands:
-        cyc = {gt.identity}
-        y = x
-        while y != gt.identity:
-            cyc.add(y)
-            y = int(gt.table[y, x])
-        xinv = gt.inv[x]
-        for y in range(n):
-            if y in cyc or orders[y] != 2:
-                continue
-            if int(gt.table[gt.table[y, x], gt.inv[y]]) == xinv:
-                return True
-    return False
-
+    x, Y = P[np.argmax(orders == n // 2)], P[orders == 2]
+    conj = R.batch_mul(R.batch_mul_elem(Y, x), R.batch_mul_elem(R.batch_inv(Y), x))
+    return bool(_is_scalar(R, conj).any())
 
 
 def _roots(fq, t, d):

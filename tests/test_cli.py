@@ -62,6 +62,8 @@ def test_usage_error_exit_2():
     ["cyclotomic", "--p", "3", "--form", "delta", "--M", "10000000000000000000", "--X", "1000"],
     ["density", "--p", "3", "--form", "delta", "--np", "10000000000000000000", "--X", "1000"],
     ["span", "--p", "11", "--form", "delta", "--primes", "2", "--k-eff", "12"],
+    # a residue-field cap once refused this before --gens was read
+    ["analyze", "--q", "4099", "--k", "1", "--gens", "[[1]]"],
 ])
 def test_bad_input_is_a_usage_error(args, tmp_path):
     r = run_cli([a.format(tmp=tmp_path) for a in args])
@@ -170,17 +172,7 @@ def test_structure_tensor_cap_exit_3(args):
     # up to p - 1 = 2^31 - 2 elements
     (["example8", "--p", "2147483647", "--k", "2"], "group exceeds cap 2000000"),
     # A = F_q would search for a degree-128 irreducible polynomial first
-    (["analyze", "--q", str(3 ** 128), "--k", "1", "--gens", "[]"],
-     f"residue field F_{3 ** 128} exceeds the cap q <= 4096"),
-    # under the forms cap at k = 1: a coset BFS of 999,982 levels, then an
-    # n x n table of the residual image
-    (["analyze", "--q", "999983", "--k", "1", "--gens", "[[5,0,0,1]]"],
-     "residue field F_999983 exceeds the cap q <= 4096"),
-    (["analyze", "--q", "4099", "--k", "1", "--gens", "[[2,0,0,1]]"],
-     "residue field F_4099 exceeds the cap q <= 4096"),
-    # the cap comes before --gens is read
-    (["analyze", "--q", "4099", "--k", "1", "--gens", "[[1]]"],
-     "residue field F_4099 exceeds the cap q <= 4096"),
+    (["analyze", "--q", str(3 ** 128), "--k", "1", "--gens", "[]"], "ring too large to enumerate"),
 ])
 def test_large_residue_fields_exit_3_at_once(args, message):
     t0 = time.perf_counter()
@@ -192,10 +184,24 @@ def test_large_residue_fields_exit_3_at_once(args, message):
     assert r.stderr.splitlines() == [f"error: {message} (cap reached, undecided)"]
 
 
-def test_analyze_runs_at_the_largest_residue_field():
-    r = run_cli(["analyze", "--q", "4093", "--k", "1", "--gens", "[]"])
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["ring"]["q"] == 4093
+@pytest.mark.parametrize("args, residual_class, order", [
+    # the residual image's 26,208^2 int32 multiplication table failed to
+    # allocate: exit 1 with an _ArrayMemoryError traceback
+    (["analyze", "--q", "13", "--k", "1", "--gens", "[[2,0,0,1],[1,1,0,1],[0,1,1,0]]"],
+     "LargeImage(PGL2(13))", 26208),
+    # refused by a residue-field cap of q <= 4,096 that stood in for that
+    # table and for a coset BFS of one level per coset
+    (["analyze", "--q", "65537", "--k", "1", "--gens", "[[3,0,0,1]]"], "CyclicOrderN(65536)", 65536),
+    (["analyze", "--q", "4099", "--k", "1", "--gens", "[[2,0,0,1]]"], "CyclicOrderN(4098)", 4098),
+])
+def test_analyze_reports_large_residual_images_within_2gib(args, residual_class, order):
+    t0 = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli"] + args, capture_output=True,
+                       text=True, preexec_fn=_address_space_2gib, timeout=120)
+    assert time.perf_counter() - t0 < 2
+    assert r.returncode == 0 and "Traceback" not in r.stderr
+    report = json.loads(r.stdout)
+    assert report["residual_class"] == residual_class and report["group_order"] == order
 
 
 def test_analyze_refuses_a_large_ring_before_building_m2():

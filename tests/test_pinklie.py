@@ -808,12 +808,27 @@ def _seeded_unit_generator_sets(R, seed):
     return [[s, R.J], [s, diag], [s, unipotent], [unit], [R.J, diag, unipotent]]
 
 
+def _seeded_field_generator_sets(R, seed):
+    """Over a field (k = 1), where Gamma = 1 and the transversal is all of G:
+    one random unit (a cyclic G) and diag(a, 1), diag(1, b) with a, b != 1
+    (a rank-2 diagonal G)."""
+    A = R.A
+    rng = np.random.default_rng(seed)
+    unit = rng.integers(0, R.p, size=R.dim)
+    while not R.is_unit(unit):
+        unit = rng.integers(0, R.p, size=R.dim)
+    zero = np.zeros(A.dim, dtype=np.int64)
+    a, b = (A.constant(int(c)) for c in rng.integers(2, A.fq.q, size=2))
+    return [[unit], [R.assemble(a, zero, zero, A.one), R.assemble(A.one, zero, zero, b)]]
+
+
 def test_generate_sr1_equals_the_bfs_and_its_lie_algebra():
     """generate_group against the BFS and gamma_and_lie: G as a set, |Gamma|
     and L, on seeded sets in SR^1 (G = Gamma, over both branches of the
     orbit certificate), on seeded sets of units with a non-trivial residual
-    image, determinants outside 1 + m or J, and on the sets that add J, 2 or
-    g·J to a generator g in SR^1."""
+    image, determinants outside 1 + m or J, on cyclic and rank-2 diagonal
+    sets over a field, and on the sets that add J, 2 or g·J to a generator g
+    in SR^1."""
     branches, cosets = set(), set()
     cases = []
     for q in (3, 5, 7, 9):
@@ -824,6 +839,8 @@ def test_generate_sr1_equals_the_bfs_and_its_lie_algebra():
         for k in (2, 3, 4, 5):
             R = m2_structure(make_truncated_poly_ring(q, k))
             cases += [(R, gens) for gens in _seeded_unit_generator_sets(R, 10 * q + k)]
+        R = m2_structure(make_truncated_poly_ring(q, 1))
+        cases += [(R, gens) for gens in _seeded_field_generator_sets(R, q)]
     R = m2_structure(make_truncated_poly_ring(3, 3))
     g = _seeded_sr1_generators(R, 1, 0)[0]
     cases += [(R, [g, bad]) for bad in (R.J, (2 * R.one) % 3, R.mul_vec(g, R.J))]
@@ -838,6 +855,18 @@ def test_generate_sr1_equals_the_bfs_and_its_lie_algebra():
         branches.add(Gamma.n == R.p ** L.dim)
         cosets.add(G.n // Gamma.n > 1)
     assert branches == {True, False} and cosets == {True, False}
+
+
+def test_generate_group_doubles_a_cyclic_transversal():
+    # each BFS level keys its rows by one batch_det; with one level per coset
+    # <diag(3, 1)> over F_65537 (3 has order 2^16) took 65,536 levels
+    R = m2_structure(make_truncated_poly_ring(65537, 1))
+    calls = []
+    batch_det = R.batch_det
+    R.batch_det = lambda X: calls.append(len(X)) or batch_det(X)
+    G, Gamma, L = generate_group(R, [R.assemble([3], [0], [0], [1])])
+    assert G.n == 2 ** 16 and Gamma.n == 1 and L.dim == 0
+    assert len(calls) <= 2 * 16 + 4
 
 
 def test_generate_sr1_takes_the_orbit_of_a_cyclic_group():

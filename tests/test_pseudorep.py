@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pinkforge.errors import CheckFailed
+from pinkforge.errors import CheckFailed, TooLarge
 from pinkforge.fp import row_key
 from pinkforge.gma import m2_structure
 from pinkforge.instances import (
@@ -13,11 +13,12 @@ from pinkforge.instances import (
     sl2_fp_constants,
 )
 from pinkforge.localring import make_truncated_poly_ring
-from pinkforge.pinklie import example8
+from pinkforge.pinklie import example8, generate_group
 from pinkforge.pseudorep import (
     FiniteMatrixGroup,
     GroupTable,
     PseudoRep,
+    ResidualClass,
     build_td_representation,
     check_axioms,
     classify_projective_image,
@@ -303,40 +304,117 @@ def test_build_td_adapted_uniqueness(gl2_f3):
     assert not v0[R1.sb].any() and not v0[R1.sc].any()
 
 
+def _classify_by_table(Gbar):
+    """The classifier `classify_projective_image` replaced, kept as its
+    reference: the projective image as the cosets of the scalars in Gbar's
+    n x n multiplication table, element orders by walking that table, and
+    D_m found as an x of order m and an involution y outside <x> with
+    y·x·y^-1 = x^-1."""
+    R = Gbar.R
+    p, f = R.A.p, R.A.fq.f
+    E = Gbar.elements
+    scal = np.flatnonzero(~E[:, R.sb].any(axis=1) & ~E[:, R.sc].any(axis=1)
+                          & (E[:, R.sa] == E[:, R.sd]).all(axis=1))
+    gt = GroupTable.from_matrix_group(Gbar)
+    first, cls = np.unique(gt.table[:, scal].min(axis=1), return_inverse=True)
+    reps = np.unique(cls, return_index=True)[1]
+    pgt = GroupTable(table=cls[gt.table[np.ix_(reps, reps)]], identity=int(cls[gt.identity]))
+    n = len(first)
+    orders = []
+    for i in range(n):
+        o, x = 1, i
+        while x != pgt.identity:
+            x = int(pgt.table[x, i])
+            o += 1
+        orders.append(o)
+    if max(orders) == n:
+        return ResidualClass("cyclic", n, "n=2" if n == 2 else f"n={n}")
+    if _is_dihedral_by_table(pgt, orders):
+        return ResidualClass("dihedral", n)
+    for d in range(1, f + 1):
+        if f % d:
+            continue
+        qd = p ** d
+        if n == qd * (qd * qd - 1):
+            return ResidualClass("large", n, f"PGL2({qd})")
+        if p > 2 and n == qd * (qd * qd - 1) // 2:
+            return ResidualClass("large", n, f"PSL2({qd})")
+    for name, size in (("A4", 12), ("S4", 24), ("A5", 60)):
+        if n == size:
+            return ResidualClass("exceptional", n, name)
+    raise CheckFailed(f"projective image of order {n} outside the classification")
+
+
+def _is_dihedral_by_table(gt, orders):
+    n = gt.n
+    if n % 2 or n < 4:
+        return False
+    half = n // 2
+    if half == 2:
+        # Klein four-group counts as the order-4 dihedral
+        return all(o <= 2 for o in orders)
+    for x in [i for i, o in enumerate(orders) if o == half]:
+        cyc = {gt.identity}
+        y = x
+        while y != gt.identity:
+            cyc.add(y)
+            y = int(gt.table[y, x])
+        for y in range(n):
+            if y in cyc or orders[y] != 2:
+                continue
+            if int(gt.table[gt.table[y, x], gt.inv[y]]) == gt.inv[x]:
+                return True
+    return False
+
+
+def _tag_or_failure(classify, G):
+    try:
+        return classify(G).tag()
+    except CheckFailed:
+        return None
+
+
+def classify_against_table(G):
+    """classify_projective_image(G), asserted equal to the table reference."""
+    cls = classify_projective_image(G)
+    assert cls.tag() == _classify_by_table(G).tag()
+    return cls
+
+
 def test_classification_table(gl2_f3):
     A = make_truncated_poly_ring(5, 1)
     R = m2_structure(A)
     # {diag(a, a^-1)}: projective image of order 2, chi^2 = chi'^2
     pairs = [(a, pow(a, 3, 5)) for a in range(1, 5)]
     G = FiniteMatrixGroup(R, np.array(diag_group_constants(R, pairs)))
-    cls = classify_projective_image(G)
+    cls = classify_against_table(G)
     assert cls.kind == "cyclic" and cls.order == 2
     assert cls.tag() == "CyclicOrder2"
     # diag(2, 1): order 4 projective image
     G2 = FiniteMatrixGroup(R, np.array(diag_group_constants(R, [(2, 1)])))
-    cls2 = classify_projective_image(G2)
+    cls2 = classify_against_table(G2)
     assert cls2.kind == "cyclic" and cls2.order == 4
     # diagonal + antidiagonal over F5: diag(2, 1) with the swap gives a
     # projective dihedral group of order 8
     from pinkforge.instances import gl2_constants
     G3 = FiniteMatrixGroup(R, np.array(gl2_constants(R, [((2, 0), (0, 1)),
                                                          ((0, 1), (1, 0))])))
-    cls3 = classify_projective_image(G3)
+    cls3 = classify_against_table(G3)
     assert cls3.kind == "dihedral" and cls3.order == 8
     assert cls3.tag() == "DihedralN(8)"
     # Klein
     G4 = FiniteMatrixGroup(R, np.array(klein_constants(R)))
-    cls4 = classify_projective_image(G4)
+    cls4 = classify_against_table(G4)
     assert cls4.kind == "dihedral" and cls4.order == 4
     assert cls4.tag() == "DihedralOrder4"
     # GL2(F3): large image PGL2(3)
-    cls5 = classify_projective_image(gl2_f3)
+    cls5 = classify_against_table(gl2_f3)
     assert cls5.kind == "large" and cls5.detail == "PGL2(3)"
     # SL2(F3) has projective image PSL2(3)
     Af = make_truncated_poly_ring(3, 1)
     Rf = m2_structure(Af)
     G6 = FiniteMatrixGroup(Rf, np.array(sl2_fp_constants(Rf)))
-    cls6 = classify_projective_image(G6)
+    cls6 = classify_against_table(G6)
     assert cls6.kind == "large" and cls6.detail == "PSL2(3)"
 
 
@@ -352,7 +430,7 @@ def test_classification_conjugation_invariant(gl2_f3):
         vin = R.inv_vec(v)
         conj = np.array([R.mul_vec(v, R.mul_vec(g, vin)) for g in gl2_f3.elements])
         Gc = FiniteMatrixGroup(R, conj)
-        assert classify_projective_image(Gc).tag() == "LargeImage(PGL2(3))"
+        assert classify_against_table(Gc).tag() == "LargeImage(PGL2(3))"
 
 
 def test_exceptional_classification():
@@ -363,9 +441,64 @@ def test_exceptional_classification():
     from pinkforge.instances import gl2_constants
     gens = [((0, 6), (1, 0)), ((2, 3), (3, 5)), ((6, 2), (3, 0))]
     G = FiniteMatrixGroup(R, np.array(gl2_constants(R, gens)))
-    cls = classify_projective_image(G)
+    cls = classify_against_table(G)
     assert cls.kind == "exceptional" and cls.detail == "A4"
     assert cls.tag() == "Exceptional(A4)"
+
+
+def _seeded_gl2_generators(R, rng, kind):
+    """Generators in GL_2(F_q) of one of six shapes: one unit (cyclic), a
+    unit and the swap, diag(a, b) and the swap (dihedral), two units with
+    entries in F_p (subfield images), two upper triangular units (Borel
+    images, outside Dickson's list unless cyclic), and a unit with one of
+    its conjugates."""
+    fq = R.A.fq
+
+    def mat(a, b, c, d):
+        return np.concatenate([fq.digits(x) for x in (a, b, c, d)])
+
+    def unit(top=fq.q, lower=True):
+        while True:
+            a, b, c, d = rng.integers(0, top, size=4).tolist()
+            x = mat(a, b, c if lower else 0, d)
+            if R.is_unit(x):
+                return x
+
+    swap = mat(0, 1, 1, 0)
+    if kind == 0:
+        return [unit()]
+    if kind == 1:
+        return [unit(), swap]
+    if kind == 2:
+        return [mat(*rng.integers(1, fq.q, size=1).tolist(), 0, 0,
+                    *rng.integers(1, fq.q, size=1).tolist()), swap]
+    if kind == 3:
+        return [unit(top=fq.p), unit(top=fq.p)]
+    if kind == 4:
+        return [unit(lower=False), unit(lower=False)]
+    x, h = unit(), unit()
+    return [x, R.mul_vec(R.mul_vec(h, x), R.inv_vec(h))]
+
+
+def test_classification_matches_the_table_on_seeded_subgroups():
+    # the classifier from matrix powers against the n x n table it replaced,
+    # on the seeded subgroups of at most 1,500 elements
+    compared, tags = 0, set()
+    for q in (3, 5, 7, 9, 11, 13, 25, 27):
+        R = m2_structure(make_truncated_poly_ring(q, 1))
+        rng = np.random.default_rng(q)
+        for trial in range(30):
+            try:
+                G = generate_group(R, _seeded_gl2_generators(R, rng, trial % 6), cap=1500)[0]
+            except TooLarge:
+                continue
+            tag = _tag_or_failure(classify_projective_image, G)
+            assert tag == _tag_or_failure(_classify_by_table, G), (q, trial)
+            compared += 1
+            tags.add(tag.split("(")[0] if tag else None)
+    assert compared >= 150
+    assert tags >= {"CyclicOrder2", "CyclicOrderN", "DihedralOrder4", "DihedralN",
+                    "LargeImage", "Exceptional", None}
 
 
 def test_is_admissible_examples(example_family):
@@ -503,7 +636,7 @@ def _bfs_reference(R, gens):
 
 
 def test_generate_keeps_the_reference_bfs_order(example_family):
-    from pinkforge.pinklie import example8
+    from pinkforge.pinklie import example8, generate_group
     for ex in (example_family[3], example_family[4], example8(5, 3)):
         gamma, G = (FiniteMatrixGroup.generate(ex.R, H.generators) for H in (ex.Gamma, ex.G))
         for got, H in ((gamma, ex.Gamma), (G, ex.G)):
