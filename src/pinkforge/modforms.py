@@ -13,10 +13,13 @@ the low halves and the cross term truncated to the top half, each by numpy
 float FFTs of base-2^s digits about as long as the series, sized by a
 rounding-error bound and checked.
 
-Delta comes from Frobenius: eta(q)^{p^i} = eta(q^{p^i}) mod p splits eta^24
-into dilated Euler (eta) and Jacobi (eta^3) series, multiplied exactly over Z;
-then no dense product runs at p = 2, 7, 23, one at p = 3, 5, 11, 17, 19, and
-two squarings of eta^6 at p = 13 and p >= 29.
+Delta comes from Frobenius where eta^24 has at most four factors: eta(q)^{p^i}
+= eta(q^{p^i}) mod p splits it into dilated Euler (eta) and Jacobi (eta^3)
+series, multiplied exactly over Z; then no dense product runs at p = 2, 7, 23
+and one at p = 3, 11, 17, 19.  Elsewhere it comes from divisor sums, which
+one sieve gives: Ramanujan's tau(n) = n·sigma_1(n) mod 5 needs no product,
+and 762048·Delta = 691·E_12 - 691·E_6^2 one squaring at p = 13 and p >= 29,
+none at p = 691.
 """
 
 import math
@@ -40,10 +43,16 @@ SPARSE_CUTOFF = 20_000
 # Largest degree `delta_expansion` builds, ten times the largest the README and
 # the benchmark use (2e6); beyond it TooLarge is raised before any array exists.
 # `density --p 65521 --form delta --X 4e6` peaks at 428 MB in a fresh process
-# (two squarings at transform length 2^22; 823 MB at 8e6, length 2^23).  The
-# peak grows by about 27 bytes a degree and 68 a transform point, so at this
-# cap (length 2^25) it comes to about 2.9 GB.
+# (one squaring of E_6 at transform length 2^22; 822 MB at 8e6, length 2^23).
+# The peak grows by about 27 bytes a degree and 68 a transform point with two
+# digits, and 16 more a point with the third that this cap's length (2^25)
+# needs, so here it comes to about 3.4 GB.
 MAX_DEGREE = 2 * 10 ** 7
+
+
+def _check_p_limit(p):
+    if p >= P_LIMIT:
+        raise ValueError(f"p = {p} is not below 2^31: int64 coefficients would overflow")
 
 
 class FpSeries:
@@ -57,8 +66,7 @@ class FpSeries:
     __slots__ = ("p", "deg", "bits", "coef")
 
     def __init__(self, p, deg, bits=None, coef=None):
-        if p >= P_LIMIT:
-            raise ValueError(f"p = {p} is not below 2^31: int64 coefficients would overflow")
+        _check_p_limit(p)
         self.p = p
         self.deg = int(deg)
         if p == 2:
@@ -242,9 +250,9 @@ def series_mul(f, g):
 
 
 def _dense_mul(a, b, p):
-    """(a·b mod p)[:n] for arrays a, b of length n with entries in [0, p),
-    by float FFTs of base-2^s digits; `b is a` is transformed once, and
-    neither input is written.
+    """(a·b mod p)[:n] for integer arrays a, b of length n with entries in
+    [0, p), by float FFTs of base-2^s digits; `b is a` is transformed once,
+    and neither input is written.
 
     Only n terms of the product are wanted, so the product goes by halves
     (Mulders, AAECC 11, 2000): with h = ⌈n/2⌉, a = a0 + x^h·a1 and b alike,
@@ -399,18 +407,26 @@ def _frobenius_factors(p):
 def delta_expansion(p, N):
     """The discriminant form q·eta^24 mod p to degree N, eta = prod (1-q^n).
 
-    eta^24 is a product of Frobenius-dilated Euler and Jacobi series, whose
-    common dilation a is factored out: the work runs at degree (N-1)//a.
-    Up to two factors (p = 2, 7, 23) make one exact sparse product over Z;
-    four make the sparse pairs (1st, 3rd) and (2nd, 4th) and one dense
-    product of them, a squaring when they agree (p = 3, 11).  Otherwise
-    (p = 13 and p >= 29) eta^6 = J·J is sparse and eta^24 two squarings.
+    At p = 5, tau(n) = n·sigma_1(n) (Ramanujan).  Where eta^24 has more
+    than four Frobenius factors (p = 13 and p >= 29), Delta is read off
+    M_12 = <E_12, Delta> (`_delta_by_eisenstein`).  Otherwise eta^24 is a
+    product of Frobenius-dilated Euler and Jacobi series, whose common
+    dilation a is factored out: the work runs at degree (N-1)//a.  Up to
+    two factors (p = 2, 7, 23) make one exact sparse product over Z; four
+    make the sparse pairs (1st, 3rd) and (2nd, 4th) and one dense product
+    of them, a squaring when they agree (p = 3, 11).
     """
     if N < 1:
         raise ValueError("degree must be at least 1")
     if N > MAX_DEGREE:
         raise TooLarge(f"series degree {N} exceeds the cap {MAX_DEGREE}")
+    _check_p_limit(p)
+    if p == 5:
+        (sigma1,) = _divisor_sums(5, (1,), N)
+        return FpSeries._of_residues(5, N, np.arange(N + 1) % 5 * sigma1 % 5)
     fs = _frobenius_factors(p)
+    if len(fs) > 4:
+        return FpSeries._of_residues(p, N, _delta_by_eisenstein(p, N))
     a = fs[0][0]
     n = (N - 1) // a
 
@@ -425,13 +441,76 @@ def delta_expansion(p, N):
 
     if len(fs) <= 2:
         eta24 = exact(fs)
-    elif len(fs) <= 4:
+    else:
         x = exact(fs[0::2])
         eta24 = series_mul(x, x if fs[0::2] == fs[1::2] else exact(fs[1::2]))
-    else:
-        eta12 = series_mul(*[exact([(1, 3), (1, 3)])] * 2)
-        eta24 = series_mul(eta12, eta12)
     return (eta24.dilate(a, out_deg=N - 1) if a > 1 else eta24).shift(1)
+
+
+def _delta_by_eisenstein(p, N):
+    """a_0..a_N of Delta mod p, for p prime to 762048 = 2^6·3^5·7^2, from
+    762048·Delta = 691·E_12 - 691·E_6^2 with E_6 = 1 - 504·sum sigma_5(n) q^n
+    and 691·E_12 = 691 + 65520·sum sigma_11(n) q^n: one squaring of E_6,
+    none at p = 691, where tau = sigma_11.  E_6 and sigma_11 are int32
+    rows, so the squaring keeps one int64 series' worth of operands."""
+    inv = pow(762048, -1, p)
+    c11, c6 = 65520 * inv % p, -691 * inv % p
+    rows = _divisor_sums(p, (11, 5) if c6 else (11,), N)
+    if not c6:
+        return rows[0].astype(np.int64) * c11 % p
+    e6 = rows[1]
+    e6[:] = -504 * e6.astype(np.int64) % p
+    e6[0] = 1
+    out = _dense_mul(e6, e6, p)
+    out[0] = 0                                  # E_6^2 - 1 and sigma_11 start at q
+    out *= c6
+    out += c11 * rows[0].astype(np.int64)
+    out %= p
+    return out
+
+
+def _divisor_sums(p, bs, N):
+    """sigma_b(n) = sum_{d | n} d^b mod p for n = 0..N (sigma_b(0) = 0), one
+    int32 row per exponent b.
+
+    One split serves every b: a sieve of least prime factors (int32) writes
+    n = q·m with q the full power of n's least prime, so sigma_b(n) =
+    sigma_b(q)·sigma_b(m).  sigma_b of the prime powers comes from a table,
+    sigma_b(r^(k+1)) = 1 + r^b·sigma_b(r^k), and the rest is filled in blocks
+    of at most 2^16 within each [2^j, 2^(j+1)), where q, m <= n/2 are filled
+    already."""
+    rows = np.zeros((len(bs), N + 1), dtype=np.int32)
+    if N < 1:
+        return rows
+    spf = np.zeros(N + 1, dtype=np.int32)
+    for r in prime_sieve(math.isqrt(N))[::-1].tolist():
+        spf[r * r:: r] = r                      # the least prime writes last
+    primes = np.flatnonzero(spf == 0)[2:]
+    spf[primes] = primes
+    spf[1] = 1
+    rows[:, 1] = 1
+    for row, b in zip(rows, bs):
+        r, pw, rb = primes, primes, np.ones_like(primes)
+        for _ in range(b):
+            rb = rb * (r % p) % p
+        s = (1 + rb) % p
+        while pw.size:
+            row[pw] = s
+            keep = pw <= N // r
+            r, rb, pw, s = r[keep], rb[keep], pw[keep] * r[keep], (1 + rb[keep] * s[keep]) % p
+    m = np.zeros(N + 1, dtype=np.int32)         # n's cofactor prime to its least prime
+    m[1], lo = 1, 2
+    while lo <= N:
+        hi = min(2 * lo, lo + (1 << 16), N + 1)
+        n = np.arange(lo, hi, dtype=np.int32)
+        r = spf[lo:hi]
+        c = n // r
+        m[lo:hi] = mm = np.where(spf[c] == r, m[c], c)
+        q = n // mm                             # q = n and m = 1 at a prime power
+        for row in rows:
+            row[lo:hi] = row[q].astype(np.int64) * row[mm] % p
+        lo = hi
+    return rows
 
 
 # -- Hecke operators -------------------------------------------------------------
@@ -465,12 +544,19 @@ def hecke_T(ell, k_eff, f):
 # -- density sweeps ---------------------------------------------------------------
 
 def prime_sieve(X):
-    is_p = np.ones(X + 1, dtype=bool)
-    is_p[:2] = False
-    for i in range(2, int(X ** 0.5) + 1):
-        if is_p[i]:
-            is_p[i * i:: i] = False
-    return np.nonzero(is_p)[0]
+    """The primes up to X, ascending, as an int64 array, from a sieve of the
+    odd numbers: entry i > 0 stands for 2i + 1, and entry 0 for 2."""
+    if X < 2:
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((X + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(X) + 1) // 2):
+        if odd[i]:
+            odd[2 * i * (i + 1):: 2 * i + 1] = False     # from (2i + 1)^2
+    primes = np.flatnonzero(odd)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 @dataclass
@@ -543,21 +629,13 @@ def cyclotomic_test(f, M, X, Np=1):
 # -- Hecke spans -------------------------------------------------------------------
 
 def _eisenstein_e4(p, deg):
-    """E_4 = 1 + 240·sum sigma_3(m) q^m mod p to degree deg, 1 if p | 240.
-    sigma_3 comes from a divisor sieve over the pairs d·e <= deg: one slice
-    per d <= r = isqrt(deg) adds d^3, and one per cofactor adds e^3, e > r."""
+    """E_4 = 1 + 240·sum sigma_3(m) q^m mod p to degree deg, 1 if p | 240."""
     if 240 % p == 0:
         return FpSeries.from_coeffs(p, [1], deg=deg)
-    m = np.arange(deg + 1, dtype=np.int64) % p
-    cube = m * m % p * m % p
-    sigma = np.zeros(deg + 1, dtype=np.int64)
-    r = math.isqrt(deg)
-    for d in range(1, r + 1):
-        sigma[d:: d] += cube[d]
-        sigma[(r + 1) * d:: d] += cube[r + 1: deg // d + 1]
-    coef = 240 % p * (sigma % p) % p
+    (sigma3,) = _divisor_sums(p, (3,), deg)
+    coef = sigma3.astype(np.int64) * (240 % p) % p
     coef[0] = 1
-    return FpSeries(p, deg, coef=coef)
+    return FpSeries._of_residues(p, deg, coef)
 
 
 def _sturm_operators(p, n, primes):

@@ -15,6 +15,7 @@ from pinkforge.modforms import (
     SPARSE_CUTOFF,
     FpSeries,
     _dense_mul,
+    _divisor_sums,
     _eisenstein_e4,
     _eta_cubed,
     _eta_terms,
@@ -59,6 +60,18 @@ def tau_oracle(N):
     for _ in range(24):
         cur = mul(cur, eta)
     return [0] + cur[:N]
+
+
+def test_ramanujan_congruences():
+    # the divisor-sum routes: tau(n) = n·sigma_1(n) mod 5, sigma_11(n) mod 691
+    N = 200
+    tau = tau_oracle(N)
+    for p, want in ((5, [n * sum(d for d in range(1, n + 1) if n % d == 0) % 5
+                         for n in range(N + 1)]),
+                    (691, [sum(d ** 11 for d in range(1, n + 1) if n % d == 0) % 691
+                           for n in range(N + 1)])):
+        assert [t % p for t in tau] == want
+        assert delta_expansion(p, N).coeffs_array().tolist() == want
 
 
 def test_delta_normalization():
@@ -404,7 +417,7 @@ def pentagonal_delta(p, N):
 PRIMES_BELOW_50 = tuple(prime_sieve(50).tolist())
 
 
-@pytest.mark.parametrize("p", PRIMES_BELOW_50 + BIG_PRIMES)
+@pytest.mark.parametrize("p", PRIMES_BELOW_50 + (691, 1009) + BIG_PRIMES)
 def test_delta_jacobi_route_equals_pentagonal_power(p):
     Ns, q = [20000] + list(range(1, 41)), p
     while q <= 70000:               # N = p^i and p^i + 1
@@ -416,23 +429,25 @@ def test_delta_jacobi_route_equals_pentagonal_power(p):
                                                pentagonal_delta(p, N).coeffs_array()), N
 
 
-# series_mul calls per p: none when eta^24 has at most two Frobenius factors,
-# one for four (p = 3 works at degree (N-1)//3), two squarings of eta^6 else
-DENSE_PRODUCTS = {2: 0, 7: 0, 23: 0, 3: 1, 5: 1, 11: 1, 17: 1, 19: 1, 13: 2, 65521: 2}
+# dense products per p: none at p = 5 (tau = n·sigma_1(n)), at p = 691 (tau =
+# sigma_11(n)) or when eta^24 has at most two Frobenius factors; one for four
+# (p = 3 works at degree (N-1)//3); one squaring of E_6 at degree N else
+DENSE_PRODUCTS = {2: 0, 5: 0, 7: 0, 23: 0, 691: 0,
+                  3: 1, 11: 1, 17: 1, 19: 1, 13: 1, 65521: 1}
 
 
 @pytest.mark.parametrize("p", sorted(DENSE_PRODUCTS))
 def test_delta_dense_products_per_prime(p, monkeypatch):
     calls = []
 
-    def counted(f, g):
-        calls.append((f.deg, g.deg, f is g))
-        return series_mul(f, g)
+    def counted(a, b, mod):
+        calls.append((a.shape[0] - 1, b.shape[0] - 1, a is b))
+        return _dense_mul(a, b, mod)
 
-    monkeypatch.setattr(modforms, "series_mul", counted)
+    monkeypatch.setattr(modforms, "_dense_mul", counted)
     N = 1000
     delta_expansion(p, N)
-    deg = (N - 1) // 3 if p == 3 else N - 1
+    deg = {3: (N - 1) // 3, 13: N, 65521: N}.get(p, N - 1)
     squaring = p in (3, 11, 13, 65521)
     assert calls == [(deg, deg, squaring)] * DENSE_PRODUCTS[p]
 
@@ -682,6 +697,20 @@ def test_hecke_span_basis_budget():
         hecke_span(3, 1, [2147483647])
 
 
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 97, 5000])
+def test_divisor_sums_against_brute_force(N):
+    sums = {b: [0] * (N + 1) for b in (1, 3, 5, 11)}
+    for d in range(1, N + 1):
+        for n in range(d, N + 1, d):
+            for b, row in sums.items():
+                row[n] += d ** b
+    for p in (3, 5, 13, 65521, 2 ** 31 - 1):
+        got = _divisor_sums(p, (1, 3, 5, 11), N)
+        assert got.shape == (4, N + 1)
+        for row, b in zip(got, (1, 3, 5, 11)):
+            assert row.tolist() == [s % p for s in sums[b]], (p, b)
+
+
 @pytest.mark.parametrize("deg", [1, 2, 3, 4, 8, 9, 10, 48, 49, 50, 1000])
 def test_eisenstein_e4_against_divisor_sums(deg):
     for p in (2, 3, 5, 7, 691, 65521):
@@ -862,6 +891,22 @@ def test_nicolas_serre_height():
 def test_prime_sieve():
     ps = prime_sieve(100)
     assert ps[0] == 2 and ps[-1] == 97 and len(ps) == 25
+
+
+def sieve_of_all_numbers(X):
+    """The reference: a sieve over every number up to X, not only the odd ones."""
+    is_p = np.ones(X + 1, dtype=bool)
+    is_p[:2] = False
+    for i in range(2, int(X ** 0.5) + 1):
+        if is_p[i]:
+            is_p[i * i:: i] = False
+    return np.nonzero(is_p)[0]
+
+
+def test_odd_prime_sieve_matches_the_full_sieve():
+    for X in list(range(2001)) + [10 ** 6]:
+        got, want = prime_sieve(X), sieve_of_all_numbers(X)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), X
 
 
 def test_delta_mod2_support_spot_check_1e7():
