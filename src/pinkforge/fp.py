@@ -132,9 +132,10 @@ class FpSubspace:
         return matmul_mod(digits, self.basis, self.p)
 
     def coords(self, v):
-        """Coefficients of v in the RREF basis (None if not a member)."""
+        """Coefficients in the RREF basis of one vector or of each row of an
+        (m, n) array; None if one is not a member."""
         v = np.array(v, dtype=np.int64) % self.p
-        c = v[self.pivots].copy()
+        c = v[..., self.pivots]
         if not (matmul_mod(c, self.basis, self.p) == v).all():
             return None
         return c

@@ -149,7 +149,8 @@ def check_tensor_size(dim):
 
 
 class FiniteAlgebra:
-    """Commutative F_p-algebra with explicit basis and structure constants."""
+    """F_p-algebra with explicit basis and structure constants; products
+    keep their factor order, mul_tensor[i, j] = e_i·e_j."""
 
     def __init__(self, p, mul_tensor, one, names=None, meta=None):
         self.p = p

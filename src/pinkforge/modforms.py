@@ -721,7 +721,7 @@ def nilpotency_check(span, ell, lam):
     for k in range(1, span.dim + 1):
         if not Mk.any():
             return k, None
-        Mk = (Mk @ M) % span.p
+        Mk = matmul_mod(Mk, M, span.p)
     if not Mk.any():
         return span.dim + 1, None
     return None, Mk

@@ -215,19 +215,12 @@ def generate_group(R, gens, cap=2 * 10 ** 6):
         raise TooLarge(f"group exceeds cap {cap}")
     L = LieSubspace(R, space, check=False)
     H = FiniteMatrixGroup(R, enumerate_preimage(L), generators=gvecs)
-    perms = [H.find(R.batch_mul_elem(H.elements, s)) for s in gvecs]
-    if any((perm < 0).any() for perm in perms):
+    maps = np.array([H.find(R.batch_mul_elem(H.elements, s)) for s in gvecs], dtype=np.int64)
+    if (maps < 0).any():
         raise CheckFailed("theta^{-1}(L) is not closed under a generator")
-    orbit = np.zeros(H.n, dtype=bool)
-    frontier = np.array([H.id_index])
-    while frontier.size:
-        orbit[frontier] = True
-        reached = np.zeros(H.n, dtype=bool)
-        for perm in perms:
-            reached[perm[frontier]] = True
-        frontier = np.flatnonzero(reached & ~orbit)
+    orbit = _index_closure(maps.reshape(len(gvecs), H.n).T, H.id_index)
     Gamma = H
-    if not orbit.all():
+    if len(orbit) < H.n:
         Gamma = FiniteMatrixGroup(R, H.elements[orbit], generators=gvecs)
         L = LieSubspace(R, batch_theta(R, Gamma.elements), check=False)
     if len(T) == 1:
@@ -300,7 +293,7 @@ def pink_converse(L, cap=10 ** 6):
 
     Both hypotheses are verified exactly on basis tuples; they make H
     closed under products and inverses, which is additionally spot-checked
-    on 3,000 seeded pairs.  Returns (H, P)."""
+    by `FiniteMatrixGroup.verify_closure`.  Returns (H, P)."""
     ok, wit = L.bracket_closed()
     if not ok:
         raise CheckFailed(f"bracket closure fails at {wit}")
@@ -308,16 +301,8 @@ def pink_converse(L, cap=10 ** 6):
     ok, wit = L.stable_under(P)
     if not ok:
         raise CheckFailed(f"tr(L·L)·L <= L fails at {wit}")
-    R = L.R
-    H_rows = enumerate_preimage(L, cap=cap)
-    H = FiniteMatrixGroup(R, H_rows)
-    rng = np.random.default_rng(0)
-    n = len(H_rows)
-    take = min(3000, n * n)
-    I = rng.integers(0, n, size=take)
-    Jx = rng.integers(0, n, size=take)
-    prods = R.batch_mul(H_rows[I], H_rows[Jx])
-    if not L.contains(batch_theta(R, prods)).all():
+    H = FiniteMatrixGroup(L.R, enumerate_preimage(L, cap=cap))
+    if not H.verify_closure():
         raise CheckFailed("sampled product left theta^{-1}(L)")
     return H, P
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckFailed, TooLarge
-from .fp import FpSubspace, nullspace, row_key, span_products
+from .fp import FpSubspace, matmul_mod, nullspace, pair_products, row_key, rref, span_products
 from .gma import GmaStructure, m2_structure
-from .localring import LocalRing, _prime_factors, batch_invert
+from .localring import FiniteAlgebra, LocalRing, _prime_factors, batch_invert
 
 
 ALGEBRA_QUOTIENT_CAP = 10 ** 4  # |group| bound for A[G]/Ker constructions
@@ -140,12 +140,6 @@ class FiniteMatrixGroup:
         prods = self.R.batch_mul(self.elements[I], self.elements[J])
         return bool((self.find(prods) >= 0).all())
 
-    def traces(self):
-        return self.R.batch_trace(self.elements)
-
-    def dets(self):
-        return self.R.batch_det(self.elements)
-
 
 @dataclass
 class GroupTable:
@@ -168,19 +162,19 @@ class GroupTable:
         return cls(table=np.asarray(G.mul_table(), dtype=np.int64), identity=G.id_index)
 
 
-def _index_closure(T, identity, gens):
-    """Sorted indices of the subgroup generated by `gens` in the finite group
-    with table T: a BFS that multiplies each new level by every generator.
-    (`np.unique` with an index output: the plain form imports numpy.ma.)"""
-    gens = np.unique(np.asarray(list(gens), dtype=np.int64), return_index=True)[0]
-    seen = np.zeros(len(T), dtype=bool)
-    seen[identity] = True
-    seen[gens] = True
-    frontier = np.flatnonzero(seen)
+def _index_closure(maps, identity, cols=None):
+    """Sorted indices of the orbit of `identity` under the index maps in the
+    columns `cols` (all when None) of an (n, m) array `maps`: with a group's
+    multiplication table and element indices as `cols`, the subgroup those
+    elements generate.  Each level marks what its frontier reaches."""
+    cols = slice(None) if cols is None else np.asarray(list(cols), dtype=np.int64)
+    seen = np.zeros(len(maps), dtype=bool)
+    frontier = np.array([identity])
     while frontier.size:
-        prods = np.unique(T[np.ix_(frontier, gens)], return_index=True)[0]
-        frontier = prods[~seen[prods]]
         seen[frontier] = True
+        reached = np.zeros(len(maps), dtype=bool)
+        reached[maps[frontier[:, None], cols]] = True
+        frontier = np.flatnonzero(reached & ~seen)
     return np.flatnonzero(seen)
 
 
@@ -208,7 +202,8 @@ class PseudoRep:
 
     @classmethod
     def from_matrix_group(cls, G):
-        return cls(G.R.A, None, G.traces(), G.dets(), matrix_group=G)
+        return cls(G.R.A, None, G.R.batch_trace(G.elements), G.R.batch_det(G.elements),
+                   matrix_group=G)
 
     def residual_t(self, i):
         return self.A.residue_int(self.t[i])
@@ -275,36 +270,25 @@ def extend_to_algebra(tr, coeffs):
     C = np.atleast_2d(np.asarray(coeffs, dtype=np.int64)) % p
     if C.shape != (gt.n, A.dim):
         raise ValueError("coefficient table shape mismatch")
-    Tval = np.zeros(A.dim, dtype=np.int64)
-    for g in range(gt.n):
-        if C[g].any():
-            Tval = (Tval + A.mul_vec(C[g], tr.t[g])) % p
-    Dval = np.zeros(A.dim, dtype=np.int64)
-    support = [g for g in range(gt.n) if C[g].any()]
-    for gi, g in enumerate(support):
-        cg2 = A.mul_vec(C[g], C[g])
-        Dval = (Dval + A.mul_vec(cg2, tr.d[g])) % p
-        for h in support[gi + 1:]:
-            f_gh = (A.mul_vec(tr.t[g], tr.t[h]) - tr.t[gt.table[g, h]]) % p
-            Dval = (Dval + A.mul_vec(A.mul_vec(C[g], C[h]), f_gh)) % p
-    return Tval, Dval
+    Tval = A.batch_mul(C, tr.t).sum(axis=0) % p
+    support = np.flatnonzero(C.any(axis=1))
+    Dval = A.batch_mul(A.batch_mul(C[support], C[support]), tr.d[support]).sum(axis=0)
+    for k, g in enumerate(support[:-1]):
+        h = support[k + 1:]                    # f(g, h) for every h after g, at once
+        f_gh = A.batch_mul(tr.t[g], tr.t[h]) - tr.t[gt.table[g, h]]
+        Dval += A.batch_mul(A.batch_mul(C[g], C[h]), f_gh % p).sum(axis=0)
+    return Tval, Dval % p
 
 
 def _trace_relation_matrix(tr):
-    """Matrix of y -> (T(y g))_g on flat A[G] coordinates over F_p."""
+    """Matrix of y -> (T(y g))_g on flat A[G] coordinates over F_p: block
+    (g, h) is the matrix of a -> a·t(hg), as c_h e_i adds e_i·t(hg) to T(y g)."""
     A, gt = tr.A, tr.gt
-    p = A.p
     n, da = gt.n, A.dim
-    # block (g, h): coefficient c_h e_i contributes e_i * t(h g) to T(y g)
-    M = np.zeros((n * da, n * da), dtype=np.int64)
-    for h in range(n):
-        for g in range(n):
-            t_hg = tr.t[gt.table[h, g]]
-            # multiplication by basis vector e_i
-            blk = np.array([A.mul_vec(np.eye(da, dtype=np.int64)[i], t_hg)
-                            for i in range(da)]).T % p
-            M[g * da:(g + 1) * da, h * da:(h + 1) * da] = blk
-    return M
+    # [(h, g), (i, k)]: the coefficient of e_k in e_i·t(hg)
+    M = matmul_mod(tr.t[gt.table].reshape(n * n, da),
+                   A.mul_tensor.transpose(1, 0, 2).reshape(da, da * da), A.p)
+    return M.reshape(n, n, da, da).transpose(1, 3, 0, 2).reshape(n * da, n * da)
 
 
 def linear_kernel(tr):
@@ -515,61 +499,24 @@ def residual_eigendata(tr, g):
     return tuple(roots) if len(roots) == 2 else None
 
 
-class QuotientAlgebra:
-    """A[G]/Ker(T, D) with multiplication induced from the group algebra."""
+class QuotientAlgebra(FiniteAlgebra):
+    """A[G]/Ker(T, D) on the A[G] coordinates off Ker's pivots.  A[G] has
+    the basis e_(g,i) = g ⊗ e_i at index g·dimA + i, and e_(g,i)·e_(h,j) =
+    gh ⊗ e_i·e_j.  `proj` takes A[G] rows to their classes: row r is the
+    residual of e_r mod Ker, on those coordinates."""
 
     def __init__(self, tr):
         A, gt = tr.A, tr.gt
-        self.tr = tr
-        self.A = A
-        self.p = A.p
-        self.N = gt.n * A.dim
-        self.ker = linear_kernel(tr)
-        piv = set(self.ker.pivots)
-        self.comp = [i for i in range(self.N) if i not in piv]
-        self.dim = len(self.comp)
-        self.lift = np.zeros((self.dim, self.N), dtype=np.int64)
-        for a, c in enumerate(self.comp):
-            self.lift[a, c] = 1
-        # projection N -> dim coordinates modulo the kernel
-        P = np.zeros((self.dim, self.N), dtype=np.int64)
-        E = np.eye(self.N, dtype=np.int64)
-        for i in range(self.N):
-            P[:, i] = self.ker.reduce(E[i])[self.comp]
-        self.proj = P
-
-    def class_of_group_elem(self, g):
-        v = np.zeros(self.N, dtype=np.int64)
-        da = self.A.dim
-        v[g * da:(g + 1) * da] = self.A.one
-        return self.proj @ v % self.p
-
-    def group_alg_mul(self, x, y):
-        """Product in A[G] on flat coordinates."""
-        A, gt = self.A, self.tr.gt
-        da = A.dim
-        out = np.zeros(self.N, dtype=np.int64)
-        xs = [g for g in range(gt.n) if x[g * da:(g + 1) * da].any()]
-        ys = [h for h in range(gt.n) if y[h * da:(h + 1) * da].any()]
-        for g in xs:
-            cg = x[g * da:(g + 1) * da]
-            for h in ys:
-                ch = y[h * da:(h + 1) * da]
-                k = int(gt.table[g, h])
-                out[k * da:(k + 1) * da] = (out[k * da:(k + 1) * da] + A.mul_vec(cg, ch)) % self.p
-        return out
-
-    def mul(self, x, y):
-        full = self.group_alg_mul(self.lift.T @ x % self.p, self.lift.T @ y % self.p)
-        return self.proj @ full % self.p
-
-    def scalar_embed(self, a_vec):
-        """a·1 for a ring vector a."""
-        v = np.zeros(self.N, dtype=np.int64)
-        da = self.A.dim
-        g1 = self.tr.gt.identity
-        v[g1 * da:(g1 + 1) * da] = a_vec
-        return self.proj @ v % self.p
+        n, da = gt.n, A.dim
+        ker = linear_kernel(tr)
+        comp = np.setdiff1d(np.arange(n * da), ker.pivots)
+        self.proj = ker.reduce(np.eye(n * da, dtype=np.int64))[:, comp]
+        g, i = np.divmod(comp, da)
+        prods = np.zeros((len(comp), len(comp), n * da), dtype=np.int64)
+        np.put_along_axis(prods, gt.table[np.ix_(g, g)][..., None] * da + np.arange(da),
+                          A.mul_tensor[np.ix_(i, i)], axis=2)
+        one = matmul_mod(A.one, self.proj[gt.identity * da:(gt.identity + 1) * da], A.p)
+        super().__init__(A.p, ker.reduce(prods)[..., comp], one)
 
 
 def build_td_representation(tr, g0=None, lam0=None, mu0=None):
@@ -605,83 +552,65 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
             raise CheckFailed("prescribed eigenvalues disagree with g0")
 
     Q = QuotientAlgebra(tr)
-    x0 = Q.class_of_group_elem(g0)
-    s_lam = A.constant(lam0)
-    s_mu = A.constant(mu0)
-    diff_inv = A.invert_vec((s_lam - s_mu) % p)
-    one_R = Q.scalar_embed(A.one)
-    u = Q.mul(Q.scalar_embed(diff_inv), (x0 - Q.scalar_embed(s_mu)) % p)
+    T = Q.mul_tensor
+    blocks = Q.proj.reshape(gt.n, A.dim, Q.dim)      # classes of g ⊗ e_i
+    scal = blocks[gt.identity]                       # a -> a·1, on ring rows
+    classes = matmul_mod(A.one, blocks, p)           # of the group elements
+    s_lam, s_mu = A.constant(lam0), A.constant(mu0)
+    u = Q.mul_vec(matmul_mod(A.invert_vec((s_lam - s_mu) % p), scal, p),
+                  (classes[g0] - matmul_mod(s_mu, scal, p)) % p)
     # idempotent refinement e <- 3e^2 - 2e^3; the defect u^2 - u is
     # nilpotent, so this stabilizes
     e = u
     for _ in range(8 * A.dim + 8):
-        e2 = Q.mul(e, e)
+        e2 = Q.mul_vec(e, e)
         if np.array_equal(e2, e):
             break
-        e = (3 * e2 - 2 * Q.mul(e2, e)) % p
+        e = (3 * e2 - 2 * Q.mul_vec(e2, e)) % p
     else:
         raise CheckFailed("idempotent refinement did not stabilize")
-    e1, e2c = e, (one_R - e) % p
+    idem = np.stack([e, (Q.one - e) % p])
 
-    # split the quotient into e1·R·e1 (= A·e1), B' = e1·R·e2, C' = e2·R·e1
-    E = np.eye(Q.dim, dtype=np.int64)
-    def sandwich(lft, rgt):
-        rows = [Q.mul(lft, Q.mul(E[i], rgt)) for i in range(Q.dim)]
-        return FpSubspace(p, Q.dim, rows)
-    Bsp = sandwich(e1, e2c)
-    Csp = sandwich(e2c, e1)
-    Asp = sandwich(e1, e1)
-    Dsp = sandwich(e2c, e2c)
+    def sandwich(X):
+        """e_l·x·e_r for the idempotents e_1 = e, e_2 = 1 - e and every row
+        x of X, indexed [l, x, r]."""
+        return pair_products(pair_products(idem, X, T, p), idem, T, p).reshape(2, len(X), 2, Q.dim)
+
+    def ring_coords(X, l):
+        """The a with a·e_l = x for each row x of X: one rref of [a_i·e_l | X]."""
+        Rr, piv = rref(np.concatenate([Q.batch_mul_elem(scal, idem[l]), X]).T, p)
+        if piv and piv[-1] >= A.dim:
+            raise CheckFailed("corner element outside A·e")
+        a = np.zeros((len(X), A.dim), dtype=np.int64)
+        a[:, piv] = Rr[:, A.dim:].T
+        return a
+
+    # split the quotient into e1·Q·e1 (= A·e1), B' = e1·Q·e2, C' = e2·Q·e1
+    corners = sandwich(np.eye(Q.dim, dtype=np.int64))
+    Asp, Bsp, Csp, Dsp = (FpSubspace(p, Q.dim, corners[l, :, r]) for l, r in np.ndindex(2, 2))
     if Asp.dim != A.dim or Dsp.dim != A.dim:
         raise CheckFailed("corner components are not free of rank one")
+    act_b = Bsp.coords(pair_products(scal, Bsp.basis, T, p))
+    act_c = Csp.coords(pair_products(scal, Csp.basis, T, p))
+    pairing = ring_coords(pair_products(Bsp.basis, Csp.basis, T, p), 0)
+    R = GmaStructure(A, act_b.reshape(A.dim, Bsp.dim, Bsp.dim),
+                     act_c.reshape(A.dim, Csp.dim, Csp.dim),
+                     pairing.reshape(Bsp.dim, Csp.dim, A.dim), name="A[G]/Ker")
 
-    # coordinates: a = coefficient of x in A·e1, via a -> a·e1 linear solve
-    a_to_corner = np.array([Q.mul(Q.scalar_embed(np.eye(A.dim, dtype=np.int64)[i]), e1)
-                            for i in range(A.dim)]).T
-    d_to_corner = np.array([Q.mul(Q.scalar_embed(np.eye(A.dim, dtype=np.int64)[i]), e2c)
-                            for i in range(A.dim)]).T
-    from .fp import solve as fp_solve
-
-    def corner_coords(x, M):
-        sol = fp_solve(M, x, p)
-        if sol is None:
-            raise CheckFailed("corner element outside A·e")
-        return sol
-
-    # module data for the new GMA
-    act_b = np.zeros((A.dim, Bsp.dim, Bsp.dim), dtype=np.int64)
-    act_c = np.zeros((A.dim, Csp.dim, Csp.dim), dtype=np.int64)
-    for i in range(A.dim):
-        ai = Q.scalar_embed(np.eye(A.dim, dtype=np.int64)[i])
-        for k, bb in enumerate(Bsp.basis):
-            act_b[i, k] = Bsp.coords(Q.mul(ai, bb))
-        for k, cc in enumerate(Csp.basis):
-            act_c[i, k] = Csp.coords(Q.mul(ai, cc))
-    pairing = np.zeros((Bsp.dim, Csp.dim, A.dim), dtype=np.int64)
-    for k, bb in enumerate(Bsp.basis):
-        for l, cc in enumerate(Csp.basis):
-            pairing[k, l] = corner_coords(Q.mul(bb, cc), a_to_corner)
-    R = GmaStructure(A, act_b, act_c, pairing, name="A[G]/Ker")
-
-    def to_gma(x):
-        a = corner_coords(Q.mul(e1, Q.mul(x, e1)), a_to_corner)
-        d = corner_coords(Q.mul(e2c, Q.mul(x, e2c)), d_to_corner)
-        b = Bsp.coords(Q.mul(e1, Q.mul(x, e2c)))
-        c = Csp.coords(Q.mul(e2c, Q.mul(x, e1)))
-        if b is None or c is None:
-            raise CheckFailed("element does not split along the idempotents")
-        return R.assemble(a, b, c, d)
-
-    rows = np.array([to_gma(Q.class_of_group_elem(g)) for g in range(gt.n)])
+    S = sandwich(classes)
+    a, d = ring_coords(S[0, :, 0], 0), ring_coords(S[1, :, 1], 1)
+    b, c = Bsp.coords(S[0, :, 1]), Csp.coords(S[1, :, 0])
+    if b is None or c is None:
+        raise CheckFailed("element does not split along the idempotents")
+    rows = R.assemble(a, b, c, d)
     _, first, inverse = np.unique(row_key(rows, R.p), return_index=True, return_inverse=True)
     order = np.argsort(first)            # distinct rows in order of first appearance
     G = FiniteMatrixGroup(R, rows[first[order]])
     rho_idx = np.argsort(order)[inverse].tolist()
     # contract checks of the construction
-    for g in range(gt.n):
-        v = G.elements[rho_idx[g]]
-        if not np.array_equal(R.trace_vec(v), tr.t[g]) or not np.array_equal(R.det_vec(v), tr.d[g]):
-            raise CheckFailed("trace/determinant mismatch in the realization")
+    if not (np.array_equal(R.batch_trace(G.elements[rho_idx]), tr.t)
+            and np.array_equal(R.batch_det(G.elements[rho_idx]), tr.d)):
+        raise CheckFailed("trace/determinant mismatch in the realization")
     v0 = G.elements[rho_idx[g0]]
     if v0[R.sb].any() or v0[R.sc].any():
         raise CheckFailed("image of g0 is not diagonal")

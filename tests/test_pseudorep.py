@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -840,3 +842,60 @@ def test_diag_group_constants_match_the_tuple_bfs(q, reduced, pairs):
     got = set(zip(a.tolist(), d.tolist()))
     assert len(got) == len(rows)
     assert got == _diag_group_reference(A.fq, pairs)
+
+
+def _sha(*parts):
+    """sha256 over the shapes and int64 bytes of the parts, first 16 hex digits."""
+    h = hashlib.sha256()
+    for x in parts:
+        a = np.ascontiguousarray(x, dtype=np.int64)
+        h.update(repr(a.shape).encode() + a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _realization_cases():
+    """(name, tr, kwargs) for the realizations whose bytes are pinned."""
+    gl2 = {}
+    for k in (1, 2):
+        R = m2_structure(make_truncated_poly_ring(3, k))
+        gl2[k] = FiniteMatrixGroup(R, np.array(gl2_fp_constants(R)))
+    A = make_truncated_poly_ring(5, 2)
+    R0 = m2_structure(A)
+    z = np.zeros(2, dtype=np.int64)
+    cyclic = FiniteMatrixGroup.generate(R0, [R0.assemble(A.one, z, z, np.array([2, 2]))])
+    E, R = gl2[1].elements, gl2[1].R
+    g0 = int(np.flatnonzero(~E[:, R.sb].any(axis=1) & ~E[:, R.sc].any(axis=1)
+                            & (E[:, R.sa] == 1).all(axis=1) & (E[:, R.sd] == 2).all(axis=1))[0])
+    return [("gl2_f3", PseudoRep.from_matrix_group(gl2[1]), {}),
+            ("gl2_f3_eps", PseudoRep.from_matrix_group(gl2[2]), {}),
+            ("reducible_f5_eps", PseudoRep.from_matrix_group(cyclic), {}),
+            ("gl2_f3_prescribed", PseudoRep.from_matrix_group(gl2[1]), dict(g0=g0, lam0=2, mu0=1))]
+
+
+# recorded with the realization that multiplied one basis pair at a time
+REALIZATION_SHA = {
+    "gl2_f3": "088eb069e24023a7", "gl2_f3_kernel": "e0b6f1019b0a2603",
+    "gl2_f3_eps": "dac4604c04a2a827", "gl2_f3_eps_kernel": "4a11995cf18c8381",
+    "reducible_f5_eps": "cecfb72997da5c67", "gl2_f3_prescribed": "d1ccc2c423067c11",
+    "gl2_f2_kernel": "7ce3be2c427130d7",
+}
+
+
+def test_realization_bytes_are_pinned():
+    # the realization's structure tensors, image rows, rho indices and embed
+    # data, the kernel basis and the values of (T, D), byte for byte
+    got = {}
+    for name, tr, kwargs in _realization_cases():
+        R, G, rho_idx, info = build_td_representation(tr, **kwargs)
+        got[name] = _sha(R.mul_tensor, R.act_b, R.act_c, R.pairing, G.elements, rho_idx,
+                         [info["g0"], info["lam0"], info["mu0"]])
+        if name in ("gl2_f3", "gl2_f3_eps"):
+            ker = linear_kernel(tr)
+            C = np.random.default_rng(7).integers(0, 3, size=(4, tr.gt.n, tr.A.dim))
+            C[3, 5:] = 0
+            got[name + "_kernel"] = _sha(ker.basis, ker.pivots,
+                                         [extend_to_algebra(tr, c) for c in C])
+    R = m2_structure(make_truncated_poly_ring(2, 1))
+    ker = linear_kernel(PseudoRep.from_matrix_group(FiniteMatrixGroup(R, np.array(gl2_fp_constants(R)))))
+    got["gl2_f2_kernel"] = _sha(ker.basis, ker.pivots)
+    assert got == REALIZATION_SHA

@@ -14,13 +14,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "pinkforge"
 
 KEPT = {
-    # references the tests compare against
-    "eta_product_term", "fq_coords", "star_law", "bracket",
-    # the realization of a pseudo-representation (t, d) as a GMA representation
-    "build_td_representation", "QuotientAlgebra", "residual_multfree_data",
-    "residual_eigendata", "check_axioms", "is_faithful",
-    # the structure-theorem check
-    "check_structure_theorem",
+    "eta_product_term",         # Euler's pentagonal series: Δ = q·η^24 is the reference for Δ
+    "fq_coords",                # F_q coordinates of a ring row, for the measure check's reference
+    "star_law",                 # the group law θ carries to L, whose identities a test checks
+    "bracket",                  # one [u, v] = uv - vu, the series tests' reference
+    "build_td_representation",  # the realization of (t, d) on A[G]/Ker(T, D) as a GMA
+    "check_axioms",             # the axioms of a pseudo-representation (t, d) the realization takes
+    "is_faithful",              # the non-degenerate pairing the realization must give
+    "check_structure_theorem",  # the structure theorem's conditions, on realized images
 }
 
 KEPT_FIELDS = {
