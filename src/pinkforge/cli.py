@@ -366,8 +366,7 @@ def _check_complements(seed, ex):
     ok_mult = True
     for t in traces[first]:         # the check depends on tr(gamma) alone
         for Ln in series:
-            scaled = FpSubspace(R.p, R.dim, [R.ring_scale(t, v[None, :])[0] for v in Ln.basis]) \
-                if Ln.dim else FpSubspace(R.p, R.dim)
+            scaled = FpSubspace(R.p, R.dim, R.ring_scale(t, Ln.basis))
             if not (scaled.dim == Ln.dim and all(Ln.contains(v) for v in scaled.basis)):
                 ok_mult = False
     # theta transports Gamma_n-cosets to L_n-cosets inside Gamma_2
@@ -388,8 +387,7 @@ def _check_complements(seed, ex):
     Lq = generate_group(Rq, apply(np.array([ex.g, ex.h])))[2]
     ok_functo = True
     for n in range(4):
-        pushed = FpSubspace(Rq.p, Rq.dim, apply(series[n].basis)) if series[n].dim \
-            else FpSubspace(Rq.p, Rq.dim)
+        pushed = FpSubspace(Rq.p, Rq.dim, apply(series[n].basis))
         target = descending_series(Lq, 4)[n]
         ok_functo = ok_functo and pushed == target.space
     # P equals the closed pseudo-ring generated by tr(gamma) - 2

@@ -43,32 +43,17 @@ def rref(M, p):
 
 
 def nullspace(M, p):
-    """Basis (rows) of {x : M @ x = 0 mod p}."""
+    """Basis (rows) of {x : M @ x = 0 mod p}, in RREF.  The row reduction
+    runs on M with its columns reversed, so the basis vector of a free
+    column c has its other entries at pivot columns after c: reversed back,
+    in the order of c, its 1 leads and is alone in its column."""
     M = np.array(M, dtype=np.int64) % p
-    nrows, ncols = M.shape
-    R, pivots = rref(M, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-R[i, c]) % p
-    return basis
-
-
-def solve(M, b, p):
-    """One solution x of M @ x = b mod p, or None if inconsistent."""
-    M = np.array(M, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
-    nrows, ncols = M.shape
-    aug = np.concatenate([M, b.reshape(nrows, 1)], axis=1)
-    R, pivots = rref(aug, p)
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = R[i, ncols]
-    return x
+    R, pivots = rref(M[:, ::-1], p)
+    free = np.delete(np.arange(M.shape[1]), pivots)
+    basis = np.zeros((len(free), M.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:, free].T % p
+    return basis[::-1, ::-1]
 
 
 class FpSubspace:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CheckFailed
 from .fp import FpSubspace, bilinear, matmul_mod, span_products
-from .localring import FiniteAlgebra, LocalRing, SemiLocalRing, check_tensor_size
+from .localring import FiniteAlgebra, LocalRing, SemiLocalRing, batch_invert, check_tensor_size
 
 
 class GmaStructure:
@@ -132,9 +132,8 @@ class GmaStructure:
         at D = dim <= 16 those calls cost more than the zeros they skip: on
         one thread, one contraction took 0.2 of their time at 100 rows, 0.4
         to 0.8 at 1,000 and 0.6 to 0.7 at 10^5.  At D = 24 it is up to 1.15
-        times slower and at D = 32 up to 1.6 times; only `verify` calls
-        this with more than one row, all at D <= 16.  A single row of X or
-        Y pairs with every row of the other."""
+        times slower and at D = 32 up to 1.6 times.  A single row of X or Y
+        pairs with every row of the other."""
         return bilinear(np.asarray(X) % self.p, np.asarray(Y) % self.p, self.mul_tensor, self.p)
 
     batch_pow = FiniteAlgebra.batch_pow
@@ -153,13 +152,6 @@ class GmaStructure:
         D = self.dim
         M = matmul_mod(np.asarray(x) % self.p, self.mul_tensor.reshape(D, D * D), self.p)
         return matmul_mod(np.atleast_2d(Y), M.reshape(D, D), self.p)
-
-    def trace_vec(self, x):
-        a, _, _, d = self.comps(x)
-        return (a + d) % self.p
-
-    def det_vec(self, x):
-        return self.batch_det(x)[0]
 
     def batch_trace(self, X):
         X = np.atleast_2d(X)
@@ -180,16 +172,7 @@ class GmaStructure:
         """(t*Id) * X for a ring vector t and rows X."""
         return self.batch_mul_elem_left(self.scalar_mat(t), X)
 
-    def inv_vec(self, x):
-        det = self.det_vec(x)
-        if not self.A.is_unit_vec(det):
-            raise CheckFailed("matrix determinant is not a unit")
-        dinv = self.A.invert_vec(det)
-        adj = (self.scalar_mat(self.trace_vec(x)) - x) % self.p
-        return self.ring_scale(dinv, adj[None, :])[0]
-
     def batch_inv(self, X):
-        from .localring import batch_invert
         X = np.atleast_2d(X)
         dets = self.batch_det(X)
         dinv = batch_invert(self.A, dets)
@@ -203,9 +186,6 @@ class GmaStructure:
         S[:, self.sa] = dinv
         S[:, self.sd] = dinv
         return self.batch_mul(S, adj)
-
-    def is_unit(self, x):
-        return self.A.is_unit_vec(self.det_vec(x))
 
     # -- radical ---------------------------------------------------------------
     def bc_ideal(self):

@@ -25,7 +25,6 @@ from .fp import (
     pair_products,
     rref,
     saturate,
-    solve,
     span_products,
 )
 
@@ -191,12 +190,6 @@ class FiniteAlgebra:
     def is_unit_vec(self, x):
         M = self.mulmat(x)
         return len(rref(M, self.p)[1]) == self.dim
-
-    def invert_vec(self, x):
-        z = solve(self.mulmat(x), self.one, self.p)
-        if z is None or not np.array_equal(self.mul_vec(x, z), self.one):
-            raise CheckFailed(f"{self.format_vec(np.asarray(x) % self.p)} is not invertible")
-        return z
 
     # -- elements ----------------------------------------------------------
     def elements(self, cap=None):
@@ -455,13 +448,19 @@ def batch_is_unit_square(A, X):
 
 
 def batch_invert(A, X):
-    """Inverses of rows of X, all assumed units: x^(e - 1) for the multiple
+    """Inverses of the rows of X: x^(e - 1) for the multiple
     e = lcm(q_i - 1)·p^j of the exponent of A*.  A unit's residue in each
     factor's field F_{q_i} has order dividing q_i - 1, so x^lcm(q_i - 1)
-    lies in 1 + rad A, which p^j kills."""
+    lies in 1 + rad A, which p^j kills.  A row x with x·x^(e - 1) != 1 is
+    no unit: CheckFailed names the first."""
     factors = A.factors if isinstance(A, SemiLocalRing) else [A]
     e = math.lcm(*(f.fq.q - 1 for f in factors)) * _one_plus_m_exponent(A)
-    return A.batch_pow(X, e - 1)
+    X = np.asarray(X) % A.p
+    Y = A.batch_pow(X, e - 1)
+    bad = np.flatnonzero((A.batch_mul(X, Y) != A.one).any(axis=1))
+    if bad.size:
+        raise CheckFailed(f"{A.format_vec(X[bad[0]])} is not invertible")
+    return Y
 
 
 def quotient_ring(A, ideal_vectors):

@@ -54,7 +54,7 @@ def batch_theta(R, X):
 def theta_inv(R, m):
     """Inverse of theta on traceless radical elements: lands in SR^1."""
     v = np.asarray(m, dtype=np.int64) % R.p
-    if R.trace_vec(v).any():
+    if R.batch_trace(v).any():
         raise CheckFailed("theta_inv needs a traceless argument")
     if not R.in_radical(v):
         raise CheckFailed("theta_inv needs a radical argument")
@@ -612,8 +612,8 @@ def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants):
     p = R.p
     consts = [np.asarray(v, dtype=np.int64) % p for v in gbar_constants]
     # the constant subgroup must normalize L
-    for s in consts:
-        conj = R.batch_mul_elem_left(s, R.batch_mul_elem(L.basis, R.inv_vec(s)))
+    for s, s_inv in zip(consts, R.batch_inv(consts)):
+        conj = R.batch_mul_elem_left(s, R.batch_mul_elem(L.basis, s_inv))
         if not L.contains(conj).all():
             raise CheckFailed("constant subgroup does not normalize L")
     prods = np.concatenate([R.batch_mul_elem(Gamma.elements, s) for s in consts])
@@ -801,11 +801,10 @@ def measure_change_psi(R, L, L2, gamma):
     A = R.A
     p = R.p
     gv = np.asarray(gamma) % p
-    trg = R.trace_vec(gv)
+    trg, trJg = R.batch_trace([gv, R.mul_vec(R.J, gv)])
     if not A.is_unit_vec(trg):
         raise CheckFailed("tr(gamma) must be a unit")
-    trJg = R.trace_vec(R.mul_vec(R.J, gv))
-    coef = A.mul_vec(trJg, A.invert_vec(trg))
+    coef = A.mul_vec(trJg, batch_invert(A, trg[None])[0])
     members = L2.enumerate(cap=10 ** 5)
     lam = _sqrt_scalars(R, members)
     sig_scal = A.batch_mul_elem((lam - A.one) % p, coef)   # (n, dimA)
@@ -897,7 +896,7 @@ def example8(p, k, cap=2 * 10 ** 6):
     g, h = example8_generators(R)
     J = R.J
     rel_ok = (np.array_equal(R.mul_vec(R.mul_vec(J, g), J), g)
-              and np.array_equal(R.mul_vec(R.mul_vec(J, h), J), R.inv_vec(h)))
+              and np.array_equal(R.mul_vec(R.mul_vec(J, h), J), R.batch_inv(h)[0]))
     G, Gamma, L = generate_group(R, [g, h, J], cap=cap)
     return TwoGeneratorExample(
         ring=A, R=R, g=g, h=h, Gamma=Gamma, G=G, L=L,

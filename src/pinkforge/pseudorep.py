@@ -49,11 +49,10 @@ class FiniteMatrixGroup:
         keeps the first occurrence of every new element, in that order.  It
         closes `instances`' constant groups and is the tests' reference for
         `pinklie.generate_group`."""
-        gvecs = [np.asarray(g, dtype=np.int64) % R.p for g in gens]
-        for g in gvecs:
-            if not R.is_unit(g):
-                raise ValueError("generator is not invertible")
-        gall = gvecs + [R.inv_vec(g) for g in gvecs]
+        gvecs = np.asarray(gens, dtype=np.int64).reshape(-1, R.dim) % R.p
+        if not all(R.A.is_unit_vec(det) for det in R.batch_det(gvecs)):
+            raise ValueError("generator is not invertible")
+        gall = [*gvecs, *R.batch_inv(gvecs)]
         seen = set(row_key(R.one[None, :], R.p).tolist())
         levels = [R.one[None, :]]
         frontier = levels[0]
@@ -557,7 +556,7 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
     scal = blocks[gt.identity]                       # a -> a·1, on ring rows
     classes = matmul_mod(A.one, blocks, p)           # of the group elements
     s_lam, s_mu = A.constant(lam0), A.constant(mu0)
-    u = Q.mul_vec(matmul_mod(A.invert_vec((s_lam - s_mu) % p), scal, p),
+    u = Q.mul_vec(matmul_mod(batch_invert(A, (s_lam - s_mu)[None])[0], scal, p),
                   (classes[g0] - matmul_mod(s_mu, scal, p)) % p)
     # idempotent refinement e <- 3e^2 - 2e^3; the defect u^2 - u is
     # nilpotent, so this stabilizes

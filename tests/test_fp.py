@@ -18,7 +18,6 @@ from pinkforge.fp import (
     row_key,
     rref,
     saturate,
-    solve,
     span_products,
 )
 from pinkforge.gma import m2_structure
@@ -42,16 +41,6 @@ def test_nullspace_is_kernel():
         K = nullspace(M, p)
         assert K.shape[0] == 9 - len(rref(M, p)[1])
         assert not (M @ K.T % p).any()
-
-
-def test_solve_consistency():
-    rng = np.random.default_rng(2)
-    p = 3
-    M = rng.integers(0, p, size=(6, 6))
-    x = rng.integers(0, p, size=6)
-    b = M @ x % p
-    y = solve(M, b, p)
-    assert y is not None and np.array_equal(M @ y % p, b)
 
 
 def test_subspace_membership_and_sum():

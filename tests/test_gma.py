@@ -11,7 +11,7 @@ from pinkforge.gma import (
     m2_structure,
     reduced_residue_gma,
 )
-from pinkforge.localring import FiniteAlgebra, make_truncated_poly_ring
+from pinkforge.localring import FiniteAlgebra, batch_invert, make_truncated_poly_ring
 
 
 def zero_pairing_gma(A, dim_mod=1):
@@ -74,7 +74,12 @@ def test_associativity_random_triples():
 def test_trace_det_identities():
     A = make_truncated_poly_ring(3, 2)
     R = m2_structure(A)
-    tr, det = R.trace_vec, R.det_vec
+    def tr(x):
+        return R.batch_trace(x)[0]
+
+    def det(x):
+        return R.batch_det(x)[0]
+
     assert np.array_equal(tr(R.one), 2 * A.one % 3)
     assert np.array_equal(det(R.one), A.one)
     assert np.array_equal(det(R.J), -A.one % 3)
@@ -97,8 +102,8 @@ def test_trace_commutes_exhaustive_on_basis():
         E = np.eye(R.dim, dtype=np.int64)
         for i in range(R.dim):
             for j in range(R.dim):
-                assert np.array_equal(R.trace_vec(R.mul_vec(E[i], E[j])),
-                                      R.trace_vec(R.mul_vec(E[j], E[i])))
+                assert np.array_equal(R.batch_trace(R.mul_vec(E[i], E[j]))[0],
+                                      R.batch_trace(R.mul_vec(E[j], E[i]))[0])
 
 
 def test_pairing_compatibility_fail_fast():
@@ -153,7 +158,7 @@ def _trace_radical(R):
     M = np.zeros((R.dim * R.A.dim, R.dim), dtype=np.int64)
     for i in range(R.dim):
         for j in range(R.dim):
-            M[j * R.A.dim:(j + 1) * R.A.dim, i] = R.trace_vec(R.mul_vec(E[i], E[j]))
+            M[j * R.A.dim:(j + 1) * R.A.dim, i] = R.batch_trace(R.mul_vec(E[i], E[j]))[0]
     return FpSubspace(R.p, R.dim, nullspace(M, R.p))
 
 
@@ -196,9 +201,9 @@ def test_radical_profile_and_trace_lemma():
         for u in rad.basis:
             for v in rad.basis:
                 x = (u + v) % 3
-                assert A.maxideal.contains(R.trace_vec(x))
-                assert A.maxideal.contains(R.trace_vec(R.mul_vec(x, x)))
-                assert A.maxideal.contains(R.det_vec(x))
+                assert A.maxideal.contains(R.batch_trace(x)[0])
+                assert A.maxideal.contains(R.batch_trace(R.mul_vec(x, x))[0])
+                assert A.maxideal.contains(R.batch_det(x)[0])
 
 
 def test_in_SR1_examples():
@@ -206,7 +211,7 @@ def test_in_SR1_examples():
     R = m2_structure(A)
     assert batch_in_SR1(R, R.one).tolist() == [True]
     x = np.array([1, 1])                     # 1 + X
-    xi = A.invert_vec(x)
+    xi = batch_invert(A, x[None])[0]
     g = R.assemble(x, np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), xi)
     assert batch_in_SR1(R, g).tolist() == [True]
     assert batch_in_SR1(R, R.J).tolist() == [False]     # not congruent to Id mod rad
@@ -225,12 +230,33 @@ def test_inverse_solves_defining_equation():
     count = 0
     while count < 50:
         x = rng.integers(0, 3, size=R.dim)
-        if not R.is_unit(x):
+        if not R.A.is_unit_vec(R.batch_det(x)[0]):
             continue
         count += 1
-        y = R.inv_vec(x)
+        y = R.batch_inv(x)[0]
         assert np.array_equal(R.mul_vec(x, y), R.one)
         assert np.array_equal(R.mul_vec(y, x), R.one)
+
+
+def test_batch_inv_is_the_adjugate_formula():
+    # every unit of M_2(F_3[X]/(X^2)): x^-1 = det(x)^-1·(d, -b, -c, a),
+    # with det(x)^-1 found by search in A
+    A = make_truncated_poly_ring(3, 2)
+    R = m2_structure(A)
+    X = np.indices((3,) * R.dim).reshape(R.dim, -1).T
+    ring = A.elements()
+    inverse = {a.tobytes(): b for a in ring for b in ring
+               if np.array_equal(A.mul_vec(a, b), A.one)}
+    dets = np.array([_component_det(R, x) for x in X])
+    units = np.array([d.tobytes() in inverse for d in dets])
+    assert units.sum() == 48 * 3 ** 4                 # |GL_2(F_3)|·|1 + M_2(m)|
+    U = X[units]
+    dinv = np.array([inverse[d.tobytes()] for d in dets[units]])
+    a, b, c, d = R.comps(U)
+    want = R.assemble(*(A.batch_mul(dinv, y) for y in (d, -b % 3, -c % 3, a)))
+    assert np.array_equal(R.batch_inv(U), want)
+    with pytest.raises(CheckFailed, match="is not invertible"):
+        R.batch_inv(X)
 
 
 def test_m2_quotient_map_is_algebra_map():
@@ -308,7 +334,7 @@ def test_products_and_det_match_the_component_rule():
         assert np.array_equal(R.batch_mul_elem_left(X[0], Y),
                               [_component_rule(R, X[0], y) for y in Y])
         assert np.array_equal(R.batch_det(X), [_component_det(R, x) for x in X])
-        assert np.array_equal(R.det_vec(X[3]), _component_det(R, X[3]))
+        assert np.array_equal(R.batch_det(X[3])[0], _component_det(R, X[3]))
     # D = 16: 5,000 rows cross `bilinear`'s blocks of 2^23 / (8·16·16) = 4,096
     R = m2_structure(make_truncated_poly_ring(3, 4))
     X = rng.integers(0, 3, size=(5000, R.dim))

@@ -19,7 +19,7 @@ from pinkforge.localring import (
     make_truncated_poly_ring,
     quotient_ring,
 )
-from pinkforge.fp import FpSubspace, row_key
+from pinkforge.fp import FpSubspace, row_key, rref
 from pinkforge.gma import m2_structure
 
 
@@ -35,7 +35,7 @@ def poly_mul_trunc(a, b, p, k):
 def test_field_case():
     A = make_truncated_poly_ring(3, 1)
     assert A.dim == 1 and A.maxideal.dim == 0
-    assert np.array_equal(A.invert_vec(np.array([2])), [2])
+    assert np.array_equal(batch_invert(A, np.array([[2]]))[0], [2])
 
 
 def test_dual_numbers():
@@ -275,12 +275,12 @@ def test_truncated_ring_tensor_equals_the_loop(q, k):
 
 def test_invert_examples():
     A = make_truncated_poly_ring(3, 3)
-    assert np.array_equal(A.invert_vec(A.one), A.one)
+    assert np.array_equal(batch_invert(A, A.one[None])[0], A.one)
     x = np.array([1, 1, 0])          # 1 + X
-    assert np.array_equal(A.invert_vec(x), [1, 2, 1])   # geometric series 1 - X + X^2
-    assert np.array_equal(A.mul_vec(x, A.invert_vec(x)), A.one)
+    assert np.array_equal(batch_invert(A, x[None])[0], [1, 2, 1])   # geometric series 1 - X + X^2
+    assert np.array_equal(A.mul_vec(x, batch_invert(A, x[None])[0]), A.one)
     with pytest.raises(CheckFailed, match="X is not invertible"):
-        A.invert_vec(np.array([0, 1, 0]))
+        batch_invert(A, np.array([[0, 1, 0]]))
 
 
 def test_units_are_complement_of_maxideal():
@@ -343,6 +343,28 @@ def test_batch_invert():
     inv = batch_invert(A, units)
     prods = A.batch_mul(units, inv)
     assert np.array_equal(prods, np.tile(A.one, (len(units), 1)))
+
+
+def _inverse_by_linear_solve(A, x):
+    """The z with x·z = 1, from one RREF of [mulmat(x) | 1]; None when
+    mulmat(x) is singular."""
+    red, pivots = rref(np.column_stack([A.mulmat(x), A.one]), A.p)
+    return red[:, A.dim] if pivots == list(range(A.dim)) else None
+
+
+def test_batch_invert_matches_the_linear_solve():
+    for A in (make_truncated_poly_ring(9, 2), make_truncated_poly_ring(3, 3),
+              SemiLocalRing([make_truncated_poly_ring(5, 2), make_truncated_poly_ring(25, 1)])):
+        X = A.elements()
+        want = [_inverse_by_linear_solve(A, x) for x in X]
+        units = np.array([z is not None for z in want])
+        assert np.array_equal(batch_invert(A, X[units]), [z for z in want if z is not None])
+        for x in X[~units]:
+            with pytest.raises(CheckFailed, match="is not invertible"):
+                batch_invert(A, x[None])
+        # a batch names its first non-unit, here X[0] = 0
+        with pytest.raises(CheckFailed, match="^0 is not invertible$"):
+            batch_invert(A, X)
 
 
 def _unit_group_rings():
@@ -417,8 +439,8 @@ def test_semilocal_product():
     assert S.radical.dim == A1.maxideal.dim + A2.maxideal.dim
     x = np.array([1, 1, 1, 0, 1])
     assert S.is_unit_vec(x)
-    y = S.invert_vec(x)
-    assert np.array_equal(S.project(y, 0), A1.invert_vec(np.array([1, 1])))
+    y = batch_invert(S, x[None])[0]
+    assert np.array_equal(S.project(y, 0), batch_invert(A1, np.array([[1, 1]]))[0])
     bad = np.concatenate([[0, 1], A2.one])
     assert not S.is_unit_vec(bad)
 

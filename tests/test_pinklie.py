@@ -94,7 +94,7 @@ def test_theta_inv_examples(r33):
     g = theta_inv(R, m)
     assert np.array_equal(g[R.sa], [1, 1, 2])   # X + 1 + 2X^2
     assert np.array_equal(g[R.sd], [1, 2, 2])   # -X + 1 + 2X^2
-    assert np.array_equal(R.det_vec(g), A.one)
+    assert np.array_equal(R.batch_det(g)[0], A.one)
     # round trip on 500 random radical traceless elements
     rng = np.random.default_rng(1)
     M = random_rad0(R, rng, 500)
@@ -396,7 +396,7 @@ def test_trace_multiplication_lemma(example_family):
     R = ex.R
     series = descending_series(ex.L, 4)
     for i in range(ex.Gamma.n):
-        t = R.trace_vec(ex.Gamma.elements[i])
+        t = R.batch_trace(ex.Gamma.elements[i])[0]
         for Ln in series:
             for v in Ln.basis:
                 assert Ln.contains(R.ring_scale(t, v[None, :])[0])
@@ -540,7 +540,7 @@ def test_pseudo_ring_description(example_family):
     ex = example_family[4]
     R, A = ex.R, ex.ring
     P = ex.L.trace_pseudoring()
-    rows = [(R.trace_vec(v) - 2 * A.one) % 3 for v in ex.Gamma.elements]
+    rows = [(R.batch_trace(v)[0] - 2 * A.one) % 3 for v in ex.Gamma.elements]
     Q = FpSubspace(3, A.dim, rows)
     while True:
         ext = [A.mul_vec(u, v) for u in Q.basis for v in Q.basis]
@@ -803,7 +803,7 @@ def _seeded_unit_generator_sets(R, seed):
     diag = R.assemble(A.constant(int(rng.integers(2, q))), zero, zero, A.one)
     unipotent = R.assemble(A.one, A.one, zero, A.one)
     unit = rng.integers(0, R.p, size=R.dim)
-    while not R.is_unit(unit):
+    while not R.A.is_unit_vec(R.batch_det(unit)[0]):
         unit = rng.integers(0, R.p, size=R.dim)
     return [[s, R.J], [s, diag], [s, unipotent], [unit], [R.J, diag, unipotent]]
 
@@ -815,7 +815,7 @@ def _seeded_field_generator_sets(R, seed):
     A = R.A
     rng = np.random.default_rng(seed)
     unit = rng.integers(0, R.p, size=R.dim)
-    while not R.is_unit(unit):
+    while not R.A.is_unit_vec(R.batch_det(unit)[0]):
         unit = rng.integers(0, R.p, size=R.dim)
     zero = np.zeros(A.dim, dtype=np.int64)
     a, b = (A.constant(int(c)) for c in rng.integers(2, A.fq.q, size=2))

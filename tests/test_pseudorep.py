@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pinkforge.errors import CheckFailed, TooLarge
-from pinkforge.fp import row_key
+from pinkforge.fp import FpSubspace, nullspace, row_key, rref
 from pinkforge.gma import m2_structure
 from pinkforge.instances import (
     const_diag,
@@ -27,6 +27,7 @@ from pinkforge.pseudorep import (
     extend_to_algebra,
     is_admissible,
     _index_closure,
+    _trace_relation_matrix,
     linear_kernel,
     residual_multfree_data,
 )
@@ -118,7 +119,7 @@ def test_kernel_of_example_group(example_family):
     tr = PseudoRep.from_matrix_group(ex.G)
     ker = group_kernel(tr)
     h_idx = int(ex.G.find(ex.h))
-    hinv_idx = int(ex.G.find(ex.R.inv_vec(ex.h)))
+    hinv_idx = int(ex.G.find(ex.R.batch_inv(ex.h)[0]))
     assert ker == sorted([ex.G.id_index, h_idx, hinv_idx])
     T = tr.gt.table
     assert set(T[T[:, ker], tr.gt.inv[:, None]].ravel().tolist()) == set(ker)
@@ -215,6 +216,16 @@ def test_linear_kernel_codimension(gl2_f3):
         assert not Dv.any()
 
 
+def test_linear_kernel_basis_is_already_reduced_over_f7():
+    # GL_2(F_7), N = 672: nullspace gives Ker(T, D) in RREF, so FpSubspace
+    # has nothing left to reduce (it took seconds when it had to)
+    R = m2_structure(make_truncated_poly_ring(7, 1))
+    tr = PseudoRep.from_matrix_group(FiniteMatrixGroup(R, np.array(gl2_fp_constants(R))))
+    K = nullspace(_trace_relation_matrix(tr), 7)
+    assert K.shape == (668, 672)
+    assert np.array_equal(FpSubspace(7, 672, K).basis, K)
+
+
 def test_keruker_both_directions():
     # ker(t,d) elements g correspond exactly to g - 1 in Ker(T, D)
     A = make_truncated_poly_ring(7, 1)
@@ -265,8 +276,8 @@ def test_build_td_reducible_gives_bc_in_m():
     # trace/determinant reproduced
     for i in range(tr.gt.n):
         v = GG.elements[rho_idx[i]]
-        assert np.array_equal(R.trace_vec(v), tr.t[i])
-        assert np.array_equal(R.det_vec(v), tr.d[i])
+        assert np.array_equal(R.batch_trace(v)[0], tr.t[i])
+        assert np.array_equal(R.batch_det(v)[0], tr.d[i])
 
 
 def test_build_td_not_multfree_rejected():
@@ -427,9 +438,9 @@ def test_classification_conjugation_invariant(gl2_f3):
     for _ in range(3):
         while True:
             v = rng.integers(0, 3, size=R.dim)
-            if R.is_unit(v):
+            if R.A.is_unit_vec(R.batch_det(v)[0]):
                 break
-        vin = R.inv_vec(v)
+        vin = R.batch_inv(v)[0]
         conj = np.array([R.mul_vec(v, R.mul_vec(g, vin)) for g in gl2_f3.elements])
         Gc = FiniteMatrixGroup(R, conj)
         assert classify_against_table(Gc).tag() == "LargeImage(PGL2(3))"
@@ -463,7 +474,7 @@ def _seeded_gl2_generators(R, rng, kind):
         while True:
             a, b, c, d = rng.integers(0, top, size=4).tolist()
             x = mat(a, b, c if lower else 0, d)
-            if R.is_unit(x):
+            if R.A.is_unit_vec(R.batch_det(x)[0]):
                 return x
 
     swap = mat(0, 1, 1, 0)
@@ -479,7 +490,7 @@ def _seeded_gl2_generators(R, rng, kind):
     if kind == 4:
         return [unit(lower=False), unit(lower=False)]
     x, h = unit(), unit()
-    return [x, R.mul_vec(R.mul_vec(h, x), R.inv_vec(h))]
+    return [x, R.mul_vec(R.mul_vec(h, x), R.batch_inv(h)[0])]
 
 
 def test_classification_matches_the_table_on_seeded_subgroups():
@@ -526,7 +537,6 @@ def test_build_td_unique_isomorphism_to_tautology(gl2_f3):
     # the tautological embedding of GL2(F3) is itself adapted to
     # g0 = diag(1, 2); the rebuilt realization must be matched to it by an
     # A-linear map fixing rho, which is then checked to be a GMA morphism
-    from pinkforge.fp import solve
     tr = PseudoRep.from_matrix_group(gl2_f3)
     A = tr.A
     R0 = gl2_f3.R
@@ -550,9 +560,12 @@ def test_build_td_unique_isomorphism_to_tautology(gl2_f3):
             for c in range(R1.dim):
                 Msys[row, r * R1.dim + c] = v1[c]
             rhs[row] = v0[r]
-    sol = solve(Msys, rhs, 3)
-    assert sol is not None
-    Psi = sol.reshape(R0.dim, R1.dim)
+    # one solution: the RREF of [Msys | rhs], consistent when no pivot lies in rhs
+    Red, pivots = rref(np.column_stack([Msys, rhs]), 3)
+    assert cols not in pivots
+    Psi = np.zeros(cols, dtype=np.int64)
+    Psi[pivots] = Red[:, cols]
+    Psi = Psi.reshape(R0.dim, R1.dim)
     # Psi matches rho everywhere and is multiplicative on the group span
     for g in range(n):
         assert np.array_equal(Psi @ G1.elements[idx1[g]] % 3, gl2_f3.elements[g])
@@ -591,8 +604,8 @@ def test_build_td_kernel_both_ways():
     powers = [R0.one]
     for _ in range(3):
         powers.append(R0.mul_vec(powers[-1], g))
-    tvals = np.array([R0.trace_vec(powers[k % 4]) for k in range(8)])
-    dvals = np.array([R0.det_vec(powers[k % 4]) for k in range(8)])
+    tvals = np.array([R0.batch_trace(powers[k % 4])[0] for k in range(8)])
+    dvals = np.array([R0.batch_det(powers[k % 4])[0] for k in range(8)])
     tr = PseudoRep(A, gt, tvals, dvals)
     ok, _ = check_axioms(tr)
     assert ok
@@ -620,7 +633,7 @@ def test_residual_image_group_and_serialization(example_family):
 def _bfs_reference(R, gens):
     """BFS closure one product at a time with bytes keys: a level multiplies
     the frontier by each generator, then each inverse, keeping first hits."""
-    gall = list(gens) + [R.inv_vec(g) for g in gens]
+    gall = list(gens) + [R.batch_inv(g)[0] for g in gens]
     seen = {R.one.tobytes()}
     rows = [R.one]
     frontier = [R.one]
@@ -650,6 +663,14 @@ def test_generate_keeps_the_reference_bfs_order(example_family):
                                   np.sort(row_key(H.elements, ex.R.p)))
 
 
+def test_generate_refuses_a_non_unit_and_takes_no_generators():
+    R = m2_structure(make_truncated_poly_ring(3, 2))
+    with pytest.raises(ValueError, match="generator is not invertible"):
+        FiniteMatrixGroup.generate(R, [R.J, np.zeros(R.dim, dtype=np.int64)])
+    G = FiniteMatrixGroup.generate(R, [])
+    assert np.array_equal(G.elements, R.one[None, :]) and G.generators == []
+
+
 def test_mul_table_and_inverses_match_dict_lookups(example_family):
     Gamma = example_family[4].Gamma
     R = Gamma.R
@@ -657,7 +678,7 @@ def test_mul_table_and_inverses_match_dict_lookups(example_family):
     want = np.array([[index[w.tobytes()] for w in R.batch_mul_elem_left(v, Gamma.elements)]
                      for v in Gamma.elements])
     assert np.array_equal(Gamma.mul_table(), want)
-    want_inv = [index[R.inv_vec(v).tobytes()] for v in Gamma.elements]
+    want_inv = [row.tolist().index(Gamma.id_index) for row in want]   # x_i·x_j = 1
     assert Gamma.inverses().tolist() == want_inv
 
 

@@ -136,6 +136,15 @@ def test_no_class_defines_element_arithmetic():
     assert defined == []
 
 
+def test_one_inverse():
+    """Units invert by `localring.batch_invert` and GMA elements by
+    `GmaStructure.batch_inv` alone: no linear solve, no single-row alias."""
+    deleted = {"solve", "invert_vec", "inv_vec", "is_unit", "det_vec", "trace_vec"}
+    defined = [f"{mod}.{name}" for mod, tree in _trees() for name in _definitions(tree)
+               if name.rpartition(".")[2] in deleted]
+    assert defined == []
+
+
 PINKBENCH = SRC.parents[1] / "pinkbench"
 
 
