@@ -367,7 +367,7 @@ def _check_complements(seed, ex):
     for t in traces[first]:         # the check depends on tr(gamma) alone
         for Ln in series:
             scaled = FpSubspace(R.p, R.dim, R.ring_scale(t, Ln.basis))
-            if not (scaled.dim == Ln.dim and all(Ln.contains(v) for v in scaled.basis)):
+            if not (scaled.dim == Ln.dim and Ln.contains(scaled.basis).all()):
                 ok_mult = False
     # theta transports Gamma_n-cosets to L_n-cosets inside Gamma_2
     gs = group_series(G, 3)
@@ -589,7 +589,7 @@ def cmd_span(args):
 
 def cmd_analyze(args):
     p, f = factor_prime_power(args.q)
-    check_tensor_size(f * args.k)              # the ring build's own refusal comes first
+    check_tensor_size((f * args.k,) * 3)        # the ring build's own refusal comes first
     rows = None if args.gens_preset else parse_gens(args.gens, p, 4 * f * args.k)
     # the measure check enumerates the q^k forms on A: refuse before A is built
     if args.q ** args.k > MAX_FORMS:

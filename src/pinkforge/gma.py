@@ -35,7 +35,7 @@ class GmaStructure:
         self.db = self.act_b.shape[1]
         self.dc = self.act_c.shape[1]
         self.dim = 2 * self.da + self.db + self.dc
-        check_tensor_size(self.dim)
+        check_tensor_size((self.dim,) * 3)
         self.name = name
         da, db, dc = self.da, self.db, self.dc
         self.sa = slice(0, da)
@@ -123,6 +123,7 @@ class GmaStructure:
 
     # -- algebra operations ---------------------------------------------------
     def mul_vec(self, x, y):
+        # kept beside `batch_mul`: pinkbench traces GmaStructure.mul_vec
         return self.batch_mul(x, y)[0]
 
     def batch_mul(self, X, Y):
@@ -163,29 +164,23 @@ class GmaStructure:
         bc = bilinear(X[:, self.sb], X[:, self.sc], self.pairing, self.p)
         return (ad - bc) % self.p
 
-    def scalar_mat(self, t):
-        """t*Id for a ring vector t."""
-        return self.assemble(t, np.zeros(self.db, dtype=np.int64),
-                             np.zeros(self.dc, dtype=np.int64), t)
+    def scalars(self, T):
+        """Rows t·Id for the ring rows t of T: the one embedding A -> R."""
+        T = np.atleast_2d(T)
+        out = np.zeros((len(T), self.dim), dtype=np.int64)
+        out[:, self.sa] = T
+        out[:, self.sd] = T
+        return out
 
     def ring_scale(self, t, X):
         """(t*Id) * X for a ring vector t and rows X."""
-        return self.batch_mul_elem_left(self.scalar_mat(t), X)
+        return self.batch_mul_elem_left(self.scalars(t)[0], X)
 
     def batch_inv(self, X):
+        """x^-1 = det(x)^-1·(tr(x) - x), row-wise."""
         X = np.atleast_2d(X)
-        dets = self.batch_det(X)
-        dinv = batch_invert(self.A, dets)
-        TR = self.batch_trace(X)
-        adj = np.zeros_like(X)
-        adj[:, self.sa] = (TR - X[:, self.sa]) % self.p
-        adj[:, self.sd] = (TR - X[:, self.sd]) % self.p
-        adj[:, self.sb] = (-X[:, self.sb]) % self.p
-        adj[:, self.sc] = (-X[:, self.sc]) % self.p
-        S = np.zeros_like(X)
-        S[:, self.sa] = dinv
-        S[:, self.sd] = dinv
-        return self.batch_mul(S, adj)
+        return self.batch_mul(self.scalars(batch_invert(self.A, self.batch_det(X))),
+                              self.scalars(self.batch_trace(X)) - X)
 
     # -- radical ---------------------------------------------------------------
     def bc_ideal(self):

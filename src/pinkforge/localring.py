@@ -135,16 +135,18 @@ def _irreducible_poly(p, f):
     raise ValueError(f"no irreducible polynomial found for GF({p}^{f})")
 
 
-# Bytes one dim^3 int64 structure tensor may take: dim <= 128, so M_2 over
-# F_p[X]/(X^32) at most.  Building a GMA, with its law checks, peaks near
-# two and a half times that.
+# Bytes one int64 array the size of its input may take.  A dim^3 structure
+# tensor: dim <= 128, so M_2 over F_p[X]/(X^32) at most; building a GMA, with
+# its law checks, peaks near two and a half times that.  The N × N matrices
+# of A[G]/Ker(T, D), N = |G|·dim A: N <= 1,448 (the tests reach N = 672).
 MAX_TENSOR_BYTES = 1 << 24
 
 
-def check_tensor_size(dim):
-    """Raise TooLarge before a dim^3 int64 structure tensor over the budget."""
-    if 8 * dim ** 3 > MAX_TENSOR_BYTES:
-        raise TooLarge(f"a {dim}^3 structure tensor exceeds {MAX_TENSOR_BYTES} bytes")
+def check_tensor_size(shape, what="structure tensor"):
+    """Raise TooLarge before an int64 array of this shape over the budget."""
+    if 8 * math.prod(shape) > MAX_TENSOR_BYTES:
+        dims = f"{shape[0]}^{len(shape)}" if len(set(shape)) == 1 else "×".join(map(str, shape))
+        raise TooLarge(f"a {dims} {what} exceeds {MAX_TENSOR_BYTES} bytes")
 
 
 class FiniteAlgebra:
@@ -375,7 +377,7 @@ def make_truncated_poly_ring(q, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     dim = f * k
-    check_tensor_size(dim)
+    check_tensor_size((dim,) * 3)
     fq = FqData(p, f)
     # alpha^i1 X^j1 · alpha^i2 X^j2 = (alpha^i1 alpha^i2) X^(j1+j2), zero once j1+j2 >= k
     S = np.zeros((k, f, k, f, k, f), dtype=np.int64)

@@ -1,7 +1,7 @@
 """Level-one q-expansions over F_p: the discriminant form and its powers,
 Hecke operators, prime-coefficient densities, cyclotomicity sweeps, and the
 Hecke-stable span of Delta^n in M_12n (weight 12n), whose forms are fixed by
-a_0..a_n (Sturm, LNM 1240, 1987), on the basis Delta^c·E_4^{3(n-c)}.
+a_0..a_n (Sturm, LNM 1240, 1987), on the basis Delta^c·E_12^{n-c}.
 
 Series are dense and truncated: a degree-N series knows its coefficients
 a_0..a_N exactly.  Multiplication truncates to the smaller degree.  For
@@ -628,33 +628,41 @@ def cyclotomic_test(f, M, X, Np=1):
 
 # -- Hecke spans -------------------------------------------------------------------
 
-def _eisenstein_e4(p, deg):
-    """E_4 = 1 + 240·sum sigma_3(m) q^m mod p to degree deg, 1 if p | 240."""
-    if 240 % p == 0:
+def _eisenstein(p, b, c, deg):
+    """1 + c·sum sigma_b(m) q^m mod p to degree deg, the series 1 if p | c:
+    E_4 for (b, c) = (3, 240), E_12 for (11, 65520/691)."""
+    c %= p
+    if not c:
         return FpSeries.from_coeffs(p, [1], deg=deg)
-    (sigma3,) = _divisor_sums(p, (3,), deg)
-    coef = sigma3.astype(np.int64) * (240 % p) % p
+    (sigma,) = _divisor_sums(p, (b,), deg)
+    coef = sigma.astype(np.int64) * c % p
     coef[0] = 1
     return FpSeries._of_residues(p, deg, coef)
 
 
 def _sturm_operators(p, n, primes):
     """T_ell at weight 12n as matrices Q_ell on a_0..a_n.  b_c =
-    Delta^c·E_4^{3(n-c)}, c = 0..n, is a unitriangular Z-basis of M_12n (b_c
-    = q^c + O(q^{c+1})).  With B the a_0..a_n of the b_c and C_ell those of
-    T_ell b_c (b_c to degree ell·n), Q_ell = C_ell·B^-1: one rref takes the
-    rows [B^T | C_ell^T ...] to [I | Q_ell^T ...]."""
+    Delta^c·F^{n-c}, c = 0..n, F = E_12 (E_4^3 at p = 691), is a unitriangular
+    basis of M_12n mod p (b_c = q^c + O(q^{c+1})), and Q_ell, which maps
+    a_0..a_n of a form to those of its image, does not depend on it.  With
+    B the a_0..a_n of the b_c and C_ell those of T_ell b_c (b_c to degree
+    ell·n), Q_ell = C_ell·B^-1: one rref takes the rows [B^T | C_ell^T ...]
+    to [I | Q_ell^T ...]."""
     if (n + 1) * (max(primes) * n + 1) > MAX_DEGREE:
         raise TooLarge(f"a basis of {n + 1} forms to degree {max(primes) * n} "
                        f"exceeds the cap of {MAX_DEGREE} coefficients")
     deg = max(1, max(primes) * n)
     one = FpSeries.from_coeffs(p, [1], deg=deg)
-    delta, e12 = delta_expansion(p, deg), series_pow(_eisenstein_e4(p, deg), 3)
-    b, e = [one, delta][: n + 1], e12
+    delta = delta_expansion(p, deg)             # first: its peak is the larger
+    if p == 691:                # E_12 is not 691-integral; E_4^3 is also 1 + O(q)
+        f12 = series_pow(_eisenstein(p, 3, 240, deg), 3)
+    else:
+        f12 = _eisenstein(p, 11, 65520 * pow(691, -1, p), deg)
+    b, e = [one, delta][: n + 1], f12
     for _ in range(n - 1):
         b.append(series_mul(b[-1], delta))                  # Delta^c
     for c in range(n - 1, 0, -1):
-        b[c], e = series_mul(b[c], e), series_mul(e, e12)   # b_c, E_4^{3(n-c+1)}
+        b[c], e = series_mul(b[c], e), series_mul(e, f12)   # b_c, F^{n-c+1}
     b[0] = e if n else one
     rows = [[g.truncate(n).coeffs_array()
              for g in [f] + [hecke_T(ell, 12 * n, f) for ell in primes]] for f in b]

@@ -34,25 +34,21 @@ from .pseudorep import FiniteMatrixGroup, PseudoRep, _index_closure, is_admissib
 # -- the theta map ---------------------------------------------------------
 
 def theta(R, x):
-    """x - (tr x / 2)·Id; restricted to SR^1 a bijection onto (rad R)^0."""
+    """x - (tr x / 2)·Id; restricted to SR^1 a bijection onto (rad R)^0.
+    Unlike `batch_theta`, it refuses p = 2."""
     if R.p == 2:
         raise CheckFailed("theta needs p odd")
     return batch_theta(R, x)[0]
 
 
 def batch_theta(R, X):
-    p = R.p
-    X = np.atleast_2d(X) % p
-    inv2 = pow(2, -1, p)
-    TR = (R.batch_trace(X) * inv2) % p
-    out = X.copy()
-    out[:, R.sa] = (out[:, R.sa] - TR) % p
-    out[:, R.sd] = (out[:, R.sd] - TR) % p
-    return out
+    X = np.atleast_2d(X)
+    return (X - R.scalars(R.batch_trace(X) * pow(2, -1, R.p))) % R.p
 
 
 def theta_inv(R, m):
-    """Inverse of theta on traceless radical elements: lands in SR^1."""
+    """Inverse of theta on traceless radical elements: lands in SR^1.
+    Unlike `batch_theta_inv`, it checks its argument."""
     v = np.asarray(m, dtype=np.int64) % R.p
     if R.batch_trace(v).any():
         raise CheckFailed("theta_inv needs a traceless argument")
@@ -62,13 +58,8 @@ def theta_inv(R, m):
 
 
 def batch_theta_inv(R, M):
-    p = R.p
-    M = np.atleast_2d(M) % p
-    lam = _sqrt_scalars(R, M)
-    out = M.copy()
-    out[:, R.sa] = (out[:, R.sa] + lam) % p
-    out[:, R.sd] = (out[:, R.sd] + lam) % p
-    return out
+    M = np.atleast_2d(M) % R.p
+    return (M + R.scalars(_sqrt_scalars(R, M))) % R.p
 
 
 # -- Lie data ---------------------------------------------------------------
@@ -109,12 +100,14 @@ class LieSubspace:
         return trace_square(self.R, self.space)
 
     def stable_under(self, P):
-        """P·L <= L for a subspace P of A."""
+        """P·L <= L for a subspace P of A; the witness (t, v) is the first
+        product t·v outside L, t-major."""
         R = self.R
-        for t in P.basis:
-            outside = np.flatnonzero(~self.contains(R.ring_scale(t, self.basis)))
-            if outside.size:
-                return False, (t, self.basis[outside[0]])
+        scaled = pair_products(R.scalars(P.basis), self.basis, R.mul_tensor, R.p)
+        outside = np.flatnonzero(~self.contains(scaled))
+        if outside.size:
+            t, v = divmod(int(outside[0]), self.dim)
+            return False, (P.basis[t], self.basis[v])
         return True, None
 
     def __eq__(self, other):
@@ -125,10 +118,6 @@ class LieSubspace:
 
     def __repr__(self):
         return f"LieSubspace(dim {self.dim} in {self.R.name})"
-
-
-def bracket(R, u, v):
-    return (R.mul_vec(u, v) - R.mul_vec(v, u)) % R.p
 
 
 def batch_bracket(R, U, V):
@@ -196,7 +185,7 @@ def generate_group(R, gens, cap=2 * 10 ** 6):
     if len(T) > 1:                                      # else u = 1 and t·s·u^-1 = s
         W = R.batch_mul(W, R.batch_inv(T)[ends])
     # w in SR^1 has det 1, so w^-1 = tr(w) - w
-    inverse_keys = row_key((_scal(R, R.batch_trace(W)) - W) % p, p).tolist()
+    inverse_keys = row_key((R.scalars(R.batch_trace(W)) - W) % p, p).tolist()
     kept, picked = set(row_key(R.one[None, :], p).tolist()), []
     for i, (key, inverse_key) in enumerate(zip(row_key(W, p).tolist(), inverse_keys)):
         if key not in kept and inverse_key not in kept:
@@ -208,7 +197,7 @@ def generate_group(R, gens, cap=2 * 10 ** 6):
     grown = FpSubspace(p, R.dim, batch_theta(R, gvecs))
     while True:
         space = saturate(grown, bracket_tensor(R))
-        grown = saturate(space, R.mul_tensor, by=_scal(R, trace_square(R, space).basis))
+        grown = saturate(space, R.mul_tensor, by=R.scalars(trace_square(R, space).basis))
         if grown.dim == space.dim:
             break
     if len(T) * p ** space.dim > cap:
@@ -245,6 +234,7 @@ def enumerate_preimage(L, cap=None):
     d = L.dim
     form = trace_products(R, L.basis, L.basis).reshape(d, d, A.dim) * pow(2, -1, p) % p
     lam = _sqrt_one_plus(A, bilinear(coeffs, coeffs, form, p))
+    # in place: members + R.scalars(lam) would copy the largest array example8 holds
     members[:, R.sa] = (members[:, R.sa] + lam) % p
     members[:, R.sd] = (members[:, R.sd] + lam) % p
     return members
@@ -307,15 +297,6 @@ def pink_converse(L, cap=10 ** 6):
     return H, P
 
 
-def star_law(R, x, y):
-    """x * y = x·sqrt(1 + tr(y^2)/2) + y·sqrt(1 + tr(x^2)/2) on L."""
-    p = R.p
-    inv2 = pow(2, -1, p)
-    halves = R.batch_trace(R.batch_mul([x, y], [x, y])) * inv2
-    sx, sy = batch_sqrt_one_plus_m(R.A, (R.A.one + halves) % p)
-    return (R.ring_scale(sy, x)[0] + R.ring_scale(sx, y)[0]) % p
-
-
 def _sqrt_scalars(R, M):
     """sqrt(1 + tr(m^2)/2) in 1 + m for each row m of M, as ring vectors: the
     scalar of theta^{-1}(m) = m + sqrt(1 + tr(m^2)/2)·Id and of the star law.
@@ -334,11 +315,11 @@ def _sqrt_one_plus(A, Q):
     return batch_sqrt_one_plus_m(A, (A.one + Q[first]) % p)[which]
 
 
-def _batch_star(R, X, Y):
-    """Row-wise star products x_i * y_i via precomputed scalar factors."""
-    SX = _sqrt_scalars(R, X)
-    SY = _sqrt_scalars(R, Y)
-    return (R.batch_mul(_scal(R, SY), X) + R.batch_mul(_scal(R, SX), Y)) % R.p
+def star_law(R, X, Y):
+    """Row-wise x * y = x·sqrt(1 + tr(y^2)/2) + y·sqrt(1 + tr(x^2)/2), the
+    group law theta carries to L/L_2."""
+    return (R.batch_mul(R.scalars(_sqrt_scalars(R, Y)), X)
+            + R.batch_mul(R.scalars(_sqrt_scalars(R, X)), Y)) % R.p
 
 
 def star_quotient_checks(L, L2, cap=3 ** 9):
@@ -348,22 +329,22 @@ def star_quotient_checks(L, L2, cap=3 ** 9):
     reps = _coset_reps(L, L2, cap=cap)
     n = reps.shape[0]
     zero = np.zeros((n, R.dim), dtype=np.int64)
-    if not np.array_equal(L2.space.reduce(_batch_star(R, reps, zero)), L2.space.reduce(reps)):
+    if not np.array_equal(L2.space.reduce(star_law(R, reps, zero)), L2.space.reduce(reps)):
         return False, ("identity", None)
     # commutativity and the first associativity leg on all pairs
     I, Jx = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
-    XY = _batch_star(R, reps[I], reps[Jx])
-    YX = _batch_star(R, reps[Jx], reps[I])
+    XY = star_law(R, reps[I], reps[Jx])
+    YX = star_law(R, reps[Jx], reps[I])
     if not np.array_equal(L2.space.reduce(XY), L2.space.reduce(YX)):
         return False, ("commutativity", None)
     XY_red = L2.space.reduce(XY).reshape(n, n, R.dim)
     # associativity on all triples: star(red(x*y), z) vs star(x, red(y*z))
     Ti = np.repeat(np.arange(n * n), n)
     Tk = np.tile(np.arange(n), n * n)
-    left = _batch_star(R, XY_red.reshape(n * n, R.dim)[Ti], reps[Tk])
+    left = star_law(R, XY_red.reshape(n * n, R.dim)[Ti], reps[Tk])
     Yi = np.repeat(np.arange(n), n * n)
     YZ_flat = XY_red.reshape(n * n, R.dim)       # reuse: red(y*z) over pairs
-    right = _batch_star(R, reps[Yi], np.tile(YZ_flat, (n, 1))[: n * n * n])
+    right = star_law(R, reps[Yi], np.tile(YZ_flat, (n, 1))[: n * n * n])
     if not np.array_equal(L2.space.reduce(left), L2.space.reduce(right)):
         return False, ("associativity", None)
     return True, None
@@ -389,7 +370,7 @@ def theta_star_morphism_check(G, L, L2, rng):
     I = rng.integers(0, G.n, size=300)
     Jx = rng.integers(0, G.n, size=300)
     lhs = batch_theta(R, R.batch_mul(G.elements[I], G.elements[Jx]))
-    rhs = _batch_star(R, batch_theta(R, G.elements[I]), batch_theta(R, G.elements[Jx]))
+    rhs = star_law(R, batch_theta(R, G.elements[I]), batch_theta(R, G.elements[Jx]))
     bad = np.flatnonzero((L2.space.reduce(lhs) != L2.space.reduce(rhs)).any(axis=1))
     if bad.size:
         return False, (int(I[bad[0]]), int(Jx[bad[0]]))
@@ -413,28 +394,19 @@ def decompose(L):
     extract (I1, B1, C1)."""
     R = L.R
     p = R.p
-    diag_rows, anti_rows = [], []
-    for v in L.basis:
-        dv = v.copy()
-        dv[R.sb] = 0
-        dv[R.sc] = 0
-        if not L.contains(dv):
-            return Decomposition(False, False)
-        diag_rows.append(dv)
-        anti_rows.append((v - dv) % p)
-    delta = FpSubspace(p, R.dim, diag_rows)
-    nabla = FpSubspace(p, R.dim, anti_rows)
-    I1 = FpSubspace(p, R.A.dim, [row[R.sa] for row in delta.basis])
-    B1 = FpSubspace(p, R.db, [row[R.sb] for row in nabla.basis])
-    C1 = FpSubspace(p, R.dc, [row[R.sc] for row in nabla.basis])
-    strongly = True
-    for v in nabla.basis:
-        bv = v.copy()
-        bv[R.sc] = 0
-        if not L.contains(bv):
-            strongly = False
-            break
-    return Decomposition(True, strongly, nabla, I1, B1, C1)
+    diag = L.basis.copy()
+    diag[:, R.sb] = 0
+    diag[:, R.sc] = 0
+    if not L.contains(diag).all():
+        return Decomposition(False, False)
+    delta = FpSubspace(p, R.dim, diag)
+    nabla = FpSubspace(p, R.dim, (L.basis - diag) % p)
+    I1 = FpSubspace(p, R.A.dim, delta.basis[:, R.sa])
+    B1 = FpSubspace(p, R.db, nabla.basis[:, R.sb])
+    C1 = FpSubspace(p, R.dc, nabla.basis[:, R.sc])
+    b_parts = nabla.basis.copy()
+    b_parts[:, R.sc] = 0
+    return Decomposition(True, bool(L.contains(b_parts).all()), nabla, I1, B1, C1)
 
 
 def trace_products(R, U, V):
@@ -466,12 +438,12 @@ def decomposable_condition_report(L, dec=None):
         and I1.contains(brackets[:, R.sa]).all())
     J_nabla = batch_bracket(R, R.J, nabla.basis)
     rep["I1_bracket_J_nabla_in_nabla"] = bool(
-        nabla.contains(pair_products(_scal(R, I1.basis), J_nabla, T, p)).all())
+        nabla.contains(pair_products(R.scalars(I1.basis), J_nabla, T, p)).all())
     trn2 = trace_square(R, nabla)
     rep["trace_nabla2_I1_in_I1"] = bool(
         I1.contains(pair_products(trn2.basis, I1.basis, A.mul_tensor, p)).all())
     rep["trace_nabla2_nabla_in_nabla"] = bool(
-        nabla.contains(pair_products(_scal(R, trn2.basis), nabla.basis, T, p)).all())
+        nabla.contains(pair_products(R.scalars(trn2.basis), nabla.basis, T, p)).all())
     rep["I1_cubed_in_I1"] = _cube_closed(A, I1)
     return rep
 
@@ -541,7 +513,7 @@ def check_structure_theorem(cls_kind, G, L=None, subfield_degree=None):
         return rep
     if cls_kind in ("cyclic", "dihedral", "large"):
         d = subfield_degree or A.fq.f
-        scaled = pair_products(_scal(R, subfield_constants(A, d)), L.basis, R.mul_tensor, p)
+        scaled = pair_products(R.scalars(subfield_constants(A, d)), L.basis, R.mul_tensor, p)
         LQ = LieSubspace(R, scaled, check=False)
         decq = decompose(LQ)
         rep["WFq_L_strongly_decomposable"] = bool(decq.decomposable and decq.strongly)
@@ -591,13 +563,10 @@ def _nabla_swap_invariant(R, nabla, lam):
     """nabla stable under (b, c) -> (lam·c, b); needs B = C = A."""
     if R.db != R.A.dim or R.dc != R.A.dim:
         return False
-    for v in nabla.basis:
-        w = np.zeros(R.dim, dtype=np.int64)
-        w[R.sb] = (lam * v[R.sc]) % R.p
-        w[R.sc] = v[R.sb]
-        if not nabla.contains(w):
-            return False
-    return True
+    swapped = np.zeros_like(nabla.basis)
+    swapped[:, R.sb] = lam * nabla.basis[:, R.sc] % R.p
+    swapped[:, R.sc] = nabla.basis[:, R.sb]
+    return bool(nabla.contains(swapped).all())
 
 
 def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants):
@@ -808,6 +777,7 @@ def measure_change_psi(R, L, L2, gamma):
     members = L2.enumerate(cap=10 ** 5)
     lam = _sqrt_scalars(R, members)
     sig_scal = A.batch_mul_elem((lam - A.one) % p, coef)   # (n, dimA)
+    # sigma·J, not sigma·Id: a and d move in opposite directions
     psi = members.copy()
     psi[:, R.sa] = (psi[:, R.sa] + sig_scal) % p
     psi[:, R.sd] = (psi[:, R.sd] - sig_scal) % p
@@ -964,20 +934,20 @@ def pink_formula_battery(R, rng=None, n=1000, theta_fn=None):
     out = {}
 
     TX, TY = th(X), th(Y)
-    lhs = (R.batch_mul(TX, TY) - R.batch_mul(TY, TX)) % p
+    lhs = batch_bracket(R, TX, TY)
     rhs = (th(R.batch_mul(X, Y)) - th(R.batch_mul(Y, X))) % p
     out["theta_bracket"] = int((lhs != rhs).any(axis=1).sum())
 
     S = random_sr(R, rng, n)
     TS, trS = th(S), R.batch_trace(S)
-    lhs = R.batch_mul(_scal(R, trS), TY)
+    lhs = R.batch_mul(R.scalars(trS), TY)
     rhs = (th(R.batch_mul(S, Y)) + th(R.batch_mul(R.batch_inv(S), Y))) % p
     out["trace_times_theta"] = int((lhs != rhs).any(axis=1).sum())
 
     trX, trY = R.batch_trace(X), R.batch_trace(Y)
     lhs = (2 * th(R.batch_mul(X, Y))) % p
-    rhs = (R.batch_mul(TX, TY) - R.batch_mul(TY, TX)
-           + R.batch_mul(_scal(R, trX), TY) + R.batch_mul(_scal(R, trY), TX)) % p
+    rhs = (batch_bracket(R, TX, TY)
+           + R.batch_mul(R.scalars(trX), TY) + R.batch_mul(R.scalars(trY), TX)) % p
     out["theta_of_product"] = int((lhs != rhs).any(axis=1).sum())
 
     lhs = R.batch_trace(R.batch_mul(TX, TY))
@@ -992,17 +962,10 @@ def pink_formula_battery(R, rng=None, n=1000, theta_fn=None):
     Yr = random_rad0(R, rng, n)
     Ur = random_rad0(R, rng, n)
     Vr = random_rad0(R, rng, n)
-    br = lambda u, v: (R.batch_mul(u, v) - R.batch_mul(v, u)) % p
+    br = lambda u, v: batch_bracket(R, u, v)
     uv = br(Ur, Vr)
-    lhs = R.batch_mul(_scal(R, (4 * R.batch_trace(R.batch_mul(Xr, Yr))) % p), uv)
+    lhs = R.batch_mul(R.scalars(4 * R.batch_trace(R.batch_mul(Xr, Yr))), uv)
     rhs = (br(Yr, br(Xr, uv)) + br(Xr, br(Yr, uv))
            + br(br(Xr, Vr), br(Yr, Ur)) + br(br(Yr, Vr), br(Xr, Ur))) % p
     out["quadruple_bracket"] = int((lhs != rhs).any(axis=1).sum())
-    return out
-
-
-def _scal(R, T):
-    out = np.zeros((T.shape[0], R.dim), dtype=np.int64)
-    out[:, R.sa] = T
-    out[:, R.sd] = T
     return out

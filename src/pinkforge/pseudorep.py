@@ -9,13 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckFailed, TooLarge
+from .errors import CheckFailed
 from .fp import FpSubspace, matmul_mod, nullspace, pair_products, row_key, rref, span_products
 from .gma import GmaStructure, m2_structure
-from .localring import FiniteAlgebra, LocalRing, _prime_factors, batch_invert
-
-
-ALGEBRA_QUOTIENT_CAP = 10 ** 4  # |group| bound for A[G]/Ker constructions
+from .localring import FiniteAlgebra, LocalRing, _prime_factors, batch_invert, check_tensor_size
 
 
 class FiniteMatrixGroup:
@@ -284,6 +281,7 @@ def _trace_relation_matrix(tr):
     (g, h) is the matrix of a -> a·t(hg), as c_h e_i adds e_i·t(hg) to T(y g)."""
     A, gt = tr.A, tr.gt
     n, da = gt.n, A.dim
+    check_tensor_size((n * da,) * 2, "trace relation matrix")
     # [(h, g), (i, k)]: the coefficient of e_k in e_i·t(hg)
     M = matmul_mod(tr.t[gt.table].reshape(n * n, da),
                    A.mul_tensor.transpose(1, 0, 2).reshape(da, da * da), A.p)
@@ -509,6 +507,7 @@ class QuotientAlgebra(FiniteAlgebra):
         n, da = gt.n, A.dim
         ker = linear_kernel(tr)
         comp = np.setdiff1d(np.arange(n * da), ker.pivots)
+        check_tensor_size((len(comp), len(comp), n * da), "product table")
         self.proj = ker.reduce(np.eye(n * da, dtype=np.int64))[:, comp]
         g, i = np.divmod(comp, da)
         prods = np.zeros((len(comp), len(comp), n * da), dtype=np.int64)
@@ -530,8 +529,6 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
     """
     A, gt = tr.A, tr.gt
     p = A.p
-    if gt.n > ALGEBRA_QUOTIENT_CAP:
-        raise TooLarge(f"group of order {gt.n} exceeds the algebra-quotient cap")
     residual_multfree_data(tr)  # raises CheckFailed when violated
     if g0 is None:
         for g in range(gt.n):

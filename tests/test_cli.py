@@ -93,6 +93,10 @@ def _address_space_2gib():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _address_space_1gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @pytest.mark.parametrize("args", [
     ["density", "--p", "3", "--form", "delta", "--X", "10000000000000000000"],
     ["cyclotomic", "--p", "3", "--form", "delta", "--M", "4", "--X", "10000000000"],
@@ -124,6 +128,17 @@ def test_span_basis_budget_exit_3(args):
     assert re.fullmatch(r"error: a basis of \d+ forms to degree \d+ exceeds the cap of 20000000 "
                         r"coefficients \(cap reached, undecided\)", r.stderr.strip())
     assert time.time() - t0 < 2.0
+
+
+def test_span_at_a_large_prime_within_1gib():
+    # the Sturm basis took E_4^3 by two dense products at degree 9,999,991:
+    # 1,582 MB, and exit 1 with an _ArrayMemoryError traceback under 1 GiB
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli", "span", "--p", "7", "--form",
+                        "delta", "--primes", "9999991"], capture_output=True, text=True,
+                       preexec_fn=_address_space_1gib, timeout=300)
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["dim"] == 1 and rep["matrices"] == {"9999991": [[2]]}
 
 
 @pytest.mark.parametrize("args, message", [

@@ -14,6 +14,7 @@ from pinkforge.localring import (
     batch_invert,
     batch_is_unit_square,
     batch_sqrt_one_plus_m,
+    check_tensor_size,
     factor_prime_power,
     is_prime,
     make_truncated_poly_ring,
@@ -572,3 +573,9 @@ def test_structure_tensor_budget():
     A = make_truncated_poly_ring(3, 33)
     with pytest.raises(TooLarge, match=r"a 132\^3 structure tensor"):
         m2_structure(A)
+    # the one budget also bounds the arrays of A[G]/Ker(T, D)
+    check_tensor_size((1448, 1448), "trace relation matrix")
+    with pytest.raises(TooLarge, match=r"a 1449\^2 trace relation matrix exceeds 16777216"):
+        check_tensor_size((1449, 1449), "trace relation matrix")
+    with pytest.raises(TooLarge, match=r"a 40×40×1400 product table exceeds 16777216"):
+        check_tensor_size((40, 40, 1400), "product table")

@@ -16,8 +16,9 @@ from pinkforge.modforms import (
     FpSeries,
     _dense_mul,
     _divisor_sums,
-    _eisenstein_e4,
+    _eisenstein,
     _eta_cubed,
+    _sturm_operators,
     _eta_terms,
     _pack_bits,
     _sparse_mul,
@@ -716,7 +717,42 @@ def test_eisenstein_e4_against_divisor_sums(deg):
     for p in (2, 3, 5, 7, 691, 65521):
         sigma3 = [sum(d ** 3 for d in range(1, m + 1) if m % d == 0) for m in range(deg + 1)]
         want = [1] + [240 * s % p for s in sigma3[1:]]
-        assert _eisenstein_e4(p, deg).coeffs_array().tolist() == want
+        assert _eisenstein(p, 3, 240, deg).coeffs_array().tolist() == want
+
+
+def _sturm_operators_on_e4_cubed(p, n, primes):
+    """Q_ell read off the basis Delta^c·E_4^{3(n-c)}, the reference for the
+    Delta^c·E_12^{n-c} basis: both are unitriangular, so Q_ell agrees."""
+    deg = max(1, max(primes) * n)
+    one = FpSeries.from_coeffs(p, [1], deg=deg)
+    delta, e4_cubed = delta_expansion(p, deg), series_pow(_eisenstein(p, 3, 240, deg), 3)
+    b, e = [one, delta][: n + 1], e4_cubed
+    for _ in range(n - 1):
+        b.append(series_mul(b[-1], delta))
+    for c in range(n - 1, 0, -1):
+        b[c], e = series_mul(b[c], e), series_mul(e, e4_cubed)
+    b[0] = e if n else one
+    rows = [[g.truncate(n).coeffs_array()
+             for g in [f] + [hecke_T(ell, 12 * n, f) for ell in primes]] for f in b]
+    R, _ = rref(np.array(rows).reshape(n + 1, -1), p)
+    return {ell: R[:, (i + 1) * (n + 1):(i + 2) * (n + 1)].T for i, ell in enumerate(primes)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 691, 65521])
+def test_sturm_operators_match_the_e4_cubed_basis(p):
+    for n, primes in ((0, [2]), (1, [2, 3]), (2, [3, 5]), (4, [2, 7])):
+        got, want = _sturm_operators(p, n, primes), _sturm_operators_on_e4_cubed(p, n, primes)
+        assert list(got) == list(want)
+        for ell in primes:
+            assert np.array_equal(got[ell], want[ell]), (p, n, ell)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11, 13, 65521])
+def test_eisenstein_e12_against_divisor_sums(p):
+    deg = 60
+    sigma11 = [sum(d ** 11 for d in range(1, m + 1) if m % d == 0) for m in range(deg + 1)]
+    want = [1] + [65520 * s * pow(691, -1, p) % p for s in sigma11[1:]]
+    assert _eisenstein(p, 11, 65520 * pow(691, -1, p), deg).coeffs_array().tolist() == want
 
 
 # The span at the parent, which tracked the usable degree of truncated series:

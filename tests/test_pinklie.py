@@ -23,7 +23,7 @@ from pinkforge.pinklie import (
     MeasureReport,
     batch_theta,
     batch_theta_inv,
-    bracket,
+    batch_bracket,
     decompose,
     decomposable_condition_report,
     descending_series,
@@ -178,7 +178,7 @@ def test_descending_series_inclusions(example_family):
             target = series[n + m + 1]
             for u in series[n].basis:
                 for v in series[m].basis:
-                    assert target.contains(bracket(ex.R, u, v))
+                    assert target.contains(batch_bracket(ex.R, u, v)[0])
     # abelian group: L_2 = 0 and Gamma_2 trivial
     ex2 = example_family[2]
     assert descending_series(ex2.L, 2)[1].dim == 0
@@ -193,7 +193,7 @@ def test_example_bracket_at_k4(example_family):
     za = np.zeros(A.dim, dtype=np.int64)
     E = R.assemble(za, monomial(A, 1), (-monomial(A, 1)) % 3, za)
     F = R.assemble(za, monomial(A, 2), monomial(A, 2), za)
-    br = bracket(R, E, F)
+    br = batch_bracket(R, E, F)[0]
     x3 = monomial(A, 3)
     want = R.assemble((2 * x3) % 3, np.zeros(A.dim, dtype=np.int64),
                       np.zeros(A.dim, dtype=np.int64), (-2 * x3) % 3)
@@ -272,7 +272,7 @@ def test_star_law_properties(example_family):
     L2 = descending_series(ex.L, 2)[1]
     zero = np.zeros(R.dim, dtype=np.int64)
     for v in ex.L.basis:
-        assert np.array_equal(star_law(R, v, zero), v)
+        assert np.array_equal(star_law(R, v, zero)[0], v)
     ok, wit = star_quotient_checks(ex.L, L2, cap=3 ** 3)
     assert ok, wit
     ok2, wit2 = theta_star_morphism_check(ex.Gamma, ex.L, L2,
@@ -289,6 +289,95 @@ def test_star_quotient_exhaustive_dim3():
     assert L.dim - L2.dim == 3
     ok, wit = star_quotient_checks(L, L2, cap=3 ** 3)
     assert ok, wit
+
+
+def _star_law_one_row(R, x, y):
+    """The single-row star law the batched `star_law` replaced."""
+    p = R.p
+    halves = R.batch_trace(R.batch_mul([x, y], [x, y])) * pow(2, -1, p)
+    sx, sy = batch_sqrt_one_plus_m(R.A, (R.A.one + halves) % p)
+    return (R.ring_scale(sy, x)[0] + R.ring_scale(sx, y)[0]) % p
+
+
+def test_star_law_rows_match_the_single_row_law(example_family):
+    ex = example_family[4]
+    R, rng = ex.R, np.random.default_rng(41)
+    X, Y = (rng.integers(0, 3, size=(60, ex.L.dim)) @ ex.L.basis % 3 for _ in range(2))
+    want = np.array([_star_law_one_row(R, x, y) for x, y in zip(X, Y)])
+    assert np.array_equal(star_law(R, X, Y), want)
+
+
+def _stable_under_loop(L, P):
+    """The per-row loop `LieSubspace.stable_under` replaced."""
+    for t in P.basis:
+        outside = np.flatnonzero(~L.contains(L.R.ring_scale(t, L.basis)))
+        if outside.size:
+            return False, (t, L.basis[outside[0]])
+    return True, None
+
+
+def test_stable_under_gives_the_loops_witness():
+    A = make_truncated_poly_ring(3, 4)
+    R = m2_structure(A)
+    rad0 = R.rad0()
+    rng = np.random.default_rng(3)
+    unstable = 0
+    for _ in range(60):
+        L = LieSubspace(R, rad0.basis[rng.integers(0, 2, size=rad0.dim).astype(bool)])
+        P = L.trace_pseudoring()
+        (ok, wit), (want_ok, want_wit) = L.stable_under(P), _stable_under_loop(L, P)
+        assert ok == want_ok
+        if not ok:
+            unstable += 1
+            assert np.array_equal(wit[0], want_wit[0]) and np.array_equal(wit[1], want_wit[1])
+    assert unstable > 10
+
+
+def _decompose_loop(L):
+    """The per-row loops `decompose` replaced."""
+    R, p = L.R, L.R.p
+    diag_rows, anti_rows = [], []
+    for v in L.basis:
+        dv = v.copy()
+        dv[R.sb] = 0
+        dv[R.sc] = 0
+        if not L.contains(dv):
+            return False, False, None
+        diag_rows.append(dv)
+        anti_rows.append((v - dv) % p)
+    delta = FpSubspace(p, R.dim, diag_rows)
+    nabla = FpSubspace(p, R.dim, anti_rows)
+    I1 = FpSubspace(p, R.A.dim, [row[R.sa] for row in delta.basis])
+    B1 = FpSubspace(p, R.db, [row[R.sb] for row in nabla.basis])
+    C1 = FpSubspace(p, R.dc, [row[R.sc] for row in nabla.basis])
+    strongly = True
+    for v in nabla.basis:
+        bv = v.copy()
+        bv[R.sc] = 0
+        if not L.contains(bv):
+            strongly = False
+            break
+    return True, strongly, (nabla, I1, B1, C1)
+
+
+def test_decompose_matches_the_loops(example_family):
+    lies = [LieSubspace(d["R"], d["lie_rows"])
+            for d in (build() for _, build in structure_parameter_sets())]
+    lies += [example_family[k].L for k in (2, 3, 4, 5, 6)]
+    R = m2_structure(make_truncated_poly_ring(3, 3))
+    rad0, rng = R.rad0(), np.random.default_rng(8)
+    for m in (1, 2, 3, 5):                  # random spans, mostly not decomposable
+        lies += [LieSubspace(R, rng.integers(0, 3, size=(m, rad0.dim)) @ rad0.basis % 3)
+                 for _ in range(5)]
+        lies += [LieSubspace(R, rad0.basis[rng.integers(0, 2, size=rad0.dim).astype(bool)])]
+    seen = set()
+    for L in lies:
+        dec, (decomposable, strongly, parts) = decompose(L), _decompose_loop(L)
+        assert (dec.decomposable, dec.strongly) == (decomposable, strongly)
+        if decomposable:
+            assert (dec.nabla, dec.I1, dec.B1, dec.C1) == parts
+        seen.add((decomposable, strongly))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_decompose_examples(r33):

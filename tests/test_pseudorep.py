@@ -1,4 +1,7 @@
 import hashlib
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +227,50 @@ def test_linear_kernel_basis_is_already_reduced_over_f7():
     K = nullspace(_trace_relation_matrix(tr), 7)
     assert K.shape == (668, 672)
     assert np.array_equal(FpSubspace(7, 672, K).basis, K)
+
+
+# A pseudo-representation of Z/100 over F_101[X]/(X^100), t = chi + chi^3:
+# N = |G|·dim A = 10^4, so the trace relation matrix is 763 MiB of int64.
+_PAST_THE_BUDGET = """
+import numpy as np
+from pinkforge.errors import TooLarge
+from pinkforge.localring import make_truncated_poly_ring
+from pinkforge.pseudorep import GroupTable, PseudoRep, build_td_representation
+p, g = 101, np.arange(100)
+A = make_truncated_poly_ring(p, 100)
+chi1 = np.array([pow(2, int(x), p) for x in g])       # 2 generates F_101*
+chi2 = chi1 ** 3 % p
+tr = PseudoRep(A, GroupTable(table=(g[:, None] + g) % 100, identity=0),
+               np.outer((chi1 + chi2) % p, A.one), np.outer(chi1 * chi2 % p, A.one))
+try:
+    build_td_representation(tr)
+except TooLarge as exc:
+    print(exc)
+"""
+
+
+def test_realization_refuses_past_the_array_budget_within_2gib():
+    # the group-order cap (10^4) let N = 10^4 through: exit 1 with an
+    # _ArrayMemoryError traceback under 2 GiB
+    def address_space_2gib():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    r = subprocess.run([sys.executable, "-c", _PAST_THE_BUDGET], capture_output=True, text=True,
+                       preexec_fn=address_space_2gib, timeout=120)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "a 10000^2 trace relation matrix exceeds 16777216 bytes\n"
+
+
+def test_realization_builds_at_n_672_over_f7():
+    # GL_2(F_7) constants: N = 672, inside the budget
+    R = m2_structure(make_truncated_poly_ring(7, 1))
+    tr = PseudoRep.from_matrix_group(FiniteMatrixGroup(R, np.array(gl2_fp_constants(R))))
+    R2, G, rho_idx, _ = build_td_representation(tr)
+    assert (R2.db, R2.dc, G.n) == (1, 1, 672)
+    for i in range(0, tr.gt.n, 37):
+        v = G.elements[rho_idx[i]]
+        assert np.array_equal(R2.batch_trace(v)[0], tr.t[i])
+        assert np.array_equal(R2.batch_det(v)[0], tr.d[i])
 
 
 def test_keruker_both_directions():

@@ -16,8 +16,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "pinkforge"
 KEPT = {
     "eta_product_term",         # Euler's pentagonal series: Δ = q·η^24 is the reference for Δ
     "fq_coords",                # F_q coordinates of a ring row, for the measure check's reference
-    "star_law",                 # the group law θ carries to L, whose identities a test checks
-    "bracket",                  # one [u, v] = uv - vu, the series tests' reference
     "build_td_representation",  # the realization of (t, d) on A[G]/Ker(T, D) as a GMA
     "check_axioms",             # the axioms of a pseudo-representation (t, d) the realization takes
     "is_faithful",              # the non-degenerate pairing the realization must give
@@ -140,6 +138,15 @@ def test_one_inverse():
     """Units invert by `localring.batch_invert` and GMA elements by
     `GmaStructure.batch_inv` alone: no linear solve, no single-row alias."""
     deleted = {"solve", "invert_vec", "inv_vec", "is_unit", "det_vec", "trace_vec"}
+    defined = [f"{mod}.{name}" for mod, tree in _trees() for name in _definitions(tree)
+               if name.rpartition(".")[2] in deleted]
+    assert defined == []
+
+
+def test_one_scalar_embedding():
+    """t·Id comes from `GmaStructure.scalars` alone, and brackets and the
+    star law take stacks of rows: no single-row twin, no private copy."""
+    deleted = {"scalar_mat", "_scal", "_batch_star", "bracket"}
     defined = [f"{mod}.{name}" for mod, tree in _trees() for name in _definitions(tree)
                if name.rpartition(".")[2] in deleted]
     assert defined == []
