@@ -42,12 +42,19 @@ P_LIMIT = 2 ** 31          # primes below this keep int64 coefficient arithmetic
 SPARSE_CUTOFF = 20_000
 # Largest degree `delta_expansion` builds, ten times the largest the README and
 # the benchmark use (2e6); beyond it TooLarge is raised before any array exists.
-# `density --p 65521 --form delta --X 4e6` peaks at 428 MB in a fresh process
-# (one squaring of E_6 at transform length 2^22; 822 MB at 8e6, length 2^23).
-# The peak grows by about 27 bytes a degree and 68 a transform point with two
-# digits, and 16 more a point with the third that this cap's length (2^25)
-# needs, so here it comes to about 3.4 GB.
+# Below it, a dense product may still be refused by MAX_PRODUCT_BYTES, also
+# before anything is allocated: `density --p 65521 --form delta` reports up to
+# X = 2^24 - 1 (8.0 s and 1,338 MB in a fresh process; 669 MB at X = 8e6) and
+# is refused above, where the squaring of E_6 needs a 2^25-point transform
+# and three digits.
 MAX_DEGREE = 2 * 10 ** 7
+# Bytes a dense product (`_dense_mul`) may hold in its digit spectra, spectrum
+# accumulator, transform output and result (`_dense_plan`), checked before any
+# of them exists.  1 GiB admits p = 65521 up to a 2^24-point transform (a
+# square of degree below 2^24, 939 MB) and p = 2^31 - 1 up to 2^23 points,
+# and leaves room under a 2 GiB address space for the divisor sums beside it.
+MAX_PRODUCT_BYTES = 1 << 30
+_BLOCK = 1 << 16            # entries per block of the dense product's sums and rounding
 
 
 def _check_p_limit(p):
@@ -249,27 +256,19 @@ def series_mul(f, g):
     return FpSeries._of_residues(p, deg, _dense_mul(a, a if g is f else g._coefs()[: deg + 1], p))
 
 
-def _dense_mul(a, b, p):
-    """(a·b mod p)[:n] for integer arrays a, b of length n with entries in
-    [0, p), by float FFTs of base-2^s digits; `b is a` is transformed once,
-    and neither input is written.
+def _dense_plan(n, p, square):
+    """The sizing of `_dense_mul` for a product of two length-n arrays mod
+    p: (N, d, s), the transform length N = 2^k >= 2h - 1 (h = ⌈n/2⌉) and d
+    base-2^s digits.  Raises TooLarge, before anything is allocated, when no
+    digit width keeps the product exact or when its arrays exceed
+    MAX_PRODUCT_BYTES: 2d half-spectra of N/2 + 1 complex entries for a
+    square (4d otherwise), one more as the spectrum accumulator, the
+    length-N transform output and the int64 result.
 
-    Only n terms of the product are wanted, so the product goes by halves
-    (Mulders, AAECC 11, 2000): with h = ⌈n/2⌉, a = a0 + x^h·a1 and b alike,
-    it is a0·b0 + x^h·(a0·b1 + a1·b0) mod x^n.  Both pieces are cyclic
-    convolutions of length N = 2^k >= 2h - 1, about n where the full
-    product would need about 2n.
-
-    With d digits, up to d digit products share each of the 2d-1 spectra
-    of a0·b0, and up to 2d each spectrum of the cross a0·b1 + a1·b0.  For
-    digits at most M, Percival's bound (Math. Comp. 72, 2003) on the error
-    of one convolution is N·M²·((1+ε)^{3k} (1+ε√5)^{3k+1} (1+β)^{3k} - 1),
-    with ε = β = 2^-53; d is the fewest digits for which 2d times it stays
-    below 1/4.  A residual of 1/4 or more raises CheckFailed instead of
-    rounding.  One spectrum accumulator, one product buffer and one
-    transform output serve every digit index.
-    """
-    n = a.shape[0]
+    For digits at most M, Percival's bound (Math. Comp. 72, 2003) on the
+    error of one convolution is N·M²·((1+ε)^{3k} (1+ε√5)^{3k+1} (1+β)^{3k} - 1),
+    with ε = β = 2^-53; up to 2d digit products share one spectrum, so d is
+    the fewest digits for which 2d times it stays below 1/4."""
     h = (n + 1) // 2
     size = 1 << (2 * h - 2).bit_length()
     k, eps = size.bit_length() - 1, 2.0 ** -53
@@ -281,45 +280,101 @@ def _dense_mul(a, b, p):
             break
     else:
         raise TooLarge(f"no digit width keeps a degree-{n - 1} product exact")
+    need = ((2 if square else 4) * d + 1) * 16 * (size // 2 + 1) + 8 * size + 8 * n
+    if need > MAX_PRODUCT_BYTES:
+        raise TooLarge(f"a degree-{n - 1} product needs {need >> 20} MiB, above the budget "
+                       f"of {MAX_PRODUCT_BYTES >> 20} MiB")
+    return size, d, s
+
+
+def _dense_mul(a, b, p):
+    """(a·b mod p)[:n] for integer arrays a, b of length n with entries in
+    [0, p), by float FFTs of base-2^s digits (`_dense_plan`); `b is a` is
+    transformed once, and neither input is written.
+
+    Only n terms of the product are wanted, so the product goes by halves
+    (Mulders, AAECC 11, 2000): with h = ⌈n/2⌉, a = a0 + x^h·a1 and b alike,
+    it is a0·b0 + x^h·(a0·b1 + a1·b0) mod x^n.  Both pieces are cyclic
+    convolutions of length N = 2^k >= 2h - 1, about n where the full
+    product would need about 2n.
+
+    Digit index j (a sum over i of digit i of a times digit j - i of b)
+    contributes c_j = (a0·b0)_j + x^h·(a0·b1 + a1·b0)_j, whose spectra
+    are summed from the digit spectra in blocks of _BLOCK entries.  A
+    square multiplies each symmetric digit pair once, weighted by 2: the
+    pairs (i, j - i) and (j - i, i) of a0·a0, and a0·a1 against a1·a0, so
+    its cross spectrum takes d products where b's takes 2d.  Each inverse
+    transform is rounded block by block, and a residual of 1/4 or more
+    raises CheckFailed instead of rounding.  The digits combine by Horner's
+    rule from the top index, out = out·2^s + c_j, in int64: an entry of
+    c_j is a coefficient of a product of digit series, at most
+    (pairs)·n·M² for digits at most M, and out is reduced mod p at the end
+    and before a step only when that running bound could reach 2^63: once
+    in all at p <= 7 and at p = 65521, n = 10^6.  So the product holds the
+    digit spectra, one spectrum accumulator, one transform output, the
+    result and block-sized scratch.
+    """
+    n = a.shape[0]
+    square = b is a
+    size, d, s = _dense_plan(n, p, square)
+    h = (n + 1) // 2
     mask = (1 << s) - 1
 
     def spectra(x):
         return [np.fft.rfft((x >> s * i & mask).astype(np.float64), size) for i in range(d)]
 
     a0, a1 = spectra(a[:h]), spectra(a[h:])
-    b0, b1 = (a0, a1) if b is a else (spectra(b[:h]), spectra(b[h:]))
-    spec = np.empty(size // 2 + 1, dtype=np.complex128)
-    prod = np.empty_like(spec)
+    b0, b1 = (a0, a1) if square else (spectra(b[:h]), spectra(b[h:]))
+    half = size // 2 + 1
+    spec = np.empty(half, dtype=np.complex128)
     conv = np.empty(size)
+    prod = np.empty(min(_BLOCK, half), dtype=np.complex128)
+    whole = np.empty(min(_BLOCK, n), dtype=np.int64)
 
-    def rounded(pairs, dst):
-        """dst = the convolution whose spectrum is the sum of the pairs'
-        products, rounded; raises on a residual of 1/4 or more."""
-        (x, y), *rest = pairs
-        np.multiply(x, y, out=spec)
-        for x, y in rest:
-            np.add(spec, np.multiply(x, y, out=prod), out=spec)
-        c = np.fft.irfft(spec, size, out=conv)[: dst.shape[0]]
-        np.rint(c, out=dst, casting="unsafe")
-        c -= dst
-        if np.abs(c, out=c).max() >= 0.25:
-            raise CheckFailed("FFT rounding residual reached 1/4")
+    def add_rounded(pairs, dst):
+        """dst += the convolution whose spectrum is the sum of w·x·y over
+        the (x, y, w) pairs, rounded; raises on a residual of 1/4 or more."""
+        for lo in range(0, half, _BLOCK):
+            acc = spec[lo:lo + _BLOCK]
+            for t, (x, y, w) in enumerate(pairs):
+                xy = np.multiply(x[lo:lo + _BLOCK], y[lo:lo + _BLOCK],
+                                 out=prod[:acc.shape[0]] if t else acc)
+                if w != 1:
+                    xy *= w
+                if t:
+                    acc += xy
+        c = np.fft.irfft(spec, size, out=conv)
+        m = dst.shape[0]
+        for lo in range(0, m, _BLOCK):
+            hi = min(lo + _BLOCK, m)
+            x, r = c[lo:hi], whole[:hi - lo]
+            np.rint(x, out=r, casting="unsafe")
+            x -= r
+            if np.abs(x, out=x).max() >= 0.25:
+                raise CheckFailed("FFT rounding residual reached 1/4")
+            dst[lo:hi] += r
 
     low = min(n, 2 * h - 1)                 # a0·b0 has 2h - 1 terms
-    term = np.zeros(n, dtype=np.int64)
-    cross = np.empty(n - h, dtype=np.int64)
     out = np.zeros(n, dtype=np.int64)
-    for j in range(2 * d - 1):
+    top, most = 0, n * min(mask, p - 1) ** 2    # bounds on out and on c_j per pair
+    for j in range(2 * d - 2, -1, -1):
         idx = range(max(0, j - d + 1), min(j, d - 1) + 1)
-        rounded([(a0[i], b0[j - i]) for i in idx], term[:low])
-        term[low:] = 0
+        if (top << s) + len(idx) * most >= 1 << 63:
+            out %= p
+            top = p - 1
+        if top:
+            out <<= s
+        top = (top << s) + len(idx) * most
+        if square:
+            lows = [(a0[i], a0[j - i], 2 if 2 * i < j else 1) for i in idx if 2 * i <= j]
+            cross = [(a0[i], a1[j - i], 2) for i in idx]
+        else:
+            lows = [(a0[i], b0[j - i], 1) for i in idx]
+            cross = [(a0[i], b1[j - i], 1) for i in idx] + [(a1[i], b0[j - i], 1) for i in idx]
+        add_rounded(lows, out[:low])
         if n > h:
-            rounded([(a0[i], b1[j - i]) for i in idx] + [(a1[i], b0[j - i]) for i in idx], cross)
-            term[h:] += cross
-        term %= p
-        term *= pow(2, s * j, p)
-        out += term
-        out %= p
+            add_rounded(cross, out[h:])
+    out %= p
     return out
 
 
@@ -429,6 +484,8 @@ def delta_expansion(p, N):
         return FpSeries._of_residues(p, N, _delta_by_eisenstein(p, N))
     a = fs[0][0]
     n = (N - 1) // a
+    if len(fs) > 2:
+        _dense_plan(n + 1, p, fs[0::2] == fs[1::2])     # refused before the sparse products
 
     def exact(group):
         terms = []
@@ -455,6 +512,8 @@ def _delta_by_eisenstein(p, N):
     rows, so the squaring keeps one int64 series' worth of operands."""
     inv = pow(762048, -1, p)
     c11, c6 = 65520 * inv % p, -691 * inv % p
+    if c6:
+        _dense_plan(N + 1, p, True)             # refused, if at all, before the sieve
     rows = _divisor_sums(p, (11, 5) if c6 else (11,), N)
     if not c6:
         return rows[0].astype(np.int64) * c11 % p

@@ -112,6 +112,34 @@ def test_series_degree_cap_exit_3(args):
                         r.stderr.strip())
 
 
+@pytest.mark.parametrize("args, mib", [
+    (["density", "--p", "65521", "--form", "delta", "--X", "20000000"], 2200),
+    (["density", "--p", "2147483647", "--form", "delta", "--X", "16000000"], 1658),
+])
+def test_dense_product_budget_exit_3(args, mib):
+    # the squaring of E_6 ran into the 2 GiB limit: exit 1 with a MemoryError
+    # (1,828 MB after 7.0 s) and an _ArrayMemoryError (1,752 MB after 7.6 s)
+    # traceback; its arrays are now sized before the divisor-sum sieve
+    t0 = time.time()
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli"] + args, capture_output=True,
+                       text=True, preexec_fn=_address_space_2gib, timeout=120)
+    assert r.returncode == 3
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert r.stderr.strip() == (f"error: a degree-{args[-1]} product needs {mib} MiB, above the "
+                                "budget of 1024 MiB (cap reached, undecided)")
+    assert time.time() - t0 < 2.0
+
+
+def test_dense_product_below_the_budget_reports_within_2gib():
+    r = subprocess.run([sys.executable, "-m", "pinkforge.cli", "density", "--p", "65521",
+                        "--form", "delta", "--X", "8000000"], capture_output=True, text=True,
+                       preexec_fn=_address_space_2gib, timeout=300)
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["config"]["X"] == 8000000
+    assert (rep["report"]["counted"], rep["report"]["total_primes"]) == (539768, 539776)
+
+
 @pytest.mark.parametrize("args", [
     ["span", "--p", "2", "--form", "delta^100000000000000", "--primes", "3"],
     ["span", "--p", "3", "--form", "delta", "--primes", "2147483647"],

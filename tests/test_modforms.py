@@ -15,6 +15,7 @@ from pinkforge.modforms import (
     SPARSE_CUTOFF,
     FpSeries,
     _dense_mul,
+    _dense_plan,
     _divisor_sums,
     _eisenstein,
     _eta_cubed,
@@ -360,15 +361,17 @@ def test_reduced_results_are_kept_not_copied(p):
         p - 1, 0, 5 % p, 10 ** 12 % p, 0]
 
 
-@pytest.mark.parametrize("p, bound", [(5, 12), (65521, 17)])
-def test_series_mul_memory_beyond_its_operands(p, bound):
-    # the full-length product peaked at 14.4 and 20.8 operands here.
-    # tracemalloc sees numpy's arrays but not pocketfft's own scratch, so
-    # that scratch is not in the bound
+@pytest.mark.parametrize("p, square, bound", [(5, False, 8), (65521, False, 12.25),
+                                             (5, True, 5.75), (65521, True, 8)])
+def test_series_mul_memory_beyond_its_operands(p, square, bound):
+    # the full-length product peaked at 14.4 and 20.8 operands here, and the
+    # product by halves with full-length scratch at 9.9 and 14.0 (squares:
+    # 7.8 and 9.9).  tracemalloc sees numpy's arrays but not pocketfft's own
+    # scratch, so that scratch is not in the bound
     deg = 10 ** 6
     rng = np.random.default_rng(p)
     f = FpSeries(p, deg, coef=rng.integers(0, p, deg + 1))
-    g = FpSeries(p, deg, coef=rng.integers(0, p, deg + 1))
+    g = f if square else FpSeries(p, deg, coef=rng.integers(0, p, deg + 1))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -379,11 +382,60 @@ def test_series_mul_memory_beyond_its_operands(p, bound):
     assert peak <= bound * f.coef.nbytes
 
 
+def _horner_reductions(n, p):
+    """The digit indices j at which `_dense_mul` reduces its accumulator mod
+    p before the step out·2^s + c_j, by its rule for a length-n product."""
+    size, d, s = _dense_plan(n, p, False)
+    most = n * min((1 << s) - 1, p - 1) ** 2
+    top, at = 0, []
+    for j in range(2 * d - 2, -1, -1):
+        pairs = min(j, d - 1) - max(0, j - d + 1) + 1
+        if (top << s) + pairs * most >= 1 << 63:
+            at.append(j)
+            top = p - 1
+        top = (top << s) + pairs * most
+    return d, at
+
+
+@pytest.mark.parametrize("p, n, d, at", [
+    (65521, 10 ** 5, 2, []),                # the running bound never nears 2^63
+    (2 ** 31 - 1, 512, 2, [0]),             # the step before the last digit
+    (2 ** 31 - 1, 10 ** 5, 3, [1]),
+    (2 ** 31 - 1, 2 ** 18 + 1, 4, [2]),
+])
+def test_dense_mul_lazy_reduction_at_its_edges(p, n, d, at):
+    # all entries p - 1: every digit and every partial sum at its largest.
+    # Just after a reduction the bound is (p - 1)·2^s + pairs·n·M², far
+    # below 2^63, so no two steps in a row reduce
+    assert _horner_reductions(n, p) == (d, at)
+    a = np.full(n, p - 1, dtype=np.int64)
+    want = _full_length_dense_mul(a, a, p)
+    assert np.array_equal(_dense_mul(a, a.copy(), p), want)
+    assert np.array_equal(_dense_mul(a, a, p), want)
+
+
+@pytest.mark.parametrize("p, n, d", [
+    (3, 1024, 1), (3, 1025, 1),             # one digit: the transform length doubles
+    (65521, 1024, 1), (65521, 1025, 2),
+    (2 ** 31 - 1, 512, 2), (2 ** 31 - 1, 513, 3),
+    (2 ** 31 - 1, 2 ** 18, 3), (2 ** 31 - 1, 2 ** 18 + 1, 4),
+])
+def test_dense_mul_square_equals_the_general_product(p, n, d):
+    assert _dense_plan(n, p, True)[1] == d
+    rng = np.random.default_rng(n)
+    for a in (rng.integers(0, p, n), np.full(n, p - 1, dtype=np.int64)):
+        assert np.array_equal(_dense_mul(a, a, p), _dense_mul(a, a.copy(), p))
+
+
 def test_dense_mul_refuses_an_inexact_product(monkeypatch):
     # at length 2^45 no digit width meets the bound: raised before allocating
     huge = np.broadcast_to(np.int64(0), (2 ** 45,))
     with pytest.raises(TooLarge, match="no digit width"):
         _dense_mul(huge, huge, 2)
+    # a length that meets the bound, but whose arrays are over the byte budget
+    big = np.broadcast_to(np.int64(0), (2 ** 24 + 1,))
+    with pytest.raises(TooLarge, match="above the budget"):
+        _dense_mul(big, big, 65521)
     irfft = np.fft.irfft
 
     def skewed(*args, **kwargs):
