@@ -696,7 +696,8 @@ def main(argv=None):
         ap.error("example8 needs an odd prime --p: theta divides by 2")
     if args.cmd in ("density", "cyclotomic") \
             and getattr(args, "M", 1) * (args.np or 1) * args.p >= 2 ** 63:
-        ap.error("--np times --p (times --M) must be below 2^63: gcds are taken in int64")
+        ap.error("--np times --p (times --M) must be below 2^63: it is reduced mod each prime "
+                 "in int64")
     try:
         return args.fn(args)
     except CheckFailed as exc:

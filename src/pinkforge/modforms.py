@@ -8,10 +8,13 @@ a_0..a_N exactly.  Multiplication truncates to the smaller degree.  For
 p = 2 the coefficients are the bits of a python integer (bit n = a_n); one
 codec turns them into a uint8 0/1 array and back, and a product by a sparse
 factor XORs shifted copies of the other in place on uint64 words (one copy
-per exponent mod 64).  Every other product is by halves: the product of
-the low halves and the cross term truncated to the top half, each by numpy
-float FFTs of base-2^s digits about as long as the series, sized by a
-rounding-error bound and checked.
+per exponent mod 64, the exponents read from a bool view of the decoded
+factor).  The Frobenius dilation f(q) -> f(q^2) spreads each byte of the
+bitset to 16 bits through one table, and a density sweep reads a_ell from
+the bitset's bytes, so neither decodes the series.  Every other product
+is by halves: the product of the low halves and the cross term truncated
+to the top half, each by numpy float FFTs of base-2^s digits about as long
+as the series, sized by a rounding-error bound and checked.
 
 Delta comes from Frobenius where eta^24 has at most four factors: eta(q)^{p^i}
 = eta(q^{p^i}) mod p splits it into dilated Euler (eta) and Jacobi (eta^3)
@@ -49,11 +52,14 @@ SPARSE_CUTOFF = 20_000
 # and three digits.
 MAX_DEGREE = 2 * 10 ** 7
 # Bytes a dense product (`_dense_mul`) may hold in its digit spectra, spectrum
-# accumulator, transform output and result (`_dense_plan`), checked before any
-# of them exists.  1 GiB admits p = 65521 up to a 2^24-point transform (a
-# square of degree below 2^24, 939 MB) and p = 2^31 - 1 up to 2^23 points,
-# and leaves room under a 2 GiB address space for the divisor sums beside it.
-MAX_PRODUCT_BYTES = 1 << 30
+# accumulator, transform output and result, with pocketfft's own scratch of
+# about two transform lengths of float64 per call (`_dense_plan`), checked
+# before any of them exists.  1.25 GiB admits what 1 GiB of arrays alone
+# did: p = 65521 up to a 2^24-point transform (a square of degree below 2^24,
+# 896 MiB of arrays and 256 MiB of scratch) and p = 2^31 - 1 up to 2^23
+# points, and leaves room under a 2 GiB address space for the divisor sums
+# beside it.
+MAX_PRODUCT_BYTES = 5 << 28
 _BLOCK = 1 << 16            # entries per block of the dense product's sums and rounding
 
 
@@ -139,8 +145,15 @@ class FpSeries:
     def coeffs_array(self):
         return self._coefs().astype(np.int64)
 
+    def _exponents(self):
+        """The n with a_n != 0, ascending, as an int64 array; at p = 2 from a
+        bool view of the decoded 0/1 bytes, which np.flatnonzero scans
+        several times faster than uint8."""
+        c = self._coefs()
+        return np.flatnonzero(c.view(bool) if self.p == 2 else c)
+
     def support(self):
-        return np.flatnonzero(self._coefs()).tolist()
+        return self._exponents().tolist()
 
     def popcount(self):
         if self.p == 2:
@@ -202,14 +215,27 @@ class FpSeries:
 
     def dilate(self, a, out_deg=None):
         """f(q) -> f(q^a); exactness extends to a·deg + a - 1, so out_deg
-        may exceed the input degree up to that bound."""
+        may exceed the input degree up to that bound.  At p = 2 and a a power
+        of two, the bitset's bytes are spread through `_SPREAD`, once per
+        factor 2, and bits past out_deg are masked off; otherwise the
+        coefficients are scattered to every a-th index."""
         max_deg = (self.deg + 1) * a - 1
         out_deg = self.deg if out_deg is None else min(out_deg, max_deg)
         top = min(self.deg, out_deg // a)
+        if self.p == 2 and a & (a - 1) == 0:
+            buf = np.frombuffer(self.bits.to_bytes(self.deg // 8 + 1, "little"),
+                                dtype=np.uint8)[: top // 8 + 1]
+            for _ in range(a.bit_length() - 1):
+                buf = _SPREAD[buf].view(np.uint8)
+            return FpSeries(2, out_deg, bits=int.from_bytes(buf.tobytes(), "little"))
         src = self._coefs()
         out = np.zeros(out_deg + 1, dtype=src.dtype)
         out[:: a][: top + 1] = src[: top + 1]
         return FpSeries._of_residues(self.p, out_deg, out)
+
+
+# Bit i of a byte moved to bit 2i: f(q) -> f(q^2) on a bitset, a byte at a time.
+_SPREAD = sum((np.arange(256) >> i & 1) << 2 * i for i in range(8)).astype("<u2")
 
 
 def _unpack_bits(bits, deg):
@@ -251,7 +277,7 @@ def series_mul(f, g):
         if f.popcount() > g.popcount():
             f, g = g, f
         if f.popcount() <= SPARSE_CUTOFF:
-            return FpSeries(2, deg, bits=_xor_shifts(np.flatnonzero(f._coefs()), g.bits, deg))
+            return FpSeries(2, deg, bits=_xor_shifts(f._exponents(), g.bits, deg))
     a = f._coefs()[: deg + 1]
     return FpSeries._of_residues(p, deg, _dense_mul(a, a if g is f else g._coefs()[: deg + 1], p))
 
@@ -263,7 +289,8 @@ def _dense_plan(n, p, square):
     digit width keeps the product exact or when its arrays exceed
     MAX_PRODUCT_BYTES: 2d half-spectra of N/2 + 1 complex entries for a
     square (4d otherwise), one more as the spectrum accumulator, the
-    length-N transform output and the int64 result.
+    length-N transform output, the int64 result, and 2N float64 of
+    pocketfft's scratch within a transform call.
 
     For digits at most M, Percival's bound (Math. Comp. 72, 2003) on the
     error of one convolution is N·M²·((1+ε)^{3k} (1+ε√5)^{3k+1} (1+β)^{3k} - 1),
@@ -280,7 +307,7 @@ def _dense_plan(n, p, square):
             break
     else:
         raise TooLarge(f"no digit width keeps a degree-{n - 1} product exact")
-    need = ((2 if square else 4) * d + 1) * 16 * (size // 2 + 1) + 8 * size + 8 * n
+    need = ((2 if square else 4) * d + 1) * 16 * (size // 2 + 1) + 24 * size + 8 * n
     if need > MAX_PRODUCT_BYTES:
         raise TooLarge(f"a degree-{n - 1} product needs {need >> 20} MiB, above the budget "
                        f"of {MAX_PRODUCT_BYTES >> 20} MiB")
@@ -641,24 +668,39 @@ class DensityReport:
         }
 
 
+def _sweep_coeffs(f, X, m):
+    """The primes ell <= X prime to m, ascending, and a_ell for each.  For a
+    prime ell, gcd(ell, m) = 1 iff m % ell != 0, one int64 remainder per
+    prime.  At p = 2, a_ell is read from the bitset's bytes, bit ell & 7 of
+    byte ell >> 3, with no decoding of the whole series."""
+    if f.deg < X:
+        raise TooLarge(f"series degree {f.deg} below sweep bound {X}")
+    primes = prime_sieve(X)
+    primes = primes[m % primes != 0]
+    if f.p == 2:
+        buf = np.frombuffer(f.bits.to_bytes(f.deg // 8 + 1, "little"), dtype=np.uint8)
+        a = buf[primes >> 3]
+        a >>= primes.astype(np.uint8) & 7
+        a &= 1
+        return primes, a
+    return primes, f.coef[primes]
+
+
 def density_sweep(f, X, Np=None):
     """Exact count of primes ell <= X, ell not dividing Np, with a_ell != 0,
     with checkpoints at X/8, X/4, X/2, X.  Np is the level-characteristic
-    product and always absorbs p; it defaults to p itself (level one)."""
-    if f.deg < X:
-        raise TooLarge(f"series degree {f.deg} below sweep bound {X}")
+    product and always absorbs p; it defaults to p itself (level one).
+    A checkpoint's primes are a prefix of the ascending primes, found by
+    `searchsorted`, and its count that prefix's nonzero a_ell."""
     Np = f.p if Np is None else Np
     if Np % f.p:
         Np *= f.p
-    primes = prime_sieve(X)
-    primes = primes[np.gcd(primes, Np) == 1]
-    hits = f._coefs()[primes] != 0
+    primes, a = _sweep_coeffs(f, X, Np)
     checkpoints = []
     for frac in (8, 4, 2, 1):
         bound = X // frac
-        sel = primes <= bound
-        tot = int(sel.sum())
-        cnt = int(hits[sel].sum())
+        tot = int(np.searchsorted(primes, bound, side="right"))
+        cnt = int(np.count_nonzero(a[:tot]))
         checkpoints.append((bound, cnt, tot, (cnt / tot) if tot else 0.0))
     cnt, tot = checkpoints[-1][1], checkpoints[-1][2]
     return DensityReport(X=X, Np=Np, counted=cnt, total_primes=tot,
@@ -669,20 +711,18 @@ def cyclotomic_test(f, M, X, Np=1):
     """Is a_ell constant on residue classes mod M over primes ell <= X
     (ell coprime to M·Np·p)?  Returns (verdict, table) or (False, (ell, ell'))
     for the first violating pair."""
-    if f.deg < X:
-        raise TooLarge(f"series degree {f.deg} below sweep bound {X}")
-    primes = prime_sieve(X)
-    primes = primes[np.gcd(primes, M * Np * f.p) == 1]
-    arr, res = f._coefs(), primes % M
-    # each residue's first prime, by a reversed scatter: the smallest writes last
-    first = np.zeros(min(M, X + 1), dtype=np.int64)
-    first[res[::-1]] = primes[::-1]
-    bad = np.flatnonzero(arr[primes] != arr[first[res]])
+    primes, a = _sweep_coeffs(f, X, M * Np * f.p)
+    res = primes % M
+    # the index of each residue's first prime, by a reversed scatter: the
+    # smallest writes last; -1 for a residue no prime meets
+    first = np.full(min(M, X + 1), -1, dtype=np.int64)
+    first[res[::-1]] = np.arange(primes.size)[::-1]
+    bad = np.flatnonzero(a != a[first[res]])
     if bad.size:
         ell = int(primes[bad[0]])
-        return False, (int(first[ell % M]), ell)
-    seen = np.flatnonzero(first)
-    return True, {int(r): int(arr[first[r]]) for r in seen[np.argsort(first[seen])]}
+        return False, (int(primes[first[ell % M]]), ell)
+    seen = np.flatnonzero(first >= 0)
+    return True, {int(r): int(a[first[r]]) for r in seen[np.argsort(first[seen])]}
 
 
 # -- Hecke spans -------------------------------------------------------------------

@@ -58,7 +58,8 @@ def test_usage_error_exit_2():
     ["analyze", "--q", "3", "--k", "2", "--gens", "[]", "--cap", "0"],
     # a malformed --gens is a usage error even on a ring over the cap
     ["analyze", "--q", "3", "--k", "13", "--gens", "[[1]]"],
-    # M·Np·p reached np.gcd as int64: an OverflowError traceback and exit 1
+    # M·Np·p, reduced mod each prime in int64, overflowed: an OverflowError
+    # traceback and exit 1
     ["cyclotomic", "--p", "3", "--form", "delta", "--M", "10000000000000000000", "--X", "1000"],
     ["density", "--p", "3", "--form", "delta", "--np", "10000000000000000000", "--X", "1000"],
     ["span", "--p", "11", "--form", "delta", "--primes", "2", "--k-eff", "12"],
@@ -113,20 +114,21 @@ def test_series_degree_cap_exit_3(args):
 
 
 @pytest.mark.parametrize("args, mib", [
-    (["density", "--p", "65521", "--form", "delta", "--X", "20000000"], 2200),
-    (["density", "--p", "2147483647", "--form", "delta", "--X", "16000000"], 1658),
+    (["density", "--p", "65521", "--form", "delta", "--X", "20000000"], 2712),
+    (["density", "--p", "2147483647", "--form", "delta", "--X", "16000000"], 1914),
 ])
 def test_dense_product_budget_exit_3(args, mib):
     # the squaring of E_6 ran into the 2 GiB limit: exit 1 with a MemoryError
     # (1,828 MB after 7.0 s) and an _ArrayMemoryError (1,752 MB after 7.6 s)
-    # traceback; its arrays are now sized before the divisor-sum sieve
+    # traceback; its arrays and pocketfft's scratch are now sized before the
+    # divisor-sum sieve
     t0 = time.time()
     r = subprocess.run([sys.executable, "-m", "pinkforge.cli"] + args, capture_output=True,
                        text=True, preexec_fn=_address_space_2gib, timeout=120)
     assert r.returncode == 3
     assert r.stdout == "" and "Traceback" not in r.stderr
     assert r.stderr.strip() == (f"error: a degree-{args[-1]} product needs {mib} MiB, above the "
-                                "budget of 1024 MiB (cap reached, undecided)")
+                                "budget of 1280 MiB (cap reached, undecided)")
     assert time.time() - t0 < 2.0
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -234,6 +235,35 @@ def test_dilate_caps_the_exact_degree(p):
     assert d.deg == 9 and d.support() == [2]
 
 
+def scatter_dilate(bits, deg, a, out_deg):
+    """f(q) -> f(q^a) at p = 2 by the generic index scatter on decoded
+    coefficients, as `FpSeries.dilate` does for every other p and a."""
+    out_deg = min(out_deg, (deg + 1) * a - 1)
+    top = min(deg, out_deg // a)
+    out = np.zeros(out_deg + 1, dtype=np.uint8)
+    out[::a][: top + 1] = _unpack_bits(bits, deg)[: top + 1]
+    return out_deg, out
+
+
+@pytest.mark.parametrize("deg", [0, 1, 7, 8, 9, 63, 64, 65, 1000, 99_999])
+def test_dilate_mod2_by_byte_spread_equals_the_scatter(deg):
+    rng = np.random.default_rng(deg)
+    full = int.from_bytes(rng.bytes(deg // 8 + 1), "little") & ((1 << (deg + 1)) - 1)
+    top_bit = 1 << deg          # above out_deg // a for each out_deg below a·deg, so dropped
+    for bits in (full, full | top_bit, top_bit, 0):
+        f = FpSeries(2, deg, bits=bits)
+        assert np.array_equal(np.flatnonzero(_unpack_bits(bits, deg)), f.support())
+        for a in (2, 4, 8):
+            exact = (deg + 1) * a - 1
+            for out_deg in sorted({0, deg // 2, deg, exact - 1, exact, exact + 1, 10 * exact}):
+                g = f.dilate(a, out_deg=out_deg)
+                want_deg, want = scatter_dilate(bits, deg, a, out_deg)
+                assert g.deg == want_deg
+                assert g.bits == _pack_bits(want)
+                assert g.support() == np.flatnonzero(want).tolist()
+        assert f.dilate(2) == FpSeries(2, deg, coef=scatter_dilate(bits, deg, 2, deg)[1])
+
+
 def hecke_violations(a, p, X):
     """Number of (ell, n), ell <= 13 prime and n <= X/ell, at which
     a_{ell·n} + ell^11·a_{n/ell} == a_ell·a_n (mod p) fails."""
@@ -425,6 +455,22 @@ def test_dense_mul_square_equals_the_general_product(p, n, d):
     rng = np.random.default_rng(n)
     for a in (rng.integers(0, p, n), np.full(n, p - 1, dtype=np.int64)):
         assert np.array_equal(_dense_mul(a, a, p), _dense_mul(a, a.copy(), p))
+
+
+def test_dense_plan_counts_pocketfft_scratch(monkeypatch):
+    # the 2^24-point square at p = 65521, the largest the budget admits: two
+    # digits, so 5 half-spectra, then the transform output, the result and
+    # pocketfft's scratch of two transform lengths of float64
+    size, n = 2 ** 24, 2 ** 24
+    need = 5 * 16 * (size // 2 + 1) + 8 * size + 8 * n + 16 * size
+    assert need == (1152 << 20) + 80
+    assert need <= modforms.MAX_PRODUCT_BYTES
+    assert _dense_plan(n, 65521, True) == (size, 2, 8)
+    monkeypatch.setattr(modforms, "MAX_PRODUCT_BYTES", need)
+    assert _dense_plan(n, 65521, True) == (size, 2, 8)
+    monkeypatch.setattr(modforms, "MAX_PRODUCT_BYTES", need - 1)
+    with pytest.raises(TooLarge, match="needs 1152 MiB"):
+        _dense_plan(n, 65521, True)
 
 
 def test_dense_mul_refuses_an_inexact_product(monkeypatch):
@@ -640,6 +686,43 @@ def test_density_checkpoints_extend():
     rep_big = density_sweep(f, 200000)
     assert rep_big.checkpoints[2][:3] == rep_small.checkpoints[-1][:3]
     assert 0.0 <= rep_big.estimate <= 1.0
+
+
+@functools.cache
+def primes_by_trial_division(X):
+    return [n for n in range(2, X + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def density_recount(f, X, Np):
+    """density_sweep's report, one prime at a time, by math.gcd and coeff."""
+    Np = f.p if Np is None else Np
+    if Np % f.p:
+        Np *= f.p
+    primes = [ell for ell in primes_by_trial_division(10 ** 5)
+              if ell <= X and math.gcd(ell, Np) == 1]
+    checkpoints = []
+    for frac in (8, 4, 2, 1):
+        bound = X // frac
+        tot = sum(1 for ell in primes if ell <= bound)
+        cnt = sum(1 for ell in primes if ell <= bound and f.coeff(ell))
+        checkpoints.append({"X": bound, "counted": cnt, "total": tot,
+                            "estimate": cnt / tot if tot else 0.0})
+    last = checkpoints[-1]
+    return {"X": X, "Np": Np, "counted": last["counted"], "total_primes": last["total"],
+            "estimate": last["estimate"], "checkpoints": checkpoints}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_density_sweep_equals_a_per_prime_recount(p):
+    X_max = 10 ** 5
+    rng = np.random.default_rng(p)
+    forms = [series_pow(delta_expansion(p, X_max), 3 if p == 2 else 1),
+             FpSeries(p, X_max, coef=rng.integers(0, p, X_max + 1) * (rng.random(X_max + 1) < 0.3))]
+    # 99,991 and 97 are primes at X = 10^5 and X = 97
+    for Np in (None, 6, 35, 30030, 3 * 99_991, 2 * 97):
+        for X in (1, 2, 3, 8, 97, X_max):
+            for f in forms:
+                assert density_sweep(f, X, Np=Np).to_dict() == density_recount(f, X, Np)
 
 
 def test_cyclotomic_character_form():
