@@ -264,9 +264,9 @@ def saturate(S, T, by=None):
 def row_key(rows, p):
     """The one row codec: a key per row of residues mod p (the last axis),
     equal exactly when the rows are.  Keys are base-p int64 numbers when
-    p^n < 2^63 and a void view of the int64 row otherwise; both sort, so
-    `np.searchsorted` and `np.unique` work on them, and `.tolist()` gives
-    hashable Python ints or bytes."""
+    p^n < 2^63 and a void view of the int64 row otherwise; both sort, so a
+    set of rows is one sorted key array, searched by `np.searchsorted`,
+    and `new_rows` grows it."""
     rows = np.asarray(rows)
     n = rows.shape[-1]
     if p ** n < _INT64_LIMIT:
@@ -274,3 +274,14 @@ def row_key(rows, p):
         return rows.astype(np.int64, copy=False) @ weights
     flat = np.ascontiguousarray(rows, dtype=np.int64)
     return flat.view(np.dtype((np.void, 8 * n))).reshape(rows.shape[:-1])
+
+
+def new_rows(keys, seen=()):
+    """Indices, ascending, of the first occurrence of each key in `keys`
+    that the sorted key array `seen` does not hold: keys[new_rows(keys)]
+    are the distinct keys in order of first appearance."""
+    _, first = np.unique(keys, return_index=True)
+    if len(seen):
+        pos = np.minimum(np.searchsorted(seen, keys[first]), len(seen) - 1)
+        first = first[seen[pos] != keys[first]]
+    return np.sort(first)

@@ -274,9 +274,9 @@ def series_mul(f, g):
     deg = min(f.deg, g.deg)
     p = f.p
     if p == 2:
-        if f.popcount() > g.popcount():
-            f, g = g, f
-        if f.popcount() <= SPARSE_CUTOFF:
+        nf, ng = f.popcount(), g.popcount()
+        if min(nf, ng) <= SPARSE_CUTOFF:
+            f, g = (f, g) if nf <= ng else (g, f)
             return FpSeries(2, deg, bits=_xor_shifts(f._exponents(), g.bits, deg))
     a = f._coefs()[: deg + 1]
     return FpSeries._of_residues(p, deg, _dense_mul(a, a if g is f else g._coefs()[: deg + 1], p))

@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CheckFailed, TooLarge
-from .fp import FpSubspace, bilinear, matmul_mod, pair_products, row_key, saturate, span_products
+from .fp import (FpSubspace, bilinear, matmul_mod, new_rows, pair_products, row_key, saturate,
+                 span_products)
 from .gma import GmaStructure, batch_in_SR1, m2_structure
 from .instances import ideal_block_rows
 from .localring import (
@@ -148,50 +149,49 @@ def generate_group(R, gens, cap=2 * 10 ** 6):
     newest t and, to find cosets only, T·t for the newest t in T, so a
     cyclic T doubles.  The Schreier generators t·s·u^-1, u the representative
     of t·s (D. Holt, B. Eick, E. O'Brien, Handbook of Computational Group
-    Theory, 2005, §4.1), less the identity, repeats and rows whose inverse is
-    kept, generate Gamma.  L' is span theta of them, closed under the bracket
-    and under P·L' for P = tr(L'·L'), and H = theta^{-1}(L') a group (R. Pink,
-    Compositio Math. 88 (1993); see `pink_converse`).  H.find(H·s) >= 0 for
-    each generator s certifies H·s <= H, so the orbit of 1 under these index
-    maps is Gamma: H with L = L', or a subgroup with L = span theta(Gamma).
-    G is the union of the t·Gamma, one product per element of the smaller of
-    T and Gamma.  `cap` bounds the cosets as keys are added, then the rows to
+    Theory, 2005, §4.1), less the identity and all but the first row of
+    each pair {w, w^-1}, generate Gamma.  L' is span theta of them, closed
+    under the bracket and under P·L' for P = tr(L'·L'), and H =
+    theta^{-1}(L') a group (R. Pink, Compositio Math. 88 (1993); see
+    `pink_converse`).  H.find(H·s) >= 0 for each generator s certifies
+    H·s <= H, so the orbit of 1 under these index maps is Gamma: H with
+    L = L', or a subgroup with L = span theta(Gamma).  G is the union of the
+    t·Gamma, one product per element of the smaller of T and Gamma.  `cap`
+    bounds the cosets as each level's keys are added, then the rows to
     enumerate, |T|·p^dim L' >= |G|, before H exists."""
     if R.p == 2:
         raise CheckFailed("theta needs p odd")
     p = R.p
     S = np.asarray(gens, dtype=np.int64).reshape(-1, R.dim) % p
-    cosets, edges, ends, level = {}, [], [], R.one[None, :]      # 1, with no edges
-    T = E = level[:0]
+    found, edges, edge_keys, level = [], [], [], R.one[None, :]      # 1, with no edges
+    T = E = seen = level[:0]
     while True:
-        keys = np.concatenate([R.batch_det(level), R.radical().reduce(level)], axis=1)
-        keys, fresh = row_key(keys, p).tolist(), []
-        for i, key in enumerate(keys):
-            if key not in cosets:
-                if len(cosets) == cap:
-                    raise TooLarge(f"group exceeds cap {cap}")
-                cosets[key] = len(cosets)
-                fresh.append(i)
-        ends += map(cosets.__getitem__, keys[:len(E)])
+        keys = row_key(np.concatenate([R.batch_det(level), R.radical().reduce(level)], axis=1), p)
+        fresh = new_rows(keys, seen)
+        if len(T) + len(fresh) > cap:
+            raise TooLarge(f"group exceeds cap {cap}")
+        edge_keys.append(keys[:len(E)])
         edges.append(E)
-        if not fresh:
+        if not len(fresh):
             break
+        found.append(keys[fresh])
+        seen = np.sort(np.concatenate(found))
         new = level[fresh]
         T = np.concatenate([T, new])
         # edge new[i]·S[j] in row i·|S| + j; the empty block keeps S = [] valid
         E = np.hstack([new[:, :0]] + [R.batch_mul_elem(new, s) for s in S]).reshape(-1, R.dim)
         level = np.concatenate([E, R.batch_mul_elem(T, T[-1])])
+    # seen is the coset keys sorted: argsort numbers them in the order of T
+    ends = np.argsort(np.concatenate(found))[np.searchsorted(seen, np.concatenate(edge_keys))]
     W = np.concatenate(edges)
     if len(T) > 1:                                      # else u = 1 and t·s·u^-1 = s
         W = R.batch_mul(W, R.batch_inv(T)[ends])
-    # w in SR^1 has det 1, so w^-1 = tr(w) - w
-    inverse_keys = row_key((R.scalars(R.batch_trace(W)) - W) % p, p).tolist()
-    kept, picked = set(row_key(R.one[None, :], p).tolist()), []
-    for i, (key, inverse_key) in enumerate(zip(row_key(W, p).tolist(), inverse_keys)):
-        if key not in kept and inverse_key not in kept:
-            kept.add(key)
-            picked.append(i)
-    gvecs = W[picked]
+    # keep w iff it is the first row of its pair {w, w^-1} and w != 1, that is,
+    # iff neither w nor w^-1 is kept yet; w in SR^1 has det 1, so w^-1 = tr(w) - w
+    _, ids = np.unique(np.concatenate([row_key(R.one[None, :], p), row_key(W, p),
+                                       row_key((R.scalars(R.batch_trace(W)) - W) % p, p)]),
+                       return_inverse=True)
+    gvecs = W[new_rows(np.minimum(ids[1:len(W) + 1], ids[len(W) + 1:]), ids[:1])]
     if not batch_in_SR1(R, gvecs).all():
         raise CheckFailed("a Schreier generator lies outside SR^1")
     grown = FpSubspace(p, R.dim, batch_theta(R, gvecs))
@@ -586,8 +586,7 @@ def build_group_from_lie(cls_kind, R, lie_vectors, gbar_constants):
         if not L.contains(conj).all():
             raise CheckFailed("constant subgroup does not normalize L")
     prods = np.concatenate([R.batch_mul_elem(Gamma.elements, s) for s in consts])
-    _, first = np.unique(row_key(prods, p), return_index=True)
-    G = FiniteMatrixGroup(R, prods[np.sort(first)])
+    G = FiniteMatrixGroup(R, prods[new_rows(row_key(prods, p))])
     if not G.verify_closure():
         raise CheckFailed("Gamma·s(Gbar) is not closed")
     tr = PseudoRep.from_matrix_group(G)
@@ -781,28 +780,27 @@ def measure_change_psi(R, L, L2, gamma):
     psi = members.copy()
     psi[:, R.sa] = (psi[:, R.sa] + sig_scal) % p
     psi[:, R.sd] = (psi[:, R.sd] - sig_scal) % p
-    # sigma lands in L2, so Psi maps L2 to itself; bijectivity by key count
-    psi_keys = row_key(psi, p).tolist()
-    member_keys = row_key(members, p).tolist()
-    bijective = set(psi_keys) == set(member_keys)
+    # sigma lands in L2, so Psi maps L2 to itself; as the members are distinct,
+    # Psi is a bijection iff the sorted keys agree
+    psi_keys, member_keys = row_key(psi, p), row_key(members, p)
+    order = np.argsort(psi_keys)
+    bijective = np.array_equal(psi_keys[order], np.sort(member_keys))
     # h values
     Jg = R.mul_vec(R.J, gv)
     th_inv = batch_theta_inv(R, members)
     h = R.batch_trace(R.batch_mul(np.tile(Jg, (len(members), 1)), th_inv))
-    # h(Psi^{-1}(m)) = tr(J gamma) + tr(J gamma m): affine with linear part known
-    psi_index = dict(zip(psi_keys, range(len(psi_keys))))
-    h_of_psi_inv = h[[psi_index[k] for k in member_keys]]
+    # h(Psi^{-1}(m)) = tr(J gamma) + tr(J gamma m): affine with linear part
+    # known; Psi^{-1}(m) is looked up only where Psi is a bijection
     lin = R.batch_trace(R.batch_mul(np.tile(Jg, (len(members), 1)), members))
-    affine_ok = np.array_equal(h_of_psi_inv, (trJg + lin) % p)
+    affine_ok = bijective and np.array_equal(
+        h[order[np.searchsorted(psi_keys[order], member_keys)]], (trJg + lin) % p)
     # image of h = trJg + I2
     dec2 = decompose(LieSubspace(R, L2.basis, check=False))
     I2 = dec2.I1 if dec2.decomposable else None
-    image_keys = set(row_key(h, p).tolist())
+    image, image_ok = row_key(h, p), None
     if I2 is not None:
-        expected = set(row_key((trJg + I2.enumerate(cap=10 ** 5)) % p, p).tolist())
-        image_ok = image_keys == expected
-    else:
-        image_ok = None
+        expected = row_key((trJg + I2.enumerate(cap=10 ** 5)) % p, p)
+        image_ok = np.array_equal(np.sort(image[new_rows(image)]), np.sort(expected))
     return {"bijective": bijective, "affine": affine_ok, "image_matches_trJg_plus_I2": image_ok}
 
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckFailed
-from .fp import FpSubspace, matmul_mod, nullspace, pair_products, row_key, rref, span_products
+from .fp import (FpSubspace, matmul_mod, new_rows, nullspace, pair_products, row_key, rref,
+                 span_products)
 from .gma import GmaStructure, m2_structure
 from .localring import FiniteAlgebra, LocalRing, _prime_factors, batch_invert, check_tensor_size
 
@@ -42,29 +43,24 @@ class FiniteMatrixGroup:
     @classmethod
     def generate(cls, R, gens):
         """BFS closure of the generators under multiplication.  A level
-        multiplies the frontier by each generator and inverse in turn and
-        keeps the first occurrence of every new element, in that order.  It
-        closes `instances`' constant groups and is the tests' reference for
-        `pinklie.generate_group`."""
+        multiplies the frontier by each generator, then each inverse, in one
+        batched product, generator-major, and keeps the first occurrence of
+        every new element, in that order.  It closes `instances`' constant
+        groups and is the tests' reference for `pinklie.generate_group`."""
         gvecs = np.asarray(gens, dtype=np.int64).reshape(-1, R.dim) % R.p
         if not all(R.A.is_unit_vec(det) for det in R.batch_det(gvecs)):
             raise ValueError("generator is not invertible")
-        gall = [*gvecs, *R.batch_inv(gvecs)]
-        seen = set(row_key(R.one[None, :], R.p).tolist())
-        levels = [R.one[None, :]]
-        frontier = levels[0]
-        while len(frontier):
-            new = []
-            for g in gall:
-                prods = R.batch_mul_elem(frontier, g)
-                fresh = []
-                for i, k in enumerate(row_key(prods, R.p).tolist()):
-                    if k not in seen:
-                        seen.add(k)
-                        fresh.append(i)
-                new.append(prods[fresh])
-            frontier = np.concatenate([frontier[:0]] + new)   # no generators: empty
-            levels.append(frontier)
+        # the (D, D) matrices of x -> x·g for each generator g, then each inverse
+        D = R.dim
+        right = matmul_mod(np.concatenate([gvecs, R.batch_inv(gvecs)]),
+                           R.mul_tensor.transpose(1, 0, 2).reshape(D, D * D), R.p)
+        levels, seen = [R.one[None, :]], row_key(R.one[None, :], R.p)
+        while len(levels[-1]):
+            prods = matmul_mod(levels[-1], right.reshape(-1, D, D), R.p).reshape(-1, D)
+            keys = row_key(prods, R.p)
+            fresh = new_rows(keys, seen)
+            levels.append(prods[fresh])
+            seen = np.sort(np.concatenate([seen, keys[fresh]]))
         return cls(R, np.concatenate(levels), generators=gvecs)
 
     def __len__(self):
@@ -339,7 +335,7 @@ def classify_projective_image(Gbar):
     lead = E[np.arange(len(E)), E.any(axis=2).argmax(axis=1)]
     P = A.batch_mul(np.repeat(batch_invert(A, lead), 4, axis=0), E.reshape(-1, A.dim))
     P = P.reshape(Gbar.elements.shape)
-    P = P[np.unique(row_key(P, p), return_index=True)[1]]
+    P = P[new_rows(row_key(P, p))]
     n = len(P)
     orders = _projective_orders(R, P, n)
     if orders.max() == n:
@@ -599,10 +595,8 @@ def build_td_representation(tr, g0=None, lam0=None, mu0=None):
     if b is None or c is None:
         raise CheckFailed("element does not split along the idempotents")
     rows = R.assemble(a, b, c, d)
-    _, first, inverse = np.unique(row_key(rows, R.p), return_index=True, return_inverse=True)
-    order = np.argsort(first)            # distinct rows in order of first appearance
-    G = FiniteMatrixGroup(R, rows[first[order]])
-    rho_idx = np.argsort(order)[inverse].tolist()
+    G = FiniteMatrixGroup(R, rows[new_rows(row_key(rows, R.p))])
+    rho_idx = G.find(rows).tolist()
     # contract checks of the construction
     if not (np.array_equal(R.batch_trace(G.elements[rho_idx]), tr.t)
             and np.array_equal(R.batch_det(G.elements[rho_idx]), tr.d)):
@@ -639,5 +633,4 @@ def residual_image_group(G):
     Rq = m2_structure(Fq)
     # each entry's residue digits, which are its F_q coordinates
     rows = np.concatenate([c @ A.proj.T % A.p for c in R.comps(G.elements)], axis=1)
-    _, first = np.unique(row_key(rows, Rq.p), return_index=True)
-    return FiniteMatrixGroup(Rq, rows[np.sort(first)])
+    return FiniteMatrixGroup(Rq, rows[new_rows(row_key(rows, Rq.p))])

@@ -191,6 +191,20 @@ def test_sparse_gf2_mul_matches_big_int_shifts(fdeg, gdeg):
     assert series_mul(zero, g).bits == 0 == series_mul(g, zero).bits
 
 
+def test_gf2_product_takes_each_popcount_once(monkeypatch):
+    # each popcount is an int.bit_count over the whole bitset, and a product
+    # took up to three: 105 calls over the Delta^3..Delta^11 density tables
+    f = FpSeries.from_support(2, 5000, range(0, 5000, 7))
+    g = FpSeries.from_support(2, 5000, range(0, 5000, 3))
+    counted = []
+    popcount = FpSeries.popcount
+    monkeypatch.setattr(FpSeries, "popcount", lambda self: counted.append(self) or popcount(self))
+    for a, b in ((f, g), (g, f), (f, f)):
+        counted.clear()
+        assert series_mul(a, b).bits == shift_xor_reference(a, b)
+        assert len(counted) == 2
+
+
 @pytest.mark.parametrize("deg", EDGE_DEGREES + (2 ** 20 + 3,))
 def test_gf2_codec_round_trip(deg):
     rng = np.random.default_rng(deg)

@@ -479,6 +479,21 @@ def test_measure_change_psi(example_family):
         assert rep["image_matches_trJg_plus_I2"] in (True, None)
 
 
+def test_measure_change_psi_where_psi_leaves_l2(example_family, monkeypatch):
+    # with sqrt(1 + tr(m^2)/2) taken as 2, sigma = (tr(J·gamma)/tr(gamma))·J
+    # for every m, which for some gamma leaves L_2: Psi^{-1} then has no
+    # row to read, and the dict lookup it replaced raised KeyError
+    ex = example_family[4]
+    L2 = descending_series(ex.L, 2)[1]
+    monkeypatch.setattr("pinkforge.pinklie._sqrt_scalars",
+                        lambda R, M: np.tile(2 * R.A.one % R.p, (len(M), 1)))
+    rng = np.random.default_rng(11)
+    reps = [measure_change_psi(ex.R, ex.L, L2, gamma)
+            for gamma in ex.Gamma.elements[rng.integers(0, ex.Gamma.n, size=8)]]
+    assert any(r["bijective"] for r in reps) and not all(r["bijective"] for r in reps)
+    assert all(r["affine"] is False for r in reps if not r["bijective"])
+
+
 def test_trace_multiplication_lemma(example_family):
     # tr(gamma)·L_n = L_n for every gamma, n <= 4
     ex = example_family[3]
@@ -911,13 +926,49 @@ def _seeded_field_generator_sets(R, seed):
     return [[unit], [R.assemble(a, zero, zero, A.one), R.assemble(A.one, zero, zero, b)]]
 
 
+def _schreier_reference(R, gens):
+    """The Schreier generators of `generate_group`, picked by its earlier
+    sequential rules: a dict from coset key to coset number, then a set of
+    kept keys, where a row is kept when neither it nor its inverse is."""
+    p = R.p
+    S = np.asarray(gens, dtype=np.int64).reshape(-1, R.dim) % p
+    cosets, edges, ends, level = {}, [], [], R.one[None, :]
+    T = E = level[:0]
+    while True:
+        keys = np.concatenate([R.batch_det(level), R.radical().reduce(level)], axis=1)
+        keys, fresh = row_key(keys, p).tolist(), []
+        for i, key in enumerate(keys):
+            if key not in cosets:
+                cosets[key] = len(cosets)
+                fresh.append(i)
+        ends += [cosets[key] for key in keys[:len(E)]]
+        edges.append(E)
+        if not fresh:
+            break
+        new = level[fresh]
+        T = np.concatenate([T, new])
+        E = np.hstack([new[:, :0]] + [R.batch_mul_elem(new, s) for s in S]).reshape(-1, R.dim)
+        level = np.concatenate([E, R.batch_mul_elem(T, T[-1])])
+    W = np.concatenate(edges)
+    if len(T) > 1:
+        W = R.batch_mul(W, R.batch_inv(T)[ends])
+    inverse_keys = row_key((R.scalars(R.batch_trace(W)) - W) % p, p).tolist()
+    kept, picked = set(row_key(R.one[None, :], p).tolist()), []
+    for i, (key, inverse_key) in enumerate(zip(row_key(W, p).tolist(), inverse_keys)):
+        if key not in kept and inverse_key not in kept:
+            kept.add(key)
+            picked.append(i)
+    return W[picked]
+
+
 def test_generate_sr1_equals_the_bfs_and_its_lie_algebra():
     """generate_group against the BFS and gamma_and_lie: G as a set, |Gamma|
     and L, on seeded sets in SR^1 (G = Gamma, over both branches of the
     orbit certificate), on seeded sets of units with a non-trivial residual
     image, determinants outside 1 + m or J, on cyclic and rank-2 diagonal
     sets over a field, and on the sets that add J, 2 or g·J to a generator g
-    in SR^1."""
+    in SR^1.  Gamma's generators are the sequential rules' Schreier
+    generators, in order, here and on example8(257, 2), whose keys are void."""
     branches, cosets = set(), set()
     cases = []
     for q in (3, 5, 7, 9):
@@ -940,10 +991,15 @@ def test_generate_sr1_equals_the_bfs_and_its_lie_algebra():
         where = (R.name, np.asarray(gens).tolist())
         assert np.array_equal(_sorted_keys(G), _sorted_keys(bfs)), where
         assert Gamma.n == bfs_gamma.n and L == bfs_L, where
+        assert np.array_equal(np.reshape(Gamma.generators, (-1, R.dim)),
+                              _schreier_reference(R, gens)), where
         # the orbit is theta^{-1}(L) exactly when |Gamma| = p^dim L
         branches.add(Gamma.n == R.p ** L.dim)
         cosets.add(G.n // Gamma.n > 1)
     assert branches == {True, False} and cosets == {True, False}
+    ex = example8(257, 2)
+    assert row_key(ex.R.one, 257).dtype.kind == "V"
+    assert np.array_equal(ex.Gamma.generators, _schreier_reference(ex.R, [ex.g, ex.h, ex.R.J]))
 
 
 def test_generate_group_doubles_a_cyclic_transversal():

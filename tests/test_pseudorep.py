@@ -708,6 +708,13 @@ def test_generate_keeps_the_reference_bfs_order(example_family):
         for got, H in ((gamma, ex.Gamma), (G, ex.G)):
             assert np.array_equal(np.sort(row_key(got.elements, ex.R.p)),
                                   np.sort(row_key(H.elements, ex.R.p)))
+    # the unipotent group over F_257[X]/(X^2): 257 elements, void keys
+    R = m2_structure(make_truncated_poly_ring(257, 2))
+    zero = np.zeros(R.A.dim, dtype=np.int64)
+    u = R.assemble(R.A.one, R.A.one, zero, R.A.one)
+    got = FiniteMatrixGroup.generate(R, [u])
+    assert got.n == 257 and row_key(R.one, R.p).dtype.kind == "V"
+    assert np.array_equal(got.elements, _bfs_reference(R, [u]))
 
 
 def test_generate_refuses_a_non_unit_and_takes_no_generators():

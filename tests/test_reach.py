@@ -143,6 +143,20 @@ def test_one_inverse():
     assert defined == []
 
 
+def test_one_row_set():
+    """A set of rows is one sorted `fp.row_key` array, grown by `fp.new_rows`:
+    no key list turned into Python ints or bytes for a set or dict."""
+    def is_row_key(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "row_key"
+
+    listed = [f"{mod}:{node.lineno}" for mod, tree in _trees() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "tolist" and is_row_key(node.func.value)]
+    defined = [f"{mod}.{name}" for mod, tree in _trees() for name in _definitions(tree)
+               if name.rpartition(".")[2] == "_key_set"]
+    assert listed == [] and defined == []
+
+
 def test_one_scalar_embedding():
     """t·Id comes from `GmaStructure.scalars` alone, and brackets and the
     star law take stacks of rows: no single-row twin, no private copy."""
