@@ -12,9 +12,10 @@ per exponent mod 64, the exponents read from a bool view of the decoded
 factor).  The Frobenius dilation f(q) -> f(q^2) spreads each byte of the
 bitset to 16 bits through one table, and a density sweep reads a_ell from
 the bitset's bytes, so neither decodes the series.  Every other product
-is by halves: the product of the low halves and the cross term truncated
-to the top half, each by numpy float FFTs of base-2^s digits about as long
-as the series, sized by a rounding-error bound and checked.
+is by pieces: cut into P <= 8 pieces of m terms, it keeps the piece pairs
+i + i' < P, each class i + i' = k one convolution added at offset k·m, by
+numpy float FFTs of base-2^s digits of length about 2m (2^18 points up to
+degree 2^20), sized by a rounding-error bound and checked.
 
 Delta comes from Frobenius where eta^24 has at most four factors: eta(q)^{p^i}
 = eta(q^{p^i}) mod p splits it into dilated Euler (eta) and Jacobi (eta^3)
@@ -37,30 +38,35 @@ from .localring import is_prime
 
 P_LIMIT = 2 ** 31          # primes below this keep int64 coefficient arithmetic exact
 # Popcount up to which GF(2) products use the word-packed shift-XOR kernel.
-# Its crossover with the FFT grows with the degree: about 3,000 terms at 2e4,
-# 13,000 at 1e5, 26,000 at 2e5, 40,000 at 5e5 and 80,000 at 2e6.  Kernel / FFT
-# for a random 20,000-term factor times a dense one (2-vCPU Xeon, median of 7):
-# 0.049 / 0.033 s at 1e5, 0.055 / 0.072 s at 2e5, 0.072 / 0.149 s at 5e5;
-# Delta^3·Delta^5 mod 2 at 2e5 (6,160 and 6,140 terms) 0.018 / 0.043 s.
+# Its crossover with the dense product by pieces grows with the degree: about
+# 2,000-3,000 terms at 2e4, 18,000 at 1e5, 19,000-25,000 at 2e5, 30,000 at
+# 5e5 and 43,000-54,000 at 2e6.  Kernel / FFT for a random 20,000-term factor
+# times a dense one (2-vCPU Xeon, median of 7, two runs): 0.023-0.029 /
+# 0.022-0.026 s at 1e5, 0.028-0.030 / 0.036-0.042 s at 2e5, 0.041-0.067 /
+# 0.068-0.084 s at 5e5, 0.12-0.13 / 0.30-0.35 s at 2e6; Delta^3·Delta^5 mod 2
+# at 2e5 (6,160 and 6,140 terms) 0.012-0.017 / 0.046-0.060 s.
 SPARSE_CUTOFF = 20_000
 # Largest degree `delta_expansion` builds, ten times the largest the README and
 # the benchmark use (2e6); beyond it TooLarge is raised before any array exists.
 # Below it, a dense product may still be refused by MAX_PRODUCT_BYTES, also
 # before anything is allocated: `density --p 65521 --form delta` reports up to
-# X = 2^24 - 1 (8.0 s and 1,338 MB in a fresh process; 669 MB at X = 8e6) and
-# is refused above, where the squaring of E_6 needs a 2^25-point transform
-# and three digits.
+# X = 2^24 - 1 (9.0-9.6 s and 954 MB in a fresh process; 475 MB at X = 8e6)
+# and is refused above, where the squaring of E_6 needs 2^23-point transforms
+# and three digits; at p = 2^31 - 1 it reports up to X = 2^23 - 1 (9.2-11.6 s
+# and 736 MB).
 MAX_DEGREE = 2 * 10 ** 7
 # Bytes a dense product (`_dense_mul`) may hold in its digit spectra, spectrum
 # accumulator, transform output and result, with pocketfft's own scratch of
 # about two transform lengths of float64 per call (`_dense_plan`), checked
-# before any of them exists.  1.25 GiB admits what 1 GiB of arrays alone
-# did: p = 65521 up to a 2^24-point transform (a square of degree below 2^24,
-# 896 MiB of arrays and 256 MiB of scratch) and p = 2^31 - 1 up to 2^23
-# points, and leaves room under a 2 GiB address space for the divisor sums
-# beside it.
+# before any of them exists.  1.25 GiB admits squares mod 65521 up to degree
+# 2^24 - 1 (eight pieces of 2^21 terms and 2^22-point transforms: 704 MiB of
+# arrays and 64 MiB of scratch) and mod 2^31 - 1 up to degree 2^23 - 1
+# (640 MiB), where the next degrees need 1,920 and 1,472 MiB, and it leaves
+# room under a 2 GiB address space for the divisor sums beside the product.
 MAX_PRODUCT_BYTES = 5 << 28
-_BLOCK = 1 << 16            # entries per block of the dense product's sums and rounding
+_PIECE = 1 << 17            # terms per piece of a dense product, up to _MAX_PIECES pieces
+_MAX_PIECES = 8             # past it the pieces grow instead (`_dense_plan`)
+_BLOCK = 1 << 14            # entries per block of the dense product's digits, sums and rounding
 
 
 def _check_p_limit(p):
@@ -284,34 +290,40 @@ def series_mul(f, g):
 
 def _dense_plan(n, p, square):
     """The sizing of `_dense_mul` for a product of two length-n arrays mod
-    p: (N, d, s), the transform length N = 2^k >= 2h - 1 (h = ⌈n/2⌉) and d
-    base-2^s digits.  Raises TooLarge, before anything is allocated, when no
-    digit width keeps the product exact or when its arrays exceed
-    MAX_PRODUCT_BYTES: 2d half-spectra of N/2 + 1 complex entries for a
-    square (4d otherwise), one more as the spectrum accumulator, the
-    length-N transform output, the int64 result, and 2N float64 of
-    pocketfft's scratch within a transform call.
+    p: (P, m, N, d, s), P pieces of m = ⌈n/P⌉ terms, the transform length
+    N = 2^k >= 2m - 1 and d base-2^s digits.  P = ⌈n/_PIECE⌉ within
+    [2, _MAX_PIECES], less any piece that would be empty: halves up to
+    n = 2^18, and N <= 2^18 up to n = 2^20.  Past that the pieces grow, as
+    more of them would add digit products (about P·n in all) faster than
+    shorter transforms save.  Raises TooLarge, before anything is
+    allocated, when no digit width keeps the product exact or when its
+    arrays exceed MAX_PRODUCT_BYTES: P·d half-spectra of N/2 + 1 complex
+    entries for a square (2P·d otherwise), one more as the spectrum
+    accumulator, the length-N transform output, the int64 result, and 2N
+    float64 of pocketfft's scratch within a transform call.
 
     For digits at most M, Percival's bound (Math. Comp. 72, 2003) on the
     error of one convolution is N·M²·((1+ε)^{3k} (1+ε√5)^{3k+1} (1+β)^{3k} - 1),
-    with ε = β = 2^-53; up to 2d digit products share one spectrum, so d is
-    the fewest digits for which 2d times it stays below 1/4."""
-    h = (n + 1) // 2
-    size = 1 << (2 * h - 2).bit_length()
+    with ε = β = 2^-53; up to P·d digit products share one spectrum (the P
+    piece pairs of the top class, d digit pairs each), so d is the fewest
+    digits for which P·d times it stays below 1/4."""
+    m = -(-n // min(_MAX_PIECES, max(2, -(-n // _PIECE))))
+    pieces = -(-n // m)
+    size = 1 << (2 * m - 2).bit_length()
     k, eps = size.bit_length() - 1, 2.0 ** -53
     err = math.expm1(6 * k * math.log1p(eps) + (3 * k + 1) * math.log1p(eps * math.sqrt(5)))
     bits = (p - 1).bit_length()
     for d in range(1, bits + 1):
         s = -(-bits // d)
-        if 2 * d * size * min((1 << s) - 1, p - 1) ** 2 * err < 0.25:
+        if pieces * d * size * min((1 << s) - 1, p - 1) ** 2 * err < 0.25:
             break
     else:
         raise TooLarge(f"no digit width keeps a degree-{n - 1} product exact")
-    need = ((2 if square else 4) * d + 1) * 16 * (size // 2 + 1) + 24 * size + 8 * n
+    need = ((1 if square else 2) * pieces * d + 1) * 16 * (size // 2 + 1) + 24 * size + 8 * n
     if need > MAX_PRODUCT_BYTES:
         raise TooLarge(f"a degree-{n - 1} product needs {need >> 20} MiB, above the budget "
                        f"of {MAX_PRODUCT_BYTES >> 20} MiB")
-    return size, d, s
+    return pieces, m, size, d, s
 
 
 def _dense_mul(a, b, p):
@@ -319,44 +331,54 @@ def _dense_mul(a, b, p):
     [0, p), by float FFTs of base-2^s digits (`_dense_plan`); `b is a` is
     transformed once, and neither input is written.
 
-    Only n terms of the product are wanted, so the product goes by halves
-    (Mulders, AAECC 11, 2000): with h = ⌈n/2⌉, a = a0 + x^h·a1 and b alike,
-    it is a0·b0 + x^h·(a0·b1 + a1·b0) mod x^n.  Both pieces are cyclic
-    convolutions of length N = 2^k >= 2h - 1, about n where the full
-    product would need about 2n.
+    Only n terms of the product are wanted, so the product goes by pieces
+    (Mulders, AAECC 11, 2000): with a = sum_i x^{im}·a_i over P pieces of
+    m terms, and b alike, it is sum_k x^{km}·(sum_{i+i'=k} a_i·b_i') mod
+    x^n over the piece classes k < P.  Each class is one cyclic convolution
+    of length N = 2^k >= 2m - 1, added at offset k·m: 2^18 points at
+    n = 10^6, where the whole product would need 2^21.
 
-    Digit index j (a sum over i of digit i of a times digit j - i of b)
-    contributes c_j = (a0·b0)_j + x^h·(a0·b1 + a1·b0)_j, whose spectra
-    are summed from the digit spectra in blocks of _BLOCK entries.  A
-    square multiplies each symmetric digit pair once, weighted by 2: the
-    pairs (i, j - i) and (j - i, i) of a0·a0, and a0·a1 against a1·a0, so
-    its cross spectrum takes d products where b's takes 2d.  Each inverse
-    transform is rounded block by block, and a residual of 1/4 or more
-    raises CheckFailed instead of rounding.  The digits combine by Horner's
-    rule from the top index, out = out·2^s + c_j, in int64: an entry of
-    c_j is a coefficient of a product of digit series, at most
-    (pairs)·n·M² for digits at most M, and out is reduced mod p at the end
-    and before a step only when that running bound could reach 2^63: once
-    in all at p <= 7 and at p = 65521, n = 10^6.  So the product holds the
-    digit spectra, one spectrum accumulator, one transform output, the
-    result and block-sized scratch.
+    Digit index j (a sum over t of digit t of a times digit j - t of b)
+    contributes c_j, one class at a time, whose spectrum is summed from the
+    digit spectra in blocks of _BLOCK entries that stay in cache.  A square
+    multiplies each symmetric pair once, weighted by 2: (piece i, digit t)
+    against (k - i, j - t), so its class k takes about half of the
+    (k + 1)·d products of b's.  Each inverse transform is rounded block by
+    block straight into the result, and a residual of 1/4 or more raises
+    CheckFailed instead of rounding.  The digits combine by Horner's rule
+    from the top index, out = out·2^s + c_j, in int64: an entry of c_j is a
+    coefficient of a product of digit series, at most (pairs)·n·M² for
+    digits at most M, and out is reduced mod p at the end and before a step
+    only when that running bound could reach 2^63: once in all at p <= 7
+    and at p = 65521, n = 10^6.  So the product holds the digit spectra,
+    one spectrum accumulator, one transform output, the result and
+    block-sized scratch; each piece's digits are staged block by block in
+    the transform output.
     """
     n = a.shape[0]
     square = b is a
-    size, d, s = _dense_plan(n, p, square)
-    h = (n + 1) // 2
+    pieces, m, size, d, s = _dense_plan(n, p, square)
     mask = (1 << s) - 1
-
-    def spectra(x):
-        return [np.fft.rfft((x >> s * i & mask).astype(np.float64), size) for i in range(d)]
-
-    a0, a1 = spectra(a[:h]), spectra(a[h:])
-    b0, b1 = (a0, a1) if square else (spectra(b[:h]), spectra(b[h:]))
     half = size // 2 + 1
     spec = np.empty(half, dtype=np.complex128)
     conv = np.empty(size)
     prod = np.empty(min(_BLOCK, half), dtype=np.complex128)
-    whole = np.empty(min(_BLOCK, n), dtype=np.int64)
+    whole = np.empty(min(_BLOCK, size), dtype=np.int64)
+
+    def spectra(x):
+        out = np.empty((pieces, d, half), dtype=np.complex128)
+        for i in range(pieces):
+            piece = x[i * m:(i + 1) * m]
+            for t in range(d):
+                for lo in range(0, piece.shape[0], _BLOCK):
+                    src = piece[lo:lo + _BLOCK]
+                    r = np.right_shift(src, s * t, out=whole[:src.shape[0]])
+                    np.bitwise_and(r, mask, out=conv[lo:lo + src.shape[0]], casting="unsafe")
+                np.fft.rfft(conv[:piece.shape[0]], size, out=out[i, t])
+        return out
+
+    fa = spectra(a)
+    fb = fa if square else spectra(b)
 
     def add_rounded(pairs, dst):
         """dst += the convolution whose spectrum is the sum of w·x·y over
@@ -371,17 +393,15 @@ def _dense_mul(a, b, p):
                 if t:
                     acc += xy
         c = np.fft.irfft(spec, size, out=conv)
-        m = dst.shape[0]
-        for lo in range(0, m, _BLOCK):
-            hi = min(lo + _BLOCK, m)
-            x, r = c[lo:hi], whole[:hi - lo]
+        for lo in range(0, dst.shape[0], _BLOCK):
+            x = c[lo:min(lo + _BLOCK, dst.shape[0])]
+            r = whole[:x.shape[0]]
             np.rint(x, out=r, casting="unsafe")
             x -= r
             if np.abs(x, out=x).max() >= 0.25:
                 raise CheckFailed("FFT rounding residual reached 1/4")
-            dst[lo:hi] += r
+            dst[lo:lo + r.shape[0]] += r
 
-    low = min(n, 2 * h - 1)                 # a0·b0 has 2h - 1 terms
     out = np.zeros(n, dtype=np.int64)
     top, most = 0, n * min(mask, p - 1) ** 2    # bounds on out and on c_j per pair
     for j in range(2 * d - 2, -1, -1):
@@ -392,15 +412,15 @@ def _dense_mul(a, b, p):
         if top:
             out <<= s
         top = (top << s) + len(idx) * most
-        if square:
-            lows = [(a0[i], a0[j - i], 2 if 2 * i < j else 1) for i in idx if 2 * i <= j]
-            cross = [(a0[i], a1[j - i], 2) for i in idx]
-        else:
-            lows = [(a0[i], b0[j - i], 1) for i in idx]
-            cross = [(a0[i], b1[j - i], 1) for i in idx] + [(a1[i], b0[j - i], 1) for i in idx]
-        add_rounded(lows, out[:low])
-        if n > h:
-            add_rounded(cross, out[h:])
+        for k in range(pieces):
+            if square:
+                pairs = [(fa[i, t], fa[k - i, j - t], 2) for i in range((k + 1) // 2) for t in idx]
+                if k % 2 == 0:
+                    pairs += [(fa[k // 2, t], fa[k // 2, j - t], 2 if 2 * t < j else 1)
+                              for t in idx if 2 * t <= j]
+            else:
+                pairs = [(fa[i, t], fb[k - i, j - t], 1) for i in range(k + 1) for t in idx]
+            add_rounded(pairs, out[k * m:k * m + 2 * m - 1])
     out %= p
     return out
 

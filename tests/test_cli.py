@@ -114,8 +114,8 @@ def test_series_degree_cap_exit_3(args):
 
 
 @pytest.mark.parametrize("args, mib", [
-    (["density", "--p", "65521", "--form", "delta", "--X", "20000000"], 2712),
-    (["density", "--p", "2147483647", "--form", "delta", "--X", "16000000"], 1914),
+    (["density", "--p", "65521", "--form", "delta", "--X", "20000000"], 1944),
+    (["density", "--p", "2147483647", "--form", "delta", "--X", "16000000"], 1530),
 ])
 def test_dense_product_budget_exit_3(args, mib):
     # the squaring of E_6 ran into the 2 GiB limit: exit 1 with a MemoryError

@@ -349,15 +349,44 @@ def _full_length_dense_mul(a, b, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
-def test_dense_mul_by_halves_equals_the_full_length_product(p):
+def test_dense_mul_by_halves_equals_the_full_length_product(p, monkeypatch):
+    # halves at the default piece length, then every piece count from 3 to
+    # the cap of 8: pieces of at least 100 terms reach P = 3..8 and the cap,
+    # with a short last piece, and pieces of one term would leave the last
+    # pieces empty, so fewer are used
     rng = np.random.default_rng(p)
-    for n in (1, 2, 3, 4, 5, 1000, 1001, 2 ** 16, 2 ** 16 + 1):
+
+    def check(n, pieces):
+        assert _dense_plan(n, p, False)[0] == pieces == _dense_plan(n, p, True)[0], n
         for a, b in ((rng.integers(0, p, n), rng.integers(0, p, n)),
                      (np.full(n, p - 1, dtype=np.int64), np.full(n, p - 1, dtype=np.int64))):
             kept = a.copy(), b.copy()
             assert np.array_equal(_dense_mul(a, b, p), _full_length_dense_mul(a, b, p)), n
             assert np.array_equal(_dense_mul(a, a, p), _full_length_dense_mul(a, a, p)), n
             assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+
+    for n in (2, 3, 4, 5, 1000, 1001, 2 ** 16, 2 ** 16 + 1):
+        check(n, 2)
+    check(1, 1)
+    monkeypatch.setattr(modforms, "_PIECE", 100)
+    for n, pieces in ((201, 3), (300, 3), (301, 4), (450, 5), (599, 6), (700, 7), (701, 8),
+                      (800, 8), (801, 8), (2345, 8)):
+        check(n, pieces)
+    monkeypatch.setattr(modforms, "_PIECE", 1)
+    for n, pieces in ((9, 5), (13, 7), (17, 6), (50, 8)):
+        check(n, pieces)
+
+
+def test_dense_mul_by_pieces_equals_the_full_length_product_at_density_size():
+    # the squaring in `density --p 3 --form delta --X 1000000`: 333,334 terms
+    # in three pieces of 111,112, against the full-length product's
+    # 2^20-point transforms
+    n, p = 333_334, 3
+    assert _dense_plan(n, p, True)[:3] == (3, 111_112, 2 ** 18)
+    a = np.random.default_rng(n).integers(0, p, n)
+    assert np.array_equal(_dense_mul(a, a, p), _full_length_dense_mul(a, a, p))
+    a[:] = p - 1
+    assert np.array_equal(_dense_mul(a, a, p), _full_length_dense_mul(a, a, p))
 
 
 @pytest.mark.parametrize("p", [2, 65521])
@@ -405,12 +434,14 @@ def test_reduced_results_are_kept_not_copied(p):
         p - 1, 0, 5 % p, 10 ** 12 % p, 0]
 
 
-@pytest.mark.parametrize("p, square, bound", [(5, False, 8), (65521, False, 12.25),
-                                             (5, True, 5.75), (65521, True, 8)])
+@pytest.mark.parametrize("p, square, bound", [(5, False, 6), (65521, False, 10.25),
+                                             (5, True, 4), (65521, True, 6)])
 def test_series_mul_memory_beyond_its_operands(p, square, bound):
-    # the full-length product peaked at 14.4 and 20.8 operands here, and the
+    # the full-length product peaked at 14.4 and 20.8 operands here, the
     # product by halves with full-length scratch at 9.9 and 14.0 (squares:
-    # 7.8 and 9.9).  tracemalloc sees numpy's arrays but not pocketfft's own
+    # 7.8 and 9.9), and by halves with 2^20-point scratch at 7.5 and 11.7
+    # (squares: 5.4 and 7.5); by eight pieces it is 5.8 and 10.0 (squares:
+    # 3.7 and 5.8).  tracemalloc sees numpy's arrays but not pocketfft's own
     # scratch, so that scratch is not in the bound
     deg = 10 ** 6
     rng = np.random.default_rng(p)
@@ -429,7 +460,7 @@ def test_series_mul_memory_beyond_its_operands(p, square, bound):
 def _horner_reductions(n, p):
     """The digit indices j at which `_dense_mul` reduces its accumulator mod
     p before the step out·2^s + c_j, by its rule for a length-n product."""
-    size, d, s = _dense_plan(n, p, False)
+    d, s = _dense_plan(n, p, False)[3:]
     most = n * min((1 << s) - 1, p - 1) ** 2
     top, at = 0, []
     for j in range(2 * d - 2, -1, -1):
@@ -462,28 +493,34 @@ def test_dense_mul_lazy_reduction_at_its_edges(p, n, d, at):
     (3, 1024, 1), (3, 1025, 1),             # one digit: the transform length doubles
     (65521, 1024, 1), (65521, 1025, 2),
     (2 ** 31 - 1, 512, 2), (2 ** 31 - 1, 513, 3),
-    (2 ** 31 - 1, 2 ** 18, 3), (2 ** 31 - 1, 2 ** 18 + 1, 4),
+    (2 ** 31 - 1, 2 ** 18, 3), (2 ** 31 - 1, 2 ** 18 + 1, 4),     # a third piece
 ])
 def test_dense_mul_square_equals_the_general_product(p, n, d):
-    assert _dense_plan(n, p, True)[1] == d
+    assert _dense_plan(n, p, True)[3] == d
     rng = np.random.default_rng(n)
     for a in (rng.integers(0, p, n), np.full(n, p - 1, dtype=np.int64)):
         assert np.array_equal(_dense_mul(a, a, p), _dense_mul(a, a.copy(), p))
 
 
 def test_dense_plan_counts_pocketfft_scratch(monkeypatch):
-    # the 2^24-point square at p = 65521, the largest the budget admits: two
-    # digits, so 5 half-spectra, then the transform output, the result and
-    # pocketfft's scratch of two transform lengths of float64
-    size, n = 2 ** 24, 2 ** 24
-    need = 5 * 16 * (size // 2 + 1) + 8 * size + 8 * n + 16 * size
-    assert need == (1152 << 20) + 80
+    # the largest square the budget admits at p = 65521, of degree 2^24 - 1:
+    # 8 pieces of 2^21 terms and two digits, so 16 half-spectra of a
+    # 2^22-point transform and the accumulator, then the transform output,
+    # the result and pocketfft's scratch of two transform lengths of float64
+    n, size = 2 ** 24, 2 ** 22
+    need = 17 * 16 * (size // 2 + 1) + 8 * size + 8 * n + 16 * size
+    assert need == (768 << 20) + 272
     assert need <= modforms.MAX_PRODUCT_BYTES
-    assert _dense_plan(n, 65521, True) == (size, 2, 8)
+    assert _dense_plan(n, 65521, True) == (8, 2 ** 21, size, 2, 8)
+    # a general product transforms both operands: 16 more digit spectra,
+    # 528 bytes over the budget
+    assert need + 16 * 16 * (size // 2 + 1) == modforms.MAX_PRODUCT_BYTES + 528
+    with pytest.raises(TooLarge, match="needs 1280 MiB, above the budget of 1280 MiB"):
+        _dense_plan(n, 65521, False)
     monkeypatch.setattr(modforms, "MAX_PRODUCT_BYTES", need)
-    assert _dense_plan(n, 65521, True) == (size, 2, 8)
+    assert _dense_plan(n, 65521, True) == (8, 2 ** 21, size, 2, 8)
     monkeypatch.setattr(modforms, "MAX_PRODUCT_BYTES", need - 1)
-    with pytest.raises(TooLarge, match="needs 1152 MiB"):
+    with pytest.raises(TooLarge, match="needs 768 MiB"):
         _dense_plan(n, 65521, True)
 
 
