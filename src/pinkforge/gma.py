@@ -256,11 +256,6 @@ class GmaStructure:
     def in_radical(self, x):
         return self.radical().contains(np.asarray(x))
 
-    def descriptor(self):
-        return {"name": self.name, "base": self.A.descriptor(),
-                "dimB": self.db, "dimC": self.dc,
-                "radical_profile": self.radical_profile()}
-
 
 def _lift_block(v, off, dim):
     out = np.zeros(dim, dtype=np.int64)

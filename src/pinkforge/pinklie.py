@@ -612,58 +612,33 @@ def structure_round_trip(cls_kind, R, lie_vectors, gbar_constants):
 
 # -- congruence subgroups ----------------------------------------------------
 
-def principal_ideal(A, x):
-    return span_products(x[None, :], np.eye(A.dim, dtype=np.int64), A.mul_tensor, A.p)
-
-
-def candidate_ideals(A):
-    """Nonzero ideals to test for the congruence property.
-
-    Truncated polynomial rings: exactly the (X^j), an exhaustive list.
-    Otherwise: principal ideals of all elements, deduplicated, the first 64.
-    """
-    out = []
-    if A.meta.get("kind") == "truncated_poly":
-        f, k = A.fq_block
-        for j in range(1, k):
-            xj = np.zeros(A.dim, dtype=np.int64)
-            xj[j * f] = 1
-            name = "(X)" if j == 1 else f"(X^{j})"
-            out.append((name, principal_ideal(A, xj)))
-        return out, True
-    seen = set()
-    for vec in A.elements(cap=10 ** 5):
-        if not vec.any():
-            continue
-        I = principal_ideal(A, vec)
-        key = (I.dim, I.basis.tobytes())
-        if key in seen or I.dim == 0:
-            continue
-        seen.add(key)
-        out.append((f"({A.format_vec(vec)})", I))
-        if len(out) >= 64:
-            break
-    return out, False
-
-
 def is_congruence_subgroup(L):
-    """(flag, witness): L contains the congruence block of some nonzero
-    ideal.  Exhaustive over (X^j) for truncated bases."""
+    """(flag, witness): L contains theta of the principal congruence
+    subgroup of a nonzero ideal, the block [[I, I·B],[I·C, I]]^0, and the
+    witness names the largest such ideal.  The base is F_q[X]/(X^k) in its
+    block layout, whose nonzero proper ideals are the chain (X^j), 0 < j < k,
+    (X^j) spanned by the basis rows from index j·f on.  The blocks are
+    nested, so the j whose block L contains form an up-set: walk down from
+    (X^{k-1}) while L contains the block.  ValueError off the block layout."""
     R = L.R
-    cands, exhaustive = candidate_ideals(R.A)
-    for name, I in cands:
-        # theta of the principal congruence subgroup of I: [[I, I·B],[I·C, I]]^0
-        block = FpSubspace(R.p, R.dim, ideal_block_rows(R, I.basis))
-        if L.contains(block.basis).all():
-            return True, name
-    return False, None if exhaustive else "search capped"
+    if getattr(R.A, "fq_block", None) is None:
+        raise ValueError("congruence subgroups need the F_q block layout")
+    f, k = R.A.fq_block
+    E = np.eye(R.A.dim, dtype=np.int64)
+    j = k                     # the least j whose block L contains, k while none
+    while j > 1 and L.contains(ideal_block_rows(R, E[(j - 1) * f:])).all():
+        j -= 1
+    if j == k:
+        return False, None
+    return True, "(X)" if j == 1 else f"(X^{j})"
 
 
 # -- the essential submodule and the measure bound ----------------------------
 
 @dataclass
 class EssentialData:
-    S_indices: list
+    """The essential module A_ess of `essential_data`, and whether its set S
+    is nonempty (weakly_odd)."""
     A_ess: FpSubspace
     weakly_odd: bool
 
@@ -676,10 +651,10 @@ def essential_data(G, L2):
     A = R.A
     p = R.p
     traceless = np.flatnonzero(~R.batch_trace(G.elements).any(axis=1))
-    S = traceless[batch_is_unit_square(A, -R.batch_det(G.elements[traceless]))].tolist()
+    S = traceless[batch_is_unit_square(A, -R.batch_det(G.elements[traceless]))]
     traces = FpSubspace(p, A.dim, trace_products(R, G.elements[S], L2.basis))
     A_ess = span_products(A.embed, traces.basis, A.mul_tensor, p)
-    return EssentialData(S_indices=S, A_ess=A_ess, weakly_odd=bool(S))
+    return EssentialData(A_ess=A_ess, weakly_odd=bool(S.size))
 
 
 # Most F_q-linear forms on A, q^k = p^dim A, that `key_measure_check`

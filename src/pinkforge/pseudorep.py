@@ -207,15 +207,6 @@ class PseudoRep:
         """Every d(g) lies in s(F_q), the F_p-span of the embedded alpha^i."""
         return bool(FpSubspace(self.A.p, self.A.dim, self.A.embed).contains(self.d).all())
 
-    def to_dict(self):
-        """JSON-ready value table: base descriptor plus t and d rows."""
-        return {
-            "ring": self.A.descriptor(),
-            "order": self.t.shape[0],
-            "t": self.t.tolist(),
-            "d": self.d.tolist(),
-        }
-
 
 def check_axioms(tr):
     """(ok, witness): d multiplicative into units, t central, t(1) = 2, and

@@ -507,3 +507,23 @@ def test_verify_makes_no_row_at_a_time_products(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main(["verify", "--seed", "1"]) == 0
     assert calls["bilinear"] <= 2137 and calls["mul_vec"] <= 36 and calls["module_act"] <= 154, calls
+
+
+def test_ring_axioms_decide_units_from_the_multiplication(monkeypatch):
+    """`verify`'s units check reads the multiplication tensor: with X·X set
+    to 1 in F_3[X]/(X^3), 1 + X (outside m) has a singular multiplication
+    matrix, so the units no longer match the complement of m."""
+    from pinkforge import cli
+    build = cli.make_truncated_poly_ring
+
+    def corrupted(q, k):
+        A = build(q, k)
+        if (q, k) == (3, 3):
+            A.mul_tensor[1, 1] = [1, 0, 0]
+        return A
+
+    monkeypatch.setattr(cli, "make_truncated_poly_ring", corrupted)
+    ok, details = cli._check_ring_axioms(0)
+    assert not ok
+    assert not details["F3[X]/(X^3)"]["units_match_ideal"]
+    assert all(d["units_match_ideal"] for name, d in details.items() if name != "F3[X]/(X^3)")

@@ -8,17 +8,21 @@ import numpy as np
 import pytest
 
 from pinkforge.errors import CheckFailed, TooLarge
-from pinkforge.fp import FpSubspace, row_key
+from pinkforge.fp import FpSubspace, row_key, span_products
 from pinkforge.gma import batch_in_SR1, m2_structure, reduced_residue_gma
 from pinkforge.instances import (
+    antidiag_rows,
     component_block_rows,
     diag_group_constants,
+    diag_rows,
+    ideal_block_rows,
     monomial,
     structure_parameter_sets,
 )
-from pinkforge.localring import batch_sqrt_one_plus_m, make_truncated_poly_ring
+from pinkforge.localring import batch_sqrt_one_plus_m, make_truncated_poly_ring, quotient_ring
 from pinkforge.pinklie import (
     LieSubspace,
+    check_structure_theorem,
     _sqrt_scalars,
     MeasureReport,
     batch_theta,
@@ -401,9 +405,9 @@ def test_decompose_examples(r33):
     assert decb.C1 == FpSubspace(3, R.dc, A.maxideal.basis)
     # condition reports hold for honest Lie algebras of subgroups
     rep = decomposable_condition_report(ex.L)
-    assert all(v for v in rep.values() if isinstance(v, bool)), rep
+    assert not _false_conditions(rep), rep
     rep2 = strong_condition_report(Lb)
-    assert all(v for v in rep2.values() if isinstance(v, bool)), rep2
+    assert not _false_conditions(rep2), rep2
 
 
 def test_congruence_subgroup_cases(example_family):
@@ -424,9 +428,82 @@ def test_congruence_subgroup_cases(example_family):
 
 
 def test_congruence_small_k_status(example_family):
-    # at k = 2 and 3 the search is still exhaustive; record exact outcomes
+    # at k = 2 and 3 the example contains no congruence subgroup either;
+    # record the exact outcomes
     assert is_congruence_subgroup(example_family[2].L) == (False, None)
     assert is_congruence_subgroup(example_family[3].L) == (False, None)
+
+
+def _congruence_by_principal_ideals(L):
+    """The reference: over F_q[X]/(X^k), the principal ideal of each X^j,
+    0 < j < k, in increasing j, as the F_p-span of the products X^j·e_i.
+    The first whose block [[I, I·B],[I·C, I]]^0 L contains is the witness."""
+    R = L.R
+    A = R.A
+    for j in range(1, A.fq_block[1]):
+        I = span_products(monomial(A, j)[None, :], np.eye(A.dim, dtype=np.int64),
+                          A.mul_tensor, A.p)
+        block = FpSubspace(R.p, R.dim, ideal_block_rows(R, I.basis))
+        if L.contains(block.basis).all():
+            return True, "(X)" if j == 1 else f"(X^{j})"
+    return False, None
+
+
+def _congruence_cases():
+    """(label, L): the example's Lie algebra, in closed form, at p = 3 for
+    k = 2..8 and at (5, 4) and (7, 3); the F_9 group of the analyze
+    workload; in M_2 over F_3[X]/(X^2..5), F_5[X]/(X^4) and F_9[X]/(X^3),
+    the component block of m, the prime-field line of X in every position
+    and the block of each (X^j); and the reduced GMA over F_3[X]/(X^2) and
+    F_3[X]/(X^3)."""
+    for p, k in [(3, k) for k in range(2, 9)] + [(5, 4), (7, 3)]:
+        A = make_truncated_poly_ring(p, k)
+        R = m2_structure(A)
+        yield f"example8({p}, {k})", expected_example_lie(R, A)
+    R = m2_structure(make_truncated_poly_ring(9, 3))
+    yield "F9_GENS", gamma_and_lie(FiniteMatrixGroup.generate(R, F9_GENS))[1]
+    for q, k in ((3, 2), (3, 3), (3, 4), (3, 5), (5, 4), (9, 3)):
+        A = make_truncated_poly_ring(q, k)
+        R = m2_structure(A)
+        E = np.eye(A.dim, dtype=np.int64)
+        yield f"F{q}[X]/(X^{k}) m", LieSubspace(R, component_block_rows(R, list(A.maxideal.basis)))
+        yield f"F{q}[X]/(X^{k}) F_p X", LieSubspace(R, component_block_rows(R, [monomial(A, 1)]))
+        for j in range(1, k):
+            yield f"F{q}[X]/(X^{k}) (X^{j})", LieSubspace(R, ideal_block_rows(R, E[j * A.fq.f:]))
+    for k in (2, 3):
+        A = make_truncated_poly_ring(3, k)
+        R = reduced_residue_gma(A)
+        E = np.eye(A.dim, dtype=np.int64)
+        yield f"reduced F3[X]/(X^{k}) nabla", LieSubspace(R, diag_rows(R, [monomial(A, 1)])
+                                                         + antidiag_rows(R, [([1], [1])]))
+        for j in range(1, k):
+            yield f"reduced F3[X]/(X^{k}) (X^{j})", LieSubspace(R, ideal_block_rows(R, E[j:]))
+
+
+def test_congruence_subgroup_equals_the_principal_ideal_search():
+    got = {label: is_congruence_subgroup(L) for label, L in _congruence_cases()}
+    assert got == {label: _congruence_by_principal_ideals(L) for label, L in _congruence_cases()}
+    # the block of (X^j) names (X^j) itself, the largest ideal it contains
+    for label, answer in got.items():
+        if label.endswith("^1)"):
+            assert answer == (True, "(X)"), label
+        elif label.endswith(")") and " (X^" in label:
+            assert answer == (True, label.rpartition(" ")[2]), label
+    assert [label for label, (flag, _) in got.items() if not flag] == [
+        *(f"example8(3, {k})" for k in range(2, 9)), "example8(5, 4)", "example8(7, 3)",
+        "F9_GENS", *(f"F{q}[X]/(X^{k}) F_p X" for q, k in ((3, 3), (3, 4), (3, 5), (5, 4), (9, 3))),
+        "reduced F3[X]/(X^3) nabla"]
+
+
+def test_congruence_subgroup_off_the_block_layout_is_a_value_error():
+    # M_2 of F_3[X]/(X^4) modulo (X^2): a local ring whose meta still says
+    # truncated_poly, but with no F_q block layout
+    A = make_truncated_poly_ring(3, 4)
+    Aq, _ = quotient_ring(A, [monomial(A, 2)])
+    R = m2_structure(Aq)
+    L = LieSubspace(R, component_block_rows(R, list(Aq.maxideal.basis)))
+    with pytest.raises(ValueError, match="block layout"):
+        is_congruence_subgroup(L)
 
 
 def _essential(ex):
@@ -447,9 +524,6 @@ def test_essential_data_cases(example_family):
     want = FpSubspace(3, A6.dim, [monomial(A6, 3), monomial(A6, 5)])
     assert ess6.A_ess == want
     assert ess6.weakly_odd
-    # S consists of trace-zero elements with -det a square; J qualifies
-    j_idx = int(ex6.G.find(ex6.R.J))
-    assert j_idx in ess6.S_indices
 
 
 def test_essential_not_ideal_witness(example_family):
@@ -549,18 +623,40 @@ def test_structure_round_trip_one_per_class():
     assert done == {"order2", "cyclic", "klein", "dihedral", "large"}
 
 
+def _false_conditions(rep):
+    """The conditions of a `check_structure_theorem` report that fail; a
+    condition is a bool or a numpy bool."""
+    return {k: v for k, v in rep.items() if isinstance(v, (bool, np.bool_)) and not v}
+
+
+@pytest.mark.parametrize("cls, i, last", [
+    ("order2", 0, "A_C1_is_C"), ("cyclic", 0, "F_C1_is_C"), ("klein", 0, "span_with_B1_is_A"),
+    ("klein", 4, "span_with_B1_is_A"), ("dihedral", 0, "span_1_I1_I1sq_B1_is_A"),
+    ("large", 0, "F_I1_is_m")])
+def test_structure_theorem_holds_on_an_instance_of_each_class(cls, i, last):
+    # the i-th instance of each class: the forward check reaches the class's
+    # last condition, and every condition holds.  At klein, nabla is
+    # invariant under the swap (b, c) -> (c, b); the last klein instance,
+    # whose nabla is spanned by (X, X), (X^2, X^2) and (X^2, -X^2), is
+    # invariant under no swap that scales only one of b and c
+    data = [b for c, b in structure_parameter_sets() if c == cls][i]()
+    rt = structure_round_trip(cls, data["R"], data["lie_rows"], data["gbar"])
+    rep = check_structure_theorem(cls, rt["G"], L=rt["L"])
+    assert last in rep and not _false_conditions(rep), rep
+    if cls == "klein":
+        assert rep["swap_lambda"] == 1
+
+
 def test_example_full_pipeline_forward_check(example_family):
     # from the bare (t, d) of the k = 2 example group, rebuild the faithful
     # realization and verify the order-2 structure conditions on it,
     # including the module-span conditions A·B1 = B, A·C1 = C
     from pinkforge.pseudorep import PseudoRep, build_td_representation
-    from pinkforge.pinklie import check_structure_theorem
     ex = example_family[2]
     tr = PseudoRep.from_matrix_group(ex.G)
     R, G, rho_idx, info = build_td_representation(tr)
     rep = check_structure_theorem("order2", G)
-    failures = {k: v for k, v in rep.items() if isinstance(v, bool) and not v}
-    assert not failures, failures
+    assert not _false_conditions(rep), rep
     # the example itself is decomposable but not strongly, and its residual
     # projective image has order 2: only the order-2 theorem applies
     dec = decompose(ex.L)
@@ -589,8 +685,7 @@ def test_forward_check_subfield_choice():
     # over F25 both the prime subfield and the full field satisfy the
     # gcd condition for the projective dihedral class; the shape check must
     # pass for either scalar extension
-    from pinkforge.instances import diag_rows, dihedral_constants
-    from pinkforge.pinklie import check_structure_theorem
+    from pinkforge.instances import dihedral_constants
     A = make_truncated_poly_ring(25, 2)
     R = m2_structure(A)
     rows = diag_rows(R, list(A.maxideal.basis))
@@ -601,8 +696,7 @@ def test_forward_check_subfield_choice():
     assert rep["lie_recovered"] and rep["admissible"]
     for d in (1, 2):
         fwd = check_structure_theorem("dihedral", rep["G"], L=rep["L"], subfield_degree=d)
-        failures = {k: v for k, v in fwd.items() if isinstance(v, bool) and not v}
-        assert not failures, (d, failures)
+        assert not _false_conditions(fwd), (d, fwd)
 
 
 @pytest.mark.parametrize("q, d", [(9, 1), (25, 1), (27, 1), (27, 3)])

@@ -1,9 +1,9 @@
 """Every public function, class and method of pinkforge is referenced, by
 name (a method as an attribute), from the library itself or exported from
 the package, and every attribute or dataclass field it stores is read by it.
-Code that only tests call is deleted, except the names in KEPT and
-KEPT_FIELDS.  Every defaulted parameter is passed by some call in src/ or
-pinkbench/, except those in SET_INDIRECTLY.  The only exception classes are
+Code that only tests call is deleted, except the names in KEPT.  Every
+defaulted parameter is passed by some call in src/ or pinkbench/, except
+those in SET_INDIRECTLY.  The only exception classes are
 the three of errors.py, one per non-zero exit code."""
 
 import ast
@@ -21,12 +21,6 @@ KEPT = {
     "is_faithful",              # the non-degenerate pairing the realization must give
     "check_structure_theorem",  # the structure theorem's conditions, on realized images
 }
-
-KEPT_FIELDS = {
-    # the set S of `essential_data`, which a test checks J lies in
-    "S_indices",
-}
-
 
 def _trees():
     for path in sorted(SRC.glob("*.py")):
@@ -102,9 +96,7 @@ def test_every_stored_attribute_is_loaded():
                 for f in node.body:
                     if isinstance(f, ast.AnnAssign):
                         stored.setdefault(f.target.id, f"{mod}.{node.name}.{f.target.id}")
-    assert KEPT_FIELDS <= set(stored)
-    assert sorted(where for name, where in stored.items()
-                  if name not in loaded | KEPT_FIELDS) == []
+    assert sorted(where for name, where in stored.items() if name not in loaded) == []
 
 
 def test_errors_py_alone_defines_exceptions():
